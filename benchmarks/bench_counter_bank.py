@@ -7,6 +7,11 @@ noise draw.  This module times full ``T``-round runs of both engines for
 ``T ∈ {64, 256, 1024}`` and asserts the acceptance criterion: at
 ``T = 1024`` the bank is at least 5x faster per round.
 
+It also times the exact noise of Algorithm 2's longest round: the 512
+discrete-Gaussian draws of round 512 at ``T = 512`` through the batched
+integer sampler, against the scalar reference sampler looping over the
+same rows in the same process (gated at >= 10x).
+
 Run explicitly (benchmarks are not collected by the tier-1 suite):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_counter_bank.py -v
@@ -20,6 +25,8 @@ import pytest
 from repro.core.budget import allocate_budget
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data.generators import iid_bernoulli
+from repro.dp.discrete_gaussian import DiscreteGaussianSampler, sample_discrete_gaussian
+from repro.rng import ExactRandom, as_generator
 from repro.streams.bank import FallbackBank
 from repro.streams.registry import make_bank
 
@@ -150,3 +157,48 @@ class TestSynthesizerEndToEnd:
             },
         )
         assert timings["vectorized"] < timings["scalar"]
+
+
+class TestExactNoise:
+    def test_exact_noise_round_speedup(self, figure_report):
+        # Round 512 of a T=512 cumulative run: one exact draw per live
+        # threshold row, at the rows' own variances (Corollary B.1 split).
+        horizon = 512
+        bank = make_bank(
+            "binary_tree",
+            horizon=horizon,
+            rho_per_threshold=allocate_budget(horizon, 0.005, "corollary_b1"),
+            seeds=5,
+            noise_method="exact",
+        )
+        rows = bank.sigma_sq_rows
+        sampler = DiscreteGaussianSampler(0, seed=6)
+        sampler.sample_columns(rows)  # rows calibrate on their first draw
+        random = ExactRandom(as_generator(7))
+        batched, scalar = [], []
+        # Interleaved, best of five each: a burst of host noise cannot land
+        # on one side only.
+        for _ in range(5):
+            start = time.perf_counter()
+            sampler.sample_columns(rows)
+            batched.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for sigma_sq in rows:
+                sample_discrete_gaussian(sigma_sq, random)
+            scalar.append(time.perf_counter() - start)
+        batched_s, scalar_s = min(batched), min(scalar)
+        speedup = scalar_s / batched_s
+        report = (
+            f"exact discrete-Gaussian noise, {horizon} draws (round {horizon}, T={horizon})\n"
+            f"  scalar reference : {scalar_s * 1e3:8.2f} ms\n"
+            f"  batched sampler  : {batched_s * 1e3:8.2f} ms\n"
+            f"  speedup          : {speedup:8.1f}x"
+        )
+        figure_report(
+            report,
+            metrics={
+                "speedup_vs_scalar": speedup,
+                "batched_ms_per_round": batched_s * 1e3,
+            },
+        )
+        assert speedup >= 10.0, report

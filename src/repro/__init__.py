@@ -84,6 +84,7 @@ from repro.exceptions import (
     DataValidationError,
     DegradedServiceWarning,
     NegativeCountError,
+    NoiseSamplerWarning,
     NotFittedError,
     PrivacyBudgetError,
     RecoveryError,
@@ -208,5 +209,6 @@ __all__ = [
     "SerializationError",
     "RecoveryError",
     "DegradedServiceWarning",
+    "NoiseSamplerWarning",
     "__version__",
 ]

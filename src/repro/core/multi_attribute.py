@@ -52,6 +52,7 @@ from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.core.population import validate_binary_column
 from repro.dp.accountant import ZCDPAccountant
+from repro.dp.discrete_gaussian import calibrate_sigma_sq
 from repro.dp.mechanisms import GaussianHistogramMechanism
 from repro.exceptions import (
     ConfigurationError,
@@ -577,9 +578,7 @@ class MultiAttributeSynthesizer:
             if infinite:
                 sigma_sq = Fraction(0)
             else:
-                sigma_sq = Fraction(self.horizon) / (
-                    2 * Fraction(rho_pair).limit_denominator(10**12)
-                )
+                sigma_sq = calibrate_sigma_sq(self.horizon, rho_pair)
             self._cross_generators[pair] = pair_generator
             self._cross_mechanisms[pair] = GaussianHistogramMechanism(
                 n_bins=n_bins,

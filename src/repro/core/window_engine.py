@@ -48,6 +48,7 @@ from repro.core.synthetic_store import WindowSyntheticStore
 from repro.queries.plan import AnswerCache, workload_key
 from repro.data.dataset import DynamicPanel
 from repro.dp.accountant import ZCDPAccountant
+from repro.dp.discrete_gaussian import calibrate_sigma_sq
 from repro.dp.mechanisms import GaussianHistogramMechanism
 from repro.exceptions import (
     ConfigurationError,
@@ -373,9 +374,7 @@ class WindowEngine:
             sigma_sq = Fraction(0)
             self.accountant = None
         else:
-            sigma_sq = Fraction(self.update_steps) / (
-                2 * Fraction(self.rho).limit_denominator(10**12)
-            )
+            sigma_sq = calibrate_sigma_sq(self.update_steps, self.rho)
             self.accountant = ZCDPAccountant(self.rho)
         self.sigma_sq = sigma_sq
         self._mechanism = GaussianHistogramMechanism(

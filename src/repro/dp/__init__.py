@@ -7,8 +7,10 @@ synthesizers are built on:
   for rational ``gamma`` (the building block of the exact samplers).
 * :mod:`repro.dp.discrete_laplace` — exact discrete Laplace sampling.
 * :mod:`repro.dp.discrete_gaussian` — the discrete Gaussian ``N_Z(0, sigma^2)``
-  of Canonne, Kamath & Steinke (2020), used by every mechanism in the paper,
-  in both an exact (rational-arithmetic) and a vectorized form.
+  of Canonne, Kamath & Steinke (2020), used by every mechanism in the paper:
+  exact (one draw in rational arithmetic, a batch in integer-only NumPy),
+  plus a float form for the replication harness; and the round-up
+  variance calibration every mechanism shares.
 * :mod:`repro.dp.accountant` — zero-concentrated DP (zCDP) budget ledger,
   composition, and conversion to approximate DP.
 * :mod:`repro.dp.mechanisms` — the sensitivity-1 noisy histogram mechanism
@@ -19,6 +21,7 @@ from repro.dp.accountant import ZCDPAccountant, zcdp_to_approx_dp, approx_dp_to_
 from repro.dp.bernoulli_exp import bernoulli_exp
 from repro.dp.discrete_gaussian import (
     DiscreteGaussianSampler,
+    calibrate_sigma_sq,
     sample_discrete_gaussian,
 )
 from repro.dp.discrete_laplace import (
@@ -43,6 +46,7 @@ __all__ = [
     "approx_dp_to_zcdp",
     "bernoulli_exp",
     "DiscreteGaussianSampler",
+    "calibrate_sigma_sq",
     "sample_discrete_gaussian",
     "DiscreteLaplaceSampler",
     "sample_discrete_laplace",

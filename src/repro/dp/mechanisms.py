@@ -19,12 +19,10 @@ reproduced exactly, while the stricter convention remains one argument away.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from repro.dp.accountant import gaussian_rho
-from repro.dp.discrete_gaussian import DiscreteGaussianSampler
+from repro.dp.discrete_gaussian import DiscreteGaussianSampler, upper_sigma_sq
 from repro.exceptions import ConfigurationError
 from repro.rng import SeedLike
 
@@ -72,7 +70,7 @@ class GaussianHistogramMechanism:
         if n_bins <= 0:
             raise ConfigurationError(f"n_bins must be positive, got {n_bins}")
         self.n_bins = int(n_bins)
-        self.sigma_sq = Fraction(sigma_sq).limit_denominator(10**12)
+        self.sigma_sq = upper_sigma_sq(sigma_sq)
         self.sensitivity = float(sensitivity)
         self._sampler = DiscreteGaussianSampler(self.sigma_sq, seed=seed, method=method)
 

@@ -19,6 +19,7 @@ __all__ = [
     "SerializationError",
     "RecoveryError",
     "DegradedServiceWarning",
+    "NoiseSamplerWarning",
 ]
 
 
@@ -101,6 +102,19 @@ class DegradedServiceWarning(UserWarning):
     answers from the surviving shards.  Answers carry an explicit
     ``degraded`` flag and the per-shard health report names the failed
     shards; the default (opt-out) behavior is to fail closed instead.
+    """
+
+
+class NoiseSamplerWarning(UserWarning):
+    """A restored checkpoint was written under a different noise sampler.
+
+    Emitted (via :mod:`warnings`) by
+    :func:`repro.serve.checkpoint.read_bundle` when a bundle's
+    ``noise_sampler`` field is missing (the bundle predates the field) or
+    names another sampler.  The bundle restores — its state, ledger and
+    generator positions are sampler-independent — but the draws made
+    after the restore come from this build's sampler, so they differ from
+    the ones the writing build would have made.
     """
 
 

@@ -3,7 +3,8 @@
 A version-3 checkpoint bundle is a single zip file holding:
 
 ``manifest.json``
-    Format name/version, library version, the bundle ``kind``
+    Format name/version, library version, the exact noise sampler whose
+    draws follow the recorded generator states, the bundle ``kind``
     (``"streaming"`` or ``"sharded"``), the synthesizer ``config``, the
     JSON half of the serialized ``state`` (array leaves replaced by
     ``{"__array__": <key>}`` placeholders), a SHA-256 checksum over the
@@ -43,12 +44,14 @@ import json
 import math
 import os
 import tempfile
+import warnings
 import zipfile
 import zlib
 
 import numpy as np
 
-from repro.exceptions import SerializationError
+from repro.dp.discrete_gaussian import NOISE_SAMPLER_VERSION
+from repro.exceptions import NoiseSamplerWarning, SerializationError
 
 __all__ = [
     "FORMAT_NAME",
@@ -407,6 +410,7 @@ def write_bundle(
         "format": FORMAT_NAME,
         "format_version": format_version,
         "library_version": __version__,
+        "noise_sampler": NOISE_SAMPLER_VERSION,
         "kind": str(kind),
         "config": config,
         "state": json_state,
@@ -528,6 +532,13 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
         not valid JSON, the format name or version is unsupported, the
         requested ``kind`` does not match, or either checksum fails
         (a truncated or tampered bundle).
+
+    Warns
+    -----
+    NoiseSamplerWarning
+        If the manifest's ``noise_sampler`` is missing or names another
+        sampler: the bundle restores, and draws made after the restore
+        come from this build's sampler.
     """
     try:
         with zipfile.ZipFile(path, "r") as bundle:
@@ -577,6 +588,7 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
                 arrays = _read_arrays_v2(bundle, manifest)
             else:
                 arrays = _read_arrays_v3(bundle, manifest)
+            sampler = manifest.get("noise_sampler")
     except SerializationError:
         raise
     except zipfile.BadZipFile as exc:
@@ -590,6 +602,17 @@ def read_bundle(path, kind: str | None = None) -> tuple[dict, dict]:
         # during decompression, not as a checksum mismatch — both are the
         # same condition to callers: a corrupt bundle.
         raise SerializationError(f"cannot read checkpoint bundle: {exc}") from exc
+    if sampler != NOISE_SAMPLER_VERSION:
+        written = "predates noise-sampler versioning" if sampler is None else (
+            f"was written under noise sampler {sampler!r}"
+        )
+        warnings.warn(
+            NoiseSamplerWarning(
+                f"checkpoint bundle {written}; noise drawn after this restore "
+                f"comes from sampler {NOISE_SAMPLER_VERSION!r}"
+            ),
+            stacklevel=2,
+        )
     config = _decode_nonfinite(config)
     json_state = _decode_nonfinite(json_state)
     return config, join_arrays(json_state, arrays)

@@ -55,6 +55,7 @@ from repro.exceptions import (
     ConsistencyError,
     DataValidationError,
     DegradedServiceWarning,
+    NoiseSamplerWarning,
     NotFittedError,
     RecoveryError,
     SerializationError,
@@ -1021,7 +1022,11 @@ class ShardedService:
                 raise SerializationError(
                     f"invalid shard entry {index}: {exc}"
                 ) from exc
-            shards.append(StreamingSynthesizer.restore(io.BytesIO(blob.tobytes())))
+            # The service bundle already reported its noise sampler; the
+            # nested shard bundles were written alongside it.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NoiseSamplerWarning)
+                shards.append(StreamingSynthesizer.restore(io.BytesIO(blob.tobytes())))
         # Cross-shard consistency: the nested bundles are individually
         # checksummed, but nothing stops a (buggy or foreign) writer from
         # combining shards that never belonged together — fail closed

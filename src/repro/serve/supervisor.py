@@ -62,6 +62,7 @@ from repro.exceptions import (
     ConsistencyError,
     DataValidationError,
     DegradedServiceWarning,
+    NoiseSamplerWarning,
     RecoveryError,
     SerializationError,
 )
@@ -668,15 +669,26 @@ class SupervisedService:
         base_round = 0
         for round_number, path in reversed(self._checkpoint_paths()):
             try:
-                service = ShardedService.restore(
-                    path, executor=self._executor_name, policy=self._policy
-                )
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", NoiseSamplerWarning)
+                    service = ShardedService.restore(
+                        path, executor=self._executor_name, policy=self._policy
+                    )
             except SerializationError as exc:
                 self.events.append(
                     f"checkpoint {os.path.basename(path)} unreadable "
                     f"({exc}); trying an older one"
                 )
                 continue
+            for notice in caught:
+                if issubclass(notice.category, NoiseSamplerWarning):
+                    self.events.append(
+                        f"checkpoint {os.path.basename(path)}: {notice.message}"
+                    )
+                else:
+                    warnings.warn_explicit(
+                        notice.message, notice.category, notice.filename, notice.lineno
+                    )
             base_round = round_number
             if service.t != round_number:
                 raise RecoveryError(

@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dp.discrete_gaussian import DiscreteGaussianSampler
+from repro.dp.discrete_gaussian import DiscreteGaussianSampler, calibrate_sigma_sq
 from repro.dp.discrete_laplace import DiscreteLaplaceSampler
 from repro.exceptions import ConfigurationError, SerializationError, StreamLengthError
 from repro.rng import (
@@ -451,24 +451,18 @@ class CounterBank(abc.ABC):
     def _gaussian_sigma_sq_rows(self, numerators, rho_rows=None) -> list[Fraction]:
         """Per-row ``numerator / (2 rho_b)`` variances as exact Fractions.
 
-        Mirrors the scalar counters' Fraction arithmetic
-        (``Fraction(num) / Fraction(2 rho).limit_denominator(10**9)``) so
-        exact-mode noise has the same distribution as the scalar engine.
-        ``rho_rows`` defaults to the full per-threshold budget vector;
-        :meth:`extend_rows` passes just the appended rows' budgets.
+        The scalar counters' calibration (:func:`calibrate_sigma_sq`, never
+        below the exact value), so exact-mode noise has the same
+        distribution as the scalar engine.  ``rho_rows`` defaults to the
+        full per-threshold budget vector; :meth:`extend_rows` passes just
+        the appended rows' budgets.
         """
-        out = []
         if rho_rows is None:
             rho_rows = self.rho_per_threshold
-        for numerator, rho_b in zip(numerators, rho_rows):
-            if math.isinf(rho_b):
-                out.append(Fraction(0))
-            else:
-                out.append(
-                    Fraction(int(numerator))
-                    / Fraction(2 * rho_b).limit_denominator(10**9)
-                )
-        return out
+        return [
+            Fraction(0) if math.isinf(rho_b) else calibrate_sigma_sq(int(numerator), rho_b)
+            for numerator, rho_b in zip(numerators, rho_rows)
+        ]
 
 
 class _TreeBankCore(CounterBank):

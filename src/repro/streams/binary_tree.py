@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from repro.dp.discrete_gaussian import DiscreteGaussianSampler
+from repro.dp.discrete_gaussian import DiscreteGaussianSampler, calibrate_sigma_sq
 from repro.streams.base import StreamCounter
 
 __all__ = ["BinaryTreeCounter"]
@@ -52,9 +52,7 @@ class BinaryTreeCounter(StreamCounter):
         if self.noiseless:
             self.sigma_sq = Fraction(0)
         else:
-            self.sigma_sq = Fraction(self.levels) / Fraction(2 * self.rho).limit_denominator(
-                10**9
-            )
+            self.sigma_sq = calibrate_sigma_sq(self.levels, self.rho)
         self._sampler = DiscreteGaussianSampler(
             self.sigma_sq, seed=self._generator, method=self.noise_method
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from repro.dp.discrete_gaussian import DiscreteGaussianSampler
+from repro.dp.discrete_gaussian import DiscreteGaussianSampler, calibrate_sigma_sq
 from repro.streams.base import StreamCounter
 
 __all__ = ["BlockCounter"]
@@ -39,7 +39,7 @@ class BlockCounter(StreamCounter):
         else:
             # Each element sits in exactly 2 noisy nodes (its singleton and
             # its block total): 2 * 1/(2 sigma^2) = rho.
-            self.sigma_sq = Fraction(1) / Fraction(self.rho).limit_denominator(10**9)
+            self.sigma_sq = calibrate_sigma_sq(2, self.rho)
         self._sampler = DiscreteGaussianSampler(
             self.sigma_sq, seed=self._generator, method=self.noise_method
         )

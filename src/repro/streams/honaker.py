@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.dp.discrete_gaussian import DiscreteGaussianSampler
+from repro.dp.discrete_gaussian import DiscreteGaussianSampler, calibrate_sigma_sq
 from repro.streams.base import StreamCounter
 from repro.streams.binary_tree import _lowest_set_bit
 
@@ -55,9 +55,7 @@ class HonakerCounter(StreamCounter):
         if self.noiseless:
             self.sigma_sq = Fraction(0)
         else:
-            self.sigma_sq = Fraction(self.levels) / Fraction(2 * self.rho).limit_denominator(
-                10**9
-            )
+            self.sigma_sq = calibrate_sigma_sq(self.levels, self.rho)
         self._sampler = DiscreteGaussianSampler(
             self.sigma_sq, seed=self._generator, method=self.noise_method
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from repro.dp.discrete_gaussian import DiscreteGaussianSampler
+from repro.dp.discrete_gaussian import DiscreteGaussianSampler, calibrate_sigma_sq
 from repro.streams.base import StreamCounter
 
 __all__ = ["SimpleCounter"]
@@ -27,9 +27,7 @@ class SimpleCounter(StreamCounter):
         if self.noiseless:
             self._sigma_sq = Fraction(0)
         else:
-            self._sigma_sq = Fraction(self.horizon) / Fraction(2 * self.rho).limit_denominator(
-                10**9
-            )
+            self._sigma_sq = calibrate_sigma_sq(self.horizon, self.rho)
         self._sampler = DiscreteGaussianSampler(
             self._sigma_sq, seed=self._generator, method=self.noise_method
         )

@@ -1,5 +1,8 @@
 """Tests for the discrete Gaussian sampler (Definition 2.2 of the paper)."""
 
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dp import discrete_gaussian as dg
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler, sample_discrete_gaussian
-from repro.rng import ExactRandom, as_generator
+from repro.rng import ExactRandom, as_generator, generator_state, restore_generator_state
 
 
 class TestExactSampler:
@@ -112,3 +116,136 @@ class TestDiscreteGaussianSampler:
         sampler = DiscreteGaussianSampler(400, seed=8, method="vectorized")
         draws = sampler.sample_array(20000)
         assert (np.abs(draws) > 5 * 20).mean() < 1e-3
+
+
+class _IntegersOnly:
+    """A generator stand-in that serves ``integers`` and nothing else."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        out = self._generator.integers(*args, **kwargs)
+        assert np.issubdtype(np.asarray(out).dtype, np.integer)
+        return out
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the exact sampler called Generator.{name}")
+
+
+class TestBatchedExactSampler:
+    """Structure of the batched integer-only arm (distribution: test_pmf)."""
+
+    ROWS = [Fraction(9), 0, Fraction(400), Fraction(1, 3), 10**9 + 7, Fraction(64289)]
+
+    @pytest.mark.parametrize(
+        "sigma_sq", [Fraction(1, 4), Fraction(1, 3), 1, 2.5, 9, 400, 3400, 64289, 6300400]
+    )
+    def test_calibration_rounds_up_and_fits_int64(self, sigma_sq):
+        sigma_sq = dg.upper_sigma_sq(sigma_sq)
+        (t, n, qt, den, y_max), bounds = dg._calibrate(sigma_sq)
+        q = qt // t
+        assert q & (q - 1) == 0  # a power of two
+        rounded = Fraction(n, q)
+        assert rounded >= sigma_sq
+        assert (rounded - sigma_sq) / sigma_sq < 1e-8
+        assert t == math.isqrt(n // q) + 1
+        assert den == 2 * n * q * t * t
+        assert den * 32 < 2**62
+        assert abs(y_max * qt - n) <= math.isqrt(2**62)
+        assert abs((y_max + 1) * qt - n) > math.isqrt(2**62)
+        assert max(bounds) < 2**63
+
+    def test_restore_mid_stream_continues_byte_identically(self):
+        generator = as_generator(31)
+        sampler = DiscreteGaussianSampler(4, seed=generator)
+        sampler.sample_columns(self.ROWS)
+        sampler.sample_array(7)
+        snapshot = generator_state(generator)
+
+        def stream(s):
+            return np.concatenate(
+                [
+                    s.sample_columns(self.ROWS),
+                    s.sample_columns(self.ROWS[:3], size=5).ravel(),
+                    s.sample_array(33),
+                    [s.sample()],
+                    s.sample_columns(self.ROWS[2:]),
+                ]
+            )
+
+        expected = stream(sampler)
+        replay_generator = as_generator(0)
+        restore_generator_state(replay_generator, snapshot)
+        replayed = stream(DiscreteGaussianSampler(4, seed=replay_generator))
+        assert replayed.tobytes() == expected.tobytes()
+
+    def test_batched_arm_never_draws_a_float(self, monkeypatch):
+        sampler = DiscreteGaussianSampler(0, seed=32)
+        proxy = _IntegersOnly(sampler._generator)
+        sampler._generator = proxy
+        sampler._exact = ExactRandom(proxy)
+        sampler.sample_columns(self.ROWS * 20)
+        sampler.sample_columns(self.ROWS, size=20)
+        # ... nor on the Python-integer path (fresh calibrations under a
+        # tiny product limit).
+        monkeypatch.setattr(dg, "_INT64_LIMIT", 1 << 40)
+        sampler._rows = dg._Calibration()
+        sampler.sample_columns(self.ROWS * 5)
+        assert proxy.calls > 0
+
+    def test_one_draw_keeps_the_scalar_sampler(self, monkeypatch):
+        calls = []
+        scalar = dg.sample_discrete_gaussian
+        monkeypatch.setattr(
+            dg, "sample_discrete_gaussian", lambda *args: calls.append(1) or scalar(*args)
+        )
+        sampler = DiscreteGaussianSampler(9, seed=33)
+        sampler.sample()
+        sampler.sample_array(1)
+        sampler.sample_columns([0, Fraction(25), 0])
+        sampler.sample_columns([Fraction(25)], size=1)
+        assert len(calls) == 4
+        sampler.sample_columns([Fraction(25), Fraction(9)])
+        sampler.sample_array(5)
+        assert len(calls) == 4
+
+    def test_rows_calibrate_once_per_sampler(self, monkeypatch):
+        calibrated = []
+        calibrate = dg._calibrate
+        monkeypatch.setattr(
+            dg, "_calibrate", lambda s: calibrated.append(s) or calibrate(s)
+        )
+        rows = [Fraction(9 + j) for j in range(6)]
+        sampler = DiscreteGaussianSampler(0, seed=34)
+        for t in range(2, len(rows) + 1):
+            sampler.sample_columns(rows[:t])
+        assert calibrated == rows
+
+    def test_threads_draw_independently(self):
+        # Samplers on different threads share no state: each thread's
+        # stream equals the one its seed gives on its own.
+        rows = [Fraction(9 + j) for j in range(40)]
+
+        def stream(seed):
+            sampler = DiscreteGaussianSampler(0, seed=seed)
+            return np.concatenate([sampler.sample_columns(rows) for _ in range(30)])
+
+        seeds = range(8)
+        expected = {seed: stream(seed) for seed in seeds}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = {seed: pool.submit(stream, seed) for seed in seeds}
+                drawn = {seed: future.result(timeout=120) for seed, future in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            assert drawn[seed].tobytes() == expected[seed].tobytes()
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ValueError):
+            DiscreteGaussianSampler(0, seed=35).sample_columns([Fraction(4), -1])

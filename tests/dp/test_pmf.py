@@ -2,11 +2,13 @@
 of both samplers against it (chi-square goodness of fit)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from repro.dp import discrete_gaussian as dg
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler
 from repro.dp.pmf import (
     discrete_gaussian_normalizer,
@@ -107,3 +109,82 @@ class TestSamplersMatchPmf:
         assert samples.var() == pytest.approx(
             discrete_gaussian_variance(sigma_sq), rel=0.03
         )
+
+
+def _binned_chi_square_pvalue(samples: np.ndarray, sigma_sq: float) -> float:
+    """Chi-square over integer bins about half a standard deviation wide.
+
+    Expected counts are exact pmf sums per bin, with the tail mass beyond
+    four standard deviations lumped into the two end bins.
+    """
+    sigma = math.sqrt(sigma_sq)
+    radius = int(4 * sigma) + 1
+    width = max(1, int(sigma / 2))
+    n_bins = (2 * radius) // width + 1
+
+    def bin_of(x):
+        return np.clip((np.asarray(x) + radius) // width, 0, n_bins - 1)
+
+    support = np.arange(-radius, radius + 1)
+    expected = np.bincount(
+        bin_of(support), weights=discrete_gaussian_pmf(support, sigma_sq), minlength=n_bins
+    )
+    tail = discrete_gaussian_tail(radius + 1, sigma_sq)
+    expected[0] += tail
+    expected[-1] += tail
+    expected *= samples.size
+    observed = np.bincount(bin_of(samples), minlength=n_bins).astype(np.float64)
+    keep = expected > 5
+    _, pvalue = stats.chisquare(
+        observed[keep], expected[keep] * observed[keep].sum() / expected[keep].sum()
+    )
+    return pvalue
+
+
+#: Variances the batched exact arm is held to, from the quarter-integer
+#: regime (proposal scale t = 1) to the widest bank row of a T=128 run.
+BATCHED_SIGMA_SQS = [Fraction(1, 4), Fraction(1, 3), 1, 2, 9, 25, 400, 3400, 64289]
+
+
+class TestBatchedExactArm:
+    """The batched integer-only sampler against the exact pmf."""
+
+    @pytest.mark.parametrize("sigma_sq", BATCHED_SIGMA_SQS, ids=str)
+    def test_homogeneous_batch_matches_pmf(self, sigma_sq):
+        samples = DiscreteGaussianSampler(sigma_sq, seed=21).sample_array(6000)
+        assert _binned_chi_square_pvalue(samples, float(sigma_sq)) > 1e-3
+
+    def test_variance_beyond_int64_takes_the_python_path(self):
+        sigma_sq = 10**9 + 7
+        assert dg._calibrate(Fraction(sigma_sq)) is None
+        samples = DiscreteGaussianSampler(sigma_sq, seed=22).sample_array(1500)
+        assert _binned_chi_square_pvalue(samples, float(sigma_sq)) > 1e-3
+
+    def test_heterogeneous_columns_with_zero_variance(self):
+        sigma_sqs = [0, Fraction(1, 4), 9, 0, 400, 64289]
+        sampler = DiscreteGaussianSampler(0, seed=23)
+        flat = sampler.sample_columns(sigma_sqs * 800)
+        assert flat.shape == (len(sigma_sqs) * 800,)
+        by_column = flat.reshape(800, len(sigma_sqs))
+        replicated = sampler.sample_columns(sigma_sqs, size=3000)
+        assert replicated.shape == (3000, len(sigma_sqs))
+        for block in (by_column, replicated):
+            for j, sigma_sq in enumerate(sigma_sqs):
+                if sigma_sq == 0:
+                    assert (block[:, j] == 0).all()
+                else:
+                    assert _binned_chi_square_pvalue(block[:, j], float(sigma_sq)) > 1e-3
+
+    @pytest.mark.parametrize("sigma_sq", [Fraction(1, 3), 9, 400], ids=str)
+    def test_forced_overflow_still_matches_pmf(self, monkeypatch, sigma_sq):
+        # A tiny product limit sends every acceptance test to the
+        # Python-integer path (the per-proposal overflow fallback).
+        calls = []
+        exact_bernoulli = dg.bernoulli_exp
+        monkeypatch.setattr(dg, "_INT64_LIMIT", 1 << 40)
+        monkeypatch.setattr(
+            dg, "bernoulli_exp", lambda *args: calls.append(1) or exact_bernoulli(*args)
+        )
+        samples = DiscreteGaussianSampler(sigma_sq, seed=24).sample_array(4000)
+        assert len(calls) >= 4000
+        assert _binned_chi_square_pvalue(samples, float(sigma_sq)) > 1e-3

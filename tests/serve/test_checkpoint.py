@@ -3,13 +3,15 @@
 import io
 import json
 import math
+import warnings
 import zipfile
 
 import numpy as np
 import pytest
 
 from repro.data import iid_bernoulli
-from repro.exceptions import SerializationError
+from repro.dp.discrete_gaussian import NOISE_SAMPLER_VERSION
+from repro.exceptions import NoiseSamplerWarning, SerializationError
 from repro.rng import as_generator, generator_state, restore_generator_state
 from repro.serve import StreamingSynthesizer
 from repro.serve.checkpoint import (
@@ -191,6 +193,37 @@ def test_version_mismatch_rejected(columns):
     manifest["format_version"] = 99
     members["manifest.json"] = json.dumps(manifest)
     with pytest.raises(SerializationError, match="format version"):
+        StreamingSynthesizer.restore(_repack(members))
+
+
+def test_manifest_records_the_noise_sampler(columns):
+    manifest = json.loads(_unpack(_checkpoint_bytes(columns))["manifest.json"])
+    assert manifest["noise_sampler"] == NOISE_SAMPLER_VERSION
+
+
+def test_bundle_without_noise_sampler_restores_and_says_so(columns):
+    blob = _checkpoint_bytes(columns)
+    members = _unpack(blob)
+    manifest = json.loads(members["manifest.json"])
+    del manifest["noise_sampler"]  # a bundle written before the field existed
+    members["manifest.json"] = json.dumps(manifest)
+    with pytest.warns(NoiseSamplerWarning, match="predates noise-sampler versioning"):
+        stripped = StreamingSynthesizer.restore(_repack(members))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NoiseSamplerWarning)
+        intact = StreamingSynthesizer.restore(io.BytesIO(blob))
+    for column in columns[4:]:
+        stripped.observe(column)
+        intact.observe(column)
+    _compare_cumulative(stripped, intact)
+
+
+def test_bundle_from_another_sampler_names_it(columns):
+    members = _unpack(_checkpoint_bytes(columns))
+    manifest = json.loads(members["manifest.json"])
+    manifest["noise_sampler"] = "cks-scalar-0"
+    members["manifest.json"] = json.dumps(manifest)
+    with pytest.warns(NoiseSamplerWarning, match="'cks-scalar-0'"):
         StreamingSynthesizer.restore(_repack(members))
 
 

@@ -22,6 +22,7 @@ import json
 import multiprocessing as mp
 import os
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.exceptions import (
     ConsistencyError,
     DegradedServiceWarning,
     NegativeCountError,
+    NoiseSamplerWarning,
     RecoveryError,
 )
 from repro.queries import AtLeastMOnes, HammingAtLeast
@@ -303,6 +305,48 @@ def test_zcdp_spend_is_monotone_across_recoveries(churn_events, tmp_path):
         reference.observe(column, entrants=entrants, exits=exits)
     assert spends[-1] == reference.zcdp_spent()
     reference.close()
+
+
+def _strip_noise_sampler(path) -> None:
+    """Rewrite a bundle as one written before ``noise_sampler`` existed."""
+    with zipfile.ZipFile(path) as bundle:
+        members = {name: bundle.read(name) for name in bundle.namelist()}
+    manifest = json.loads(members["manifest.json"])
+    del manifest["noise_sampler"]
+    members["manifest.json"] = json.dumps(manifest).encode()
+    with zipfile.ZipFile(path, "w") as bundle:
+        for name, data in members.items():
+            bundle.writestr(name, data)
+
+
+def test_checkpoint_without_noise_sampler_is_one_recovery_event(churn_events, tmp_path):
+    events = _events_for("cumulative", churn_events)
+    kwargs, query, _ = CONFIGS["cumulative"]
+    directory = str(tmp_path / "service")
+    policy = _policy(checkpoint_every=3)
+    service = SupervisedService(
+        directory, n_shards=K, seed=SEED, executor="serial", policy=policy, **kwargs
+    )
+    for column, entrants, exits in events[:4]:
+        service.observe(column, entrants=entrants, exits=exits)
+    service.close()
+    _strip_noise_sampler(os.path.join(directory, "checkpoints", "ckpt-00000003.bundle"))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NoiseSamplerWarning)
+        resumed = SupervisedService.attach(directory, executor="serial", policy=policy)
+    with resumed:
+        notices = [event for event in resumed.events if "sampler" in event]
+        assert len(notices) == 1
+        assert "ckpt-00000003.bundle" in notices[0]
+        assert "predates noise-sampler versioning" in notices[0]
+        for column, entrants, exits in events[4:]:
+            resumed.observe(column, entrants=entrants, exits=exits)
+        # The stripped field changes nothing about the state: the run
+        # still equals an uninterrupted one.
+        assert resumed.service.state_fingerprints() == _reference("cumulative", events)[
+            "fingerprints"
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,40 @@ class TestUtilityAccuracyGate:
         assert not check_regression.is_regression(healthy, healthy, "lower", 1.5)
 
 
+class TestExactNoiseGate:
+    """The batched exact sampler's speed floor rides the same gate."""
+
+    COMMITTED = (
+        Path(__file__).parent.parent
+        / "benchmarks"
+        / "baselines"
+        / "BENCH_test_exact_noise_round_speedup.json"
+    )
+
+    def test_committed_baseline_gates_a_ten_x_floor(self):
+        spec = json.loads(self.COMMITTED.read_text())["metrics"]["speedup_vs_scalar"]
+        assert spec["direction"] == "higher"
+        floor = spec["value"] / check_regression.DEFAULT_TOLERANCE
+        assert floor == pytest.approx(10.0)
+
+    def test_self_test_and_gate_cover_it(self, tmp_path):
+        reports = tmp_path / "reports"
+        baselines = tmp_path / "baselines"
+        reports.mkdir()
+        baselines.mkdir()
+        name = self.COMMITTED.name
+        _write(baselines / name, json.loads(self.COMMITTED.read_text()))
+        report = {"benchmark": "test_exact_noise_round_speedup", "metrics": {}}
+        report["metrics"]["speedup_vs_scalar"] = 30.0
+        _write(reports / name, report)
+        assert check_regression.self_test(reports, baselines, 1.5, 2.0) == 0
+        assert check_regression.check(reports, baselines, 1.5)[0] == []
+        report["metrics"]["speedup_vs_scalar"] = 9.0
+        _write(reports / name, report)
+        failures, _ = check_regression.check(reports, baselines, 1.5)
+        assert len(failures) == 1
+
+
 class TestCommittedBaselines:
     """Against the real baselines — gated on locally generated reports.
 
