@@ -4,8 +4,8 @@ Not a paper figure: this regenerates the claim of §1 that the fixed-window
 solution "naturally extend[s] to handle categorical data with more than 2
 categories", measuring debiased error against ground truth, and pins the
 performance contract of the unified window engine: the vectorized
-categorical path (batched residue placement + one-argsort record
-extension) must beat the scalar reference loops (one draw per group
+categorical path (batched residue placement + one-sort order-statistic
+record extension) must beat the scalar reference loops (one draw per group
 residue, one draw per synthetic record) by at least 5x at SIPP scale
 (``n = 23374``, ``q = 3``, ``k = 3``).  The speedup is emitted as a
 structured ``BENCH_*.json`` metric gated by ``check_regression.py``

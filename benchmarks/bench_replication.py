@@ -176,17 +176,22 @@ class TestChooseWithinGroups:
         picks = (sizes * 0.3).astype(np.int64)
         rounds = 30
 
-        generator = as_generator(1)
-        start = time.perf_counter()
-        for _ in range(rounds):
-            loop_chosen = _choose_within_groups_loop(group_of, n_groups, picks, generator)
-        loop_elapsed = time.perf_counter() - start
-
-        generator = as_generator(1)
-        start = time.perf_counter()
-        for _ in range(rounds):
-            vec_chosen = _choose_within_groups(group_of, n_groups, picks, generator)
-        vec_elapsed = time.perf_counter() - start
+        loop_generator, vec_generator = as_generator(1), as_generator(1)
+        loop_times, vec_times = [], []
+        # Interleaved, best of five blocks each: a burst of host noise
+        # cannot land on one side only.
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(rounds):
+                loop_chosen = _choose_within_groups_loop(
+                    group_of, n_groups, picks, loop_generator
+                )
+            loop_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for _ in range(rounds):
+                vec_chosen = _choose_within_groups(group_of, n_groups, picks, vec_generator)
+            vec_times.append(time.perf_counter() - start)
+        loop_elapsed, vec_elapsed = min(loop_times), min(vec_times)
 
         # Same per-group quotas exactly, whichever implementation.
         assert (
@@ -198,7 +203,7 @@ class TestChooseWithinGroups:
         figure_report(
             f"_choose_within_groups, n={n}, groups={n_groups}, {rounds} rounds\n"
             f"  per-group choice loop : {loop_elapsed / rounds * 1e3:7.2f} ms/round\n"
-            f"  random-key argsort    : {vec_elapsed / rounds * 1e3:7.2f} ms/round\n"
+            f"  order-statistic cuts  : {vec_elapsed / rounds * 1e3:7.2f} ms/round\n"
             f"  speedup               : {speedup:7.1f}x",
             metrics={"selection_speedup": speedup},
         )

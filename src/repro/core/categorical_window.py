@@ -28,8 +28,9 @@ debiasing, privacy accounting, and the two-phase round structure are
 unchanged.
 
 The ``engine`` knob selects the vectorized path (batched residue
-placement, one-argsort record extension; default) or the scalar reference
-loops (one draw per group residue, one draw per synthetic record);
+placement, order-statistic record extension from one value sort;
+default) or the scalar reference loops (one draw per group residue, one
+draw per synthetic record);
 ``benchmarks/bench_categorical_extension.py`` pins the speedup and both
 engines produce identical released histograms in noiseless mode.
 """

@@ -138,11 +138,16 @@ class PopulationLedger:
     entrants always receive fresh ids, so re-entry is structurally
     impossible and an attempt to retire a departed id is rejected.
 
+    Admission order is also entry order: entry rounds never decrease
+    along the ids, so the round lookups below are binary searches and the
+    active count is a counter rather than a scan.
+
     Parameters
     ----------
     entry_round, exit_round:
         Optional initial lifespan arrays (used by deserialization);
-        fresh ledgers start empty and grow via :meth:`admit`.
+        fresh ledgers start empty and grow via :meth:`admit`.  A
+        decreasing ``entry_round`` is rejected.
     """
 
     def __init__(self, entry_round=None, exit_round=None):
@@ -154,6 +159,9 @@ class PopulationLedger:
         )
         if self._entry.shape != self._exit.shape or self._entry.ndim != 1:
             raise DataValidationError("entry/exit rounds must be equal-length 1-D arrays")
+        if (np.diff(self._entry) < 0).any():
+            raise DataValidationError("entry rounds must be non-decreasing in admission order")
+        self._n_active = int((self._exit == 0).sum())
         self._churned = bool(
             (self._exit > 0).any() or (self._entry > 1).any()
         )
@@ -170,7 +178,7 @@ class PopulationLedger:
     @property
     def n_active(self) -> int:
         """Individuals currently present (admitted and not departed)."""
-        return int((self._exit == 0).sum())
+        return self._n_active
 
     @property
     def churned(self) -> bool:
@@ -183,7 +191,7 @@ class PopulationLedger:
 
     def n_ever_at(self, round_number: int) -> int:
         """Individuals admitted by the end of round ``round_number``."""
-        return int((self._entry <= round_number).sum())
+        return int(np.searchsorted(self._entry, round_number, side="right"))
 
     def lifespans(self) -> np.ndarray:
         """Per-individual ``(entry_round, exit_round)`` pairs.
@@ -209,16 +217,23 @@ class PopulationLedger:
             Number of entrants (non-negative); they receive the next
             ``count`` ids in admission order.
         round_number:
-            The 1-indexed round the entrants first report in.
+            The 1-indexed round the entrants first report in; never
+            earlier than a previous admission's round.
         """
         if count < 0:
             raise DataValidationError(f"entrant count must be non-negative, got {count}")
         if count == 0:
             return
+        if self._entry.size and round_number < self._entry[-1]:
+            raise DataValidationError(
+                f"cannot admit at round {round_number} after admitting at "
+                f"round {int(self._entry[-1])}"
+            )
         self._entry = np.concatenate(
             [self._entry, np.full(count, round_number, dtype=np.int64)]
         )
         self._exit = np.concatenate([self._exit, np.zeros(count, dtype=np.int64)])
+        self._n_active += count
         if round_number > 1:
             self._churned = True
 
@@ -239,10 +254,12 @@ class PopulationLedger:
         numpy.ndarray
             The validated exit ids as a sorted int64 array.
         """
-        ids = validate_exit_ids(ids, self._exit == 0)
-        if ids.size == 0:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape == (0,):
             return ids
+        ids = validate_exit_ids(ids, self._exit == 0)
         self._exit[ids] = round_number
+        self._n_active -= ids.size
         self._churned = True
         return ids
 
@@ -312,7 +329,8 @@ class PopulationLedger:
         Raises
         ------
         repro.exceptions.SerializationError
-            If the snapshot is structurally invalid.
+            If the snapshot is structurally invalid, including an
+            ``entry_round`` that decreases along the ids.
         """
         try:
             entry = np.array(state["entry_round"], dtype=np.int64)

@@ -48,6 +48,68 @@ def _digit_dtype(alphabet: int) -> np.dtype:
     return np.min_scalar_type(alphabet - 1)
 
 
+def _count_ranks_below(
+    group_of: np.ndarray,
+    sizes: np.ndarray,
+    cuts: np.ndarray,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """Per record, how many of its group's ``cuts`` its random rank falls below.
+
+    Every record draws one uniform key (a single ``generator.random(n)``
+    call); its *rank* is its position among its own group's records
+    ordered by that key, equal keys ordered by record index.  Ranking
+    every group uniformly at random is what makes the blocks cut out of
+    the ranks uniform without-replacement samples.
+
+    No rank is materialized.  One value sort of the composite
+    ``group + key`` lays each group's keys out as a contiguous block (the
+    integer part orders the groups, the fraction orders the members), so
+    the key of group ``g``'s rank-``c`` member is ``sorted[start_g + c]``
+    and ``rank < c`` is just ``key < sorted[start_g + c]``.  A zero cut
+    compares against ``-inf`` and a full cut against ``+inf``; only
+    interior cuts read the sorted array.  When equal keys straddle a cut
+    (``sorted[start_g + c - 1] == sorted[start_g + c]``, about 1e-10 per
+    cut at a million records) the tied records below it are taken in
+    index order, so every cut stays exact.
+
+    Parameters
+    ----------
+    group_of:
+        Non-negative group label per record.
+    sizes:
+        Records per group; ``sizes[g]`` counts ``group_of == g`` for
+        every label present.
+    cuts:
+        ``(len(sizes), J)`` rank cuts with ``0 <= cuts[g, j] <= sizes[g]``.
+    generator:
+        Source of the keys.
+
+    Returns
+    -------
+    numpy.ndarray
+        The counts, in the smallest unsigned dtype holding ``J``.
+    """
+    keys = generator.random(group_of.shape[0])
+    keys += group_of  # the composite group + key, in place
+    ordered = np.sort(keys)
+    positions = (np.cumsum(sizes) - sizes)[:, None] + cuts
+    interior = (cuts > 0) & (cuts < sizes[:, None])
+    values = np.where(cuts == 0, -np.inf, np.inf)
+    values[interior] = ordered[positions[interior]]
+    counts = np.zeros(keys.shape[0], dtype=np.min_scalar_type(cuts.shape[1]))
+    for j in range(cuts.shape[1]):
+        counts += keys < values[:, j].take(group_of)
+    straddled = np.zeros_like(interior)
+    straddled[interior] = ordered[positions[interior] - 1] == values[interior]
+    for g, j in zip(*np.nonzero(straddled), strict=True):
+        in_group = group_of == g
+        tied = np.flatnonzero(in_group & (keys == values[g, j]))
+        below = np.count_nonzero(in_group & (keys < values[g, j]))
+        counts[tied[: cuts[g, j] - below]] += 1
+    return counts
+
+
 def _choose_within_groups(
     group_of: np.ndarray,
     n_groups: int,
@@ -56,23 +118,23 @@ def _choose_within_groups(
 ) -> np.ndarray:
     """Pick ``picks_per_group[g]`` random members of each group.
 
-    Returns the selected indices (into ``group_of``).  Raises
+    Returns the selected indices (into ``group_of``), ascending.  Raises
     :class:`ConsistencyError` when a group is asked for more members than
     it has — which would mean the caller's histogram bookkeeping diverged
     from the record population.
 
-    One uniform key per record plus a single argsort of the composite
-    ``group + key`` float (the integer part orders by group, the
-    fractional part is a fresh uniform tiebreak) orders every group
-    uniformly at random simultaneously; taking each group's first
-    ``picks_per_group[g]`` entries of that order is then a uniform
-    without-replacement sample.  The whole selection is one sort per
-    round instead of a Python loop with one ``generator.choice`` call per
-    group — ``benchmarks/bench_replication.py`` pins the speedup.
+    The members of group ``g`` ranked below ``picks_per_group[g]`` by
+    :func:`_count_ranks_below` are chosen: each group is ranked uniformly
+    at random by one key per record, so its lowest ranks are a uniform
+    without-replacement sample.  Records labelled ``n_groups`` or above
+    have quota 0 and are never chosen.  The whole selection is one value
+    sort per round instead of a Python loop with one ``generator.choice``
+    call per group — ``benchmarks/bench_replication.py`` pins the speedup.
+    When nothing is requested no randomness is consumed.
     """
     picks_per_group = np.asarray(picks_per_group, dtype=np.int64)
-    sizes = np.bincount(group_of, minlength=n_groups)[:n_groups]
-    bad = (picks_per_group < 0) | (picks_per_group > sizes)
+    sizes = np.bincount(group_of, minlength=n_groups)
+    bad = (picks_per_group < 0) | (picks_per_group > sizes[:n_groups])
     if bad.any():
         g = int(np.flatnonzero(bad)[0])
         raise ConsistencyError(
@@ -81,18 +143,10 @@ def _choose_within_groups(
         )
     if not picks_per_group.any():
         return np.zeros(0, dtype=np.int64)
-    keys = generator.random(group_of.shape[0])
-    order = np.argsort(group_of + keys)  # group-major, random within group
-    sorted_groups = group_of[order]
-    # Rank of each sorted record within its group; a record is chosen iff
-    # its rank falls below the group's quota (groups beyond ``n_groups``
-    # have quota 0 and are never chosen).
-    n_labels = max(n_groups, int(sorted_groups[-1]) + 1)
-    starts = np.searchsorted(sorted_groups, np.arange(n_labels))
-    quota = np.zeros(n_labels, dtype=np.int64)
-    quota[:n_groups] = picks_per_group
-    rank = np.arange(order.shape[0], dtype=np.int64) - starts[sorted_groups]
-    return order[rank < quota[sorted_groups]]
+    cuts = np.zeros((sizes.shape[0], 1), dtype=np.int64)
+    cuts[:n_groups, 0] = picks_per_group
+    chosen = _count_ranks_below(group_of, sizes, cuts, generator)
+    return np.flatnonzero(chosen.astype(bool))  # nonzero scans bool arrays fastest
 
 
 def _assign_within_groups(
@@ -100,26 +154,53 @@ def _assign_within_groups(
     n_groups: int,
     quotas: np.ndarray,
     generator: np.random.Generator,
+    sizes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assign each record a label so group ``g`` gets ``quotas[g, l]`` of label ``l``.
 
-    The base-``q`` generalization of :func:`_choose_within_groups`: one
-    uniform key per record plus a single argsort of ``group + key`` orders
-    every group uniformly at random, and label blocks are carved out of
-    each group's random order in *descending* label order.  At two labels
-    this selects exactly the records :func:`_choose_within_groups` (with
-    ``picks_per_group = quotas[:, 1]``) would pick for label 1, from the
-    identical generator stream — which is what keeps the binary window
-    synthesizer bit-exact through the shared engine.  When only label 0
-    is requested the assignment is forced and no randomness is consumed
-    (the same fast path as the binary helper).
+    The base-``q`` generalization of :func:`_choose_within_groups`.  Each
+    group is ranked uniformly at random (:func:`_count_ranks_below`) and
+    label blocks are carved out of the ranks in *descending* label order:
+    label ``L-1`` takes the lowest ``quotas[g, L-1]`` ranks, label ``L-2``
+    the next ``quotas[g, L-2]``, and so on.  A record's label is therefore
+    the number of tail sums ``quotas[g, l:].sum()`` (``l = 1..L-1``) its
+    rank falls below.  At two labels this selects exactly the records
+    :func:`_choose_within_groups` (with ``picks_per_group = quotas[:, 1]``)
+    would pick for label 1, from the identical generator stream — which
+    is what keeps the binary window synthesizer bit-exact through the
+    shared engine.  When only label 0 is requested the assignment is
+    forced and no randomness is consumed (the same fast path as the
+    binary helper).
 
-    Raises :class:`ConsistencyError` when a group's quotas are negative
-    or do not sum to its population.
+    Parameters
+    ----------
+    group_of:
+        Group label per record, each below ``n_groups``.
+    n_groups:
+        Number of groups (rows of ``quotas``).
+    quotas:
+        ``(n_groups, L)`` non-negative label counts per group.
+    generator:
+        Source of the ranking keys.
+    sizes:
+        Records per group, when the caller has already counted them;
+        counted from ``group_of`` otherwise.
+
+    Returns
+    -------
+    numpy.ndarray
+        One label per record, in the smallest unsigned dtype holding
+        ``L - 1`` (``uint8`` up to 256 labels).
+
+    Raises
+    ------
+    repro.exceptions.ConsistencyError
+        When a group's quotas are negative or do not sum to its
+        population.
     """
     quotas = np.asarray(quotas, dtype=np.int64)
-    n_labels = quotas.shape[1]
-    sizes = np.bincount(group_of, minlength=n_groups)[:n_groups]
+    if sizes is None:
+        sizes = np.bincount(group_of, minlength=n_groups)[:n_groups]
     bad = (quotas < 0).any(axis=1) | (quotas.sum(axis=1) != sizes)
     if bad.any():
         g = int(np.flatnonzero(bad)[0])
@@ -127,20 +208,10 @@ def _assign_within_groups(
             f"group {g} has {int(sizes[g])} records but label quotas "
             f"{quotas[g].tolist()} were requested"
         )
-    labels = np.zeros(group_of.shape[0], dtype=np.int64)
     if not quotas[:, 1:].any():
-        return labels
-    keys = generator.random(group_of.shape[0])
-    order = np.argsort(group_of + keys)  # group-major, random within group
-    sorted_groups = group_of[order]
-    starts = np.searchsorted(sorted_groups, np.arange(n_groups))
-    rank = np.arange(order.shape[0], dtype=np.int64) - starts[sorted_groups]
-    # Descending-label thresholds: label L-1 takes each group's first
-    # quotas[g, L-1] ranks, label L-2 the next quotas[g, L-2] ranks, ...
-    cuts = quotas[:, ::-1].cumsum(axis=1)
-    passed = (rank[:, None] >= cuts[sorted_groups]).sum(axis=1)
-    labels[order] = n_labels - 1 - passed
-    return labels
+        return np.zeros(group_of.shape[0], dtype=_digit_dtype(quotas.shape[1]))
+    tails = quotas[:, :0:-1].cumsum(axis=1)[:, ::-1]  # tails[:, l-1] = quotas[:, l:].sum()
+    return _count_ranks_below(group_of, sizes, tails, generator)
 
 
 class WindowSyntheticStore:
@@ -164,10 +235,11 @@ class WindowSyntheticStore:
         binary panel (and stays bit-exact with the pre-categorical
         store, generator stream included).
     assign:
-        Extension-assignment engine: ``"vectorized"`` (one argsort per
-        round, :func:`_assign_within_groups`) or ``"scalar"`` (the
-        per-record reference loop — one draw per synthetic record per
-        round, matching the paper's pseudocode granularity).
+        Extension-assignment engine: ``"vectorized"`` (one key per record
+        and one value sort per round, :func:`_assign_within_groups`) or
+        ``"scalar"`` (the per-record reference loop — one draw per
+        synthetic record per round, matching the paper's pseudocode
+        granularity).
     """
 
     def __init__(
@@ -309,7 +381,7 @@ class WindowSyntheticStore:
 
         if self._assign == "vectorized":
             new_digit = _assign_within_groups(
-                suffixes, n_groups, group_targets, self._generator
+                suffixes, n_groups, group_targets, self._generator, current_groups
             )
         else:
             new_digit = self._extend_digits_scalar(suffixes, group_targets)
@@ -324,9 +396,10 @@ class WindowSyntheticStore:
 
         Walks the records in index order and samples each one's next
         symbol without replacement from its suffix group's remaining
-        quota — the paper-pseudocode granularity the vectorized argsort
-        path replaces.  Produces the same uniform assignment law as
-        :func:`_assign_within_groups` from a different generator stream.
+        quota — the paper-pseudocode granularity the vectorized
+        order-statistic path replaces.  Produces the same uniform
+        assignment law as :func:`_assign_within_groups` from a different
+        generator stream.
         """
         remaining = group_targets.astype(np.int64).copy()
         new_digit = np.zeros(self.m, dtype=np.int64)

@@ -841,9 +841,9 @@ class WindowEngine:
     def _store_assign(self) -> str:
         """Record-assignment mode for the synthetic store.
 
-        The binary specialization always uses the vectorized argsort
-        path (its bit-exactness contract); for ``q > 2`` the ``engine``
-        knob decides.
+        The binary specialization always uses the vectorized
+        order-statistic path (its bit-exactness contract); for ``q > 2``
+        the ``engine`` knob decides.
         """
         return "vectorized" if self.alphabet == 2 else self.engine
 

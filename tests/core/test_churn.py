@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
@@ -84,6 +86,43 @@ class TestPopulationLedger:
         assert restored.churned
         with pytest.raises(SerializationError):
             PopulationLedger.from_state({})
+
+    @given(
+        initial=st.integers(0, 30),
+        schedule=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 2**32 - 1)), max_size=12
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lookups_equal_full_scans(self, initial, schedule):
+        horizon = len(schedule) + 1
+
+        def check(ledger):
+            entry, exit_round = ledger.lifespans().T
+            assert ledger.n_active == int((exit_round == 0).sum())
+            for t in range(horizon + 2):
+                assert ledger.n_ever_at(t) == int((entry <= t).sum())
+
+        ledger = PopulationLedger()
+        ledger.admit(initial, 1)
+        check(ledger)
+        for round_number, (entrants, seed) in enumerate(schedule, start=2):
+            rng = np.random.default_rng(seed)
+            active = ledger.active_ids()
+            exits = rng.choice(active, size=rng.integers(active.size + 1), replace=False)
+            ledger.retire(exits, round_number)
+            ledger.admit(entrants, round_number)
+            check(ledger)
+            check(PopulationLedger.from_state(ledger.state_dict()))
+
+    def test_entry_rounds_never_decrease(self):
+        ledger = PopulationLedger()
+        ledger.admit(2, 3)
+        with pytest.raises(DataValidationError, match="after admitting at round 3"):
+            ledger.admit(1, 2)
+        state = {"entry_round": [1, 3, 2], "exit_round": [0, 0, 0]}
+        with pytest.raises(SerializationError, match="non-decreasing"):
+            PopulationLedger.from_state(state)
 
 
 class TestDynamicPanel:

@@ -1,0 +1,157 @@
+"""The synthetic store's order-statistic selection against its argsort oracle.
+
+``_assign_within_groups`` and ``_choose_within_groups`` rank every group
+uniformly at random from one key per record and cut label blocks out of
+the ranks.  They read each cut's key off a value sort instead of
+argsorting the records, and must select exactly what the argsort
+reference in ``tests/oracles/selection.py`` selects, from the same
+generator draws — that is what keeps every window and cumulative
+checkpoint byte-identical.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles.selection import oracle_assign, oracle_choose
+from repro.core.synthetic_store import _assign_within_groups, _choose_within_groups
+from repro.exceptions import ConsistencyError
+from repro.rng import as_generator
+
+
+@st.composite
+def grouped_quotas(draw):
+    """Records in groups (some empty) with zero, full and split label quotas."""
+    n_labels = draw(st.integers(2, 5))
+    n_groups = draw(st.integers(1, 10))
+    n = draw(st.integers(0, 20_000))
+    modes = draw(
+        st.lists(
+            st.sampled_from(["forced", "full", "split"]),
+            min_size=n_groups,
+            max_size=n_groups,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(n_groups) * (rng.random(n_groups) < 0.75)
+    weights[0] += 1e-3
+    group_of = rng.choice(n_groups, size=n, p=weights / weights.sum())
+    sizes = np.bincount(group_of, minlength=n_groups)
+    quotas = np.zeros((n_groups, n_labels), dtype=np.int64)
+    for g, (mode, size) in enumerate(zip(modes, sizes, strict=True)):
+        if mode == "forced":
+            quotas[g, 0] = size
+        elif mode == "full":
+            quotas[g, rng.integers(n_labels)] = size
+        else:
+            cuts = np.sort(rng.integers(0, size + 1, size=n_labels - 1))
+            quotas[g] = np.diff(np.concatenate([[0], cuts, [size]]))
+    return group_of, quotas
+
+
+class TestAgainstArgsortOracle:
+    @given(case=grouped_quotas(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_assign_matches_oracle_labels_and_stream(self, case, seed):
+        group_of, quotas = case
+        n_groups = quotas.shape[0]
+        ours, theirs = as_generator(seed), as_generator(seed)
+        labels = _assign_within_groups(group_of, n_groups, quotas, ours)
+        expected = oracle_assign(group_of, n_groups, quotas, theirs)
+        assert labels.dtype == np.uint8
+        assert (labels == expected).all()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @given(
+        case=grouped_quotas(),
+        hidden=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_choose_matches_oracle_choice_and_stream(self, case, hidden, seed):
+        # Labels at or above ``n_groups`` have quota 0 and are never chosen.
+        group_of, quotas = case
+        n_groups = max(quotas.shape[0] - hidden, 1)
+        picks = quotas[:n_groups, -1]
+        ours, theirs = as_generator(seed), as_generator(seed)
+        chosen = _choose_within_groups(group_of, n_groups, picks, ours)
+        expected = oracle_choose(group_of, n_groups, picks, theirs)
+        assert (chosen == np.sort(expected)).all()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _PresetKeys:
+    """Generator stand-in whose single ``random(n)`` call returns preset keys."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.float64)
+        self.calls = 0
+
+    def random(self, size):
+        assert size == self.keys.shape[0]
+        self.calls += 1
+        return self.keys.copy()
+
+
+class TestTies:
+    # Group 1 holds records 1, 2, 4, 5, 7 and 8; four of them share the
+    # key 0.5, so both of its cuts (2 and 4) fall inside the tie.
+    GROUP_OF = np.array([0, 1, 1, 0, 1, 1, 0, 1, 1])
+    KEYS = [0.3, 0.5, 0.25, 0.1, 0.5, 0.75, 0.9, 0.5, 0.5]
+
+    def test_tied_keys_straddling_cuts_go_by_index(self):
+        quotas = np.array([[1, 1, 1], [2, 2, 2]])
+        stand_in = _PresetKeys(self.KEYS)
+        labels = _assign_within_groups(self.GROUP_OF, 2, quotas, stand_in)
+        # Group 0 by key: 3, 0, 6.  Group 1 by (key, index): 2, then
+        # 1, 4, 7, 8 (tied), then 5.
+        assert labels.tolist() == [1, 2, 2, 2, 1, 0, 0, 1, 0]
+        assert stand_in.calls == 1
+        for g in range(2):
+            for label in range(3):
+                in_block = (self.GROUP_OF == g) & (labels == label)
+                assert in_block.sum() == quotas[g, label]
+        expected = oracle_assign(self.GROUP_OF, 2, quotas, _PresetKeys(self.KEYS))
+        assert (labels == expected).all()
+
+    def test_choose_breaks_a_straddling_tie_by_index(self):
+        picks = np.array([2, 3])
+        chosen = _choose_within_groups(self.GROUP_OF, 2, picks, _PresetKeys(self.KEYS))
+        assert chosen.tolist() == [0, 1, 2, 3, 4]
+        expected = oracle_choose(self.GROUP_OF, 2, picks, _PresetKeys(self.KEYS))
+        assert chosen.tolist() == sorted(expected.tolist())
+
+    def test_keys_rounding_onto_the_next_group_rank_within_their_own(self):
+        # 1 + (1 - 2**-53) rounds to 2.0, the composite key of group 2's
+        # zero key: the two groups tie across their boundary.  Ranks stay
+        # per group, so each group still gets exactly its quota.
+        group_of = np.array([2, 1, 1, 2])
+        keys = [0.0, 1 - 2.0**-53, 1 - 2.0**-53, 0.5]
+        quotas = np.array([[0, 0], [1, 1], [1, 1]])
+        labels = _assign_within_groups(group_of, 3, quotas, _PresetKeys(keys))
+        assert labels.tolist() == [1, 1, 0, 0]
+
+
+class TestContract:
+    def test_choose_returns_ascending_indices(self):
+        generator = as_generator(4)
+        group_of = generator.integers(0, 5, size=1000)
+        picks = np.bincount(group_of, minlength=5) // 3
+        chosen = _choose_within_groups(group_of, 5, picks, generator)
+        assert chosen.dtype == np.int64
+        assert (np.diff(chosen) > 0).all()
+        assert (np.bincount(group_of[chosen], minlength=5) == picks).all()
+
+    def test_nothing_requested_draws_nothing(self):
+        generator = as_generator(6)
+        before = generator.bit_generator.state
+        group_of = np.array([0, 1, 1, 2])
+        chosen = _choose_within_groups(group_of, 3, np.zeros(3, dtype=int), generator)
+        assert chosen.size == 0
+        assert generator.bit_generator.state == before
+
+    def test_precounted_sizes_are_checked(self):
+        group_of, quotas = np.array([0, 0, 1]), np.array([[1, 1], [0, 1]])
+        with pytest.raises(ConsistencyError, match="group 1 has 2 records"):
+            _assign_within_groups(group_of, 2, quotas, as_generator(0), np.array([2, 2]))

@@ -8,9 +8,10 @@ import pytest
 
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data.generators import churn_two_state_markov
-from repro.exceptions import DataValidationError
+from repro.exceptions import DataValidationError, SerializationError
 from repro.queries import HammingAtLeast
 from repro.serve import ShardedService, StreamingSynthesizer
+from repro.serve.checkpoint import write_bundle
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,24 @@ class TestStreamingChurn:
         for column, entrants, exits in churned_panel.rounds():
             service.observe(column, entrants=entrants, exits=exits)
         assert service.release.n_original == churned_panel.n_ever
+
+    def test_bundle_with_shuffled_entry_rounds_is_rejected(self, churned_panel):
+        # Round lookups binary-search the entry rounds, so a bundle whose
+        # lifespan table is out of admission order must fail closed.
+        service = StreamingSynthesizer.fixed_window(horizon=10, window=3, rho=0.4, seed=2)
+        for column, entrants, exits in churned_panel.rounds():
+            service.observe(column, entrants=entrants, exits=exits)
+        synth = service.synthesizer
+        state = synth.state_dict()
+        entry = state["ledger"]["entry_round"]
+        assert entry[-1] > entry[0]
+        np.random.default_rng(0).shuffle(entry)
+        assert (np.diff(entry) < 0).any()
+        buffer = io.BytesIO()
+        write_bundle(buffer, kind="streaming", config=synth.config_dict(), state=state)
+        buffer.seek(0)
+        with pytest.raises(SerializationError, match="non-decreasing"):
+            StreamingSynthesizer.restore(buffer)
 
 
 class TestShardedChurn:
