@@ -5,18 +5,22 @@ solution "naturally extend[s] to handle categorical data with more than 2
 categories", measuring debiased error against ground truth, and pins the
 performance contract of the unified window engine: the vectorized
 categorical path (batched residue placement + one-sort order-statistic
-record extension) must beat the scalar reference loops (one draw per group
-residue, one draw per synthetic record) by at least 5x at SIPP scale
+record extension) must beat the scalar reference loops of
+``tests/oracles/scalar.py`` (one draw per group residue, one draw per
+synthetic record) by at least 5x at SIPP scale
 (``n = 23374``, ``q = 3``, ``k = 3``).  The speedup is emitted as a
 structured ``BENCH_*.json`` metric gated by ``check_regression.py``
 against ``benchmarks/baselines/``.
 """
 
+import contextlib
+import math
 import time
 
 import numpy as np
 import pytest
 
+from oracles.scalar import scalar_loops
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.data.categorical import employment_status_panel
 from repro.experiments.config import bench_reps
@@ -77,18 +81,21 @@ def test_categorical_extension_accuracy(benchmark, figure_report):
 
 @pytest.mark.figure("categorical-engine")
 def test_categorical_engine_speedup(benchmark, figure_report):
-    """Vectorized vs scalar categorical engine at SIPP scale (ratio gate)."""
+    """Vectorized categorical engine vs the scalar reference loops at SIPP scale."""
     n, horizon, window, alphabet, rho = 23374, 12, 3, 3, 0.01
     panel = employment_status_panel(n, horizon, alphabet=alphabet, seed=22)
 
+    def loops(engine):
+        return scalar_loops() if engine == "scalar" else contextlib.nullcontext()
+
     def run_once(engine, seed):
         synthesizer = CategoricalWindowSynthesizer(
-            horizon, window, alphabet, rho,
-            seed=seed, noise_method="vectorized", engine=engine,
+            horizon, window, alphabet, rho, seed=seed, noise_method="vectorized"
         )
-        start = time.perf_counter()
-        synthesizer.run(panel)
-        return time.perf_counter() - start
+        with loops(engine):
+            start = time.perf_counter()
+            synthesizer.run(panel)
+            return time.perf_counter() - start
 
     def experiment():
         rounds = 3
@@ -99,12 +106,20 @@ def test_categorical_engine_speedup(benchmark, figure_report):
     vectorized, scalar = benchmark.pedantic(experiment, rounds=1, iterations=1)
     speedup = scalar / vectorized
 
-    # Both engines must release identical histograms in noiseless mode —
-    # the ratio compares two implementations of the *same* algorithm.
-    # (One definition of the anchor, shared with the `categorical` figure.)
-    from repro.experiments.categorical import _engines_agree_noiseless
-
-    engines_agree = _engines_agree_noiseless(panel, window, alphabet, seed=50)
+    # Both must release identical histograms in noiseless mode — the
+    # ratio compares two implementations of the *same* algorithm.
+    releases = []
+    for engine in ("vectorized", "scalar"):
+        with loops(engine):
+            releases.append(
+                CategoricalWindowSynthesizer(
+                    horizon, window, alphabet, math.inf, seed=50
+                ).run(panel)
+            )
+    engines_agree = all(
+        (releases[0].histogram(t) == releases[1].histogram(t)).all()
+        for t in releases[0].released_times()
+    )
 
     figure_report(
         "\n".join(

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles.scalar import fallback_reference
 from repro.analysis.replication import replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
@@ -62,10 +63,12 @@ class TestSynthesizerRounds:
         benchmark.pedantic(run, rounds=3, iterations=1)
 
     def test_cumulative_full_run_sipp_scale(self, benchmark, panel):
+        # Per-threshold scalar counters (the reference of tests/oracles).
         def run():
-            synth = CumulativeSynthesizer(
-                horizon=12, rho=0.005, seed=6, engine="scalar",
-                noise_method="vectorized",
+            synth = fallback_reference(
+                CumulativeSynthesizer(
+                    horizon=12, rho=0.005, seed=6, noise_method="vectorized"
+                )
             )
             return synth.run(panel)
 
@@ -75,8 +78,7 @@ class TestSynthesizerRounds:
         # Same workload as above on the vectorized CounterBank engine.
         def run():
             synth = CumulativeSynthesizer(
-                horizon=12, rho=0.005, seed=6, engine="vectorized",
-                noise_method="vectorized",
+                horizon=12, rho=0.005, seed=6, noise_method="vectorized"
             )
             return synth.run(panel)
 

@@ -25,9 +25,14 @@ Report schema::
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
+
+# The scalar reference loops the speed gates time against live with the
+# test oracles (``tests/oracles``); make them importable as ``oracles``.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 _REPORTS: list[tuple[str, str]] = []
 _REPORT_DIR = Path(__file__).parent / "reports"

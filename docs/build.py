@@ -214,7 +214,7 @@ def build_api_page() -> str:
         (
             "repro.streams.registry — counter & bank registries",
             repro.streams.registry,
-            [n for n in repro.streams.registry.__all__ if n != "ENGINES"],
+            list(repro.streams.registry.__all__),
         ),
     ]
     guide_source = SOURCE_DIR / "api.rst"

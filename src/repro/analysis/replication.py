@@ -91,9 +91,8 @@ def window_strategy(strategy: str | None) -> str:
 
     Algorithm 1 has no batched fast path, so experiments built on
     :class:`~repro.core.fixed_window.FixedWindowSynthesizer` map
-    ``"batched"`` to ``"auto"`` instead of aborting — the same convention
-    as the ``--engine`` flag, which the window pipeline accepts and
-    ignores.  The request is resolved first, so a process-wide
+    ``"batched"`` to ``"auto"`` instead of aborting.  The request is
+    resolved first, so a process-wide
     ``REPRO_REPLICATION_STRATEGY=batched`` softens exactly like the
     explicit flag; this keeps ``repro-experiments all
     --replication-strategy batched`` (or the env var) runnable across the
@@ -103,21 +102,19 @@ def window_strategy(strategy: str | None) -> str:
     return "auto" if strategy == "batched" else strategy
 
 
-def cumulative_strategy(strategy: str | None, engine: str, counter: str) -> str:
+def cumulative_strategy(strategy: str | None, counter: str) -> str:
     """Soften a ``"batched"`` request that this cumulative run cannot honor.
 
-    The batched engine needs the vectorized counter engine and a counter
-    with a native bank (see ``_batched_config``); experiments that sweep
-    engines or counters call this so one ineligible combination downgrades
-    to ``"auto"`` instead of aborting the whole sweep.  Resolves the
-    environment variable first, like :func:`window_strategy`.
+    The batched engine needs a counter with a native bank (see
+    ``_batched_config``); experiments that sweep counters call this so one
+    ineligible counter downgrades to ``"auto"`` instead of aborting the
+    whole sweep.  Resolves the environment variable first, like
+    :func:`window_strategy`.
     """
     from repro.streams.registry import available_banks
 
     strategy = resolve_strategy(strategy)
-    if strategy == "batched" and (
-        engine != "vectorized" or counter not in available_banks()
-    ):
+    if strategy == "batched" and counter not in available_banks():
         return "auto"
     return strategy
 
@@ -275,7 +272,7 @@ def replicate_synthesizer(
         elif strategy == "batched" and explicit:
             raise ConfigurationError(
                 "strategy='batched' needs a CumulativeSynthesizer factory with "
-                "a native counter bank (engine='vectorized', no counter_kwargs), "
+                "a native counter bank (no counter_kwargs), "
                 "HammingAtLeast/HammingExactly queries, a matching dataset "
                 "horizon, and no custom answer_fn; use 'process', 'serial', or "
                 "'auto' for everything else"
@@ -417,8 +414,8 @@ def _batched_config(factory, dataset, queries, answer_fn) -> dict | None:
     Eligibility: default answer dispatch, all-Hamming queries, and a fresh
     :class:`~repro.core.cumulative.CumulativeSynthesizer` with a *native*
     vectorized bank (a :class:`~repro.streams.bank.FallbackBank` means the
-    counter has no rep axis — scalar engines and counter_kwargs land
-    there too) on the dataset's horizon.  The probe instance is built with
+    counter has no rep axis — counter_kwargs land there too) on the
+    dataset's horizon.  The probe instance is built with
     a throwaway generator and discarded; it never observes data.
     """
     from repro.core.cumulative import CumulativeSynthesizer
@@ -432,7 +429,7 @@ def _batched_config(factory, dataset, queries, answer_fn) -> dict | None:
     probe = factory(as_generator(0))
     if not isinstance(probe, CumulativeSynthesizer) or probe.t != 0:
         return None
-    if probe.bank is None or isinstance(probe.bank, FallbackBank):
+    if isinstance(probe.bank, FallbackBank):
         return None
     if probe.horizon != dataset.horizon:
         return None

@@ -27,12 +27,11 @@ the ``q = 2`` special case) — see
 debiasing, privacy accounting, and the two-phase round structure are
 unchanged.
 
-The ``engine`` knob selects the vectorized path (batched residue
-placement, order-statistic record extension from one value sort;
-default) or the scalar reference loops (one draw per group residue, one
-draw per synthetic record);
-``benchmarks/bench_categorical_extension.py`` pins the speedup and both
-engines produce identical released histograms in noiseless mode.
+Residues are placed with one batched key draw per round and records
+extend by order statistics of one value sort;
+``benchmarks/bench_categorical_extension.py`` pins the speedup over the
+per-group/per-record reference loops, which release identical
+histograms in noiseless mode.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ def apply_categorical_correction(
     alphabet: int,
     generator: np.random.Generator,
     on_negative: str = "redistribute",
-    method: str = "vectorized",
 ) -> tuple[np.ndarray, int]:
     """Project noisy categorical counts onto the consistency constraint.
 
@@ -88,21 +86,13 @@ def apply_categorical_correction(
         Source of the residue-placement randomness.
     on_negative:
         ``"redistribute"`` (default) or ``"raise"``.
-    method:
-        ``"vectorized"`` (batched residue draw) or ``"scalar"``
-        (per-group reference loop).
 
     Returns
     -------
     ``(new_counts, n_negative_events)``.
     """
     return apply_group_correction(
-        previous_counts,
-        noisy_counts,
-        alphabet,
-        generator,
-        on_negative=on_negative,
-        method=method,
+        previous_counts, noisy_counts, alphabet, generator, on_negative=on_negative
     )
 
 
@@ -335,9 +325,9 @@ class CategoricalWindowSynthesizer(WindowEngine):
 
     Parameters mirror
     :class:`~repro.core.fixed_window.FixedWindowSynthesizer` plus
-    ``alphabet`` (the number of categories ``q >= 2``) and ``engine``;
-    the binary class is the ``q = 2`` special case with a tighter
-    rounding analysis.  The full streaming surface — churn-aware
+    ``alphabet`` (the number of categories ``q >= 2``); the binary class
+    is the ``q = 2`` special case with a tighter rounding analysis.  The
+    full streaming surface — churn-aware
     :meth:`~repro.core.window_engine.WindowEngine.observe`,
     checkpointing via
     :meth:`~repro.core.window_engine.WindowEngine.state_dict` /
@@ -367,11 +357,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
         Histogram L2 sensitivity for noise calibration.
     noise_method:
         ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
-    engine:
-        ``"vectorized"`` (batched scatter-op projection and extension,
-        default) or ``"scalar"`` (reference loops); ``None`` consults
-        ``$REPRO_ENGINE`` like the cumulative synthesizer's counter
-        engine.
     """
 
     algorithm = "categorical_window"
@@ -390,7 +375,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
         sensitivity: float = 1.0,
         seed: SeedLike = None,
         noise_method: str = "exact",
-        engine: str | None = None,
     ):
         super().__init__(
             horizon,
@@ -403,7 +387,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
             sensitivity=sensitivity,
             seed=seed,
             noise_method=noise_method,
-            engine=engine,
         )
 
     def _make_release(self) -> CategoricalWindowRelease:
@@ -429,11 +412,10 @@ class CategoricalWindowSynthesizer(WindowEngine):
         dict
             The shared engine keys
             (:meth:`~repro.core.window_engine.WindowEngine.config_dict`)
-            plus ``alphabet`` and ``engine``.
+            plus ``alphabet``.
         """
         config = super().config_dict()
         config["alphabet"] = self.alphabet
-        config["engine"] = self.engine
         return config
 
     @classmethod
@@ -443,7 +425,8 @@ class CategoricalWindowSynthesizer(WindowEngine):
         Parameters
         ----------
         config:
-            A mapping produced by :meth:`config_dict`.
+            A mapping produced by :meth:`config_dict`.  Older configs
+            also carry ``engine: "vectorized"``, which is accepted.
 
         Returns
         -------
@@ -454,8 +437,17 @@ class CategoricalWindowSynthesizer(WindowEngine):
         Raises
         ------
         repro.exceptions.SerializationError
-            If required keys are missing or fail constructor validation.
+            If required keys are missing or fail constructor validation,
+            or the config was written by the removed scalar engine
+            (``engine: "scalar"``), whose continuation cannot be
+            reproduced.
         """
+        engine = config.get("engine", "vectorized")
+        if engine != "vectorized":
+            raise SerializationError(
+                f"categorical-window config has engine {engine!r}; only the "
+                "vectorized engine's bundles can be continued"
+            )
         try:
             return cls(
                 int(config["horizon"]),
@@ -466,7 +458,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
                 on_negative=str(config["on_negative"]),
                 sensitivity=float(config["sensitivity"]),
                 noise_method=str(config["noise_method"]),
-                engine=str(config["engine"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid categorical-window config: {exc}") from exc

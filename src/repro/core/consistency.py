@@ -179,7 +179,6 @@ def apply_group_correction(
     alphabet: int,
     generator: np.random.Generator,
     on_negative: str = "redistribute",
-    method: str = "vectorized",
 ) -> tuple[np.ndarray, int]:
     """Project noisy base-``q`` counts onto the consistency constraint set.
 
@@ -205,12 +204,6 @@ def apply_group_correction(
         ``"redistribute"`` clamps a negative target into ``[0, M_z]``
         while keeping the group total (the documented deviation outside
         the good event); ``"raise"`` raises :class:`NegativeCountError`.
-    method:
-        ``"vectorized"`` places every group's residue with one batched
-        key draw and argsort; ``"scalar"`` is the per-group reference
-        loop (one ``generator.choice`` call per group with a residue).
-        Both produce the same uniform law from different generator
-        streams.
 
     Returns
     -------
@@ -220,10 +213,6 @@ def apply_group_correction(
     if on_negative not in ("redistribute", "raise"):
         raise ConfigurationError(
             f"on_negative must be 'redistribute' or 'raise', got {on_negative!r}"
-        )
-    if method not in ("vectorized", "scalar"):
-        raise ConfigurationError(
-            f"method must be 'vectorized' or 'scalar', got {method!r}"
         )
     previous = np.asarray(previous_counts, dtype=np.int64)
     noisy = np.asarray(noisy_counts, dtype=np.int64)
@@ -241,19 +230,12 @@ def apply_group_correction(
     children += base[:, None]
     with_residue = np.flatnonzero(residue)
     if with_residue.size:
-        if method == "vectorized":
-            # One key per (group, child); each group's residue goes to the
-            # children holding its smallest keys — a batched uniform
-            # without-replacement draw for every group at once.
-            keys = generator.random((with_residue.size, alphabet))
-            ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
-            children[with_residue] += ranks < residue[with_residue, None]
-        else:
-            for z in with_residue:
-                picks = generator.choice(
-                    alphabet, size=int(residue[z]), replace=False
-                )
-                children[z, picks] += 1
+        # One key per (group, child); each group's residue goes to the
+        # children holding its smallest keys — a batched uniform
+        # without-replacement draw for every group at once.
+        keys = generator.random((with_residue.size, alphabet))
+        ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
+        children[with_residue] += ranks < residue[with_residue, None]
 
     negative_groups = (children < 0).any(axis=1)
     n_events = int(negative_groups.sum())

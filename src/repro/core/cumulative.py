@@ -51,13 +51,7 @@ from repro.rng import (
     restore_generator_state,
     spawn,
 )
-from repro.streams.registry import (
-    available_counters,
-    make_bank,
-    make_counter,
-    resolve_engine,
-    restore_counter,
-)
+from repro.streams.registry import available_counters, make_bank
 from repro.types import AttributeFrame
 
 __all__ = [
@@ -85,7 +79,7 @@ def stream_increments(weights: np.ndarray, column: np.ndarray, t: int) -> np.nda
 def counter_charge_label(b: int) -> str:
     """Ledger label for threshold ``b``'s stream counter.
 
-    One definition for both engines: the batched engine's "identical zCDP
+    Shared with the batched replication engine, whose "identical zCDP
     ledger" contract compares these labels entry for entry.
     """
     return f"stream counter b={b}"
@@ -124,8 +118,7 @@ class CumulativeRelease:
     def synthetic_data(self, t: int | None = None) -> LongitudinalDataset:
         """The synthetic panel through round ``t`` (default: latest).
 
-        Under the default lazy store the records are drawn on first
-        request (bit-exact with eager materialization — see
+        The records are drawn on first request (see
         :class:`CumulativeSynthesizer`); replication runs that only read
         query answers never pay for them.
         """
@@ -266,28 +259,27 @@ class CumulativeSynthesizer:
     budget:
         ``"corollary_b1"`` (default), ``"uniform"``, or an explicit
         length-``T`` sequence of per-threshold budgets summing to ``rho``.
-    engine:
-        ``"vectorized"`` advances all per-threshold counters as one
-        batched :class:`~repro.streams.bank.CounterBank`; ``"scalar"``
-        keeps the original one-Python-object-per-threshold path.  The
-        default ``None`` consults ``$REPRO_ENGINE`` and falls back to
-        ``"vectorized"``.  Both engines produce bit-identical releases
-        under a fixed seed in noiseless mode and charge the zCDP ledger
-        identically.
     noise_method:
         ``"exact"`` or ``"vectorized"`` noise backend for the counters.
-    materialize:
-        ``"lazy"`` (default) defers drawing synthetic records until
-        :meth:`CumulativeRelease.synthetic_data` is actually requested;
-        ``"eager"`` draws them every round as the records are prescribed.
-        The two modes are *bit-exact*: the record draws are the only
-        consumers of the synthesizer's generator after initialization, so
-        replaying them in order on first request produces the same panel.
-        Lazy mode is what makes pure query-answering runs (the replication
-        harness answers everything from the threshold table) skip the
-        per-round record bookkeeping entirely.
     counter_kwargs:
         Extra keyword arguments forwarded to every counter constructor.
+
+    Notes
+    -----
+    All ``T`` per-threshold counters advance as one
+    :class:`~repro.streams.bank.CounterBank` (counters without a native
+    bank, or with ``counter_kwargs``, run inside a
+    :class:`~repro.streams.bank.FallbackBank`).
+
+    Synthetic records are drawn lazily: each round's prescribed
+    increments are queued and replayed in release order the first time
+    :meth:`CumulativeRelease.synthetic_data` is requested.  The record
+    draws are the only consumers of the synthesizer's generator after
+    initialization, so the panel is the one drawing every round would
+    give, and pure query-answering runs (the replication harness answers
+    everything from the threshold table) never pay for it.  A churned
+    round replays the queue at once and keeps the store current from
+    then on.
     """
 
     def __init__(
@@ -298,51 +290,37 @@ class CumulativeSynthesizer:
         counter: str = "binary_tree",
         budget="corollary_b1",
         seed: SeedLike = None,
-        engine: str | None = None,
         noise_method: str = "exact",
-        materialize: str = "lazy",
         counter_kwargs: dict | None = None,
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
         if not rho > 0:
             raise ConfigurationError(f"rho must be positive (or math.inf), got {rho}")
-        if materialize not in ("lazy", "eager"):
-            raise ConfigurationError(
-                f"materialize must be 'lazy' or 'eager', got {materialize!r}"
-            )
         if counter not in available_counters():
             raise ConfigurationError(
                 f"unknown counter {counter!r}; available: {sorted(available_counters())}"
             )
-        engine = resolve_engine(engine)
         self.horizon = int(horizon)
         self.rho = float(rho)
         self.counter_name = counter
-        self.engine = engine
         self.noise_method = noise_method
-        self.materialize = materialize
         self._counter_kwargs = dict(counter_kwargs or {})
         self._generator = as_generator(seed)
         self.rho_per_threshold = allocate_budget(self.horizon, self.rho, budget)
         self.accountant = None if math.isinf(self.rho) else ZCDPAccountant(self.rho)
 
         # Counter b (1-indexed) sees the stream z_b^t for t = b..T, of
-        # length T - b + 1.  Both engines spawn the same per-threshold seed
-        # streams so the surrounding randomness (synthetic store) matches.
+        # length T - b + 1.  One seed stream per threshold: a fallback bank
+        # hands seed b - 1 to counter b, a native bank draws from seed 0.
         self._counter_seeds = spawn(self._generator, self.horizon)
-        self._counters: dict[int, object] = {}
-        self._bank = (
-            make_bank(
-                counter,
-                horizon=self.horizon,
-                rho_per_threshold=self.rho_per_threshold,
-                seeds=self._counter_seeds,
-                noise_method=noise_method,
-                counter_kwargs=self._counter_kwargs,
-            )
-            if engine == "vectorized"
-            else None
+        self._bank = make_bank(
+            counter,
+            horizon=self.horizon,
+            rho_per_threshold=self.rho_per_threshold,
+            seeds=self._counter_seeds,
+            noise_method=noise_method,
+            counter_kwargs=self._counter_kwargs,
         )
         self._release_view = CumulativeRelease(self)
         self._version = 0
@@ -373,7 +351,7 @@ class CumulativeSynthesizer:
 
     @property
     def bank(self):
-        """The vectorized counter bank (``None`` under ``engine="scalar"``)."""
+        """The counter bank advancing every per-threshold counter."""
         return self._bank
 
     def observe(self, data, *, entrants: int = 0, exits=None) -> CumulativeRelease:
@@ -454,21 +432,13 @@ class CumulativeSynthesizer:
         full_column = self._ledger.scatter_column(column)
         z = stream_increments(self._orig_weights, full_column, t)
 
-        # Stage 1: feed the active counters, collect noisy totals.
-        if self._bank is not None:
-            # One batched advance of every active counter; threshold b = t
-            # activates this round, so its budget is charged now (the
-            # ledger matches the scalar engine's lazy per-counter charges).
-            noisy = np.rint(self._bank.feed(z)).astype(np.int64)
-            if self.accountant is not None:
-                self.accountant.charge(
-                    float(self.rho_per_threshold[t - 1]), label=counter_charge_label(t)
-                )
-        else:
-            noisy = np.empty(t, dtype=np.int64)
-            for b in range(1, t + 1):
-                counter = self._get_counter(b)
-                noisy[b - 1] = round(float(counter.feed(int(z[b - 1]))))
+        # Stage 1: one batched advance of every active counter; threshold
+        # b = t activates this round, so its budget is charged now.
+        noisy = np.rint(self._bank.feed(z)).astype(np.int64)
+        if self.accountant is not None:
+            self.accountant.charge(
+                float(self.rho_per_threshold[t - 1]), label=counter_charge_label(t)
+            )
 
         # Stage 2: monotonize against the previous round and extend records.
         n_ever = self._ledger.n_ever
@@ -483,18 +453,16 @@ class CumulativeSynthesizer:
         increments = clamped - previous[1 : t + 1]  # z^_b^t for b = 1..t
 
         if self._ledger.churned:
-            # Churn forces eager record bookkeeping: entrants must be
-            # admitted before the round they first report in, so deferred
-            # rounds are replayed now (bit-exact with having been eager
-            # all along) and the stream stays eager from here on.
+            # Churn keeps the store current: entrants must be admitted
+            # before the round they first report in, so deferred rounds are
+            # replayed now (bit-exact with extending every round) and every
+            # later round extends at once.
             store = self._materialized_store()
             store.retire(int(exit_ids.size))
             store.admit(entrants)
             store.extend(increments)
-        elif self.materialize == "eager":
-            self._store.extend(increments)  # indexed by previous weight b-1
         else:
-            self._pending_increments.append(increments)
+            self._pending_increments.append(increments)  # by previous weight b-1
 
         self._table[t, 1 : t + 1] = clamped
         self._table[t, 0] = n_ever
@@ -553,8 +521,7 @@ class CumulativeSynthesizer:
         A dynamic population can outlive its planned horizon (a churning
         panel that keeps adding waves); this appends ``k`` future rounds
         — and the ``k`` new Hamming-weight thresholds they enable — to a
-        fresh *or mid-stream* synthesizer on the vectorized engine.  The
-        counter bank appends rows via
+        fresh *or mid-stream* synthesizer.  The counter bank appends rows via
         :meth:`~repro.streams.bank.CounterBank.extend_rows` without
         perturbing existing rows' RNG streams; the threshold table and
         the synthetic store widen in place.
@@ -580,9 +547,8 @@ class CumulativeSynthesizer:
         Raises
         ------
         repro.exceptions.ConfigurationError
-            On the scalar engine, on banks without native row growth
-            (``sqrt_factorization`` and fallback-wrapped counters), or
-            on malformed ``rho_new``.
+            On banks without native row growth (``sqrt_factorization``
+            and fallback-wrapped counters), or on malformed ``rho_new``.
 
         Notes
         -----
@@ -591,12 +557,6 @@ class CumulativeSynthesizer:
         synthesizer rebuilt from the extended configuration would
         recalibrate the appended levels differently than the live bank.
         """
-        if self._bank is None:
-            raise ConfigurationError(
-                "horizon extension requires the vectorized engine "
-                "(engine='vectorized'); the scalar per-threshold counters "
-                "are calibrated for a fixed horizon"
-            )
         if k <= 0:
             raise ConfigurationError(f"k must be positive, got {k}")
         rho_vec = np.asarray(rho_new, dtype=np.float64)
@@ -614,11 +574,10 @@ class CumulativeSynthesizer:
         old_horizon = self.horizon
         self.horizon += int(k)
         self.rho_per_threshold = np.concatenate([self.rho_per_threshold, rho_vec])
-        # _counter_seeds stays at its original length: the vectorized bank
-        # draws from its own generator, and both consumers of per-threshold
-        # seeds (the scalar engine and serialization) are unreachable after
-        # an extension — spawning seeds here would only perturb the shared
-        # record-draw generator.
+        # _counter_seeds stays at its original length: the extensible banks
+        # draw from their own generator, and serialization is unreachable
+        # after an extension — spawning seeds here would only perturb the
+        # shared record-draw generator.
         if self.accountant is not None:
             self.accountant.extend_budget(
                 float(rho_vec.sum() + extra.sum()),
@@ -642,21 +601,16 @@ class CumulativeSynthesizer:
     def counter_error_stddev(self, b: int, position: int) -> float | None:
         """Error stddev of threshold ``b``'s counter at local stream ``position``.
 
-        Engine-agnostic accessor used by the confidence-interval machinery:
-        returns ``None`` while threshold ``b`` has not activated yet (its
-        estimate is the exact constant 0), otherwise the counter's / bank
-        row's analytic stddev.
+        Accessor used by the confidence-interval machinery: returns
+        ``None`` while threshold ``b`` has not activated yet (its estimate
+        is the exact constant 0), otherwise the bank row's analytic
+        stddev.
         """
         if not 1 <= b <= self.horizon:
             raise ConfigurationError(f"b must lie in [1, {self.horizon}], got {b}")
-        if self._bank is not None:
-            if b > self._bank.active:
-                return None
-            return self._bank.error_stddev(b, position)
-        counter = self._counters.get(b)
-        if counter is None:
+        if b > self._bank.active:
             return None
-        return counter.error_stddev(position)
+        return self._bank.error_stddev(b, position)
 
     def check_invariants(self) -> bool:
         """Verify the release invariants (used by tests and examples).
@@ -685,8 +639,8 @@ class CumulativeSynthesizer:
         dict
             JSON-safe mapping with ``algorithm: "cumulative"`` plus the
             horizon, budget (as the resolved explicit per-threshold
-            vector), counter name, engine, noise method, materialization
-            mode, and counter kwargs.  :meth:`from_config` consumes it;
+            vector), counter name, noise method, and counter kwargs.
+            :meth:`from_config` consumes it;
             the seed is deliberately absent — a restored synthesizer gets
             its randomness from the serialized generator states, not from
             re-seeding.
@@ -697,9 +651,7 @@ class CumulativeSynthesizer:
             "rho": self.rho,
             "counter": self.counter_name,
             "budget": [float(r) for r in self.rho_per_threshold],
-            "engine": self.engine,
             "noise_method": self.noise_method,
-            "materialize": self.materialize,
             "counter_kwargs": dict(self._counter_kwargs),
         }
 
@@ -710,7 +662,10 @@ class CumulativeSynthesizer:
         Parameters
         ----------
         config:
-            A mapping produced by :meth:`config_dict`.
+            A mapping produced by :meth:`config_dict`.  Older configs
+            also carry ``engine: "vectorized"`` and ``materialize:
+            "lazy"`` or ``"eager"``; both mean today's behaviour and are
+            accepted.
 
         Returns
         -------
@@ -721,17 +676,26 @@ class CumulativeSynthesizer:
         Raises
         ------
         repro.exceptions.SerializationError
-            If required keys are missing or fail constructor validation.
+            If required keys are missing or fail constructor validation,
+            or the config was written by the removed scalar engine
+            (``engine: "scalar"``), whose continuation cannot be
+            reproduced.
         """
+        engine = config.get("engine", "vectorized")
+        materialize = config.get("materialize", "lazy")
+        if engine != "vectorized" or materialize not in ("lazy", "eager"):
+            raise SerializationError(
+                f"cumulative config has engine {engine!r} and materialization "
+                f"{materialize!r}; only the vectorized engine's bundles can be "
+                "continued"
+            )
         try:
             return cls(
                 int(config["horizon"]),
                 float(config["rho"]),
                 counter=str(config["counter"]),
                 budget=config["budget"],
-                engine=str(config["engine"]),
                 noise_method=str(config["noise_method"]),
-                materialize=str(config["materialize"]),
                 counter_kwargs=dict(config["counter_kwargs"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -756,8 +720,7 @@ class CumulativeSynthesizer:
             monotonized threshold table, any deferred (lazy) record
             increments, the synthetic store, the zCDP ledger, the main
             generator's bit state, the per-threshold counter seed states,
-            and the engine state (bank arrays or per-counter scalar
-            states).  Array leaves stay NumPy arrays for the
+            and the counter bank's state.  Array leaves stay NumPy arrays for the
             :mod:`repro.serve` bundle layer; everything else is
             JSON-safe.
         """
@@ -785,18 +748,10 @@ class CumulativeSynthesizer:
             }
             state["pending_count"] = len(self._pending_increments)
             state["store"] = self._store.state_dict(copy=copy)
-        if self._bank is not None:
-            state["engine_state"] = {
-                "kind": "bank",
-                "bank": self._bank.state_dict(copy=copy),
-            }
-        else:
-            state["engine_state"] = {
-                "kind": "scalar",
-                "counters": {
-                    str(b): counter.state_dict() for b, counter in self._counters.items()
-                },
-            }
+        state["engine_state"] = {
+            "kind": "bank",
+            "bank": self._bank.state_dict(copy=copy),
+        }
         return state
 
     def load_state(self, state: dict) -> None:
@@ -817,8 +772,8 @@ class CumulativeSynthesizer:
         ------
         repro.exceptions.SerializationError
             If the snapshot is structurally invalid, disagrees with this
-            synthesizer's configuration (horizon, engine, counter), or
-            its ledger exceeds the budget.
+            synthesizer's configuration (horizon, counter), or its
+            ledger exceeds the budget.
         """
         if self._t:
             raise SerializationError("load_state() requires a fresh synthesizer")
@@ -893,52 +848,17 @@ class CumulativeSynthesizer:
                 )
             self._table = table
         kind = engine_state.get("kind")
-        if self._bank is not None:
-            if kind != "bank":
-                raise SerializationError(
-                    f"snapshot engine state is {kind!r} but this synthesizer "
-                    "uses the vectorized engine"
-                )
-            try:
-                bank_state = engine_state["bank"]
-            except KeyError as exc:
-                raise SerializationError(
-                    "bank engine state is missing its 'bank' entry"
-                ) from exc
-            self._bank.load_state(bank_state)
-        else:
-            if kind != "scalar":
-                raise SerializationError(
-                    f"snapshot engine state is {kind!r} but this synthesizer "
-                    "uses the scalar engine"
-                )
-            try:
-                payloads = {
-                    int(key): payload
-                    for key, payload in dict(engine_state["counters"]).items()
-                }
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SerializationError(f"invalid scalar engine state: {exc}") from exc
-            # One counter activates per round, so a snapshot at clock t
-            # must hold exactly thresholds 1..t — a missing one would
-            # silently restart at a fresh clock (and double-charge the
-            # restored ledger) rounds after the restore.
-            if sorted(payloads) != list(range(1, t + 1)):
-                raise SerializationError(
-                    f"scalar engine state must hold counters 1..{t}, "
-                    f"got {sorted(payloads)}"
-                )
-            self._counters = {}
-            for b, payload in payloads.items():
-                self._counters[b] = restore_counter(
-                    self.counter_name,
-                    horizon=self.horizon - b + 1,
-                    rho=float(self.rho_per_threshold[b - 1]),
-                    seed=self._counter_seeds[b - 1],
-                    noise_method=self.noise_method,
-                    payload=payload,
-                    counter_kwargs=self._counter_kwargs,
-                )
+        if kind != "bank":
+            raise SerializationError(
+                f"snapshot engine state is {kind!r}, expected 'bank'"
+            )
+        try:
+            bank_state = engine_state["bank"]
+        except KeyError as exc:
+            raise SerializationError(
+                "bank engine state is missing its 'bank' entry"
+            ) from exc
+        self._bank.load_state(bank_state)
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -963,27 +883,9 @@ class CumulativeSynthesizer:
 
         Deferred rounds are extended in release order, so the generator
         consumption — and hence the synthetic panel — is identical to
-        eager materialization.
+        extending the store every round.
         """
         for increments in self._pending_increments:
             self._store.extend(increments)
         self._pending_increments.clear()
         return self._store
-
-    def _get_counter(self, b: int):
-        counter = self._counters.get(b)
-        if counter is None:
-            length = self.horizon - b + 1
-            rho_b = float(self.rho_per_threshold[b - 1])
-            counter = make_counter(
-                self.counter_name,
-                horizon=length,
-                rho=rho_b,
-                seed=self._counter_seeds[b - 1],
-                noise_method=self.noise_method,
-                **self._counter_kwargs,
-            )
-            if self.accountant is not None:
-                self.accountant.charge(rho_b, label=counter_charge_label(b))
-            self._counters[b] = counter
-        return counter

@@ -224,7 +224,6 @@ class FixedWindowSynthesizer(WindowEngine):
             sensitivity=sensitivity,
             seed=seed,
             noise_method=noise_method,
-            engine="vectorized",
         )
 
     def _make_release(self) -> FixedWindowRelease:

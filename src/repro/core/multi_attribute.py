@@ -437,9 +437,6 @@ class MultiAttributeSynthesizer:
         bit-exact with the standalone engine.
     noise_method:
         ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
-    engine:
-        Projection/extension engine for categorical attributes
-        (``None`` consults ``$REPRO_ENGINE``).
     """
 
     #: Tag stored in checkpoint configs.
@@ -459,7 +456,6 @@ class MultiAttributeSynthesizer:
         sensitivity: float = 1.0,
         seed: SeedLike = None,
         noise_method: str = "exact",
-        engine: str | None = None,
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -561,13 +557,8 @@ class MultiAttributeSynthesizer:
                     sensitivity=self.sensitivity,
                     seed=spec_seed,
                     noise_method=self.noise_method,
-                    engine=engine,
                 )
             self._engines.append(built)
-        #: Resolved projection engine (reported in checkpoint configs).
-        self.engine = next(
-            (e.engine for e in self._engines if e.alphabet != 2), "vectorized"
-        )
 
         self._cross_generators: dict[tuple[str, str], np.random.Generator] = {}
         self._cross_mechanisms: dict[tuple[str, str], GaussianHistogramMechanism] = {}
@@ -877,12 +868,23 @@ class MultiAttributeSynthesizer:
             "on_negative": self.on_negative,
             "sensitivity": self.sensitivity,
             "noise_method": self.noise_method,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_config(cls, config: dict) -> "MultiAttributeSynthesizer":
-        """Rebuild a fresh synthesizer from :meth:`config_dict` output."""
+        """Rebuild a fresh synthesizer from :meth:`config_dict` output.
+
+        Older configs also carry ``engine: "vectorized"``, which is
+        accepted; ``engine: "scalar"`` (the removed reference engine,
+        whose continuation cannot be reproduced) raises
+        :class:`~repro.exceptions.SerializationError`.
+        """
+        engine = config.get("engine", "vectorized")
+        if engine != "vectorized":
+            raise SerializationError(
+                f"multi-attribute config has engine {engine!r}; only the "
+                "vectorized engine's bundles can be continued"
+            )
         try:
             return cls(
                 int(config["horizon"]),
@@ -896,7 +898,6 @@ class MultiAttributeSynthesizer:
                 on_negative=str(config["on_negative"]),
                 sensitivity=float(config["sensitivity"]),
                 noise_method=str(config["noise_method"]),
-                engine=str(config["engine"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid multi-attribute config: {exc}") from exc

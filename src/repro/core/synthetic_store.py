@@ -234,12 +234,6 @@ class WindowSyntheticStore:
         Number of categories ``q >= 2``; the default 2 is the paper's
         binary panel (and stays bit-exact with the pre-categorical
         store, generator stream included).
-    assign:
-        Extension-assignment engine: ``"vectorized"`` (one key per record
-        and one value sort per round, :func:`_assign_within_groups`) or
-        ``"scalar"`` (the per-record reference loop — one draw per
-        synthetic record per round, matching the paper's pseudocode
-        granularity).
     """
 
     def __init__(
@@ -249,14 +243,9 @@ class WindowSyntheticStore:
         horizon: int,
         generator: np.random.Generator,
         alphabet: int = 2,
-        assign: str = "vectorized",
     ):
         if alphabet < 2:
             raise ConfigurationError(f"alphabet must be at least 2, got {alphabet}")
-        if assign not in ("vectorized", "scalar"):
-            raise ConfigurationError(
-                f"assign must be 'vectorized' or 'scalar', got {assign!r}"
-            )
         counts = np.asarray(initial_counts, dtype=np.int64)
         if counts.shape != (alphabet**window,):
             raise ConfigurationError(
@@ -270,7 +259,6 @@ class WindowSyntheticStore:
         self.window = int(window)
         self.horizon = int(horizon)
         self.alphabet = int(alphabet)
-        self._assign = assign
         self._generator = generator
         self.m = int(counts.sum())
         self._t = window
@@ -357,7 +345,8 @@ class WindowSyntheticStore:
         ``target_counts`` must satisfy the overlap-consistency constraint
         w.r.t. the current histogram (checked); records keeping suffix
         ``z`` are split among the ``q`` extensions ``zc`` uniformly at
-        random (``z0``/``z1`` in the binary case).
+        random (``z0``/``z1`` in the binary case) by
+        :func:`_assign_within_groups`.
         """
         if self._t >= self.horizon:
             raise ConsistencyError(f"store already materialized all {self.horizon} rounds")
@@ -379,43 +368,12 @@ class WindowSyntheticStore:
                 "target histogram violates the overlap-consistency constraint"
             )
 
-        if self._assign == "vectorized":
-            new_digit = _assign_within_groups(
-                suffixes, n_groups, group_targets, self._generator, current_groups
-            )
-        else:
-            new_digit = self._extend_digits_scalar(suffixes, group_targets)
+        new_digit = _assign_within_groups(
+            suffixes, n_groups, group_targets, self._generator, current_groups
+        )
         self._matrix[:, self._t] = new_digit
         self._codes = suffixes * self.alphabet + new_digit
         self._t += 1
-
-    def _extend_digits_scalar(
-        self, suffixes: np.ndarray, group_targets: np.ndarray
-    ) -> np.ndarray:
-        """Reference extension: one sequential draw per synthetic record.
-
-        Walks the records in index order and samples each one's next
-        symbol without replacement from its suffix group's remaining
-        quota — the paper-pseudocode granularity the vectorized
-        order-statistic path replaces.  Produces the same uniform
-        assignment law as :func:`_assign_within_groups` from a different
-        generator stream.
-        """
-        remaining = group_targets.astype(np.int64).copy()
-        new_digit = np.zeros(self.m, dtype=np.int64)
-        if not group_targets[:, 1:].any():
-            return new_digit
-        for i in range(self.m):
-            row = remaining[suffixes[i]]
-            u = int(self._generator.integers(int(row.sum())))
-            c = 0
-            acc = int(row[0])
-            while u >= acc:
-                c += 1
-                acc += int(row[c])
-            new_digit[i] = c
-            row[c] -= 1
-        return new_digit
 
     def as_dataset(self, t: int | None = None):
         """The synthetic panel through round ``t`` (default: current).
@@ -464,10 +422,7 @@ class WindowSyntheticStore:
 
     @classmethod
     def from_state(
-        cls,
-        state: dict,
-        generator: np.random.Generator,
-        assign: str = "vectorized",
+        cls, state: dict, generator: np.random.Generator
     ) -> "WindowSyntheticStore":
         """Rebuild a store from :meth:`state_dict` output.
 
@@ -479,10 +434,6 @@ class WindowSyntheticStore:
             The generator future :meth:`extend` calls draw from (the
             owning synthesizer's generator, whose bit state the caller
             restores separately).
-        assign:
-            Extension-assignment engine the restored store should use
-            (``"vectorized"`` or ``"scalar"``) — an engine choice, not
-            snapshot state, so the owner passes it explicitly.
 
         Returns
         -------
@@ -497,10 +448,6 @@ class WindowSyntheticStore:
             If the snapshot is structurally invalid or its array shapes
             disagree with the recorded dimensions.
         """
-        if assign not in ("vectorized", "scalar"):
-            raise SerializationError(
-                f"assign must be 'vectorized' or 'scalar', got {assign!r}"
-            )
         store = object.__new__(cls)
         try:
             store.window = int(state["window"])
@@ -517,7 +464,6 @@ class WindowSyntheticStore:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid window-store state: {exc}") from exc
-        store._assign = assign
         store._generator = generator
         if store._active.shape != (store.m,):
             raise SerializationError(

@@ -23,10 +23,11 @@ the fixed-window synthesizer for any alphabet size ``q >= 2``:
 bit-exact — noise draws, record randomness, and zCDP ledger included —
 with the pre-engine implementation.
 :class:`~repro.core.categorical_window.CategoricalWindowSynthesizer` is the
-generic-``q`` instantiation, with an ``engine`` knob selecting the
-vectorized scatter-op path (default) or the per-group/per-record scalar
-reference loops (``benchmarks/bench_categorical_extension.py`` pins the
-speedup).
+generic-``q`` instantiation: batched residue placement
+(:func:`~repro.core.consistency.apply_group_correction`) and
+order-statistic record extension
+(``benchmarks/bench_categorical_extension.py`` pins the speedup over the
+per-group/per-record reference loops).
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from repro.rng import (
     restore_generator_state,
 )
 from repro.streams.layout import ArrayArena
-from repro.streams.registry import resolve_engine
 from repro.types import AttributeFrame
 
 __all__ = ["WindowEngine", "WindowRelease"]
@@ -310,12 +310,6 @@ class WindowEngine:
         Seed or generator for all randomness (noise and records).
     noise_method:
         ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
-    engine:
-        Projection/extension engine for alphabets above 2:
-        ``"vectorized"`` (batched scatter ops, default) or ``"scalar"``
-        (per-group / per-record reference loops); ``None`` consults
-        ``$REPRO_ENGINE``.  The binary specialization always runs its
-        bit-exact paired path regardless of this knob.
     """
 
     #: Tag stored in checkpoint configs; subclasses override.
@@ -338,7 +332,6 @@ class WindowEngine:
         sensitivity: float = 1.0,
         seed: SeedLike = None,
         noise_method: str = "exact",
-        engine: str | None = "vectorized",
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -366,7 +359,6 @@ class WindowEngine:
         self.on_negative = on_negative
         self.sensitivity = float(sensitivity)
         self.noise_method = noise_method
-        self.engine = resolve_engine(engine)
         self._generator = as_generator(seed)
 
         self.update_steps = self.horizon - self.window + 1
@@ -821,7 +813,7 @@ class WindowEngine:
             }
         if "store" in state:
             self._store = WindowSyntheticStore.from_state(
-                state["store"], self._generator, assign=self._store_assign()
+                state["store"], self._generator
             )
             if self._store.window != self.window or self._store.horizon != self.horizon:
                 raise SerializationError(
@@ -838,15 +830,6 @@ class WindowEngine:
     # Internals
     # ------------------------------------------------------------------
 
-    def _store_assign(self) -> str:
-        """Record-assignment mode for the synthetic store.
-
-        The binary specialization always uses the vectorized
-        order-statistic path (its bit-exactness contract); for ``q > 2``
-        the ``engine`` knob decides.
-        """
-        return "vectorized" if self.alphabet == 2 else self.engine
-
     def _project(
         self, previous: np.ndarray, noisy: np.ndarray
     ) -> tuple[np.ndarray, int]:
@@ -854,8 +837,7 @@ class WindowEngine:
 
         ``q = 2`` runs the paper's fair ``+-1/2`` pair correction —
         unchanged from the pre-engine binary implementation, generator
-        stream included; ``q > 2`` runs the grouped base-``q`` correction
-        in the configured engine's flavor.
+        stream included; ``q > 2`` runs the grouped base-``q`` correction.
         """
         if self.alphabet == 2:
             new_counts, events = apply_overlap_correction(
@@ -869,7 +851,6 @@ class WindowEngine:
             self.alphabet,
             self._generator,
             on_negative=self.on_negative,
-            method=self.engine,
         )
         assert check_group_consistency(previous, new_counts, self.alphabet)
         return new_counts, events
@@ -903,7 +884,6 @@ class WindowEngine:
                 self.horizon,
                 self._generator,
                 alphabet=self.alphabet,
-                assign=self._store_assign(),
             )
             departed = self._ledger.n_ever - self._ledger.n_active
             if departed:

@@ -26,6 +26,7 @@ from repro.dp.discrete_gaussian import (
 )
 from repro.dp.discrete_laplace import (
     DiscreteLaplaceSampler,
+    calibrate_laplace_scale,
     sample_discrete_laplace,
 )
 from repro.dp.mechanisms import GaussianHistogramMechanism, noisy_count
@@ -49,6 +50,7 @@ __all__ = [
     "calibrate_sigma_sq",
     "sample_discrete_gaussian",
     "DiscreteLaplaceSampler",
+    "calibrate_laplace_scale",
     "sample_discrete_laplace",
     "GaussianHistogramMechanism",
     "noisy_count",

@@ -22,7 +22,49 @@ import numpy as np
 
 from repro.rng import ExactRandom, SeedLike, as_generator
 
-__all__ = ["sample_discrete_laplace", "DiscreteLaplaceSampler"]
+__all__ = ["sample_discrete_laplace", "DiscreteLaplaceSampler", "calibrate_laplace_scale"]
+
+#: Largest denominator of a rational scale the exact sampler works with.
+_MAX_DENOMINATOR = 10**12
+
+
+def calibrate_laplace_scale(levels: int, rho) -> Fraction:
+    """The per-node scale ``levels / sqrt(2 rho)`` that realizes at most ``rho``.
+
+    A node of scale ``s`` is ``(1/s)``-DP, so an element touching
+    ``levels`` nodes is ``(levels/s)``-DP and hence
+    ``(levels/s)**2 / 2``-zCDP.  The Laplace twin of
+    :func:`~repro.dp.discrete_gaussian.calibrate_sigma_sq`.
+
+    Parameters
+    ----------
+    levels:
+        Noisy nodes one element touches (``L`` for a tree).
+    rho:
+        zCDP budget (positive float), converted exactly.
+
+    Returns
+    -------
+    fractions.Fraction
+        The smallest multiple of ``1e-9`` with
+        ``scale**2 * 2 * Fraction(rho) >= levels**2`` exactly — more
+        noise, never less, for every budget however small.
+    """
+    target = Fraction(int(levels) ** 2) / (2 * Fraction(rho))  # scale**2 must reach it
+    denominator = 10**9
+    numerator = math.isqrt(math.ceil(target * denominator**2))
+    while Fraction(numerator, denominator) ** 2 < target:
+        numerator += 1
+    return Fraction(numerator, denominator)
+
+
+def _upper_scale(scale) -> Fraction:
+    """``scale`` as a rational with denominator at most 10**12, never below it."""
+    value = Fraction(scale)
+    rounded = value.limit_denominator(_MAX_DENOMINATOR)
+    if rounded < value:
+        rounded = Fraction(math.ceil(value * _MAX_DENOMINATOR), _MAX_DENOMINATOR)
+    return rounded
 
 
 def _sample_geometric_exp1(random: ExactRandom) -> int:
@@ -76,7 +118,8 @@ class DiscreteLaplaceSampler:
     ----------
     scale:
         Positive scale ``s`` of ``P[X = x] ∝ exp(-|x|/s)``; may be any value
-        convertible to :class:`fractions.Fraction`.
+        convertible to :class:`fractions.Fraction` (rounded up to a
+        denominator of at most ``10**12``, never down).
     seed:
         Seed, :class:`numpy.random.Generator`, or ``None``.
     method:
@@ -88,7 +131,7 @@ class DiscreteLaplaceSampler:
     """
 
     def __init__(self, scale, seed: SeedLike = None, method: str = "exact"):
-        self.scale = Fraction(scale).limit_denominator(10**12)
+        self.scale = _upper_scale(scale)
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         if method not in ("exact", "vectorized"):
@@ -167,7 +210,7 @@ class DiscreteLaplaceSampler:
         out = np.zeros(len(scales), dtype=np.int64)
         for j, scale in enumerate(scales):
             if not isinstance(scale, Fraction):
-                scale = Fraction(scale).limit_denominator(10**12)
+                scale = _upper_scale(scale)
             if scale < 0:
                 raise ValueError(f"scale must be non-negative, got {scale}")
             if scale:

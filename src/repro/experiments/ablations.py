@@ -26,7 +26,7 @@ from repro.baselines.recompute import RecomputeBaseline, ever_spell_fraction
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.data.generators import two_state_markov
-from repro.experiments.config import FigureResult, default_engine
+from repro.experiments.config import FigureResult
 from repro.queries.cumulative import HammingAtLeast
 from repro.queries.window import AtLeastMOnes
 from repro.rng import SeedLike, spawn
@@ -58,7 +58,6 @@ def _cumulative_max_errors(
     *,
     counter: str = "binary_tree",
     budget: str = "corollary_b1",
-    engine: str,
     noise_method: str,
     strategy: str | None,
     n_jobs: int | None,
@@ -68,11 +67,11 @@ def _cumulative_max_errors(
     One :func:`replicate_synthesizer` call over every ``HammingAtLeast``
     threshold, so the ablations inherit the batched / process strategies.
     A ``"batched"`` request softens to ``"auto"`` when this particular
-    counter (or the scalar engine) has no rep axis — the counter ablation
+    counter has no rep axis — the counter ablation
     sweeps *every* registered counter, so a strict ``batched`` would abort
     the sweep on the first fallback-only name.
     """
-    strategy = cumulative_strategy(strategy, engine, counter)
+    strategy = cumulative_strategy(strategy, counter)
     queries = [HammingAtLeast(b) for b in range(1, panel.horizon + 1)]
     times = list(range(1, panel.horizon + 1))
 
@@ -83,7 +82,6 @@ def _cumulative_max_errors(
             counter=counter,
             budget=budget,
             seed=generator,
-            engine=engine,
             noise_method=noise_method,
         )
 
@@ -99,17 +97,15 @@ def run_counter_ablation(
     n_reps: int = 10,
     seed: SeedLike = 0,
     noise_method: str = "vectorized",
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
     """Algorithm 2 with every registered counter, same data and budget."""
     panel = ablation_panel()
-    engine = default_engine() if engine is None else engine
     rows = []
     for name in available_counters():
         errors = _cumulative_max_errors(
-            panel, rho, n_reps, seed, counter=name, engine=engine,
+            panel, rho, n_reps, seed, counter=name,
             noise_method=noise_method, strategy=strategy, n_jobs=n_jobs,
         )
         rows.append(
@@ -128,7 +124,6 @@ def run_counter_ablation(
             "n": panel.n_individuals,
             "T": _HORIZON,
             "reps": n_reps,
-            "engine": engine,
         },
         paper_expectation=(
             "The binary tree counter (paper's choice) beats the naive "
@@ -239,17 +234,15 @@ def run_budget_ablation(
     n_reps: int = 10,
     seed: SeedLike = 0,
     noise_method: str = "vectorized",
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
     """Uniform vs Corollary B.1 budget split across thresholds."""
     panel = ablation_panel()
-    engine = default_engine() if engine is None else engine
     rows = []
     for budget in ("uniform", "corollary_b1"):
         errors = _cumulative_max_errors(
-            panel, rho, n_reps, seed, budget=budget, engine=engine,
+            panel, rho, n_reps, seed, budget=budget,
             noise_method=noise_method, strategy=strategy, n_jobs=n_jobs,
         )
         rows.append(
@@ -267,7 +260,6 @@ def run_budget_ablation(
             "n": panel.n_individuals,
             "T": _HORIZON,
             "reps": n_reps,
-            "engine": engine,
         },
         paper_expectation=(
             "Corollary B.1's cubic-log weights equalize per-counter bounds; "
@@ -381,7 +373,6 @@ def run_bound_checks(
     seed: SeedLike = 0,
     rho: float = 0.05,
     noise_method: str = "vectorized",
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
@@ -392,7 +383,6 @@ def run_bound_checks(
     histograms directly and stays a serial loop.
     """
     panel = ablation_panel()
-    engine = default_engine() if engine is None else engine
     window = 3
     beta = 0.05
 
@@ -417,7 +407,7 @@ def run_bound_checks(
     # Corollary B.1: fraction-scale error of Algorithm 2 over all (b, t).
     bound_b1 = corollary_b1_alpha(_HORIZON, rho, beta, panel.n_individuals)
     worst_cumulative = _cumulative_max_errors(
-        panel, rho, n_reps, seed, engine=engine, noise_method=noise_method,
+        panel, rho, n_reps, seed, noise_method=noise_method,
         strategy=strategy, n_jobs=n_jobs,
     )
     exceed_b1 = sum(1 for err in worst_cumulative if err > bound_b1)

@@ -13,8 +13,6 @@ engine provides:
   :class:`~repro.core.fixed_window.FixedWindowSynthesizer` — noise draws,
   synthetic records, and zCDP ledger included — because both are the same
   shared :class:`~repro.core.window_engine.WindowEngine`;
-* the vectorized and scalar categorical engines release identical
-  histograms in noiseless mode;
 * batched :meth:`~repro.core.categorical_window.CategoricalWindowRelease.answer_series`
   answers agree exactly with the per-round loop.
 """
@@ -37,28 +35,11 @@ from repro.queries.categorical import CategoricalPatternQuery, CategoryAtLeastM
 __all__ = ["run_categorical_experiment"]
 
 
-def _engines_agree_noiseless(panel, window: int, alphabet: int, seed: int) -> bool:
-    """Both engines must release identical histograms without noise."""
-    releases = []
-    for engine in ("vectorized", "scalar"):
-        synth = CategoricalWindowSynthesizer(
-            panel.horizon, window, alphabet, math.inf, seed=seed, engine=engine
-        )
-        releases.append(synth.run(panel))
-    first, second = releases
-    return all(
-        (first.histogram(t) == second.histogram(t)).all()
-        for t in first.released_times()
-    )
-
-
 def _binary_anchor_bit_exact(horizon: int, window: int, rho: float, seed: int) -> bool:
     """``q = 2`` categorical must equal the binary synthesizer bit for bit."""
     matrix = two_state_markov(500, horizon, 0.2, 0.3, seed=seed).matrix
     binary = FixedWindowSynthesizer(horizon, window, rho, seed=seed + 1)
-    categorical = CategoricalWindowSynthesizer(
-        horizon, window, 2, rho, seed=seed + 1, engine="vectorized"
-    )
+    categorical = CategoricalWindowSynthesizer(horizon, window, 2, rho, seed=seed + 1)
     binary_release = binary.run(LongitudinalDataset(matrix))
     categorical_release = categorical.run(CategoricalDataset(matrix, alphabet=2))
     histograms_equal = all(
@@ -84,11 +65,10 @@ def run_categorical_experiment(
     window: int = 3,
     n_individuals: int = 4000,
     horizon: int = 12,
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
-    """Run the categorical-window figure and its engine self-checks.
+    """Run the categorical-window figure and its self-checks.
 
     Parameters
     ----------
@@ -109,9 +89,6 @@ def run_categorical_experiment(
         Panel size.
     horizon:
         Number of monthly rounds ``T``.
-    engine:
-        Categorical engine for the noisy runs (``"vectorized"`` /
-        ``"scalar"``; default: resolver default, i.e. ``$REPRO_ENGINE``).
     strategy, n_jobs:
         Replication strategy knobs; ``"batched"`` softens to ``"auto"``
         because Algorithm 1 has no batched fast path (the same
@@ -121,7 +98,7 @@ def run_categorical_experiment(
     -------
     FigureResult
         One error series per query, a per-query error table, and the
-        engine-equivalence / bit-exactness checks.
+        bit-exactness checks.
     """
     alphabet = 3 if alphabet is None else int(alphabet)
     result = FigureResult(
@@ -134,7 +111,6 @@ def run_categorical_experiment(
             "n": n_individuals,
             "horizon": horizon,
             "reps": n_reps,
-            "engine": engine or "default",
             "strategy": strategy or "auto",
             "n_jobs": n_jobs,
         },
@@ -163,7 +139,6 @@ def run_categorical_experiment(
             rho,
             seed=generator,
             noise_method="vectorized",
-            engine=engine,
         )
 
     replicated = replicate_synthesizer(
@@ -201,11 +176,7 @@ def run_categorical_experiment(
         )
     result.comparison_columns = ["query", "max_mean_abs_err", "max_abs_err"]
 
-    # Engine and specialization anchors (the unified-engine contract).
-    result.check(
-        "scalar and vectorized engines release identical noiseless histograms",
-        _engines_agree_noiseless(panel, window, alphabet, seed + 2),
-    )
+    # Specialization anchor (the unified-engine contract).
     result.check(
         "q=2 categorical bit-exact with the binary synthesizer (noise + ledger)",
         _binary_anchor_bit_exact(horizon, window, rho, seed + 3),

@@ -9,9 +9,9 @@ cumulative release tracks the zero-fill ground truth as churn grows.
 
 Self-checks pinned by the test suite and the CLI exit code:
 
-* the zero-churn leg is **bit-exact** with the fixed-population path on
-  both counter engines — the whole static suite doubles as a regression
-  harness for the churn refactor;
+* the zero-churn leg is **bit-exact** with the fixed-population path —
+  the whole static suite doubles as a regression harness for the churn
+  refactor;
 * release invariants (monotone table, census equality) hold at every
   hazard;
 * the released lifespan table reproduces the panel's churn schedule.
@@ -45,7 +45,6 @@ def run_churn_experiment(
     b: int = 3,
     n_households: int = 2000,
     hazards=CHURN_HAZARDS,
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
@@ -68,8 +67,6 @@ def run_churn_experiment(
     hazards:
         Monthly attrition hazards to sweep; must include 0.0 so the
         bit-exactness anchor runs.
-    engine:
-        Counter engine for the noisy runs (default: resolver default).
     strategy, n_jobs:
         Accepted for CLI uniformity and recorded; repetitions run
         serially because the batched replication engine replays static
@@ -90,7 +87,6 @@ def run_churn_experiment(
             "n_households": n_households,
             "reps": n_reps,
             "hazards": tuple(float(h) for h in hazards),
-            "engine": engine or "default",
             "strategy": strategy or "serial",
             "n_jobs": n_jobs,
         },
@@ -112,7 +108,7 @@ def run_churn_experiment(
         horizon = panel.horizon
         times = np.arange(1, horizon + 1)
 
-        oracle = CumulativeSynthesizer(horizon, math.inf, seed=seed, engine=engine)
+        oracle = CumulativeSynthesizer(horizon, math.inf, seed=seed)
         oracle_release = oracle.run(panel)
         truth = np.array([oracle_release.answer(query, t) for t in times])
 
@@ -120,7 +116,7 @@ def run_churn_experiment(
         invariants_ok = True
         lifespan_ok = True
         for rep, child in enumerate(spawn(seed + 1, n_reps)):
-            synth = CumulativeSynthesizer(horizon, rho, seed=child, engine=engine)
+            synth = CumulativeSynthesizer(horizon, rho, seed=child)
             release = synth.run(panel)
             samples[rep] = [release.answer(query, t) for t in times]
             invariants_ok = invariants_ok and synth.check_invariants()
@@ -156,30 +152,23 @@ def run_churn_experiment(
 
         if float(hazard) == 0.0:
             # Equivalence anchor: the zero-churn dynamic path must be
-            # bit-exact with the fixed-population path, noise included,
-            # on both engines.
-            static = panel.as_longitudinal()
-            for anchor_engine in ("vectorized", "scalar"):
-                dynamic = CumulativeSynthesizer(
-                    horizon, rho, seed=seed + 2, engine=anchor_engine
-                )
-                fixed = CumulativeSynthesizer(
-                    horizon, rho, seed=seed + 2, engine=anchor_engine
-                )
-                dynamic_release = dynamic.run(panel)
-                fixed_release = fixed.run(static)
-                result.check(
-                    f"zero-churn bit-exact with static path ({anchor_engine})",
-                    bool(
-                        (
-                            dynamic_release.threshold_table()
-                            == fixed_release.threshold_table()
-                        ).all()
-                        and dynamic_release.synthetic_data()
-                        == fixed_release.synthetic_data()
-                        and dynamic.accountant.charges == fixed.accountant.charges
-                    ),
-                )
+            # bit-exact with the fixed-population path, noise included.
+            dynamic = CumulativeSynthesizer(horizon, rho, seed=seed + 2)
+            fixed = CumulativeSynthesizer(horizon, rho, seed=seed + 2)
+            dynamic_release = dynamic.run(panel)
+            fixed_release = fixed.run(panel.as_longitudinal())
+            result.check(
+                "zero-churn bit-exact with static path",
+                bool(
+                    (
+                        dynamic_release.threshold_table()
+                        == fixed_release.threshold_table()
+                    ).all()
+                    and dynamic_release.synthetic_data()
+                    == fixed_release.synthetic_data()
+                    and dynamic.accountant.charges == fixed.accountant.charges
+                ),
+            )
 
     result.comparison_columns = [
         "hazard",

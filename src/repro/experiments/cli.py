@@ -26,10 +26,8 @@ import argparse
 import sys
 
 from repro.experiments.config import (
-    ENGINES,
     STRATEGIES,
     default_attributes,
-    default_engine,
     default_n_jobs,
     default_reps,
     default_strategy,
@@ -68,17 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in (run_parser, subparsers.add_parser("all", help="run every experiment")):
         sub.add_argument("--reps", type=int, default=default_reps)
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default=_display_default(default_engine, None),
-            help=(
-                "execution engine: the batched 'vectorized' path "
-                "(default, or $REPRO_ENGINE) or the 'scalar' reference "
-                "loops — the CounterBank for Algorithm 2, the "
-                "projection/extension engine for 'run categorical'"
-            ),
-        )
         sub.add_argument(
             "--replication-strategy",
             choices=STRATEGIES,
@@ -157,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=4, help="shard count for the sharded leg"
     )
     serve_parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=_display_default(default_engine, None),
-        help="stream-counter engine for the cumulative synthesizer",
-    )
-    serve_parser.add_argument(
         "--chaos",
         action="store_true",
         help=(
@@ -191,7 +172,6 @@ def main(argv: list[str] | None = None) -> int:
             n_households=args.households,
             checkpoint_round=args.checkpoint_round,
             n_shards=args.shards,
-            engine=args.engine,
             chaos=args.chaos,
         )
         print(result.render())
@@ -200,7 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         result = get_experiment(args.experiment_id)(
             args.reps,
             seed=args.seed,
-            engine=args.engine,
             strategy=args.replication_strategy,
             n_jobs=args.n_jobs,
             alphabet=args.alphabet,
@@ -214,7 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         result = get_experiment(experiment_id)(
             args.reps,
             seed=args.seed,
-            engine=args.engine,
             strategy=args.replication_strategy,
             n_jobs=args.n_jobs,
             alphabet=args.alphabet,

@@ -9,8 +9,6 @@ from repro.analysis.metrics import SeriesSummary
 from repro.analysis.replication import STRATEGIES as _STRATEGIES
 from repro.analysis.replication import resolve_n_jobs, resolve_strategy
 from repro.analysis.tables import render_comparison_table, render_series_table
-from repro.streams.registry import ENGINES as _ENGINES
-from repro.streams.registry import resolve_engine
 
 __all__ = [
     "FigureResult",
@@ -18,10 +16,8 @@ __all__ = [
     "default_reps",
     "default_attributes",
     "resolve_attributes",
-    "default_engine",
     "default_strategy",
     "default_n_jobs",
-    "ENGINES",
     "STRATEGIES",
     "PAPER_REPS",
 ]
@@ -32,25 +28,8 @@ PAPER_REPS = 1000
 #: Default repetition count for interactive / CI runs.
 default_reps = 25
 
-#: Counter-engine choices for Algorithm 2 (see repro.streams.bank).
-ENGINES = _ENGINES
-
 #: Replication strategies (see repro.analysis.replication).
 STRATEGIES = _STRATEGIES
-
-
-def default_engine() -> str:
-    """Counter engine used by experiment runs.
-
-    Controlled by the ``REPRO_ENGINE`` environment variable
-    (``"vectorized"`` or ``"scalar"``) so any sweep or benchmark can be
-    re-run against the scalar reference engine without code changes.
-    Delegates to :func:`repro.streams.registry.resolve_engine` — the same
-    resolver every :class:`~repro.core.cumulative.CumulativeSynthesizer`
-    consults — so a typo'd value raises instead of silently re-testing
-    the default engine.
-    """
-    return resolve_engine(None)
 
 
 def default_strategy() -> str:
@@ -74,8 +53,9 @@ def default_n_jobs() -> int:
 def resolve_attributes(value: int | None) -> int:
     """Resolve an attribute count: explicit value, else ``$REPRO_ATTRIBUTES``.
 
-    The same resolver convention as :func:`repro.streams.registry.resolve_engine`:
-    ``None`` falls back to the environment variable (default 2 — the
+    The same resolver convention as
+    :func:`repro.analysis.replication.resolve_strategy`: ``None`` falls
+    back to the environment variable (default 2 — the
     employment-status x income-bracket workload of the ``multiattr``
     experiment), and an unparsable or non-positive value raises instead
     of silently running the default.
@@ -102,7 +82,8 @@ def default_attributes() -> int:
     """Attribute count used by the ``multiattr`` experiment.
 
     Controlled by the ``REPRO_ATTRIBUTES`` environment variable, the
-    same pattern as :func:`default_engine` / ``$REPRO_ENGINE``.
+    same pattern as :func:`default_strategy` /
+    ``$REPRO_REPLICATION_STRATEGY``.
     """
     return resolve_attributes(None)
 

@@ -165,7 +165,6 @@ def run_multiattr_experiment(
     window: int = 3,
     n_individuals: int = 2000,
     horizon: int = 12,
-    engine: str | None = None,
     alphabet: int | None = None,
 ) -> FigureResult:
     """Run the multi-attribute figure and its composition self-checks.
@@ -190,8 +189,6 @@ def run_multiattr_experiment(
         Panel size.
     horizon:
         Number of monthly rounds ``T``.
-    engine:
-        Categorical engine for the per-attribute window synthesizers.
     alphabet:
         Accepted for registry uniformity and ignored (the workload fixes
         each attribute's alphabet).
@@ -214,7 +211,6 @@ def run_multiattr_experiment(
             "n": n_individuals,
             "horizon": horizon,
             "reps": n_reps,
-            "engine": engine or "default",
         },
         paper_expectation=(
             "per-attribute window releases compose under one zCDP budget: "
@@ -232,7 +228,7 @@ def run_multiattr_experiment(
 
     # Ground truth from a noiseless run (exact histograms, exact debias).
     oracle = MultiAttributeSynthesizer(
-        horizon, window, math.inf, attributes=specs, seed=seed, engine=engine
+        horizon, window, math.inf, attributes=specs, seed=seed
     ).run(panels)
     truth = {
         name: np.array([oracle.answer(queries[name], t, attribute=name) for t in times])
@@ -242,7 +238,7 @@ def run_multiattr_experiment(
     samples = {name: np.empty((n_reps, len(times))) for name in panels}
     for rep, child in enumerate(spawn(seed + 1, n_reps)):
         synth = MultiAttributeSynthesizer(
-            horizon, window, rho, attributes=specs, seed=child, engine=engine
+            horizon, window, rho, attributes=specs, seed=child
         )
         release = synth.run(panels)
         for name in panels:
@@ -290,7 +286,6 @@ def run_multiattr_experiment(
         ],
         cross=[],
         seed=seed + 2,
-        engine=engine,
     )
     weighted.run({name: panels[name] for name in list(panels)[:2]})
     weighted_spends = _component_spends(weighted)

@@ -1,7 +1,7 @@
 """Experiment registry: id -> runner.
 
-Every entry takes ``(n_reps, seed, engine, strategy, n_jobs, alphabet)``
-and returns a :class:`~repro.experiments.config.FigureResult`.  The ids
+Every entry takes ``(n_reps, seed, strategy, n_jobs, alphabet,
+attributes)`` and returns a :class:`~repro.experiments.config.FigureResult`.  The ids
 match the per-experiment index in DESIGN.md §3.
 """
 
@@ -32,23 +32,21 @@ __all__ = ["EXPERIMENTS", "get_experiment", "list_experiments"]
 
 Runner = Callable[..., FigureResult]
 
-#: The CLI's uniform knob set, threaded through every registry entry.
-_KNOBS = ("engine", "strategy", "n_jobs", "alphabet", "attributes")
+_REPLICATION = ("strategy", "n_jobs")
 
 
 def _entry(
     func: Runner,
-    accepts: tuple[str, ...] = ("engine", "strategy", "n_jobs"),
+    accepts: tuple[str, ...] = _REPLICATION,
     **fixed,
 ) -> Runner:
     """Adapt an experiment function to the registry's uniform signature.
 
-    Every runner accepts the full knob set — ``engine``
-    (counter/categorical engine), ``strategy`` (replication strategy),
-    ``n_jobs`` (process-pool width), ``alphabet`` (category count for
-    the categorical figure), and ``attributes`` (attribute count for the
-    multi-attribute figure) — so the CLI can thread one flag set through
-    the whole registry.  ``accepts`` names the knobs this experiment
+    Every runner accepts the full knob set — ``strategy`` (replication
+    strategy), ``n_jobs`` (process-pool width), ``alphabet`` (category
+    count for the categorical figure), and ``attributes`` (attribute
+    count for the multi-attribute figure) — so the CLI can thread one
+    flag set through the whole registry.  ``accepts`` names the knobs this experiment
     actually consumes; the rest are accepted and dropped.  ``fixed``
     pins per-entry parameters (rho, experiment id, ...).
     """
@@ -56,14 +54,12 @@ def _entry(
     def runner(
         n_reps,
         seed=0,
-        engine=None,
         strategy=None,
         n_jobs=None,
         alphabet=None,
         attributes=None,
     ):
         knobs = {
-            "engine": engine,
             "strategy": strategy,
             "n_jobs": n_jobs,
             "alphabet": alphabet,
@@ -75,36 +71,28 @@ def _entry(
     return runner
 
 
-_REPLICATION = ("strategy", "n_jobs")
-
 EXPERIMENTS: dict[str, Runner] = {
     # Paper figures
     "fig1": _entry(
-        run_sipp_window_experiment, _REPLICATION,
-        rho=0.005, experiment_id="fig1", debias=False,
+        run_sipp_window_experiment, rho=0.005, experiment_id="fig1", debias=False,
     ),
     "fig2": _entry(
         run_sipp_cumulative_experiment, rho=0.005, experiment_id="fig2",
     ),
     "fig3": _entry(
-        run_simulated_window_experiment, _REPLICATION,
-        experiment_id="fig3", debias=True,
+        run_simulated_window_experiment, experiment_id="fig3", debias=True,
     ),
     "fig4": _entry(
-        run_simulated_window_experiment, _REPLICATION,
-        experiment_id="fig4", debias=False,
+        run_simulated_window_experiment, experiment_id="fig4", debias=False,
     ),
     "fig5": _entry(
-        run_sipp_window_experiment, _REPLICATION,
-        rho=0.001, experiment_id="fig5", debias=False,
+        run_sipp_window_experiment, rho=0.001, experiment_id="fig5", debias=False,
     ),
     "fig6": _entry(
-        run_sipp_window_experiment, _REPLICATION,
-        rho=0.005, experiment_id="fig6", debias=False,
+        run_sipp_window_experiment, rho=0.005, experiment_id="fig6", debias=False,
     ),
     "fig7": _entry(
-        run_sipp_window_experiment, _REPLICATION,
-        rho=0.05, experiment_id="fig7", debias=False,
+        run_sipp_window_experiment, rho=0.05, experiment_id="fig7", debias=False,
     ),
     "fig8": _entry(
         run_sipp_cumulative_experiment, rho=0.005, experiment_id="fig8", b=3,
@@ -119,27 +107,25 @@ EXPERIMENTS: dict[str, Runner] = {
     "sweep-rho": _entry(run_rho_sweep),
     "sweep-n": _entry(run_population_sweep),
     # Dynamic populations: attrition sweep over a churning SIPP panel,
-    # anchored by the zero-churn bit-exactness check on both engines.
+    # anchored by the zero-churn bit-exactness check.
     "churn": _entry(run_churn_experiment),
     # Multi-category extension: the categorical window synthesizer over
     # the employment-status workload, anchored by the q=2 == binary
-    # bit-exactness and scalar == vectorized engine checks.
+    # bit-exactness check.
     "categorical": _entry(
-        run_categorical_experiment, ("engine", "strategy", "n_jobs", "alphabet")
+        run_categorical_experiment, ("strategy", "n_jobs", "alphabet")
     ),
     # Multi-attribute composition: d per-attribute window engines under
     # one zCDP budget with cross-attribute marginals, anchored by the
     # d=1 == standalone-engine bit-exactness checks.
-    "multiattr": _entry(
-        run_multiattr_experiment, ("engine", "alphabet", "attributes")
-    ),
+    "multiattr": _entry(run_multiattr_experiment, ("alphabet", "attributes")),
     # Online serving walkthrough (repro.serve): round-by-round ingestion,
     # checkpoint/resume byte-identity, tamper rejection, sharded budgets.
     "serve-demo": _entry(run_serve_demo),
     # Utility frontier: padding-aware pMSE + accuracy metrics over
     # rho x horizon x algorithm, anchored by the
     # oracle < Algorithm 1 < clamping ordering check.
-    "utility": _entry(run_utility_experiment, _REPLICATION),
+    "utility": _entry(run_utility_experiment),
 }
 
 

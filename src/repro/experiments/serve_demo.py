@@ -50,7 +50,7 @@ def _load_panel(n_households: int | None, seed: int):
     return preprocess_sipp(raw)
 
 
-def _run_chaos_leg(result, columns, horizon, rho, seed, n_shards, engine) -> None:
+def _run_chaos_leg(result, columns, horizon, rho, seed, n_shards) -> None:
     """Leg 5: supervised serving under injected faults, byte-identity checked.
 
     Builds the undisturbed :class:`~repro.serve.sharded.ShardedService`
@@ -83,8 +83,7 @@ def _run_chaos_leg(result, columns, horizon, rho, seed, n_shards, engine) -> Non
     injector = FaultInjector(seed=seed)
 
     reference = ShardedService(
-        n_shards, algorithm="cumulative", horizon=horizon, rho=rho,
-        seed=seed, engine=engine,
+        n_shards, algorithm="cumulative", horizon=horizon, rho=rho, seed=seed
     )
     for column in columns:
         reference.observe(column)
@@ -98,8 +97,7 @@ def _run_chaos_leg(result, columns, horizon, rho, seed, n_shards, engine) -> Non
         cut = max(1, len(columns) // 2)
         service = SupervisedService(
             directory, n_shards=n_shards, algorithm="cumulative", seed=seed,
-            executor=executor, policy=policy,
-            horizon=horizon, rho=rho, engine=engine,
+            executor=executor, policy=policy, horizon=horizon, rho=rho,
         )
         for column in columns[:cut]:
             service.observe(column)
@@ -154,7 +152,6 @@ def run_serve_demo(
     n_households: int | None = None,
     checkpoint_round: int | None = None,
     n_shards: int = 4,
-    engine: str | None = None,
     chaos: bool = False,
     strategy: str | None = None,
     n_jobs: int | None = None,
@@ -178,8 +175,6 @@ def run_serve_demo(
         horizon // 2).
     n_shards:
         Shard count for the sharded-service leg.
-    engine:
-        Stream-counter engine forwarded to the cumulative synthesizer.
     chaos:
         Run the fault-injection leg: a supervised service survives a
         mid-stream worker kill, a corrupted checkpoint, and a torn
@@ -219,14 +214,12 @@ def run_serve_demo(
     )
 
     # -- leg 1: noiseless online stream == offline run() ----------------
-    online = StreamingSynthesizer.cumulative(
-        horizon=horizon, rho=math.inf, seed=seed, engine=engine
-    )
+    online = StreamingSynthesizer.cumulative(horizon=horizon, rho=math.inf, seed=seed)
     for column in columns:
         online.observe(column)
     from repro.core.cumulative import CumulativeSynthesizer
 
-    offline = CumulativeSynthesizer(horizon, math.inf, seed=seed, engine=engine)
+    offline = CumulativeSynthesizer(horizon, math.inf, seed=seed)
     offline.run(panel)
     result.check(
         "online releases bit-exact with offline run() (noiseless)",
@@ -239,9 +232,7 @@ def run_serve_demo(
 
     # -- leg 2: noisy stream, mid-stream checkpoint, byte-identical resume
     query = HammingAtLeast(3)
-    uninterrupted = StreamingSynthesizer.cumulative(
-        horizon=horizon, rho=rho, seed=seed, engine=engine
-    )
+    uninterrupted = StreamingSynthesizer.cumulative(horizon=horizon, rho=rho, seed=seed)
     per_round = []
     buffer = io.BytesIO()
     for round_index, column in enumerate(columns, start=1):
@@ -285,7 +276,6 @@ def run_serve_demo(
         horizon=horizon,
         rho=rho,
         seed=seed,
-        engine=engine,
     )
     for column in columns:
         service.observe(column)
@@ -309,7 +299,6 @@ def run_serve_demo(
         horizon=horizon,
         rho=math.inf,
         seed=seed,
-        engine=engine,
     )
     for column in columns:
         exact_service.observe(column)
@@ -322,7 +311,7 @@ def run_serve_demo(
     # -- leg 5 (opt-in): fault injection against the supervised service --
     if chaos:
         chaos_rho = rho if math.isfinite(rho) else 0.05
-        _run_chaos_leg(result, columns, horizon, chaos_rho, seed, n_shards, engine)
+        _run_chaos_leg(result, columns, horizon, chaos_rho, seed, n_shards)
 
     from repro.analysis.metrics import SeriesSummary
 

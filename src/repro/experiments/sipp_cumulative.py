@@ -16,7 +16,7 @@ import math
 from repro.analysis.replication import cumulative_strategy, replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data.dataset import LongitudinalDataset
-from repro.experiments.config import FigureResult, default_engine
+from repro.experiments.config import FigureResult
 from repro.experiments.sipp_window import sipp_panel
 from repro.queries.cumulative import HammingAtLeast
 from repro.rng import SeedLike
@@ -34,7 +34,6 @@ def run_sipp_cumulative_experiment(
     budget: str = "corollary_b1",
     data: LongitudinalDataset | None = None,
     noise_method: str = "vectorized",
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
@@ -51,9 +50,6 @@ def run_sipp_cumulative_experiment(
     counter / budget:
         Stream-counter name and budget split (paper: binary tree,
         Corollary B.1 weights).
-    engine:
-        Counter engine (``"vectorized"`` bank or ``"scalar"``); ``None``
-        resolves via :func:`~repro.experiments.config.default_engine`.
     strategy / n_jobs:
         Replication strategy and process-pool width for
         :func:`~repro.analysis.replication.replicate_synthesizer`; the
@@ -61,8 +57,7 @@ def run_sipp_cumulative_experiment(
         ``(R, T)`` state machine when the counter has a native bank.
     """
     panel = data if data is not None else sipp_panel()
-    engine = default_engine() if engine is None else engine
-    strategy = cumulative_strategy(strategy, engine, counter)
+    strategy = cumulative_strategy(strategy, counter)
     query = HammingAtLeast(b)
     times = list(range(1, panel.horizon + 1))
 
@@ -73,7 +68,6 @@ def run_sipp_cumulative_experiment(
             counter=counter,
             budget=budget,
             seed=generator,
-            engine=engine,
             noise_method=noise_method,
         )
 
@@ -97,7 +91,6 @@ def run_sipp_cumulative_experiment(
             "reps": n_reps,
             "counter": counter,
             "budget": budget,
-            "engine": engine,
             "strategy": strategy,
         },
         paper_expectation=(

@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis.replication import replicate_synthesizer, window_strategy
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.data.generators import two_state_markov
-from repro.experiments.config import FigureResult, default_engine
+from repro.experiments.config import FigureResult
 from repro.queries.window import AtLeastMOnes
 from repro.rng import SeedLike
 
@@ -78,20 +78,14 @@ def run_rho_sweep(
     n: int = 8000,
     rhos: tuple[float, ...] = (0.002, 0.005, 0.02, 0.05, 0.2),
     noise_method: str = "vectorized",
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
     """Error vs privacy budget at fixed population size.
 
     Theory predicts a log-log slope of −1/2 (error ∝ rho^{-1/2}).
-
-    ``engine`` is accepted for runner-signature uniformity (the CLI threads
-    one ``--engine`` flag through every experiment); the window pipeline
-    has no stream-counter bank, so it is recorded but has no effect here.
     ``strategy`` / ``n_jobs`` select the replication execution.
     """
-    engine = default_engine() if engine is None else engine
     panel = two_state_markov(n, _HORIZON, p_stay=0.85, p_enter=0.02, seed=17)
     rows = []
     errors = []
@@ -105,7 +99,7 @@ def run_rho_sweep(
     result = FigureResult(
         experiment_id="sweep-rho",
         title="Debiased error vs privacy budget rho (fixed n)",
-        parameters={"n": n, "T": _HORIZON, "k": _WINDOW, "reps": n_reps, "engine": engine},
+        parameters={"n": n, "T": _HORIZON, "k": _WINDOW, "reps": n_reps},
         paper_expectation=(
             "Theorem 3.2: error scales like rho^(-1/2); fitted log-log "
             "slope should be near -0.5."
@@ -126,7 +120,6 @@ def run_population_sweep(
     rho: float = 0.02,
     sizes: tuple[int, ...] = (1000, 2000, 4000, 8000, 16000),
     noise_method: str = "vectorized",
-    engine: str | None = None,
     strategy: str | None = None,
     n_jobs: int | None = None,
 ) -> FigureResult:
@@ -134,11 +127,8 @@ def run_population_sweep(
 
     Theory predicts a log-log slope of −1 (error ∝ 1/n): the count-scale
     noise is independent of ``n``, so the fraction-scale error shrinks
-    linearly.  ``engine`` is accepted for runner-signature uniformity and
-    recorded; the window pipeline has no stream-counter bank.
-    ``strategy`` / ``n_jobs`` select the replication execution.
+    linearly.  ``strategy`` / ``n_jobs`` select the replication execution.
     """
-    engine = default_engine() if engine is None else engine
     rows = []
     errors = []
     for n in sizes:
@@ -152,7 +142,7 @@ def run_population_sweep(
     result = FigureResult(
         experiment_id="sweep-n",
         title="Debiased error vs population size n (fixed rho)",
-        parameters={"rho": rho, "T": _HORIZON, "k": _WINDOW, "reps": n_reps, "engine": engine},
+        parameters={"rho": rho, "T": _HORIZON, "k": _WINDOW, "reps": n_reps},
         paper_expectation=(
             "Corollary 3.3: fraction-scale error scales like 1/n; fitted "
             "log-log slope should be near -1."

@@ -15,9 +15,8 @@ of the synthesizers' incremental ``observe`` step:
   versioned bundle, and :meth:`restore` resumes from it with
   byte-identical future releases, noise included;
 * **a uniform round API** — :meth:`observe` works identically for
-  every algorithm and both counter engines, and per-round releases are
-  bit-exact (noiseless mode) with the equivalent offline ``run()`` on
-  the concatenated panel.
+  every algorithm, and per-round releases are bit-exact (noiseless
+  mode) with the equivalent offline ``run()`` on the concatenated panel.
 
 Example
 -------

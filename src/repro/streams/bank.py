@@ -58,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler, calibrate_sigma_sq
-from repro.dp.discrete_laplace import DiscreteLaplaceSampler
+from repro.dp.discrete_laplace import DiscreteLaplaceSampler, calibrate_laplace_scale
 from repro.exceptions import ConfigurationError, SerializationError, StreamLengthError
 from repro.rng import (
     SeedLike,
@@ -94,8 +94,8 @@ class CounterBank(abc.ABC):
     seeds:
         Either a single :data:`~repro.rng.SeedLike` (spawned into per-row
         children) or an explicit length-``T`` sequence of per-row seeds —
-        the synthesizer passes its spawned counter seeds so that the
-        fallback path reproduces the scalar engine exactly.
+        the synthesizer passes its spawned counter seeds, so a fallback
+        row ``b`` draws from the synthesizer's seed for threshold ``b``.
     noise_method:
         ``"exact"`` or ``"vectorized"`` noise backend, forwarded to the
         batched samplers (and to wrapped counters in the fallback).
@@ -453,7 +453,7 @@ class CounterBank(abc.ABC):
 
         The scalar counters' calibration (:func:`calibrate_sigma_sq`, never
         below the exact value), so exact-mode noise has the same
-        distribution as the scalar engine.  ``rho_rows`` defaults to the
+        distribution as the scalar counters'.  ``rho_rows`` defaults to the
         full per-threshold budget vector; :meth:`extend_rows` passes just
         the appended rows' budgets.
         """
@@ -658,7 +658,9 @@ class LaplaceTreeBank(_TreeBankCore):
     """Batched :class:`~repro.streams.laplace_tree.LaplaceTreeCounter` rows.
 
     Per-row discrete Laplace scale ``L_b / eps_b`` with
-    ``eps_b = sqrt(2 rho_b)`` — the pure-DP tree variant.
+    ``eps_b = sqrt(2 rho_b)``, rounded up by
+    :func:`~repro.dp.discrete_laplace.calibrate_laplace_scale` — the
+    pure-DP tree variant.
     """
 
     def __init__(
@@ -668,19 +670,19 @@ class LaplaceTreeBank(_TreeBankCore):
             horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method,
             n_reps=n_reps,
         )
-        self.scale_rows = []
-        for levels_b, rho_b in zip(self.levels, self.rho_per_threshold):
-            if math.isinf(rho_b):
-                self.scale_rows.append(Fraction(0))
-            else:
-                epsilon = math.sqrt(2.0 * rho_b)
-                self.scale_rows.append(
-                    Fraction(int(levels_b)) / Fraction(epsilon).limit_denominator(10**9)
-                )
+        self.scale_rows = self._calibrate(self.levels, self.rho_per_threshold)
         self._scale_float = np.array([float(s) for s in self.scale_rows], dtype=np.float64)
         self._sampler = DiscreteLaplaceSampler(
             1, seed=self._generator, method=self.noise_method
         )
+
+    @staticmethod
+    def _calibrate(levels, rho_rows) -> list[Fraction]:
+        """Per-row scales; noiseless (``rho = inf``) rows get 0."""
+        return [
+            Fraction(0) if math.isinf(rho_b) else calibrate_laplace_scale(int(levels_b), rho_b)
+            for levels_b, rho_b in zip(levels, rho_rows)
+        ]
 
     def _round_noise(self, t: int) -> np.ndarray:
         scales = (
@@ -710,15 +712,7 @@ class LaplaceTreeBank(_TreeBankCore):
         return extra
 
     def _append_rows_noise(self, k: int) -> None:
-        appended = []
-        for levels_b, rho_b in zip(self.levels[-k:], self.rho_per_threshold[-k:]):
-            if math.isinf(rho_b):
-                appended.append(Fraction(0))
-            else:
-                epsilon = math.sqrt(2.0 * rho_b)
-                appended.append(
-                    Fraction(int(levels_b)) / Fraction(epsilon).limit_denominator(10**9)
-                )
+        appended = self._calibrate(self.levels[-k:], self.rho_per_threshold[-k:])
         self.scale_rows = list(self.scale_rows) + appended
         self._scale_float = np.concatenate(
             [self._scale_float, np.array([float(s) for s in appended])]
@@ -850,11 +844,13 @@ class SqrtFactorizationBank(CounterBank):
 class FallbackBank(CounterBank):
     """Adapter running any registered scalar counter behind the bank API.
 
-    Keeps every counter name usable with ``engine="vectorized"``: row ``b``
-    is a lazily-created scalar :class:`~repro.streams.base.StreamCounter`
-    seeded from the bank's per-row seed stream, so the outputs are
-    *identical* to the scalar engine under the same seeds — the per-round
-    cost stays scalar, which is what the native banks above eliminate.
+    Keeps every registered counter name (and any ``counter_kwargs``)
+    usable in :class:`~repro.core.cumulative.CumulativeSynthesizer`: row
+    ``b`` is a scalar :class:`~repro.streams.base.StreamCounter` created
+    at round ``b`` and seeded with the bank's row seed ``b - 1``, so each
+    row runs exactly the per-threshold counter Algorithm 2 describes.
+    The per-round cost stays one Python call per active row, which is
+    what the native banks above eliminate.
     """
 
     def __init__(

@@ -10,8 +10,10 @@ sensitivity-1 release at ``eps / L``).
 To slot into Algorithm 2's zCDP accounting, the constructor takes ``rho``
 like every other counter and converts via the standard implication
 ``eps``-DP ⟹ ``(eps^2 / 2)``-zCDP, i.e. ``eps = sqrt(2 rho)``; the counter
-then satisfies *both* ``sqrt(2 rho)``-pure-DP and ``rho``-zCDP.  Use
-:meth:`from_epsilon` to parameterize by the pure-DP budget directly.
+then satisfies *both* ``sqrt(2 rho)``-pure-DP and ``rho``-zCDP, because
+:func:`~repro.dp.discrete_laplace.calibrate_laplace_scale` rounds the scale
+up.  Use :meth:`from_epsilon` to parameterize by the pure-DP budget
+directly.
 
 Laplace noise has heavier tails than the discrete Gaussian at the same zCDP
 level, so this counter generally loses the accuracy comparison
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from repro.dp.discrete_laplace import DiscreteLaplaceSampler
+from repro.dp.discrete_laplace import DiscreteLaplaceSampler, calibrate_laplace_scale
 from repro.exceptions import ConfigurationError
 from repro.streams.base import StreamCounter
 from repro.streams.binary_tree import _lowest_set_bit
@@ -54,9 +56,7 @@ class LaplaceTreeCounter(StreamCounter):
             self.scale = Fraction(0)
         else:
             self.epsilon = math.sqrt(2.0 * self.rho)
-            self.scale = Fraction(self.levels) / Fraction(self.epsilon).limit_denominator(
-                10**9
-            )
+            self.scale = calibrate_laplace_scale(self.levels, self.rho)
         self._sampler = (
             None
             if self.scale == 0

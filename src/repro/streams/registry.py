@@ -9,12 +9,12 @@ The *bank* registry maps the same names to vectorized
 ``T`` per-threshold counters as one batched NumPy state machine.  Names
 without a native bank transparently fall back to
 :class:`~repro.streams.bank.FallbackBank`, so every registered counter —
-including third-party ones — works with ``engine="vectorized"``.
+including third-party ones — works in
+:class:`~repro.core.cumulative.CumulativeSynthesizer`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Type
 
 from repro.exceptions import ConfigurationError
@@ -31,56 +31,10 @@ __all__ = [
     "register_bank",
     "make_bank",
     "available_banks",
-    "resolve_engine",
-    "ENGINES",
 ]
 
 _REGISTRY: dict[str, Type[StreamCounter]] = {}
 _BANK_REGISTRY: dict[str, "Type[CounterBank]"] = {}
-
-#: Counter-engine choices for Algorithm 2: the batched CounterBank or the
-#: one-object-per-threshold scalar reference path.
-ENGINES = ("vectorized", "scalar")
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve and validate a counter-engine choice.
-
-    ``None`` consults the ``REPRO_ENGINE`` environment variable (so a CI
-    job or sweep can flip *every* synthesizer in the process to the scalar
-    reference path) and defaults to ``"vectorized"`` when it is unset.
-    Unrecognized values — explicit or from the environment — raise instead
-    of silently falling back: a typo like ``REPRO_ENGINE=sclar`` must not
-    re-test the default engine while claiming to cover the other one.
-
-    Parameters
-    ----------
-    engine:
-        ``"vectorized"``, ``"scalar"``, or ``None`` (consult the
-        environment, then default).
-
-    Returns
-    -------
-    str
-        The validated engine name.
-
-    Raises
-    ------
-    repro.exceptions.ConfigurationError
-        On any unrecognized value, explicit or environmental.
-    """
-    if engine is None:
-        env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-        if not env:
-            return "vectorized"
-        if env not in ENGINES:
-            raise ConfigurationError(
-                f"REPRO_ENGINE must be one of {ENGINES}, got {env!r}"
-            )
-        return env
-    if engine not in ENGINES:
-        raise ConfigurationError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 def register_counter(name: str) -> Callable[[Type[StreamCounter]], Type[StreamCounter]]:
@@ -162,9 +116,8 @@ def restore_counter(
     """Rebuild a counter from a checkpoint payload.
 
     The one place that knows how to reconstruct a registered counter and
-    re-apply its serialized state — shared by the scalar engine
-    (``CumulativeSynthesizer.load_state``) and the vectorized fallback
-    bank so the two restore paths cannot drift.
+    re-apply its serialized state; :class:`~repro.streams.bank.FallbackBank`
+    restores its wrapped counters through it.
 
     Parameters
     ----------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles.scalar import fallback_reference
 from repro.analysis.replication import replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
@@ -162,13 +163,11 @@ class TestReplicateSynthesizer:
             )
 
 
-def cumulative_factory(panel, rho=math.inf, engine="vectorized", counter="binary_tree"):
-    # engine is pinned (not env-resolved): the batched-strategy tests need
-    # the native bank even when the suite runs under REPRO_ENGINE=scalar.
+def cumulative_factory(panel, rho=math.inf, counter="binary_tree"):
     def factory(generator):
         return CumulativeSynthesizer(
             horizon=panel.horizon, rho=rho, counter=counter, seed=generator,
-            engine=engine, noise_method="vectorized",
+            noise_method="vectorized",
         )
 
     return factory
@@ -286,9 +285,11 @@ class TestStrategies:
             )
 
     def test_explicit_batched_rejects_scalar_engine(self, small_markov_panel):
+        # Per-threshold scalar counters have no rep axis to batch over.
+        factory = cumulative_factory(small_markov_panel)
         with pytest.raises(ConfigurationError):
             replicate_synthesizer(
-                cumulative_factory(small_markov_panel, engine="scalar"),
+                lambda generator: fallback_reference(factory(generator)),
                 small_markov_panel,
                 [HammingAtLeast(1)],
                 [4],
@@ -384,12 +385,11 @@ class TestStrategySoftening:
         from repro.analysis.replication import cumulative_strategy
 
         monkeypatch.delenv("REPRO_REPLICATION_STRATEGY", raising=False)
-        assert cumulative_strategy("batched", "vectorized", "binary_tree") == "batched"
-        assert cumulative_strategy("batched", "scalar", "binary_tree") == "auto"
-        assert cumulative_strategy("batched", "vectorized", "honaker") == "auto"
-        assert cumulative_strategy("serial", "scalar", "honaker") == "serial"
+        assert cumulative_strategy("batched", "binary_tree") == "batched"
+        assert cumulative_strategy("batched", "honaker") == "auto"
+        assert cumulative_strategy("serial", "honaker") == "serial"
         monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "batched")
-        assert cumulative_strategy(None, "vectorized", "honaker") == "auto"
+        assert cumulative_strategy(None, "honaker") == "auto"
 
     def test_window_experiment_runs_under_batched_env(
         self, small_markov_panel, monkeypatch

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.scalar import fallback_reference
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.core.monotonize import is_monotone_table
@@ -171,10 +172,16 @@ class TestDynamicPanel:
         assert a.churned
 
 
+def _cumulative(engine, *args, **kwargs):
+    """A cumulative synthesizer; ``"scalar"`` runs it on per-threshold counters."""
+    synth = CumulativeSynthesizer(*args, **kwargs)
+    return fallback_reference(synth) if engine == "scalar" else synth
+
+
 class TestCumulativeChurn:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_noiseless_matches_zero_filled_truth(self, churned_panel, engine):
-        synth = CumulativeSynthesizer(10, math.inf, seed=0, engine=engine)
+        synth = _cumulative(engine, 10, math.inf, seed=0)
         release = synth.run(churned_panel)
         full = churned_panel.as_longitudinal()
         entry = churned_panel.entry_round
@@ -189,8 +196,8 @@ class TestCumulativeChurn:
     def test_zero_churn_bit_exact_with_static_path_under_noise(self, engine):
         static = iid_bernoulli(50, 8, 0.35, seed=4)
         dynamic = apply_churn(static, 0.0, 0.0, seed=0)
-        a = CumulativeSynthesizer(8, 0.4, seed=9, engine=engine)
-        b = CumulativeSynthesizer(8, 0.4, seed=9, engine=engine)
+        a = _cumulative(engine, 8, 0.4, seed=9)
+        b = _cumulative(engine, 8, 0.4, seed=9)
         release_a = a.run(static)
         release_b = b.run(dynamic)
         assert (release_a.threshold_table() == release_b.threshold_table()).all()
@@ -267,13 +274,15 @@ class TestCumulativeChurn:
 
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_checkpoint_restore_mid_churn_byte_identity(self, churned_panel, engine):
-        uninterrupted = CumulativeSynthesizer(10, 0.4, seed=3, engine=engine)
-        paused = CumulativeSynthesizer(10, 0.4, seed=3, engine=engine)
+        uninterrupted = _cumulative(engine, 10, 0.4, seed=3)
+        paused = _cumulative(engine, 10, 0.4, seed=3)
         events = list(churned_panel.rounds())
         for column, entrants, exits in events[:6]:
             uninterrupted.observe(column, entrants=entrants, exits=exits)
             paused.observe(column, entrants=entrants, exits=exits)
         resumed = CumulativeSynthesizer.from_config(paused.config_dict())
+        if engine == "scalar":
+            fallback_reference(resumed)
         resumed.load_state(paused.state_dict())
         for column, entrants, exits in events[6:]:
             uninterrupted.observe(column, entrants=entrants, exits=exits)

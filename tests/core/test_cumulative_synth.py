@@ -8,7 +8,12 @@ import pytest
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.monotonize import is_monotone_table
 from repro.data.generators import iid_bernoulli
-from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
+from repro.exceptions import (
+    ConfigurationError,
+    DataValidationError,
+    NotFittedError,
+    SerializationError,
+)
 from repro.queries.cumulative import HammingAtLeast, HammingExactly
 from repro.queries.window import AllOnes
 from repro.streams.registry import available_counters
@@ -225,19 +230,25 @@ class TestStreamingAPI:
 
 
 class TestLazyMaterialization:
-    """Lazy vs eager synthetic-store materialization (bit-exact contract)."""
+    """Lazy synthetic records equal records drawn every round (bit-exact contract).
+
+    "Eager" is the lazy synthesizer with the panel requested after every
+    round, which draws each round's records as soon as they are
+    prescribed.
+    """
 
     def _run(self, panel, materialize, seed=21, rho=0.05):
         synth = CumulativeSynthesizer(
-            horizon=panel.horizon, rho=rho, seed=seed,
-            noise_method="vectorized", materialize=materialize,
+            horizon=panel.horizon, rho=rho, seed=seed, noise_method="vectorized"
         )
-        synth.run(panel)
+        for column in panel.columns():
+            synth.observe(column)
+            if materialize == "eager":
+                synth.release.synthetic_data()
         return synth
 
     def test_lazy_is_default_and_defers_draws(self, small_markov_panel):
         synth = self._run(small_markov_panel, "lazy")
-        assert synth.materialize == "lazy"
         # No record has been drawn yet: the store clock is still at zero.
         assert synth._store.t == 0
         panel = synth.release.synthetic_data()
@@ -266,23 +277,26 @@ class TestLazyMaterialization:
     def test_interleaved_requests_match_eager(self, small_markov_panel, rho):
         # Requesting the panel mid-stream must not disturb the replayed
         # generator order: draws happen in release order either way.
-        columns = list(small_markov_panel.columns())
-        synths = {}
-        for mode in ("lazy", "eager"):
-            synth = CumulativeSynthesizer(
-                horizon=small_markov_panel.horizon, rho=rho, seed=5,
-                noise_method="vectorized", materialize=mode,
-            )
-            for i, column in enumerate(columns):
-                synth.observe(column)
-                if i == 3:
-                    synth.release.synthetic_data()
-            synths[mode] = synth
+        lazy = CumulativeSynthesizer(
+            horizon=small_markov_panel.horizon, rho=rho, seed=5,
+            noise_method="vectorized",
+        )
+        for i, column in enumerate(small_markov_panel.columns()):
+            lazy.observe(column)
+            if i == 3:
+                lazy.release.synthetic_data()
+        eager = self._run(small_markov_panel, "eager", seed=5, rho=rho)
         assert (
-            synths["lazy"].release.synthetic_data().matrix
-            == synths["eager"].release.synthetic_data().matrix
+            lazy.release.synthetic_data().matrix
+            == eager.release.synthetic_data().matrix
         ).all()
 
     def test_materialize_validated(self):
-        with pytest.raises(ConfigurationError):
-            CumulativeSynthesizer(horizon=4, rho=1.0, materialize="sometimes")
+        # Older configs name the materialization mode; both legacy modes
+        # restore, anything else fails closed.
+        config = CumulativeSynthesizer(horizon=4, rho=1.0).config_dict()
+        assert "materialize" not in config
+        for mode in ("lazy", "eager"):
+            CumulativeSynthesizer.from_config({**config, "materialize": mode})
+        with pytest.raises(SerializationError):
+            CumulativeSynthesizer.from_config({**config, "materialize": "sometimes"})

@@ -46,19 +46,26 @@ class TestDefensiveCopies:
 
 class TestCounterKwargsPlumbing:
     def test_block_size_reaches_counters(self, small_markov_panel):
+        # counter_kwargs travel in the config, so counters restored from a
+        # checkpoint (and those activating after it) keep them too.
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon,
             rho=0.1,
             counter="block",
             counter_kwargs={"block_size": 2},
             seed=3,
-            engine="scalar",
             noise_method="vectorized",
         )
-        synth.run(small_markov_panel)
-        assert synth._counters  # scalar engine materializes the counters
-        assert all(c.block_size == 2 for c in synth._counters.values())
-        assert synth.check_invariants()
+        columns = list(small_markov_panel.columns())
+        for column in columns[:4]:
+            synth.observe(column)
+        restored = CumulativeSynthesizer.from_config(synth.config_dict())
+        restored.load_state(synth.state_dict())
+        for column in columns[4:]:
+            restored.observe(column)
+        assert len(restored.bank.counters) == small_markov_panel.horizon
+        assert all(c.block_size == 2 for c in restored.bank.counters)
+        assert restored.check_invariants()
 
     def test_block_size_reaches_bank_counters(self, small_markov_panel):
         # counter_kwargs route through the fallback bank's wrapped counters.
@@ -68,11 +75,10 @@ class TestCounterKwargsPlumbing:
             counter="block",
             counter_kwargs={"block_size": 2},
             seed=3,
-            engine="vectorized",
             noise_method="vectorized",
         )
         synth.run(small_markov_panel)
-        assert synth.bank is not None and synth.bank.counters
+        assert synth.bank.counters
         assert all(c.block_size == 2 for c in synth.bank.counters)
         assert synth.check_invariants()
 

@@ -6,17 +6,21 @@ The contract of the PR that introduced :mod:`repro.core.window_engine`:
   synthesizer at ``alphabet=2`` is **bit-exact** with
   :class:`FixedWindowSynthesizer` (noise draws, synthetic records, and
   zCDP ledger included);
-* the vectorized and scalar categorical engines implement the same
-  algorithm (identical noiseless releases, identical assignment law);
+* the batched categorical projection and extension implement the same
+  algorithm as the per-group/per-record reference loops of
+  ``tests/oracles/scalar.py`` (identical noiseless releases, identical
+  assignment laws);
 * churn (``entrants=`` / ``exits=``) works through the categorical round
   loop exactly as it does through the binary one.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from oracles.scalar import scalar_assign, scalar_group_correction, scalar_loops
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.consistency import (
     apply_group_correction,
@@ -35,7 +39,7 @@ from repro.core.synthetic_store import (
 from repro.data.categorical import CategoricalDataset, categorical_markov
 from repro.data.dataset import LongitudinalDataset
 from repro.data.generators import two_state_markov
-from repro.exceptions import ConfigurationError, ConsistencyError
+from repro.exceptions import ConfigurationError, ConsistencyError, SerializationError
 from repro.queries.categorical import CategoryAtLeastM
 from repro.rng import as_generator
 
@@ -65,9 +69,7 @@ class TestBinaryIsTheQ2SpecialCase:
     def test_bit_exact_under_noise(self, binary_matrix, window):
         horizon = binary_matrix.shape[1]
         binary = FixedWindowSynthesizer(horizon, window, 0.05, seed=11)
-        categorical = CategoricalWindowSynthesizer(
-            horizon, window, 2, 0.05, seed=11, engine="vectorized"
-        )
+        categorical = CategoricalWindowSynthesizer(horizon, window, 2, 0.05, seed=11)
         binary.run(LongitudinalDataset(binary_matrix))
         categorical.run(CategoricalDataset(binary_matrix, alphabet=2))
         for left, right in zip(_fingerprint(binary), _fingerprint(categorical)):
@@ -81,15 +83,13 @@ class TestBinaryIsTheQ2SpecialCase:
     def test_same_padding_and_config_shape(self, binary_matrix):
         horizon = binary_matrix.shape[1]
         binary = FixedWindowSynthesizer(horizon, 3, 0.05, seed=1)
-        categorical = CategoricalWindowSynthesizer(
-            horizon, 3, 2, 0.05, seed=1, engine="vectorized"
-        )
+        categorical = CategoricalWindowSynthesizer(horizon, 3, 2, 0.05, seed=1)
         assert binary.padding.n_pad == categorical.padding.n_pad
         assert binary.config_dict()["algorithm"] == "fixed_window"
         config = categorical.config_dict()
         assert config["algorithm"] == "categorical_window"
         assert config["alphabet"] == 2
-        assert config["engine"] == "vectorized"
+        assert "engine" not in config
 
     def test_q2_release_keeps_the_categorical_contract(self, binary_matrix):
         # The shared store hands q = 2 panels back as binary datasets;
@@ -104,25 +104,36 @@ class TestBinaryIsTheQ2SpecialCase:
         wide = CategoryAtLeastM(3, 2, category=1, m=1)
         assert np.isfinite(release.answer(wide, horizon, debias=False))
 
-    def test_binary_ignores_repro_engine_env(self, binary_matrix, monkeypatch):
-        # The binary specialization pins its bit-exact vectorized path.
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
+    def test_binary_ignores_repro_engine_env(self, binary_matrix, q3_panel, monkeypatch):
+        # There is one engine: a leftover REPRO_ENGINE changes no byte,
+        # binary or categorical.
         horizon = binary_matrix.shape[1]
-        synth = FixedWindowSynthesizer(horizon, 2, 0.05, seed=5)
-        assert synth.engine == "vectorized"
-        categorical = CategoricalWindowSynthesizer(horizon, 2, 3, 0.05, seed=5)
-        assert categorical.engine == "scalar"
+        fingerprints = []
+        for value in (None, "scalar"):
+            if value is None:
+                monkeypatch.delenv("REPRO_ENGINE", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_ENGINE", value)
+            binary = FixedWindowSynthesizer(horizon, 2, 0.05, seed=5)
+            binary.run(LongitudinalDataset(binary_matrix))
+            categorical = CategoricalWindowSynthesizer(q3_panel.horizon, 2, 3, 0.05, seed=5)
+            categorical.run(q3_panel)
+            fingerprints.append(_fingerprint(binary) + _fingerprint(categorical))
+        for left, right in zip(*fingerprints):
+            assert (left == right).all()
 
 
 class TestEngineEquivalence:
+    """The product against the reference loops patched in by ``scalar_loops``."""
+
     def test_noiseless_releases_identical(self, q3_panel):
-        releases = [
-            CategoricalWindowSynthesizer(
-                q3_panel.horizon, 2, 3, math.inf, seed=7, engine=engine
+        first = CategoricalWindowSynthesizer(
+            q3_panel.horizon, 2, 3, math.inf, seed=7
+        ).run(q3_panel)
+        with scalar_loops():
+            second = CategoricalWindowSynthesizer(
+                q3_panel.horizon, 2, 3, math.inf, seed=7
             ).run(q3_panel)
-            for engine in ("vectorized", "scalar")
-        ]
-        first, second = releases
         assert first.released_times() == second.released_times()
         for t in first.released_times():
             assert (first.histogram(t) == second.histogram(t)).all()
@@ -130,17 +141,21 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_census_matches_histograms_under_noise(self, q3_panel, engine):
         synth = CategoricalWindowSynthesizer(
-            q3_panel.horizon, 2, 3, 0.2, seed=8, engine=engine,
-            noise_method="vectorized",
+            q3_panel.horizon, 2, 3, 0.2, seed=8, noise_method="vectorized"
         )
-        release = synth.run(q3_panel)
+        with scalar_loops() if engine == "scalar" else contextlib.nullcontext():
+            release = synth.run(q3_panel)
         for t in release.released_times():
             census = release.synthetic_data(t).suffix_histogram(t, 2)
             assert (census == release.histogram(t)).all()
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CategoricalWindowSynthesizer(6, 2, 3, 0.1, engine="sclar")
+        # Only the vectorized engine's configs can be continued.
+        config = CategoricalWindowSynthesizer(6, 2, 3, 0.1).config_dict()
+        CategoricalWindowSynthesizer.from_config({**config, "engine": "vectorized"})
+        for engine in ("scalar", "sclar"):
+            with pytest.raises(SerializationError):
+                CategoricalWindowSynthesizer.from_config({**config, "engine": engine})
 
 
 class TestAssignWithinGroups:
@@ -204,12 +219,11 @@ class TestGroupCorrection:
 
     @pytest.mark.parametrize("method", ["vectorized", "scalar"])
     def test_group_sums_preserved(self, method):
+        correct = apply_group_correction if method == "vectorized" else scalar_group_correction
         generator = as_generator(2)
         previous = generator.integers(0, 25, size=27).astype(np.int64)
         noisy = previous + generator.integers(-6, 7, size=27)
-        corrected, _ = apply_group_correction(
-            previous, noisy, 3, generator, method=method
-        )
+        corrected, _ = correct(previous, noisy, 3, generator)
         assert check_group_consistency(previous, corrected, 3)
 
     def test_vectorized_residue_uniform(self):
@@ -221,22 +235,39 @@ class TestGroupCorrection:
         totals = np.zeros(3)
         trials = 300
         for seed in range(trials):
-            corrected, _ = apply_group_correction(
-                previous, noisy, 3, as_generator(seed), method="vectorized"
-            )
+            corrected, _ = apply_group_correction(previous, noisy, 3, as_generator(seed))
             totals += corrected[0:3]
         expected = np.array([1, 1, 0]) + 2 / 3
         assert np.abs(totals / trials - expected).max() < 0.15
 
-    def test_invalid_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            apply_group_correction(
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                2,
-                as_generator(0),
-                method="loop",
-            )
+    @pytest.mark.parametrize(
+        "correct, assign",
+        [
+            (apply_group_correction, _assign_within_groups),
+            (scalar_group_correction, scalar_assign),
+        ],
+        ids=["product", "oracle"],
+    )
+    def test_residue_and_label_laws(self, correct, assign):
+        # Residue D_z = 2 over q = 3 children: each child gains 1 w.p.
+        # residue/q = 2/3.  One group of 6 records with label quotas
+        # (3, 2, 1): every record gets label l w.p. quota_l / 6.
+        previous = np.zeros(9, dtype=np.int64)
+        previous[0] = 4
+        noisy = np.zeros(9, dtype=np.int64)
+        noisy[0:3] = [1, 1, 0]
+        group_of = np.zeros(6, dtype=np.int64)
+        quotas = np.array([[3, 2, 1]])
+        trials = 600
+        gains = np.zeros(3)
+        hits = np.zeros((6, 3))
+        for seed in range(trials):
+            generator = as_generator(seed)
+            corrected, _ = correct(previous, noisy, 3, generator)
+            gains += corrected[0:3] - noisy[0:3]
+            hits[np.arange(6), assign(group_of, 1, quotas, generator)] += 1
+        assert np.abs(gains / trials - 2 / 3).max() < 0.08
+        assert np.abs(hits / trials - quotas / 6).max() < 0.08
 
     def test_binary_projection_unchanged(self):
         # The q = 2 engine path must keep using the paired correction,

@@ -30,7 +30,7 @@ def _public_symbols():
         (repro.serve, list(repro.serve.__all__)),
         (
             repro.streams.registry,
-            [n for n in repro.streams.registry.__all__ if n != "ENGINES"],
+            list(repro.streams.registry.__all__),
         ),
     ]
     for module, names in surfaces:

@@ -3,8 +3,10 @@
 Every mechanism turns a float budget into a discrete-Gaussian variance
 through :func:`repro.dp.discrete_gaussian.calibrate_sigma_sq`, which works
 on the exact rational of the float (``Fraction(rho)`` is exact) and only
-ever rounds the variance up.  These tests pin that down at budgets far
-below anything a rounded rational could resolve.
+ever rounds the variance up; the pure-DP Laplace tree does the same for its
+scale through :func:`repro.dp.discrete_laplace.calibrate_laplace_scale`.
+These tests pin that down at budgets far below anything a rounded rational
+could resolve.
 """
 
 import math
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.budget import allocate_budget
 from repro.core.cumulative import CumulativeSynthesizer
@@ -21,8 +25,9 @@ from repro.dp.discrete_gaussian import (
     calibrate_sigma_sq,
     upper_sigma_sq,
 )
+from repro.dp.discrete_laplace import DiscreteLaplaceSampler, calibrate_laplace_scale
 from repro.dp.mechanisms import GaussianHistogramMechanism
-from repro.streams.bank import BinaryTreeBank, SimpleBank
+from repro.streams.bank import BinaryTreeBank, LaplaceTreeBank, SimpleBank
 from repro.streams.registry import make_counter
 
 #: From ordinary budgets down to 1e-12, including the row budgets at which
@@ -32,6 +37,11 @@ BUDGETS = [1.0, 0.3, 0.005, 1e-4, 3e-10, 2.32e-10, 1.76e-10, 1e-11, 1e-12]
 
 def _realized(numerator, sigma_sq) -> Fraction:
     return Fraction(numerator) / (2 * Fraction(sigma_sq))
+
+
+def _realized_laplace(levels, scale) -> Fraction:
+    """``levels`` nodes of scale ``s`` are ``(levels/s)``-DP: ``(levels/s)^2/2``-zCDP."""
+    return _realized(int(levels) ** 2, Fraction(scale) ** 2)
 
 
 @pytest.mark.parametrize("rho", BUDGETS)
@@ -69,14 +79,51 @@ def test_every_bank_row_realizes_at_most_its_budget(bank_cls, rho):
 
 
 @pytest.mark.parametrize("rho", [0.005, 3e-10, 1e-12])
-@pytest.mark.parametrize("name", ["binary_tree", "simple", "honaker", "block"])
+@pytest.mark.parametrize(
+    "name", ["binary_tree", "simple", "honaker", "block", "laplace_tree"]
+)
 def test_scalar_counters_realize_at_most_their_budget(name, rho):
     counter = make_counter(name, horizon=16, rho=rho, seed=0)
+    if name == "laplace_tree":
+        assert _realized_laplace(counter.levels, counter.scale) <= Fraction(rho)
+        return
     # Per-node cost times the nodes an element touches: L for the trees,
     # T for the simple counter, 2 for the block counter.
     touched = {"binary_tree": counter.horizon.bit_length(), "simple": 16, "block": 2}
     touched["honaker"] = touched["binary_tree"]
     assert _realized(touched[name], counter.sigma_sq) <= Fraction(rho)
+
+
+@pytest.mark.parametrize("rho", BUDGETS)
+@pytest.mark.parametrize("levels", [1, 4, 9, 12])
+def test_laplace_helper_never_realizes_more_than_the_budget(levels, rho):
+    scale = calibrate_laplace_scale(levels, rho)
+    assert _realized_laplace(levels, scale) <= Fraction(rho)
+    # ... and is the smallest scale on its 1e-9 grid that does so.
+    assert _realized_laplace(levels, scale - Fraction(1, 10**9)) > Fraction(rho)
+
+
+@pytest.mark.parametrize("rho", [0.005, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("horizon", [12, 64, 512])
+def test_every_laplace_bank_row_realizes_at_most_its_budget(horizon, rho):
+    rho_rows = allocate_budget(horizon, rho, "corollary_b1")
+    bank = LaplaceTreeBank(horizon, rho_rows, seeds=0, noise_method="exact")
+    for levels, scale, rho_b in zip(bank.levels, bank.scale_rows, rho_rows):
+        assert _realized_laplace(levels, scale) <= Fraction(float(rho_b))
+    # Rows appended by extend_rows are calibrated by the same rule.
+    rho_new = allocate_budget(8, rho, "corollary_b1")
+    bank.extend_rows(8, rho_new)
+    for levels, scale, rho_b in zip(bank.levels[-8:], bank.scale_rows[-8:], rho_new):
+        assert _realized_laplace(levels, scale) <= Fraction(float(rho_b))
+
+
+@given(st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False))
+def test_laplace_sampler_never_rounds_a_scale_down(scale):
+    for method in ("exact", "vectorized"):
+        rounded = DiscreteLaplaceSampler(scale, seed=0, method=method).scale
+        assert rounded >= Fraction(scale)
+        assert rounded.denominator <= 10**12
+        assert rounded - Fraction(scale) <= Fraction(1, 10**12)
 
 
 @pytest.mark.parametrize("rho", [0.005, 1e-9, 1e-12])

@@ -147,10 +147,9 @@ class TestCLI:
         # Patch in a fast fake experiment to keep the CLI test quick.
         from repro.experiments import registry
 
-        def fake(n_reps, seed=0, engine=None, strategy=None, n_jobs=None, alphabet=None, attributes=None):
+        def fake(n_reps, seed=0, strategy=None, n_jobs=None, alphabet=None, attributes=None):
             result = FigureResult(experiment_id="fake", title="fake experiment")
             result.check("always true", True)
-            result.check("engine threaded", engine in ("vectorized", "scalar"))
             result.check(
                 "strategy threaded",
                 strategy in ("auto", "batched", "process", "serial"),
@@ -160,13 +159,12 @@ class TestCLI:
         monkeypatch.setitem(registry.EXPERIMENTS, "fake", fake)
         assert main(["run", "fake", "--reps", "1"]) == 0
         assert "fake experiment" in capsys.readouterr().out
-        assert main(["run", "fake", "--engine", "scalar"]) == 0
         assert main(["run", "fake", "--replication-strategy", "process", "--n-jobs", "2"]) == 0
 
     def test_run_command_fails_on_failed_checks(self, capsys, monkeypatch):
         from repro.experiments import registry
 
-        def fake(n_reps, seed=0, engine=None, strategy=None, n_jobs=None, alphabet=None, attributes=None):
+        def fake(n_reps, seed=0, strategy=None, n_jobs=None, alphabet=None, attributes=None):
             result = FigureResult(experiment_id="fake2", title="failing experiment")
             result.check("always false", False)
             return result
@@ -186,8 +184,7 @@ class TestChurnExperiment:
         assert result.all_checks_pass, result.checks
         assert len(result.summaries) == 2
         check_names = [name for name, _ in result.checks]
-        assert any("bit-exact" in name and "vectorized" in name for name in check_names)
-        assert any("bit-exact" in name and "scalar" in name for name in check_names)
+        assert any("bit-exact" in name for name in check_names)
         retained = [row["retained_final"] for row in result.comparison_rows]
         assert retained[0] == 1.0 and retained[1] < 1.0
 
@@ -207,12 +204,9 @@ class TestCategoricalExperiment:
         assert len(result.summaries) == 3
         check_names = [name for name, _ in result.checks]
         assert any("bit-exact" in name for name in check_names)
-        assert any("identical noiseless histograms" in name for name in check_names)
 
     def test_alphabet_threads_through_registry(self):
-        result = get_experiment("categorical")(
-            2, seed=2, alphabet=4, engine="vectorized"
-        )
+        result = get_experiment("categorical")(2, seed=2, alphabet=4)
         assert result.parameters["alphabet"] == 4
         assert result.all_checks_pass, result.checks
 

@@ -43,8 +43,8 @@ def _column(t: int) -> np.ndarray:
     return (np.arange(N) + t) % 2
 
 
-def _driven_cumulative(rho=math.inf, engine=None):
-    synth = CumulativeSynthesizer(HORIZON, rho, seed=0, engine=engine)
+def _driven_cumulative(rho=math.inf):
+    synth = CumulativeSynthesizer(HORIZON, rho, seed=0)
     for t in range(1, HORIZON + 1):
         synth.observe(_column(t))
     return synth
@@ -256,9 +256,7 @@ class TestCacheInvalidation:
         assert np.array_equal(after, fresh, equal_nan=True)
 
     def test_extend_horizon_invalidates_cached_answers(self):
-        # extend_horizon is vectorized-only, so pin the engine rather than
-        # resolving it from REPRO_ENGINE.
-        synth = _driven_cumulative(rho=0.4, engine="vectorized")
+        synth = _driven_cumulative(rho=0.4)
         beyond = [HammingAtLeast(HORIZON + 1)]
         times = list(range(1, HORIZON + 1))
         before = synth.release.answer_batch(beyond, times)

@@ -8,6 +8,7 @@ byte-identically under noise (tampering fails closed), and
 disjoint sub-populations.
 """
 
+import contextlib
 import io
 import math
 import zipfile
@@ -15,6 +16,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from oracles.scalar import scalar_loops
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.data.categorical import employment_status_panel
 from repro.exceptions import DataValidationError, SerializationError
@@ -35,6 +37,11 @@ def _service(seed=0, rho=RHO, **kwargs):
     )
 
 
+def _loops(engine):
+    """``"scalar"`` runs the block on the reference projection/extension loops."""
+    return scalar_loops() if engine == "scalar" else contextlib.nullcontext()
+
+
 def _compare(a, b):
     assert a.released_times() == b.released_times()
     for t in a.released_times():
@@ -44,13 +51,12 @@ def _compare(a, b):
 
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 def test_online_matches_offline(panel, engine):
-    service = _service(seed=1, engine=engine)
-    for column in panel.columns():
-        service.observe(column)
-    offline = CategoricalWindowSynthesizer(
-        HORIZON, WINDOW, ALPHABET, RHO, seed=1, engine=engine
-    )
-    _compare(service.release, offline.run(panel))
+    with _loops(engine):
+        service = _service(seed=1)
+        for column in panel.columns():
+            service.observe(column)
+        offline = CategoricalWindowSynthesizer(HORIZON, WINDOW, ALPHABET, RHO, seed=1)
+        _compare(service.release, offline.run(panel))
     assert service.algorithm == "categorical_window"
 
 
@@ -58,23 +64,23 @@ def test_online_matches_offline(panel, engine):
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 def test_checkpoint_byte_identity_under_noise(panel, cut, engine):
     columns = list(panel.columns())
-    uninterrupted = _service(seed=2, engine=engine)
-    for column in columns:
-        uninterrupted.observe(column)
+    with _loops(engine):
+        uninterrupted = _service(seed=2)
+        for column in columns:
+            uninterrupted.observe(column)
 
-    resumed = _service(seed=2, engine=engine)
-    for column in columns[:cut]:
-        resumed.observe(column)
-    buffer = io.BytesIO()
-    resumed.checkpoint(buffer)
-    buffer.seek(0)
-    restored = StreamingSynthesizer.restore(buffer)
-    assert restored.t == cut
-    assert restored.synthesizer.alphabet == ALPHABET
-    assert restored.synthesizer.engine == engine
-    for column in columns[cut:]:
-        restored.observe(column)
-    _compare(uninterrupted.release, restored.release)
+        resumed = _service(seed=2)
+        for column in columns[:cut]:
+            resumed.observe(column)
+        buffer = io.BytesIO()
+        resumed.checkpoint(buffer)
+        buffer.seek(0)
+        restored = StreamingSynthesizer.restore(buffer)
+        assert restored.t == cut
+        assert restored.synthesizer.alphabet == ALPHABET
+        for column in columns[cut:]:
+            restored.observe(column)
+        _compare(uninterrupted.release, restored.release)
     assert (
         uninterrupted.synthesizer.accountant.charges
         == restored.synthesizer.accountant.charges

@@ -1,5 +1,6 @@
 """Checkpoint round-trips: mid-stream byte-identity and bundle integrity."""
 
+import hashlib
 import io
 import json
 import math
@@ -9,12 +10,15 @@ import zipfile
 import numpy as np
 import pytest
 
+from oracles.scalar import fallback_reference
+from repro.core.cumulative import CumulativeSynthesizer
 from repro.data import iid_bernoulli
 from repro.dp.discrete_gaussian import NOISE_SAMPLER_VERSION
 from repro.exceptions import NoiseSamplerWarning, SerializationError
 from repro.rng import as_generator, generator_state, restore_generator_state
 from repro.serve import StreamingSynthesizer
 from repro.serve.checkpoint import (
+    _canonical_json,
     join_arrays,
     read_bundle,
     split_arrays,
@@ -32,7 +36,9 @@ def columns():
     return list(iid_bernoulli(N, HORIZON, p=0.35, seed=13).columns())
 
 
-def _resume_matches_uninterrupted(service_factory, columns, cut, compare):
+def _resume_matches_uninterrupted(
+    service_factory, columns, cut, compare, restore=StreamingSynthesizer.restore
+):
     """Checkpoint at ``cut``, restore, and compare final artifacts."""
     uninterrupted = service_factory()
     for column in columns[:cut]:
@@ -43,7 +49,7 @@ def _resume_matches_uninterrupted(service_factory, columns, cut, compare):
         uninterrupted.observe(column)
 
     buffer.seek(0)
-    resumed = StreamingSynthesizer.restore(buffer)
+    resumed = restore(buffer)
     assert resumed.t == cut
     for column in columns[cut:]:
         resumed.observe(column)
@@ -75,13 +81,25 @@ def _compare_window(a, b):
     "counter", ["binary_tree", "simple", "sqrt_factorization", "laplace_tree", "honaker"]
 )
 def test_cumulative_checkpoint_byte_identity_under_noise(columns, engine, counter):
+    """``"scalar"`` runs every threshold on the reference's per-threshold
+    counters (a :class:`FallbackBank`), on both sides of the checkpoint."""
+
+    def build():
+        synth = CumulativeSynthesizer(HORIZON, 0.02, seed=3, counter=counter)
+        return StreamingSynthesizer(
+            fallback_reference(synth) if engine == "scalar" else synth
+        )
+
+    def restore(buffer):
+        if engine != "scalar":
+            return StreamingSynthesizer.restore(buffer)
+        config, state = read_bundle(buffer, kind="streaming")
+        synth = fallback_reference(CumulativeSynthesizer.from_config(config))
+        synth.load_state(state)
+        return StreamingSynthesizer(synth)
+
     _resume_matches_uninterrupted(
-        lambda: StreamingSynthesizer.cumulative(
-            horizon=HORIZON, rho=0.02, seed=3, engine=engine, counter=counter
-        ),
-        columns,
-        cut=HORIZON // 2,
-        compare=_compare_cumulative,
+        build, columns, cut=HORIZON // 2, compare=_compare_cumulative, restore=restore
     )
 
 
@@ -109,9 +127,7 @@ def test_checkpoint_at_round_zero(columns):
 
 def test_lazy_materialization_survives_checkpoint(columns):
     """Deferred record draws replay identically on the restored side."""
-    service = StreamingSynthesizer.cumulative(
-        horizon=HORIZON, rho=0.02, seed=3, materialize="lazy"
-    )
+    service = StreamingSynthesizer.cumulative(horizon=HORIZON, rho=0.02, seed=3)
     for column in columns[:6]:
         service.observe(column)
     buffer = io.BytesIO()
@@ -225,6 +241,102 @@ def test_bundle_from_another_sampler_names_it(columns):
     members["manifest.json"] = json.dumps(manifest)
     with pytest.warns(NoiseSamplerWarning, match="'cks-scalar-0'"):
         StreamingSynthesizer.restore(_repack(members))
+
+
+# ----------------------------------------------------------------------
+# Legacy configs: bundles written while engine/materialize were options
+# ----------------------------------------------------------------------
+
+
+def _with_config_keys(blob: bytes, **keys) -> io.BytesIO:
+    """``blob`` with extra manifest config keys, its state checksum re-signed."""
+    members = _unpack(blob)
+    manifest = json.loads(members["manifest.json"])
+    manifest["config"].update(keys)
+    manifest["state_checksum"] = hashlib.sha256(
+        _canonical_json({"config": manifest["config"], "state": manifest["state"]})
+    ).hexdigest()
+    members["manifest.json"] = json.dumps(manifest)
+    return _repack(members)
+
+
+def _legacy_services():
+    """One short stream per synthesizer whose config carried ``engine``."""
+    from repro.data.categorical import employment_status_panel
+    from repro.types import AttributeFrame
+
+    employment = employment_status_panel(120, HORIZON, seed=4).matrix
+    return {
+        "cumulative": (
+            lambda: StreamingSynthesizer.cumulative(horizon=HORIZON, rho=0.02, seed=3),
+            [column for column in iid_bernoulli(120, HORIZON, p=0.35, seed=2).columns()],
+        ),
+        "categorical_window": (
+            lambda: StreamingSynthesizer.categorical_window(HORIZON, 2, 3, 0.2, seed=5),
+            list(employment.T),
+        ),
+        "multi_attribute": (
+            lambda: StreamingSynthesizer.multi_attribute(
+                HORIZON, 2, 0.3, seed=6,
+                attributes=[{"name": "emp", "alphabet": 3}, {"name": "inc", "alphabet": 4}],
+            ),
+            [
+                AttributeFrame.from_columns({"emp": column, "inc": (column * 2 + 1) % 4})
+                for column in employment.T
+            ],
+        ),
+    }
+
+
+def _legacy_roundtrip(algorithm, cut, draw_before_checkpoint=False, **keys):
+    """Uninterrupted stream vs a legacy-config bundle restored at ``cut``."""
+    build, columns = _legacy_services()[algorithm]
+    uninterrupted = build()
+    for column in columns[:cut]:
+        uninterrupted.observe(column)
+    if draw_before_checkpoint:
+        uninterrupted.release.synthetic_data()  # an eager bundle has no queue
+    buffer = io.BytesIO()
+    uninterrupted.checkpoint(buffer)
+    restored = StreamingSynthesizer.restore(_with_config_keys(buffer.getvalue(), **keys))
+    for column in columns[cut:]:
+        uninterrupted.observe(column)
+        restored.observe(column)
+    assert restored.fingerprint() == uninterrupted.fingerprint()
+    if algorithm == "cumulative":  # replays any queued record draws
+        assert np.array_equal(
+            restored.release.synthetic_data().matrix,
+            uninterrupted.release.synthetic_data().matrix,
+        )
+
+
+@pytest.mark.parametrize("materialize", ["lazy", "eager"])
+def test_legacy_cumulative_bundle_continues_byte_identically(materialize):
+    _legacy_roundtrip(
+        "cumulative", 5, draw_before_checkpoint=materialize == "eager",
+        engine="vectorized", materialize=materialize,
+    )
+
+
+def test_legacy_eager_bundle_without_engine_key_restores():
+    _legacy_roundtrip("cumulative", 5, draw_before_checkpoint=True, materialize="eager")
+
+
+@pytest.mark.parametrize("algorithm", ["categorical_window", "multi_attribute"])
+def test_legacy_window_bundle_with_vectorized_engine_restores(algorithm):
+    _legacy_roundtrip(algorithm, 4, engine="vectorized")
+
+
+@pytest.mark.parametrize("algorithm", ["cumulative", "categorical_window", "multi_attribute"])
+def test_scalar_engine_bundle_fails_closed(algorithm):
+    build, columns = _legacy_services()[algorithm]
+    service = build()
+    for column in columns[:4]:
+        service.observe(column)
+    buffer = io.BytesIO()
+    service.checkpoint(buffer)
+    with pytest.raises(SerializationError, match="engine 'scalar'"):
+        StreamingSynthesizer.restore(_with_config_keys(buffer.getvalue(), engine="scalar"))
 
 
 def test_not_a_zip_rejected(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles.scalar import fallback_reference
 from repro import (
     AtLeastMOnes,
     CumulativeSynthesizer,
@@ -25,15 +26,19 @@ def panel():
     return iid_bernoulli(N, HORIZON, p=0.3, seed=11)
 
 
+def _cumulative(engine, *args, **kwargs):
+    """A cumulative synthesizer; ``"scalar"`` runs it on per-threshold counters."""
+    synth = CumulativeSynthesizer(*args, **kwargs)
+    return fallback_reference(synth) if engine == "scalar" else synth
+
+
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 def test_cumulative_online_matches_offline_noiseless(panel, engine):
-    online = StreamingSynthesizer.cumulative(
-        horizon=HORIZON, rho=math.inf, seed=4, engine=engine
-    )
+    online = StreamingSynthesizer(_cumulative(engine, HORIZON, math.inf, seed=4))
     for column in panel.columns():
         release = online.observe(column)
         assert release.t == online.t
-    offline = CumulativeSynthesizer(HORIZON, math.inf, seed=4, engine=engine)
+    offline = _cumulative(engine, HORIZON, math.inf, seed=4)
     offline.run(panel)
 
     assert np.array_equal(
@@ -71,12 +76,10 @@ def test_fixed_window_online_matches_offline_noiseless(panel):
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 def test_cumulative_online_matches_offline_under_noise(panel, engine):
     """Same seed, same columns => identical noisy releases (run() is the loop)."""
-    online = StreamingSynthesizer.cumulative(
-        horizon=HORIZON, rho=0.02, seed=4, engine=engine
-    )
+    online = StreamingSynthesizer(_cumulative(engine, HORIZON, 0.02, seed=4))
     for column in panel.columns():
         online.observe(column)
-    offline = CumulativeSynthesizer(HORIZON, 0.02, seed=4, engine=engine)
+    offline = _cumulative(engine, HORIZON, 0.02, seed=4)
     offline.run(panel)
     assert np.array_equal(
         online.release.threshold_table(), offline.release.threshold_table()

@@ -3,9 +3,10 @@
 Pins down the three contracts the refactor relies on:
 
 1. **Bank/scalar equivalence** — seeded noiseless runs are bit-exact
-   between ``engine="vectorized"`` and ``engine="scalar"`` for *every*
-   registered counter, and the fallback path is bit-exact even with noise
-   (same per-row seeds drive the same scalar counters).
+   between the product synthesizer and the per-threshold-counter
+   reference (``tests/oracles/scalar.py``) for *every* registered
+   counter, and the fallback bank is bit-exact with the reference even
+   with noise (same per-row seeds drive the same scalar counters).
 2. **Staggered activation** — bank row ``b`` sees exactly the stream
    ``z_b^t`` for ``t = b..T``, nothing earlier.
 3. **Heterogeneous-scale sampling** — the new ``sample_columns`` /
@@ -19,11 +20,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles.scalar import fallback_reference, scalar_counter_table
 from repro.core.budget import allocate_budget
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler
 from repro.dp.discrete_laplace import DiscreteLaplaceSampler
-from repro.exceptions import ConfigurationError, StreamLengthError
+from repro.exceptions import ConfigurationError, SerializationError, StreamLengthError
 from repro.streams.bank import (
     BinaryTreeBank,
     CounterBank,
@@ -48,19 +50,6 @@ def _increment_table(horizon: int, seed: int, high: int = 25) -> np.ndarray:
     return np.tril(table).astype(np.int64)
 
 
-def _run_scalar_reference(name: str, horizon: int, rho_vec, increments) -> np.ndarray:
-    """Drive one scalar counter per threshold, mirroring the scalar engine."""
-    counters = [
-        make_counter(name, horizon=horizon - b + 1, rho=float(rho_vec[b - 1]), seed=b)
-        for b in range(1, horizon + 1)
-    ]
-    out = np.zeros((horizon, horizon), dtype=np.float64)
-    for t in range(1, horizon + 1):
-        for b in range(1, t + 1):
-            out[t - 1, b - 1] = counters[b - 1].feed(int(increments[t - 1, b - 1]))
-    return out
-
-
 class TestNoiselessEquivalence:
     @pytest.mark.parametrize("name", sorted(available_counters()))
     def test_bank_matches_scalar_counters_bitwise(self, name):
@@ -68,41 +57,46 @@ class TestNoiselessEquivalence:
         increments = _increment_table(HORIZON, seed=1)
         bank = make_bank(name, horizon=HORIZON, rho_per_threshold=rho_vec, seeds=0)
         banked = bank.run(increments)
-        reference = _run_scalar_reference(name, HORIZON, rho_vec, increments)
+        reference = scalar_counter_table(
+            name, HORIZON, rho_vec, increments, list(range(HORIZON))
+        )
         assert (banked == reference).all()
 
     @pytest.mark.parametrize("name", sorted(available_counters()))
     def test_synthesizer_engines_bit_identical(self, name, small_markov_panel):
         releases = []
-        for engine in ("vectorized", "scalar"):
-            synth = CumulativeSynthesizer(
-                horizon=small_markov_panel.horizon,
-                rho=math.inf,
-                counter=name,
-                seed=7,
-                engine=engine,
+        for wrap in (lambda synth: synth, fallback_reference):
+            synth = wrap(
+                CumulativeSynthesizer(
+                    horizon=small_markov_panel.horizon,
+                    rho=math.inf,
+                    counter=name,
+                    seed=7,
+                )
             )
             releases.append(synth.run(small_markov_panel))
         a, b = releases
         assert (a.threshold_table() == b.threshold_table()).all()
         assert (a.synthetic_data().matrix == b.synthetic_data().matrix).all()
 
-    def test_fallback_engine_bit_identical_with_noise(self, small_markov_panel):
-        # No native bank for honaker: the fallback wraps the same scalar
-        # counters with the same seeds, so even noisy runs are identical.
-        releases = []
-        for engine in ("vectorized", "scalar"):
-            synth = CumulativeSynthesizer(
-                horizon=small_markov_panel.horizon,
-                rho=0.05,
-                counter="honaker",
-                seed=11,
-                engine=engine,
-                noise_method="vectorized",
+    def test_fallback_engine_bit_identical_with_noise(self):
+        # No native bank for honaker, and counter_kwargs force the
+        # fallback for block: it wraps the reference's scalar counters
+        # with the same per-row seeds, so even noisy runs are identical.
+        rho_vec = allocate_budget(HORIZON, 0.05, "corollary_b1")
+        increments = _increment_table(HORIZON, seed=6)
+        seeds = list(range(100, 100 + HORIZON))
+        for name, kwargs in (("honaker", {}), ("block", {"block_size": 3})):
+            bank = make_bank(
+                name, horizon=HORIZON, rho_per_threshold=rho_vec, seeds=seeds,
+                noise_method="vectorized", counter_kwargs=kwargs,
             )
-            releases.append(synth.run(small_markov_panel))
-        a, b = releases
-        assert (a.threshold_table() == b.threshold_table()).all()
+            assert isinstance(bank, FallbackBank)
+            reference = scalar_counter_table(
+                name, HORIZON, rho_vec, increments, seeds,
+                noise_method="vectorized", counter_kwargs=kwargs,
+            )
+            assert (bank.run(increments) == reference).all()
 
 
 class TestStaggeredActivation:
@@ -164,8 +158,10 @@ class TestBankValidation:
             SimpleBank(4, np.full(4, 1.0), seeds=[1, 2])
 
     def test_engine_name_validated(self):
-        with pytest.raises(ConfigurationError):
-            CumulativeSynthesizer(horizon=4, rho=1.0, engine="bogus")
+        config = CumulativeSynthesizer(horizon=4, rho=1.0).config_dict()
+        for engine in ("scalar", "bogus"):
+            with pytest.raises(SerializationError):
+                CumulativeSynthesizer.from_config({**config, "engine": engine})
 
 
 class TestBankNoise:
@@ -305,51 +301,28 @@ class TestHeterogeneousSamplers:
         assert (a == b).all()
 
 
-class TestEngineResolution:
-    def test_env_var_reaches_synthesizer_default(self, monkeypatch):
-        from repro.streams.registry import resolve_engine
-
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        assert resolve_engine(None) == "scalar"
-        synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
-        assert synth.engine == "scalar" and synth.bank is None
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, engine="vectorized")
-        assert synth.engine == "vectorized" and synth.bank is not None
-
-    def test_typo_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "sclar")
-        with pytest.raises(ConfigurationError):
-            CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
-
-    def test_unset_env_defaults_to_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
-        assert synth.engine == "vectorized"
-
-
 class TestSynthesizerEngineSurface:
     def test_release_view_is_cached(self):
         synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
         assert synth.release is synth.release
 
     def test_bank_property(self):
-        vec = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, engine="vectorized")
-        sca = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, engine="scalar")
-        assert isinstance(vec.bank, CounterBank)
-        assert sca.bank is None
+        native = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
+        fallback = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, counter="honaker")
+        assert isinstance(native.bank, BinaryTreeBank)
+        assert isinstance(fallback.bank, FallbackBank)
+        assert isinstance(fallback.bank, CounterBank)
 
     def test_ledger_identical_across_engines(self, small_markov_panel):
         charges = []
-        for engine in ("vectorized", "scalar"):
-            synth = CumulativeSynthesizer(
-                horizon=small_markov_panel.horizon,
-                rho=0.02,
-                seed=1,
-                engine=engine,
-                noise_method="vectorized",
+        for wrap in (lambda synth: synth, fallback_reference):
+            synth = wrap(
+                CumulativeSynthesizer(
+                    horizon=small_markov_panel.horizon,
+                    rho=0.02,
+                    seed=1,
+                    noise_method="vectorized",
+                )
             )
             synth.run(small_markov_panel)
             charges.append(synth.accountant.charges)
@@ -365,13 +338,13 @@ class TestSynthesizerEngineSurface:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_out_of_range_threshold_ci_degenerate(self, engine):
         # b = 0 and b > T are exact constants; the CI must stay degenerate
-        # (historical behavior), not raise.
+        # (historical behavior), not raise — also on per-threshold counters.
         from repro.analysis.confidence import cumulative_answer_ci
         from repro.queries.cumulative import HammingAtLeast
 
-        synth = CumulativeSynthesizer(
-            horizon=5, rho=0.5, seed=3, engine=engine, noise_method="vectorized"
-        )
+        synth = CumulativeSynthesizer(horizon=5, rho=0.5, seed=3, noise_method="vectorized")
+        if engine == "scalar":
+            fallback_reference(synth)
         for _ in range(3):
             synth.observe(np.ones(20, dtype=np.int64))
         release = synth.release

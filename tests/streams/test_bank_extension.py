@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles.scalar import fallback_reference
 from repro.core.budget import allocate_budget
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data.generators import iid_bernoulli
@@ -126,7 +127,7 @@ class TestExtendRows:
 class TestExtendHorizon:
     def test_mid_stream_extension_streams_past_the_old_horizon(self):
         panel = iid_bernoulli(80, 8, 0.4, seed=1)
-        synth = CumulativeSynthesizer(8, 0.8, seed=2, engine="vectorized")
+        synth = CumulativeSynthesizer(8, 0.8, seed=2)
         for index, column in enumerate(panel.columns()):
             synth.observe(column)
             if index == 4:
@@ -145,32 +146,38 @@ class TestExtendHorizon:
 
     def test_noiseless_extension_matches_wide_noiseless_run(self):
         panel = iid_bernoulli(40, 9, 0.3, seed=5)
-        extended = CumulativeSynthesizer(6, math.inf, seed=0, engine="vectorized")
+        extended = CumulativeSynthesizer(6, math.inf, seed=0)
         for index, column in enumerate(panel.columns()):
             if index == 6:
                 extended.extend_horizon(3, math.inf)
             extended.observe(column)
-        wide = CumulativeSynthesizer(9, math.inf, seed=0, engine="vectorized")
+        wide = CumulativeSynthesizer(9, math.inf, seed=0)
         wide_release = wide.run(panel)
         assert (
             extended.release.threshold_table() == wide_release.threshold_table()
         ).all()
 
     def test_scalar_engine_refuses(self):
-        synth = CumulativeSynthesizer(6, 0.5, seed=0, engine="scalar")
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            synth.extend_horizon(2, 0.05)
+        # Per-threshold scalar counters are calibrated for a fixed horizon,
+        # so a fallback bank (honaker's, or the scalar reference's) refuses.
+        for synth in (
+            CumulativeSynthesizer(6, 0.5, seed=0, counter="honaker"),
+            fallback_reference(CumulativeSynthesizer(6, 0.5, seed=0)),
+        ):
+            with pytest.raises(ConfigurationError, match="does not support extend_rows"):
+                synth.extend_horizon(2, 0.05)
+            assert synth.horizon == 6
 
     def test_noise_mode_mismatch_refused(self):
-        noisy = CumulativeSynthesizer(6, 0.5, seed=0, engine="vectorized")
+        noisy = CumulativeSynthesizer(6, 0.5, seed=0)
         with pytest.raises(ConfigurationError, match="finite rho_new"):
             noisy.extend_horizon(2, math.inf)
-        oracle = CumulativeSynthesizer(6, math.inf, seed=0, engine="vectorized")
+        oracle = CumulativeSynthesizer(6, math.inf, seed=0)
         with pytest.raises(ConfigurationError, match="math.inf"):
             oracle.extend_horizon(2, 0.05)
 
     def test_checkpoint_after_extension_fails_closed(self):
-        synth = CumulativeSynthesizer(6, 0.5, seed=0, engine="vectorized")
+        synth = CumulativeSynthesizer(6, 0.5, seed=0)
         synth.observe(np.ones(10, dtype=np.int64))
         synth.extend_horizon(2, 0.05)
         with pytest.raises(SerializationError, match="extend_horizon"):
