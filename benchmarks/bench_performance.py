@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles.replication import grid_answer
 from oracles.scalar import fallback_reference
 from repro.analysis.replication import replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
@@ -119,15 +120,16 @@ class TestSynthesizerRounds:
 
 
 class TestReplicationStrategies:
-    """The cross-repetition axis: 100-rep cumulative replication per strategy.
+    """The cross-repetition axis: 100-rep cumulative replication per path.
 
-    One row per ``replicate_synthesizer`` strategy on the same SIPP-scale
-    workload, so the perf trajectory captures the batched engine's win and
-    the process pool's overhead alongside the per-run numbers above.
+    One row for the batched engine and one for the one-repetition loop
+    (reached through ``answer_fn=grid_answer``) on the same SIPP-scale
+    workload, so the perf trajectory captures the batched engine's win
+    alongside the per-run numbers above.
     """
 
-    @pytest.mark.parametrize("strategy", ["serial", "process", "batched"])
-    def test_cumulative_replication_100_reps(self, benchmark, panel, strategy):
+    @pytest.mark.parametrize("answer_fn", [grid_answer, None], ids=["serial", "batched"])
+    def test_cumulative_replication_100_reps(self, benchmark, panel, answer_fn):
         queries = [HammingAtLeast(3)]
         times = list(range(1, panel.horizon + 1))
 
@@ -140,7 +142,7 @@ class TestReplicationStrategies:
         def run():
             return replicate_synthesizer(
                 factory, panel, queries, times, n_reps=100, seed=10,
-                strategy=strategy,
+                answer_fn=answer_fn,
             )
 
         benchmark.pedantic(run, rounds=2, iterations=1)

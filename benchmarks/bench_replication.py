@@ -1,9 +1,11 @@
-"""Replication engine benchmarks: batched vs process vs serial.
+"""Replication engine benchmarks: batched vs serial.
 
 The paper's figures repeat each synthesizer 1000 times on the same panel;
 PR 1 vectorized stage 1 *within* a run, this module measures the
-cross-repetition axis: ``replicate_synthesizer(strategy="batched")`` runs
-all repetitions of Algorithm 2 as one ``(R, T)`` NumPy state machine.
+cross-repetition axis: ``replicate_synthesizer`` runs all repetitions of
+Algorithm 2 as one ``(R, T)`` NumPy state machine.  The serial reference
+is the one-repetition loop, reached by passing ``answer_fn=grid_answer``
+(``tests/oracles/replication.py``).
 
 Acceptance criteria asserted here:
 
@@ -32,12 +34,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.replication import grid_answer
 from repro.analysis.replication import replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.replicated import replicate_cumulative
 from repro.core.synthetic_store import _choose_within_groups
 from repro.exceptions import ConsistencyError
-from repro.experiments.config import bench_reps, default_n_jobs
+from repro.experiments.config import bench_reps
 from repro.experiments.sipp_window import sipp_panel
 from repro.queries.cumulative import HammingAtLeast
 from repro.rng import as_generator
@@ -67,11 +70,11 @@ class TestReplicationSpeedup:
         queries = [HammingAtLeast(3)]
         times = list(range(1, panel.horizon + 1))
         timings = {}
-        for strategy in ("serial", "process", "batched"):
+        for strategy, answer_fn in (("serial", grid_answer), ("batched", None)):
             start = time.perf_counter()
             replicate_synthesizer(
                 _factory(panel), panel, queries, times,
-                n_reps=reps, seed=0, strategy=strategy,
+                n_reps=reps, seed=0, answer_fn=answer_fn,
             )
             timings[strategy] = time.perf_counter() - start
         speedups = {s: timings["serial"] / timings[s] for s in timings}
@@ -84,9 +87,6 @@ class TestReplicationSpeedup:
                 "horizon": panel.horizon,
                 "n_individuals": panel.n_individuals,
                 "rho": RHO,
-                # Worker pool width the process strategy ran with — the
-                # process timing is meaningless without it.
-                "process_n_jobs": default_n_jobs(),
             },
             "timings_s": {s: round(t, 6) for s, t in timings.items()},
             "ops_per_sec": {s: round(reps / t, 3) for s, t in timings.items()},
@@ -101,7 +101,7 @@ class TestReplicationSpeedup:
             + "\n".join(
                 f"  {s:8s}: {timings[s]:8.3f}s  ({reps / timings[s]:8.1f} reps/s, "
                 f"{speedups[s]:6.1f}x vs serial)"
-                for s in ("serial", "process", "batched")
+                for s in ("serial", "batched")
             )
             + f"\n  JSON artifact: {JSON_PATH}",
             metrics={
@@ -123,11 +123,9 @@ class TestBatchedEquivalence:
             dataset=panel, queries=queries, times=times, n_reps=3, seed=123
         )
         serial = replicate_synthesizer(
-            _factory(panel, rho=math.inf), strategy="serial", **kwargs
+            _factory(panel, rho=math.inf), answer_fn=grid_answer, **kwargs
         )
-        batched = replicate_synthesizer(
-            _factory(panel, rho=math.inf), strategy="batched", **kwargs
-        )
+        batched = replicate_synthesizer(_factory(panel, rho=math.inf), **kwargs)
         assert (serial.answers == batched.answers).all()
         assert (serial.truth == batched.truth).all()
 

@@ -35,6 +35,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles.checkpoint_v2 import write_bundle_v2
 from repro.queries import HammingAtLeast
 from repro.serve import ShardedService, StreamingSynthesizer, write_bundle
 
@@ -126,23 +127,17 @@ def test_process_executor_speedup_and_bit_exactness(figure_report, rss_probe):
     )
 
 
-def _write_peak(path, state: dict, format_version: int) -> int:
+def _write_peak(write, path, state: dict) -> int:
     """Transient allocation peak (bytes) of one bundle write to disk.
 
     ``compress_arrays=False`` on both sides so the comparison isolates
     buffering behaviour (monolithic in-RAM npz vs per-array spooling)
-    rather than DEFLATE ratios.
+    rather than DEFLATE ratios.  The version-2 writer is the test oracle
+    in ``tests/oracles/checkpoint_v2.py``.
     """
     tracemalloc.start()
     try:
-        write_bundle(
-            path,
-            kind="streaming",
-            config={"bench": True},
-            state=state,
-            compress_arrays=False,
-            format_version=format_version,
-        )
+        write(path, "streaming", {"bench": True}, state, compress_arrays=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -165,8 +160,8 @@ def test_streaming_checkpoint_memory_is_sublinear(figure_report, rss_probe, tmp_
     state = synth.synthesizer.state_dict()
     state_mb = _state_nbytes(state) / 1024**2
 
-    streaming_peak = _write_peak(tmp_path / "v3.ckpt", state, format_version=3)
-    monolithic_peak = _write_peak(tmp_path / "v2.ckpt", state, format_version=2)
+    streaming_peak = _write_peak(write_bundle, tmp_path / "v3.ckpt", state)
+    monolithic_peak = _write_peak(write_bundle_v2, tmp_path / "v2.ckpt", state)
     ratio = streaming_peak / monolithic_peak
     # The monolithic writer materializes the whole npz in RAM before the
     # zip sees a byte, so its peak tracks the total state size; the

@@ -25,9 +25,7 @@ UTILITY_BENCH_SEED = 0
 @pytest.mark.figure("utility")
 def test_utility(benchmark, figure_report):
     result = benchmark.pedantic(
-        lambda: run_utility_experiment(
-            n_reps=UTILITY_BENCH_REPS, seed=UTILITY_BENCH_SEED, strategy="serial"
-        ),
+        lambda: run_utility_experiment(n_reps=UTILITY_BENCH_REPS, seed=UTILITY_BENCH_SEED),
         rounds=1,
         iterations=1,
     )

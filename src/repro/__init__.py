@@ -16,7 +16,7 @@ Quickstart::
     release = synth.run(panel)
     release.answer(AtLeastMOnes(3, 1), t=6)        # debiased by default
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the docs' *Architecture* page describes each layer):
 
 * :mod:`repro.core` — the paper's Algorithms 1 and 2;
 * :mod:`repro.dp` — discrete Gaussian samplers and zCDP accounting;

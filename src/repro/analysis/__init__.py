@@ -25,13 +25,7 @@ from repro.analysis.metrics import (
     rmse,
     SeriesSummary,
 )
-from repro.analysis.replication import (
-    STRATEGIES,
-    ReplicatedAnswers,
-    replicate_synthesizer,
-    resolve_n_jobs,
-    resolve_strategy,
-)
+from repro.analysis.replication import ReplicatedAnswers, replicate_synthesizer
 from repro.analysis.tables import render_comparison_table, render_series_table
 from repro.analysis.utility import (
     PMSEProbe,
@@ -73,9 +67,6 @@ __all__ = [
     "SeriesSummary",
     "ReplicatedAnswers",
     "replicate_synthesizer",
-    "resolve_strategy",
-    "resolve_n_jobs",
-    "STRATEGIES",
     "render_series_table",
     "render_comparison_table",
     "PMSEScore",

@@ -43,10 +43,9 @@ normalization of Snoke et al.).  Interpretation:
 
 :func:`score_synthesizer` runs the scorer over replicated runs through
 :func:`~repro.analysis.replication.replicate_synthesizer` by disguising
-the scorer as a query (:class:`PMSEProbe`), so every replication strategy
-(serial / process) and every release type with a ``synthetic_data(t)``
-view can be scored with the same machinery that produces the paper
-figures.
+the scorer as a query (:class:`PMSEProbe`), so every release type with a
+``synthetic_data(t)`` view can be scored with the same machinery that
+produces the paper figures.
 """
 
 from __future__ import annotations
@@ -490,7 +489,7 @@ class PMSEProbe(Query):
     :func:`utility_answer`) and whose "truth" is 0 — the score of a
     perfect release, since the real data against itself has pMSE exactly
     0.  Replicated pMSE frontiers therefore reuse the exact machinery
-    (seeding, strategies, process pools) that produces the paper figures.
+    (seeding, per-repetition generators) that produces the paper figures.
 
     Parameters
     ----------
@@ -543,8 +542,7 @@ def utility_answer(release, query, t: int, debias: bool) -> float:
     """Answer dispatch for :func:`replicate_synthesizer` utility runs.
 
     :class:`PMSEProbe` rows are scored against the release's synthetic
-    panel; every other query goes through the default release dispatch
-    (module-level so forked process workers inherit it).
+    panel; every other query goes through the default release dispatch.
 
     Parameters
     ----------
@@ -687,8 +685,6 @@ def score_synthesizer(
     features: str = "window",
     label: str = "synthesizer",
     debias: bool = True,
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> UtilityReport:
     """Replicated utility scoring of one synthesizer factory.
 
@@ -719,10 +715,8 @@ def score_synthesizer(
     label:
         Scenario label stored on the report.
     debias:
-        Passed to window releases for the regular queries.
-    strategy, n_jobs:
-        Replication strategy knobs (the probe disables the batched fast
-        path, so runs execute serially or on the process pool).
+        Passed to window releases for the regular queries.  The probe
+        keeps the run on the one-repetition-at-a-time loop.
 
     Returns
     -------
@@ -739,8 +733,6 @@ def score_synthesizer(
         seed=seed,
         debias=debias,
         answer_fn=utility_answer,
-        strategy=strategy,
-        n_jobs=n_jobs,
     )
     return UtilityReport(
         label=str(label),

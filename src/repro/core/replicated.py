@@ -185,8 +185,7 @@ def replicate_cumulative(
     harness reuse a probed synthesizer's allocation verbatim.  Requires a
     counter with a native vectorized bank (``binary_tree``, ``simple``,
     ``sqrt_factorization``, ``laplace_tree``); counters that only exist as
-    scalar objects have no rep axis and must replicate serially or via the
-    process pool.
+    scalar objects have no rep axis and replicate one repetition at a time.
     """
     if n_reps <= 0:
         raise ConfigurationError(f"n_reps must be positive, got {n_reps}")

@@ -7,7 +7,8 @@
 * :mod:`repro.data.sipp` — a simulator for the U.S. Census Bureau's Survey
   of Income and Program Participation (SIPP) 2021 sample, plus the paper's
   exact preprocessing pipeline (substitute for the real microdata, which
-  cannot be downloaded offline; see DESIGN.md §4).
+  cannot be downloaded offline; the simulator matches the published panel
+  dimensions and poverty dynamics).
 * :mod:`repro.data.debruijn` — de Bruijn padding records: a concrete
   population of "fake" individuals contributing exactly ``n_pad`` to every
   histogram bin in every window, which makes Algorithm 1's padding and the

@@ -5,7 +5,7 @@ The paper's experiments run on the 2021 SIPP public-use file
 months** indicating whether the household was in poverty each month
 (``THINCPOVT2`` income-to-poverty ratio below 1).  The real file cannot be
 downloaded in this offline environment, so this module builds the closest
-synthetic equivalent (DESIGN.md §4):
+synthetic equivalent:
 
 1. :func:`simulate_sipp_raw` produces *raw* SIPP-like person-month records —
    household and person identifiers (some households have several surveyed

@@ -1,7 +1,7 @@
 """Ablation experiments and theory-bound checks.
 
 These go beyond the paper's figures to probe the design decisions its text
-calls out (DESIGN.md §5):
+calls out:
 
 * ``abl-counter`` — Algorithm 2 instantiated with each registered stream
   counter ("stream counters enjoying improved concrete accuracy ... may
@@ -11,7 +11,8 @@ calls out (DESIGN.md §5):
 * ``abl-budget`` — uniform vs Corollary B.1 budget split across thresholds;
 * ``abl-baseline`` — Algorithm 1 vs the recompute-from-scratch strawman
   (error and consistency violations, §1);
-* ``thm32`` / ``corB1`` — empirical max errors vs the stated bounds.
+* ``thm32`` — empirical max errors vs the Theorem 3.2 and Corollary B.1
+  bounds, one report for both.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.analysis.replication import cumulative_strategy, replicate_synthesizer
+from repro.analysis.replication import replicate_synthesizer
 from repro.analysis.theory import corollary_b1_alpha, theorem_3_2_bound
 from repro.baselines.recompute import RecomputeBaseline, ever_spell_fraction
 from repro.core.cumulative import CumulativeSynthesizer
@@ -59,19 +60,12 @@ def _cumulative_max_errors(
     counter: str = "binary_tree",
     budget: str = "corollary_b1",
     noise_method: str,
-    strategy: str | None,
-    n_jobs: int | None,
 ) -> np.ndarray:
     """Per-rep worst |error| over the full (threshold, time) grid.
 
     One :func:`replicate_synthesizer` call over every ``HammingAtLeast``
-    threshold, so the ablations inherit the batched / process strategies.
-    A ``"batched"`` request softens to ``"auto"`` when this particular
-    counter has no rep axis — the counter ablation
-    sweeps *every* registered counter, so a strict ``batched`` would abort
-    the sweep on the first fallback-only name.
+    threshold, batched for counters with a native bank.
     """
-    strategy = cumulative_strategy(strategy, counter)
     queries = [HammingAtLeast(b) for b in range(1, panel.horizon + 1)]
     times = list(range(1, panel.horizon + 1))
 
@@ -86,8 +80,7 @@ def _cumulative_max_errors(
         )
 
     replicated = replicate_synthesizer(
-        factory, panel, queries, times, n_reps=n_reps, seed=seed,
-        strategy=strategy, n_jobs=n_jobs,
+        factory, panel, queries, times, n_reps=n_reps, seed=seed
     )
     return replicated.max_abs_error_per_rep()
 
@@ -97,16 +90,13 @@ def run_counter_ablation(
     n_reps: int = 10,
     seed: SeedLike = 0,
     noise_method: str = "vectorized",
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Algorithm 2 with every registered counter, same data and budget."""
     panel = ablation_panel()
     rows = []
     for name in available_counters():
         errors = _cumulative_max_errors(
-            panel, rho, n_reps, seed, counter=name,
-            noise_method=noise_method, strategy=strategy, n_jobs=n_jobs,
+            panel, rho, n_reps, seed, counter=name, noise_method=noise_method
         )
         rows.append(
             {
@@ -234,16 +224,13 @@ def run_budget_ablation(
     n_reps: int = 10,
     seed: SeedLike = 0,
     noise_method: str = "vectorized",
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Uniform vs Corollary B.1 budget split across thresholds."""
     panel = ablation_panel()
     rows = []
     for budget in ("uniform", "corollary_b1"):
         errors = _cumulative_max_errors(
-            panel, rho, n_reps, seed, budget=budget,
-            noise_method=noise_method, strategy=strategy, n_jobs=n_jobs,
+            panel, rho, n_reps, seed, budget=budget, noise_method=noise_method
         )
         rows.append(
             {
@@ -373,14 +360,12 @@ def run_bound_checks(
     seed: SeedLike = 0,
     rho: float = 0.05,
     noise_method: str = "vectorized",
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Empirical max errors vs Theorem 3.2 and Corollary B.1 bounds.
 
-    ``strategy`` / ``n_jobs`` apply to the Corollary B.1 half (which
-    replicates Algorithm 2); the Theorem 3.2 half inspects per-run
-    histograms directly and stays a serial loop.
+    The Corollary B.1 half replicates Algorithm 2 through
+    :func:`replicate_synthesizer`; the Theorem 3.2 half inspects per-run
+    histograms directly.
     """
     panel = ablation_panel()
     window = 3
@@ -407,8 +392,7 @@ def run_bound_checks(
     # Corollary B.1: fraction-scale error of Algorithm 2 over all (b, t).
     bound_b1 = corollary_b1_alpha(_HORIZON, rho, beta, panel.n_individuals)
     worst_cumulative = _cumulative_max_errors(
-        panel, rho, n_reps, seed, noise_method=noise_method,
-        strategy=strategy, n_jobs=n_jobs,
+        panel, rho, n_reps, seed, noise_method=noise_method
     )
     exceed_b1 = sum(1 for err in worst_cumulative if err > bound_b1)
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.analysis.replication import replicate_synthesizer, window_strategy
+from repro.analysis.replication import replicate_synthesizer
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.data.categorical import CategoricalDataset, employment_status_panel
@@ -65,8 +65,6 @@ def run_categorical_experiment(
     window: int = 3,
     n_individuals: int = 4000,
     horizon: int = 12,
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Run the categorical-window figure and its self-checks.
 
@@ -89,10 +87,6 @@ def run_categorical_experiment(
         Panel size.
     horizon:
         Number of monthly rounds ``T``.
-    strategy, n_jobs:
-        Replication strategy knobs; ``"batched"`` softens to ``"auto"``
-        because Algorithm 1 has no batched fast path (the same
-        convention as the binary window figures).
 
     Returns
     -------
@@ -111,8 +105,6 @@ def run_categorical_experiment(
             "n": n_individuals,
             "horizon": horizon,
             "reps": n_reps,
-            "strategy": strategy or "auto",
-            "n_jobs": n_jobs,
         },
         paper_expectation=(
             "the fixed-window solution extends to q > 2 categories: debiased "
@@ -148,8 +140,6 @@ def run_categorical_experiment(
         times,
         n_reps=n_reps,
         seed=seed + 1,
-        strategy=window_strategy(strategy),
-        n_jobs=n_jobs,
     )
     result.summaries = replicated.summaries()
 

@@ -45,8 +45,6 @@ def run_churn_experiment(
     b: int = 3,
     n_households: int = 2000,
     hazards=CHURN_HAZARDS,
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Run the attrition sweep and its dynamic-population self-checks.
 
@@ -66,11 +64,8 @@ def run_churn_experiment(
         Ever-admitted household count of the simulated SIPP cut.
     hazards:
         Monthly attrition hazards to sweep; must include 0.0 so the
-        bit-exactness anchor runs.
-    strategy, n_jobs:
-        Accepted for CLI uniformity and recorded; repetitions run
-        serially because the batched replication engine replays static
-        panels.
+        bit-exactness anchor runs.  Repetitions run one at a time: the
+        batched replication engine replays static panels only.
 
     Returns
     -------
@@ -87,8 +82,6 @@ def run_churn_experiment(
             "n_households": n_households,
             "reps": n_reps,
             "hazards": tuple(float(h) for h in hazards),
-            "strategy": strategy or "serial",
-            "n_jobs": n_jobs,
         },
         paper_expectation=(
             "the zero-churn release is bit-exact with the static path, and "

@@ -25,30 +25,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.config import (
-    STRATEGIES,
-    default_attributes,
-    default_n_jobs,
-    default_reps,
-    default_strategy,
-)
 from repro.exceptions import ConfigurationError
+from repro.experiments.config import default_reps
 from repro.experiments.registry import get_experiment, list_experiments
 
 __all__ = ["main", "build_parser"]
-
-
-def _display_default(resolver, fallback):
-    """Best-effort env-derived default for parser construction.
-
-    An invalid ``REPRO_*`` value must not crash ``list`` (or ``--help``)
-    with a traceback at parser-build time; the strict resolution — and its
-    clear error — happens when a replication actually runs.
-    """
-    try:
-        return resolver()
-    except ConfigurationError:
-        return fallback
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,29 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--reps", type=int, default=default_reps)
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument(
-            "--replication-strategy",
-            choices=STRATEGIES,
-            default=_display_default(default_strategy, None),
-            help=(
-                "how the repetitions of each figure execute: 'batched' "
-                "(one (R, T) NumPy state machine, Algorithm 2 only), "
-                "'process' (chunked worker pool, bit-exact with serial), "
-                "'serial', or 'auto' (default, or "
-                "$REPRO_REPLICATION_STRATEGY): batched where possible, "
-                "serial otherwise"
-            ),
-        )
-        sub.add_argument(
-            "--n-jobs",
-            type=int,
-            default=None,
-            help=(
-                "worker count for --replication-strategy=process "
-                "(default: $REPRO_N_JOBS or the CPU count = "
-                f"{_display_default(default_n_jobs, 'unset')})"
-            ),
-        )
-        sub.add_argument(
             "--alphabet",
             type=int,
             default=None,
@@ -105,10 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "attribute count d for the multi-attribute figure ('run "
-                "multiattr'; default $REPRO_ATTRIBUTES or "
-                f"{_display_default(default_attributes, 2)} — employment "
-                "status x income bracket); other experiments accept and "
-                "ignore it"
+                "multiattr'; default 2 — employment status x income "
+                "bracket); other experiments accept and ignore it"
             ),
         )
 
@@ -157,8 +113,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI body; returns the process exit code."""
+    """CLI body; returns the process exit code.
+
+    Exit 1 means a shape check failed.  A bad argument the parser cannot
+    see (an unknown experiment id, a non-positive count) exits 2 with one
+    line on stderr, like argparse's own usage errors.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigurationError as exc:
+        print(f"repro-experiments: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "list":
         for experiment_id in list_experiments():
             print(experiment_id)
@@ -180,8 +149,6 @@ def main(argv: list[str] | None = None) -> int:
         result = get_experiment(args.experiment_id)(
             args.reps,
             seed=args.seed,
-            strategy=args.replication_strategy,
-            n_jobs=args.n_jobs,
             alphabet=args.alphabet,
             attributes=args.attributes,
         )
@@ -193,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         result = get_experiment(experiment_id)(
             args.reps,
             seed=args.seed,
-            strategy=args.replication_strategy,
-            n_jobs=args.n_jobs,
             alphabet=args.alphabet,
             attributes=args.attributes,
         )

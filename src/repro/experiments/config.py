@@ -6,19 +6,14 @@ import os
 from dataclasses import dataclass, field
 
 from repro.analysis.metrics import SeriesSummary
-from repro.analysis.replication import STRATEGIES as _STRATEGIES
-from repro.analysis.replication import resolve_n_jobs, resolve_strategy
 from repro.analysis.tables import render_comparison_table, render_series_table
+from repro.exceptions import ConfigurationError
 
 __all__ = [
     "FigureResult",
     "bench_reps",
     "default_reps",
-    "default_attributes",
     "resolve_attributes",
-    "default_strategy",
-    "default_n_jobs",
-    "STRATEGIES",
     "PAPER_REPS",
 ]
 
@@ -28,64 +23,19 @@ PAPER_REPS = 1000
 #: Default repetition count for interactive / CI runs.
 default_reps = 25
 
-#: Replication strategies (see repro.analysis.replication).
-STRATEGIES = _STRATEGIES
-
-
-def default_strategy() -> str:
-    """Replication strategy used by experiment runs.
-
-    Controlled by the ``REPRO_REPLICATION_STRATEGY`` environment variable
-    (``"auto"``, ``"batched"``, ``"process"``, or ``"serial"``); delegates
-    to :func:`repro.analysis.replication.resolve_strategy`, the same
-    resolver :func:`~repro.analysis.replication.replicate_synthesizer`
-    consults, so a typo'd value raises instead of silently re-running the
-    default path.
-    """
-    return resolve_strategy(None)
-
-
-def default_n_jobs() -> int:
-    """Process-pool worker count (``$REPRO_N_JOBS`` or the CPU count)."""
-    return resolve_n_jobs(None)
-
 
 def resolve_attributes(value: int | None) -> int:
-    """Resolve an attribute count: explicit value, else ``$REPRO_ATTRIBUTES``.
+    """Resolve an attribute count for the ``multiattr`` experiment.
 
-    The same resolver convention as
-    :func:`repro.analysis.replication.resolve_strategy`: ``None`` falls
-    back to the environment variable (default 2 — the
-    employment-status x income-bracket workload of the ``multiattr``
-    experiment), and an unparsable or non-positive value raises instead
-    of silently running the default.
+    ``None`` means 2 (the employment-status x income-bracket workload);
+    an explicit value must be an integer >= 1.
     """
-    from repro.exceptions import ConfigurationError
-
     if value is None:
-        raw = os.environ.get("REPRO_ATTRIBUTES", "")
-        if not raw:
-            return 2
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"$REPRO_ATTRIBUTES must be an integer >= 1, got {raw!r}"
-            ) from None
+        return 2
     value = int(value)
     if value < 1:
         raise ConfigurationError(f"attribute count must be >= 1, got {value}")
     return value
-
-
-def default_attributes() -> int:
-    """Attribute count used by the ``multiattr`` experiment.
-
-    Controlled by the ``REPRO_ATTRIBUTES`` environment variable, the
-    same pattern as :func:`default_strategy` /
-    ``$REPRO_REPLICATION_STRATEGY``.
-    """
-    return resolve_attributes(None)
 
 
 def bench_reps(fallback: int = default_reps) -> int:

@@ -180,7 +180,7 @@ def run_multiattr_experiment(
         pairs.
     attributes:
         Number of attributes ``d >= 2`` for the main figure (the CLI's
-        ``--attributes`` / ``$REPRO_ATTRIBUTES``; default 2 — employment
+        ``--attributes``; default 2 — employment
         status x income bracket).  The ``d = 1`` bit-exactness anchors
         always run regardless.
     window:

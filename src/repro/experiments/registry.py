@@ -1,8 +1,9 @@
 """Experiment registry: id -> runner.
 
-Every entry takes ``(n_reps, seed, strategy, n_jobs, alphabet,
-attributes)`` and returns a :class:`~repro.experiments.config.FigureResult`.  The ids
-match the per-experiment index in DESIGN.md §3.
+Every entry takes ``(n_reps, seed, alphabet, attributes)`` and returns a
+:class:`~repro.experiments.config.FigureResult`.  The figure ids follow
+the paper's figure numbers; ``thm32`` checks Theorem 3.2 and
+Corollary B.1 together.
 """
 
 from __future__ import annotations
@@ -32,39 +33,21 @@ __all__ = ["EXPERIMENTS", "get_experiment", "list_experiments"]
 
 Runner = Callable[..., FigureResult]
 
-_REPLICATION = ("strategy", "n_jobs")
 
-
-def _entry(
-    func: Runner,
-    accepts: tuple[str, ...] = _REPLICATION,
-    **fixed,
-) -> Runner:
+def _entry(func: Runner, accepts: tuple[str, ...] = (), **fixed) -> Runner:
     """Adapt an experiment function to the registry's uniform signature.
 
-    Every runner accepts the full knob set — ``strategy`` (replication
-    strategy), ``n_jobs`` (process-pool width), ``alphabet`` (category
-    count for the categorical figure), and ``attributes`` (attribute
+    Every runner accepts the full knob set — ``alphabet`` (category
+    count for the categorical figure) and ``attributes`` (attribute
     count for the multi-attribute figure) — so the CLI can thread one
-    flag set through the whole registry.  ``accepts`` names the knobs this experiment
-    actually consumes; the rest are accepted and dropped.  ``fixed``
-    pins per-entry parameters (rho, experiment id, ...).
+    flag set through the whole registry.  ``accepts`` names the knobs
+    this experiment actually consumes; the rest are accepted and
+    dropped.  ``fixed`` pins per-entry parameters (rho, experiment id,
+    ...).
     """
 
-    def runner(
-        n_reps,
-        seed=0,
-        strategy=None,
-        n_jobs=None,
-        alphabet=None,
-        attributes=None,
-    ):
-        knobs = {
-            "strategy": strategy,
-            "n_jobs": n_jobs,
-            "alphabet": alphabet,
-            "attributes": attributes,
-        }
+    def runner(n_reps, seed=0, alphabet=None, attributes=None):
+        knobs = {"alphabet": alphabet, "attributes": attributes}
         kwargs = {name: knobs[name] for name in accepts}
         return func(n_reps=n_reps, seed=seed, **kwargs, **fixed)
 
@@ -99,11 +82,10 @@ EXPERIMENTS: dict[str, Runner] = {
     ),
     # Bound checks and ablations
     "thm32": _entry(run_bound_checks),
-    "corB1": _entry(run_bound_checks),
     "abl-counter": _entry(run_counter_ablation),
-    "abl-npad": _entry(run_padding_ablation, ()),
+    "abl-npad": _entry(run_padding_ablation),
     "abl-budget": _entry(run_budget_ablation),
-    "abl-baseline": _entry(run_baseline_comparison, ()),
+    "abl-baseline": _entry(run_baseline_comparison),
     "sweep-rho": _entry(run_rho_sweep),
     "sweep-n": _entry(run_population_sweep),
     # Dynamic populations: attrition sweep over a churning SIPP panel,
@@ -112,9 +94,7 @@ EXPERIMENTS: dict[str, Runner] = {
     # Multi-category extension: the categorical window synthesizer over
     # the employment-status workload, anchored by the q=2 == binary
     # bit-exactness check.
-    "categorical": _entry(
-        run_categorical_experiment, ("strategy", "n_jobs", "alphabet")
-    ),
+    "categorical": _entry(run_categorical_experiment, ("alphabet",)),
     # Multi-attribute composition: d per-attribute window engines under
     # one zCDP budget with cross-attribute marginals, anchored by the
     # d=1 == standalone-engine bit-exactness checks.

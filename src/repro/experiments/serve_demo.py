@@ -153,8 +153,6 @@ def run_serve_demo(
     checkpoint_round: int | None = None,
     n_shards: int = 4,
     chaos: bool = False,
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Run the online-serving demonstration and self-checks.
 
@@ -179,8 +177,6 @@ def run_serve_demo(
         Run the fault-injection leg: a supervised service survives a
         mid-stream worker kill, a corrupted checkpoint, and a torn
         journal tail with byte-identical recoveries.
-    strategy, n_jobs:
-        Accepted for CLI-uniformity; the demo does not replicate.
 
     Returns
     -------
@@ -188,7 +184,7 @@ def run_serve_demo(
         Per-round release fractions plus the named self-checks
         (``all_checks_pass`` drives the CLI exit code).
     """
-    del n_reps, strategy, n_jobs  # single-pass demo; knobs kept for CLI symmetry
+    del n_reps  # single-pass demo
     panel = _load_panel(n_households, seed)
     horizon = panel.horizon
     columns = list(panel.columns())

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.metrics import SeriesSummary
-from repro.analysis.replication import replicate_synthesizer, window_strategy
+from repro.analysis.replication import replicate_synthesizer
 from repro.analysis.theory import corollary_3_3_relative_bound, debiased_error_bound
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.data.generators import all_ones
@@ -45,17 +45,13 @@ def run_simulated_window_experiment(
     horizon: int = 12,
     rho: float = 0.005,
     noise_method: str = "vectorized",
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Reproduce Figure 3 (``debias=True``) or Figure 4 (``debias=False``).
 
     Returns one error-series summary per query width (2, 3, 4), each with
-    its theoretical bound line.  ``strategy`` / ``n_jobs`` select the
-    replication execution (Algorithm 1: serial or process pool).
+    its theoretical bound line.
     """
     panel = all_ones(n, horizon)
-    strategy = window_strategy(strategy)
 
     def factory(generator):
         return FixedWindowSynthesizer(
@@ -106,8 +102,7 @@ def run_simulated_window_experiment(
         # the query is defined (t >= query_k).
         times = list(range(max(query_k, _SYNTH_K), horizon + 1))
         replicated = replicate_synthesizer(
-            factory, panel, [query], times, n_reps=n_reps, seed=seed, debias=debias,
-            strategy=strategy, n_jobs=n_jobs,
+            factory, panel, [query], times, n_reps=n_reps, seed=seed, debias=debias
         )
         errors = np.abs(replicated.errors()[:, 0, :])
         summary = SeriesSummary.from_samples(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.replication import cumulative_strategy, replicate_synthesizer
+from repro.analysis.replication import replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data.dataset import LongitudinalDataset
 from repro.experiments.config import FigureResult
@@ -34,8 +34,6 @@ def run_sipp_cumulative_experiment(
     budget: str = "corollary_b1",
     data: LongitudinalDataset | None = None,
     noise_method: str = "vectorized",
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Reproduce Figure 2 / Figure 8.
 
@@ -49,15 +47,11 @@ def run_sipp_cumulative_experiment(
         thresholds simultaneously).
     counter / budget:
         Stream-counter name and budget split (paper: binary tree,
-        Corollary B.1 weights).
-    strategy / n_jobs:
-        Replication strategy and process-pool width for
-        :func:`~repro.analysis.replication.replicate_synthesizer`; the
-        default ``auto`` runs this experiment's repetitions as one batched
-        ``(R, T)`` state machine when the counter has a native bank.
+        Corollary B.1 weights).  When the counter has a native bank,
+        :func:`~repro.analysis.replication.replicate_synthesizer` runs the
+        repetitions as one batched ``(R, T)`` state machine.
     """
     panel = data if data is not None else sipp_panel()
-    strategy = cumulative_strategy(strategy, counter)
     query = HammingAtLeast(b)
     times = list(range(1, panel.horizon + 1))
 
@@ -72,8 +66,7 @@ def run_sipp_cumulative_experiment(
         )
 
     replicated = replicate_synthesizer(
-        factory, panel, [query], times, n_reps=n_reps, seed=seed,
-        strategy=strategy, n_jobs=n_jobs,
+        factory, panel, [query], times, n_reps=n_reps, seed=seed
     )
     summary = replicated.summary(0)
 
@@ -91,7 +84,6 @@ def run_sipp_cumulative_experiment(
             "reps": n_reps,
             "counter": counter,
             "budget": budget,
-            "strategy": strategy,
         },
         paper_expectation=(
             "Synthetic-data answers averaged over repetitions accurately match "

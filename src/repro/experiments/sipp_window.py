@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.analysis.replication import replicate_synthesizer, window_strategy
+from repro.analysis.replication import replicate_synthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.data.dataset import LongitudinalDataset
 from repro.data.sipp import (
@@ -44,8 +44,6 @@ def run_sipp_window_experiment(
     data: LongitudinalDataset | None = None,
     noise_method: str = "vectorized",
     include_debiased_panel: bool = True,
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Reproduce one SIPP quarterly-poverty figure.
 
@@ -60,13 +58,8 @@ def run_sipp_window_experiment(
     include_debiased_panel:
         Also compute the debiased answers (the right panel) and run the
         unbiasedness checks on them.
-    strategy / n_jobs:
-        Replication strategy and process-pool width; Algorithm 1 has no
-        batched fast path, so ``auto`` resolves to the serial loop and
-        ``"process"`` fans the repetitions out across workers.
     """
     panel = data if data is not None else sipp_panel()
-    strategy = window_strategy(strategy)
     queries = quarterly_poverty_workload(_WINDOW)
     times = quarter_ends(panel.horizon, _WINDOW)
 
@@ -80,8 +73,7 @@ def run_sipp_window_experiment(
         )
 
     headline = replicate_synthesizer(
-        factory, panel, queries, times, n_reps=n_reps, seed=seed, debias=debias,
-        strategy=strategy, n_jobs=n_jobs,
+        factory, panel, queries, times, n_reps=n_reps, seed=seed, debias=debias
     )
     result = FigureResult(
         experiment_id=experiment_id,
@@ -129,8 +121,7 @@ def run_sipp_window_experiment(
 
     if include_debiased_panel and not debias:
         debiased = replicate_synthesizer(
-            factory, panel, queries, times, n_reps=n_reps, seed=seed, debias=True,
-            strategy=strategy, n_jobs=n_jobs,
+            factory, panel, queries, times, n_reps=n_reps, seed=seed, debias=True
         )
         for summary in debiased.summaries():
             result.summaries.append(_relabel(summary, f"{summary.label} [debiased]"))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.replication import replicate_synthesizer, window_strategy
+from repro.analysis.replication import replicate_synthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.data.generators import two_state_markov
 from repro.experiments.config import FigureResult
@@ -37,22 +37,8 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(slope)
 
 
-def _mean_abs_error(
-    panel,
-    rho: float,
-    n_reps: int,
-    seed,
-    noise_method: str,
-    strategy: str | None = None,
-    n_jobs: int | None = None,
-) -> float:
-    """Mean |debiased error| of the ≥1-month query at the final round.
-
-    Runs through :func:`replicate_synthesizer` so the sweeps inherit the
-    replication strategies (serial spawns the same per-rep generators the
-    old inline loop did, so the default results are unchanged).
-    """
-    strategy = window_strategy(strategy)
+def _mean_abs_error(panel, rho: float, n_reps: int, seed, noise_method: str) -> float:
+    """Mean |debiased error| of the ≥1-month query at the final round."""
     query = AtLeastMOnes(_WINDOW, 1)
     t = panel.horizon
 
@@ -66,8 +52,7 @@ def _mean_abs_error(
         )
 
     replicated = replicate_synthesizer(
-        factory, panel, [query], [t], n_reps=n_reps, seed=seed,
-        strategy=strategy, n_jobs=n_jobs,
+        factory, panel, [query], [t], n_reps=n_reps, seed=seed
     )
     return float(np.abs(replicated.errors()).mean())
 
@@ -78,21 +63,16 @@ def run_rho_sweep(
     n: int = 8000,
     rhos: tuple[float, ...] = (0.002, 0.005, 0.02, 0.05, 0.2),
     noise_method: str = "vectorized",
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Error vs privacy budget at fixed population size.
 
     Theory predicts a log-log slope of −1/2 (error ∝ rho^{-1/2}).
-    ``strategy`` / ``n_jobs`` select the replication execution.
     """
     panel = two_state_markov(n, _HORIZON, p_stay=0.85, p_enter=0.02, seed=17)
     rows = []
     errors = []
     for rho in rhos:
-        error = _mean_abs_error(
-            panel, rho, n_reps, seed, noise_method, strategy=strategy, n_jobs=n_jobs
-        )
+        error = _mean_abs_error(panel, rho, n_reps, seed, noise_method)
         errors.append(error)
         rows.append({"rho": rho, "mean_abs_error": error})
     slope = fit_loglog_slope(np.asarray(rhos), np.asarray(errors))
@@ -120,22 +100,18 @@ def run_population_sweep(
     rho: float = 0.02,
     sizes: tuple[int, ...] = (1000, 2000, 4000, 8000, 16000),
     noise_method: str = "vectorized",
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Error vs population size at fixed budget.
 
     Theory predicts a log-log slope of −1 (error ∝ 1/n): the count-scale
     noise is independent of ``n``, so the fraction-scale error shrinks
-    linearly.  ``strategy`` / ``n_jobs`` select the replication execution.
+    linearly.
     """
     rows = []
     errors = []
     for n in sizes:
         panel = two_state_markov(n, _HORIZON, p_stay=0.85, p_enter=0.02, seed=18)
-        error = _mean_abs_error(
-            panel, rho, n_reps, seed, noise_method, strategy=strategy, n_jobs=n_jobs
-        )
+        error = _mean_abs_error(panel, rho, n_reps, seed, noise_method)
         errors.append(error)
         rows.append({"n": n, "mean_abs_error": error})
     slope = fit_loglog_slope(np.asarray(sizes, dtype=np.float64), np.asarray(errors))

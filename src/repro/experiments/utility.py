@@ -81,8 +81,6 @@ def run_utility_experiment(
     window: int = 3,
     n_households: int = 1200,
     alphabet: int | None = None,
-    strategy: str | None = None,
-    n_jobs: int | None = None,
 ) -> FigureResult:
     """Sweep rho x horizon x algorithm and score utility per scenario.
 
@@ -106,9 +104,6 @@ def run_utility_experiment(
         panel).
     alphabet:
         Category count of the categorical scenario (default 3).
-    strategy, n_jobs:
-        Replication knobs forwarded to
-        :func:`~repro.analysis.utility.score_synthesizer`.
 
     Returns
     -------
@@ -136,8 +131,6 @@ def run_utility_experiment(
             "window": window,
             "n_households": n_households,
             "alphabet": q,
-            "strategy": strategy or "auto",
-            "n_jobs": n_jobs,
         },
         paper_expectation=(
             "padding + debiasing (Algorithm 1) scores strictly between the "
@@ -172,8 +165,6 @@ def run_utility_experiment(
             seed=seed,
             width=window,
             label="nonprivate",
-            strategy=strategy,
-            n_jobs=n_jobs,
         )
         reports[("nonprivate", None, horizon)] = oracle
         result.comparison_rows.append(
@@ -268,8 +259,6 @@ def run_utility_experiment(
                     width=width,
                     features=feats,
                     label=f"{name} rho={_fmt(rho)} T={horizon}",
-                    strategy=strategy,
-                    n_jobs=n_jobs,
                 )
                 reports[(name, rho, horizon)] = report
                 result.comparison_rows.append(

@@ -22,9 +22,9 @@ the serving-side layer for that model, on top of the algorithm cores in
   whole-service checkpointing.
 * :mod:`repro.serve.executor` — how shards are stepped:
   :data:`~repro.serve.executor.EXECUTOR_STRATEGIES` (``"serial"``,
-  ``"thread"``, ``"process"``), all byte-identical; the process strategy
-  keeps each shard in a persistent forked worker and stages round
-  columns through shared memory.
+  ``"process"``), byte-identical; the process strategy keeps each shard
+  in a persistent forked worker, stages round columns through shared
+  memory, and isolates a crashing shard.
 * :mod:`repro.serve.checkpoint` — the bundle format itself
   (``manifest.json`` + streamed ``arrays/<key>.npy`` members in one
   zip, SHA-256 integrity checks,
@@ -54,7 +54,6 @@ from repro.serve.executor import (
     ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
-    ThreadShardExecutor,
 )
 from repro.serve.journal import JournalRecord, ReleaseJournal
 from repro.serve.policy import POLICY_ENV_VARS, RetryPolicy
@@ -72,7 +71,6 @@ __all__ = [
     "POLICY_ENV_VARS",
     "ShardExecutor",
     "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
     "EXECUTOR_STRATEGIES",
     "read_bundle",

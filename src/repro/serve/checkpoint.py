@@ -22,8 +22,8 @@ A version-3 checkpoint bundle is a single zip file holding:
     executor-equivalence tests rely on this).
 
 Version-2 bundles (a single ``arrays.npz`` member with one whole-archive
-checksum) remain fully readable; :func:`write_bundle` can still emit
-them via ``format_version=2`` for forward-deployment scenarios.
+checksum) remain fully readable; :func:`write_bundle` writes version 3
+only.
 
 The split is lossless: :func:`read_bundle` re-grafts each array back at
 its placeholder, so components (synthesizers, banks, counters, stores)
@@ -347,7 +347,6 @@ def write_bundle(
     state: dict,
     *,
     compress_arrays: bool = True,
-    format_version: int = FORMAT_VERSION,
 ) -> None:
     """Write one checkpoint bundle.
 
@@ -363,28 +362,22 @@ def write_bundle(
         JSON-safe constructor configuration (no arrays).
     state:
         Nested state dict; NumPy array leaves become streamed
-        ``arrays/<key>.npy`` members (version 3) or entries of a single
-        ``arrays.npz`` member (version 2).
+        ``arrays/<key>.npy`` members.
     compress_arrays:
         Deflate the array members (default).  Pass ``False`` when the
         arrays are already-compressed byte blobs — the sharded service
         does this for its nested shard bundles — so incompressible bytes
         don't pay a useless second DEFLATE pass.  Readers handle both
         forms transparently.
-    format_version:
-        Bundle format to emit: 3 (default, streamed per-array members)
-        or 2 (the legacy monolithic ``arrays.npz``, for deployments
-        whose readers predate version 3).
 
     Raises
     ------
     SerializationError
-        If the state contains values the format cannot represent, or
-        ``format_version`` is not a writable version.
+        If the state contains values the format cannot represent.
 
     Notes
     -----
-    Version-3 array members are spooled chunk by chunk straight into the
+    Array members are spooled chunk by chunk straight into the
     zip (NumPy's ``.npy`` serializer writes buffered slabs, not one
     monolithic ``tobytes()``), so the writer's peak memory does not scale
     with the state size — pass ``state_dict(copy=False)`` snapshots to
@@ -398,17 +391,12 @@ def write_bundle(
     """
     from repro import __version__
 
-    if format_version not in SUPPORTED_VERSIONS:
-        raise SerializationError(
-            f"cannot write checkpoint format version {format_version!r}; "
-            f"writable versions are {SUPPORTED_VERSIONS}"
-        )
     json_state, arrays = split_arrays(state)
     json_state = _encode_nonfinite(json_state)
     config = _encode_nonfinite(config)
     manifest = {
         "format": FORMAT_NAME,
-        "format_version": format_version,
+        "format_version": FORMAT_VERSION,
         "library_version": __version__,
         "noise_sampler": NOISE_SAMPLER_VERSION,
         "kind": str(kind),
@@ -419,56 +407,24 @@ def write_bundle(
         ).hexdigest(),
     }
 
-    if format_version == 2:
-        buffer = io.BytesIO()
-        # Keys are passed to savez as **kwargs, where a bare top-level key
-        # like "file" would collide with the function's own parameter; the
-        # "k/" prefix (stripped on read) makes every key collision-proof.
-        prefixed = {
-            f"{_ARRAY_KEY_PREFIX}{key}": value for key, value in arrays.items()
-        }
-        if compress_arrays:
-            np.savez_compressed(buffer, **prefixed)
-        else:
-            np.savez(buffer, **prefixed)
-        array_bytes = buffer.getvalue()
-        manifest["arrays_checksum"] = hashlib.sha256(array_bytes).hexdigest()
-        manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    member_type = zipfile.ZIP_DEFLATED if compress_arrays else zipfile.ZIP_STORED
 
-        def _fill(target) -> None:
-            with zipfile.ZipFile(
-                target, "w", compression=zipfile.ZIP_DEFLATED
-            ) as bundle:
-                bundle.writestr(_MANIFEST, manifest_text)
-                # The npz member is already DEFLATE-compressed per array;
-                # store it as-is instead of a second (useless) pass.
-                bundle.writestr(
-                    _ARRAYS, array_bytes, compress_type=zipfile.ZIP_STORED
-                )
-
-    else:
-        member_type = zipfile.ZIP_DEFLATED if compress_arrays else zipfile.ZIP_STORED
-
-        def _fill(target) -> None:
-            checksums: dict[str, str] = {}
-            with zipfile.ZipFile(
-                target, "w", compression=zipfile.ZIP_DEFLATED
-            ) as bundle:
-                for key in sorted(arrays):
-                    info = _member_info(_array_member(key), member_type)
-                    with bundle.open(info, "w", force_zip64=True) as member:
-                        writer = _HashingWriter(member)
-                        np.lib.format.write_array(
-                            writer, np.asanyarray(arrays[key]), allow_pickle=False
-                        )
-                    checksums[key] = writer.hexdigest()
-                manifest["array_checksums"] = checksums
-                manifest_text = json.dumps(
-                    manifest, indent=2, sort_keys=True, allow_nan=False
-                )
-                bundle.writestr(
-                    _member_info(_MANIFEST, zipfile.ZIP_DEFLATED), manifest_text
-                )
+    def _fill(target) -> None:
+        checksums: dict[str, str] = {}
+        with zipfile.ZipFile(target, "w", compression=zipfile.ZIP_DEFLATED) as bundle:
+            for key in sorted(arrays):
+                info = _member_info(_array_member(key), member_type)
+                with bundle.open(info, "w", force_zip64=True) as member:
+                    writer = _HashingWriter(member)
+                    np.lib.format.write_array(
+                        writer, np.asanyarray(arrays[key]), allow_pickle=False
+                    )
+                checksums[key] = writer.hexdigest()
+            manifest["array_checksums"] = checksums
+            manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+            bundle.writestr(
+                _member_info(_MANIFEST, zipfile.ZIP_DEFLATED), manifest_text
+            )
 
     if isinstance(path, (str, os.PathLike)):
         # Atomic replace: never truncate an existing good checkpoint

@@ -1,4 +1,4 @@
-"""Shard-stepping strategies: serial, thread-pool, and process-parallel.
+"""Shard-stepping strategies: serial and process-parallel.
 
 A :class:`ShardExecutor` owns the per-shard
 :class:`~repro.serve.streaming.StreamingSynthesizer` instances of a
@@ -8,14 +8,6 @@ A :class:`ShardExecutor` owns the per-shard
 ``"serial"``
     Today's behavior, bit for bit: shards advance one after another in
     the calling thread, stopping at the first failure.
-
-``"thread"``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` advances all
-    shards concurrently.  NumPy releases the GIL inside its reductions
-    and the discrete-Gaussian samplers are array code, so shards overlap
-    meaningfully; results are joined in shard order, which keeps every
-    output byte-identical to serial (per-shard RNGs are independent
-    spawned streams, so execution order cannot matter).
 
 ``"process"``
     One **persistent forked worker per shard**.  Each shard object lives
@@ -31,8 +23,10 @@ A :class:`ShardExecutor` owns the per-shard
     makes :meth:`~repro.serve.sharded.ShardedService.observe_async`
     overlap staging of round ``r+1`` with computation of round ``r``.
 
-All three strategies produce byte-identical releases, ledgers, and
+Both strategies produce byte-identical releases, ledgers, and
 checkpoint bundles; ``tests/serve/test_executors.py`` locks that in.
+The process strategy is also the one that isolates a crashing shard:
+a killed worker fails its own requests, and the supervisor recovers it.
 The process strategy requires the ``fork`` start method (Linux, macOS
 with the default ``spawn`` overridden) because forking is what moves
 the shard state into the workers for free.
@@ -42,10 +36,8 @@ from __future__ import annotations
 
 import io
 import multiprocessing as mp
-import os
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,7 +49,6 @@ __all__ = [
     "EXECUTOR_STRATEGIES",
     "ShardExecutor",
     "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
     "RoundTicket",
     "make_executor",
@@ -75,11 +66,7 @@ def _tag_shard(exc: BaseException, index: int) -> BaseException:
     return exc
 
 #: Recognized ``executor=`` strategy names, in documentation order.
-EXECUTOR_STRATEGIES = ("serial", "thread", "process")
-
-#: Environment override for the default strategy (used when the service
-#: is constructed without an explicit ``executor=``).
-EXECUTOR_ENV = "REPRO_SHARD_EXECUTOR"
+EXECUTOR_STRATEGIES = ("serial", "process")
 
 
 def _kwargs_key(kwargs: dict):
@@ -162,7 +149,7 @@ class RoundTicket:
 
 
 class ShardExecutor:
-    """Common surface of the three stepping strategies.
+    """Common surface of the two stepping strategies.
 
     Subclasses own the shard synthesizers; the sharded service goes
     through this interface for everything that touches shard state, so
@@ -223,7 +210,7 @@ class ShardExecutor:
     def worker_health(self) -> list[bool]:
         """Per-shard liveness, in shard order.
 
-        In-process strategies report ``True`` for every non-disabled
+        The serial strategy reports ``True`` for every non-disabled
         shard; the process strategy additionally checks that each worker
         process is alive.
         """
@@ -277,7 +264,7 @@ class ShardExecutor:
     def close(self) -> None:
         """Release strategy resources (workers, shared memory).  Idempotent."""
 
-    # -- shared in-process implementations ------------------------------
+    # -- in-process implementations (serial strategy) -------------------
 
     def _shard_weight(self, shard, t: int, kwargs: dict) -> float:
         """Memoized merge weight of one shard at round ``t``."""
@@ -376,107 +363,6 @@ class SerialShardExecutor(ShardExecutor):
         return self._map_live(self._fingerprint_one)
 
 
-class ThreadShardExecutor(ShardExecutor):
-    """Shards advance concurrently on a thread pool.
-
-    Every shard attempts the round (unlike serial's stop-at-first-
-    failure); failures are joined in shard order, so the *reported*
-    error is deterministic even though execution is not.  Outputs are
-    byte-identical to serial because each shard's RNG is an independent
-    spawned stream — no cross-shard ordering can influence any draw.
-    """
-
-    strategy = "thread"
-
-    def __init__(self, shards: list, algorithm: str, policy=None):
-        super().__init__(shards, algorithm, policy)
-        workers = min(len(self._shards), os.cpu_count() or 1) or 1
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-
-    def _submit_live(self, fn, *args) -> list:
-        """One future per live shard, ``None`` placeholders for disabled."""
-        return [
-            None
-            if index in self._disabled
-            else self._pool.submit(fn, shard, *args)
-            for index, shard in enumerate(self._shards)
-        ]
-
-    def _join(self, futures) -> list:
-        results, first_error = [], None
-        for index, future in enumerate(futures):
-            if future is None:
-                results.append(None)
-                continue
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                if first_error is None:
-                    first_error = _tag_shard(exc, index)
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def dispatch_round(self, jobs: list) -> RoundTicket:
-        self._weight_memo.clear()
-        futures = [
-            None
-            if index in self._disabled
-            else self._pool.submit(
-                shard.observe, column, entrants=entrants, exits=exits
-            )
-            for index, (shard, (column, entrants, exits)) in enumerate(
-                zip(self._shards, jobs)
-            )
-        ]
-
-        def join() -> int:
-            advanced = 0
-            first_error = None
-            for index, future in enumerate(futures):
-                if future is None:
-                    continue
-                try:
-                    future.result()
-                    advanced += 1
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = _tag_shard(exc, index)
-            if first_error is not None:
-                raise first_error
-            return advanced
-
-        ticket = RoundTicket(join)
-        try:
-            ticket.wait()
-        except Exception:
-            pass
-        return ticket
-
-    def answer(self, query, t: int, kwargs: dict) -> list:
-        return self._join(self._submit_live(self._answer_one, query, t, kwargs))
-
-    def answer_batch(self, queries, times, kwargs: dict) -> list:
-        return self._join(self._submit_live(self._batch_one, queries, times, kwargs))
-
-    def ledgers(self) -> list:
-        return [
-            None if index in self._disabled else self._ledger_one(shard)
-            for index, shard in enumerate(self._shards)
-        ]
-
-    def checkpoint_blobs(self) -> list:
-        return self._join(self._submit_live(self._blob_one))
-
-    def fingerprints(self) -> list:
-        return self._join(self._submit_live(self._fingerprint_one))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 # ----------------------------------------------------------------------
 # Process strategy
 # ----------------------------------------------------------------------
@@ -494,7 +380,7 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
     from multiprocessing import shared_memory
 
     segments: OrderedDict[str, object] = OrderedDict()
-    # Worker-side merge-weight memo, mirroring the in-process executors'
+    # Worker-side merge-weight memo, mirroring the serial executor's
     # (see ShardExecutor._shard_weight): cleared whenever the shard
     # advances, so cached denominators never go stale.
     weight_memo: dict = {}
@@ -743,7 +629,7 @@ class ProcessShardExecutor(ShardExecutor):
         if "fork" not in mp.get_all_start_methods():
             raise ConfigurationError(
                 "the 'process' executor needs the fork start method, which "
-                "this platform does not provide; use 'thread' or 'serial'"
+                "this platform does not provide; use 'serial'"
             )
         context = mp.get_context("fork")
         try:
@@ -1009,32 +895,19 @@ class ProcessShardExecutor(ShardExecutor):
 
 _EXECUTORS = {
     "serial": SerialShardExecutor,
-    "thread": ThreadShardExecutor,
     "process": ProcessShardExecutor,
 }
-
-
-def resolve_strategy(executor: str | None) -> str:
-    """Resolve the strategy name: explicit arg, else env var, else serial."""
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV) or "serial"
-    executor = str(executor)
-    if executor not in _EXECUTORS:
-        raise ConfigurationError(
-            f"executor must be one of {EXECUTOR_STRATEGIES}, got {executor!r}"
-        )
-    return executor
 
 
 def make_executor(
     executor: str | None, shards: list, algorithm: str, policy=None
 ) -> ShardExecutor:
-    """Build the executor for ``executor`` (``None`` = env default).
+    """Build the executor for ``executor`` (``None`` = serial).
 
     Parameters
     ----------
     executor:
-        Strategy name, or ``None`` to read ``$REPRO_SHARD_EXECUTOR``.
+        ``"serial"``, ``"process"``, or ``None`` for serial.
     shards:
         Per-shard synthesizers handed to the executor (see
         :class:`ShardExecutor`).
@@ -1044,4 +917,9 @@ def make_executor(
         Optional :class:`~repro.serve.policy.RetryPolicy` carrying the
         RPC timeout applied by the process strategy.
     """
-    return _EXECUTORS[resolve_strategy(executor)](shards, algorithm, policy)
+    name = "serial" if executor is None else str(executor)
+    if name not in _EXECUTORS:
+        raise ConfigurationError(
+            f"executor must be one of {EXECUTOR_STRATEGIES}, got {name!r}"
+        )
+    return _EXECUTORS[name](shards, algorithm, policy)

@@ -12,10 +12,10 @@ synthetic populations.
 
 Shards are independent state machines, and *how* they advance is a
 pluggable :class:`~repro.serve.executor.ShardExecutor` strategy:
-``executor="serial"`` (default; today's loop, bit for bit),
-``"thread"`` (a thread pool), or ``"process"`` (one persistent forked
-worker per shard, columns staged through shared memory).  All three
-produce byte-identical releases, ledgers, and checkpoint bundles.  The
+``executor="serial"`` (default; today's loop, bit for bit) or
+``"process"`` (one persistent forked worker per shard, columns staged
+through shared memory).  Both produce byte-identical releases, ledgers,
+and checkpoint bundles.  The
 whole service checkpoints into a single bundle that nests one streaming
 bundle per shard.
 
@@ -90,9 +90,8 @@ class ShardedService:
         Master seed; each shard receives an independent spawned child
         stream, so results are reproducible for any ``K``.
     executor:
-        Shard-stepping strategy: ``"serial"`` (default), ``"thread"``,
-        or ``"process"`` — see :mod:`repro.serve.executor`.  ``None``
-        reads ``$REPRO_SHARD_EXECUTOR``, falling back to serial.  All
+        Shard-stepping strategy: ``"serial"`` (default, also ``None``)
+        or ``"process"`` — see :mod:`repro.serve.executor`.  Both
         strategies produce byte-identical outputs; ``"process"`` moves
         each shard into a persistent forked worker (so the
         :attr:`shards` property becomes unavailable) and stages round
@@ -388,8 +387,8 @@ class ShardedService:
         rounds may be in flight — staging round ``r+1``'s columns into
         shared memory overlaps round ``r``'s compute — and dispatching a
         third blocks on the oldest (its staging buffer is being reused).
-        The serial and thread strategies ingest before returning, so the
-        ticket is already complete.
+        The serial strategy ingests before returning, so the ticket is
+        already complete.
 
         Joining happens implicitly before any read (``answer``,
         ``shard_ledgers``, ``checkpoint`` …) or explicitly via
@@ -512,7 +511,7 @@ class ShardedService:
         ticket = RoundTicket(lambda: self._join_round(round_number, inner))
         self._pending.append((round_number, ticket))
         if inner.done:
-            # Serial/thread strategies ingest eagerly; surface failures
+            # The serial strategy ingests eagerly; surface failures
             # now (poisoning included) instead of at the next read.
             ticket.wait()
         return ticket
@@ -978,9 +977,8 @@ class ShardedService:
             Bundle file path or readable binary file object.
         executor:
             Shard-stepping strategy for the restored service; ``None``
-            reads ``$REPRO_SHARD_EXECUTOR``, falling back to serial.
-            Checkpoints are strategy-agnostic, so a bundle written under
-            one executor restores under any other.
+            means serial.  Checkpoints are strategy-agnostic, so a bundle
+            written under one executor restores under the other.
         policy:
             Optional :class:`~repro.serve.policy.RetryPolicy` carrying
             the worker RPC timeout for the restored service.

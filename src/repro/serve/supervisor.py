@@ -120,9 +120,9 @@ class SupervisedService:
         its config and replay the journal from round 1, which is only
         byte-reproducible with a concrete seed.
     executor:
-        Shard-stepping strategy (``"serial"``/``"thread"``/``"process"``
-        or ``None`` for the environment default); not persisted — each
-        attach may pick a different one.
+        Shard-stepping strategy (``"serial"``/``"process"``, ``None``
+        for serial); not persisted — each attach may pick a different
+        one.
     policy:
         The :class:`~repro.serve.policy.RetryPolicy`; ``None`` uses
         :meth:`RetryPolicy.from_env`.

@@ -33,9 +33,9 @@ in lockstep: state arrays carry a leading rep axis, each round draws one
 API, and :meth:`CounterBank.feed` returns a ``(R, t)`` estimate matrix.
 The increments are shared across replicas (all repetitions of a figure see
 the same panel); only the noise differs.  This is the engine behind
-``replicate_synthesizer(strategy="batched")``, which collapses the
-1000-repetition Python loop of the paper's figures into one batched NumPy
-state machine.  With ``n_reps=1`` (default) the public shapes and the
+:func:`~repro.analysis.replication.replicate_synthesizer`'s batched path,
+which collapses the 1000-repetition Python loop of the paper's figures
+into one batched NumPy state machine.  With ``n_reps=1`` (default) the public shapes and the
 noise bit-stream are unchanged from the single-run bank.
 
 **Row growth.**  :meth:`CounterBank.extend_rows` appends threshold rows

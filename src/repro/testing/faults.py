@@ -19,7 +19,7 @@ from its seed.  The harness targets the real failure surfaces of
   full ``/dev/shm`` on the serving host).
 
 The worker injectors require the ``"process"`` executor — with serial
-or thread stepping there is no worker process to fault — and accept
+stepping there is no worker process to fault — and accept
 either a :class:`~repro.serve.sharded.ShardedService` or a
 :class:`~repro.serve.supervisor.SupervisedService`.
 """

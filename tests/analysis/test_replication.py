@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.replication import grid_answer
 from oracles.scalar import fallback_reference
-from repro.analysis.replication import replicate_synthesizer
+from repro.analysis.replication import _batched_config, replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
+from repro.data.generators import two_state_markov
 from repro.exceptions import ConfigurationError
 from repro.queries.cumulative import HammingAtLeast, HammingExactly
 from repro.queries.window import AtLeastMOnes
+from repro.streams.registry import available_banks, available_counters
 
 
 def window_factory(panel, rho=math.inf):
@@ -133,9 +138,6 @@ class TestReplicateSynthesizer:
             seed=10,
             debias=False,
             answer_fn=spy,
-            # The spy records calls in-process; forked workers would keep
-            # their side effects, so pin the serial strategy here.
-            strategy="serial",
         )
         assert calls == [("at_least_1_of_3", 3, False)]
         assert result.answers[0, 0, 0] == 0.5
@@ -174,7 +176,7 @@ def cumulative_factory(panel, rho=math.inf, counter="binary_tree"):
 
 
 class TestStrategies:
-    """The batched / process / serial strategies agree where promised."""
+    """The batched path agrees with the one-repetition loop where promised."""
 
     def test_noiseless_bit_exact_across_strategies(self, small_markov_panel):
         kwargs = dict(
@@ -184,34 +186,10 @@ class TestStrategies:
             n_reps=4,
             seed=0,
         )
-        results = {
-            s: replicate_synthesizer(
-                cumulative_factory(small_markov_panel), strategy=s, **kwargs
-            )
-            for s in ("serial", "process", "batched")
-        }
-        assert (results["serial"].answers == results["batched"].answers).all()
-        assert (results["serial"].answers == results["process"].answers).all()
-
-    def test_process_bit_exact_with_noise(self, small_markov_panel):
-        # Same spawned per-rep generators => identical answers, noise and all.
-        kwargs = dict(
-            dataset=small_markov_panel,
-            queries=[AtLeastMOnes(3, 1)],
-            times=[3, 6],
-            n_reps=5,
-            seed=1,
-        )
-        serial = replicate_synthesizer(
-            window_factory(small_markov_panel, rho=0.05), strategy="serial", **kwargs
-        )
-        pooled = replicate_synthesizer(
-            window_factory(small_markov_panel, rho=0.05),
-            strategy="process",
-            n_jobs=2,
-            **kwargs,
-        )
-        assert (serial.answers == pooled.answers).all()
+        factory = cumulative_factory(small_markov_panel)
+        batched = replicate_synthesizer(factory, **kwargs)
+        serial = replicate_synthesizer(factory, answer_fn=grid_answer, **kwargs)
+        assert (serial.answers == batched.answers).all()
 
     def test_batched_with_noise_shapes_truth_and_masks(self, small_markov_panel):
         kwargs = dict(
@@ -221,16 +199,9 @@ class TestStrategies:
             n_reps=6,
             seed=2,
         )
-        batched = replicate_synthesizer(
-            cumulative_factory(small_markov_panel, rho=0.1),
-            strategy="batched",
-            **kwargs,
-        )
-        serial = replicate_synthesizer(
-            cumulative_factory(small_markov_panel, rho=0.1),
-            strategy="serial",
-            **kwargs,
-        )
+        factory = cumulative_factory(small_markov_panel, rho=0.1)
+        batched = replicate_synthesizer(factory, **kwargs)
+        serial = replicate_synthesizer(factory, answer_fn=grid_answer, **kwargs)
         assert batched.answers.shape == serial.answers.shape
         assert batched.query_names == serial.query_names
         assert (batched.truth == serial.truth).all()
@@ -239,18 +210,7 @@ class TestStrategies:
         assert len(set(batched.answers[:, 0, -1].tolist())) > 1
 
     def test_auto_uses_batched_for_cumulative(self, small_markov_panel, monkeypatch):
-        # auto == batched for an eligible factory: identical under one seed.
-        calls = []
-        from repro.core import replicated
-
-        original = replicated.replicate_cumulative
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(replicated, "replicate_cumulative", spy)
-        monkeypatch.delenv("REPRO_REPLICATION_STRATEGY", raising=False)
+        calls = _spy_on_batched(monkeypatch)
         replicate_synthesizer(
             cumulative_factory(small_markov_panel),
             small_markov_panel,
@@ -259,7 +219,7 @@ class TestStrategies:
             n_reps=2,
             seed=3,
         )
-        assert calls  # default strategy (auto) took the batched path
+        assert calls  # a qualifying run took the batched path
 
     def test_auto_falls_back_for_window_factory(self, small_markov_panel):
         result = replicate_synthesizer(
@@ -269,44 +229,8 @@ class TestStrategies:
             [4],
             n_reps=2,
             seed=4,
-            strategy="auto",
         )
         assert np.allclose(result.errors(), 0.0)
-
-    def test_explicit_batched_rejects_window_factory(self, small_markov_panel):
-        with pytest.raises(ConfigurationError):
-            replicate_synthesizer(
-                window_factory(small_markov_panel),
-                small_markov_panel,
-                [AtLeastMOnes(3, 1)],
-                [4],
-                n_reps=2,
-                strategy="batched",
-            )
-
-    def test_explicit_batched_rejects_scalar_engine(self, small_markov_panel):
-        # Per-threshold scalar counters have no rep axis to batch over.
-        factory = cumulative_factory(small_markov_panel)
-        with pytest.raises(ConfigurationError):
-            replicate_synthesizer(
-                lambda generator: fallback_reference(factory(generator)),
-                small_markov_panel,
-                [HammingAtLeast(1)],
-                [4],
-                n_reps=2,
-                strategy="batched",
-            )
-
-    def test_explicit_batched_rejects_fallback_counter(self, small_markov_panel):
-        with pytest.raises(ConfigurationError):
-            replicate_synthesizer(
-                cumulative_factory(small_markov_panel, counter="honaker"),
-                small_markov_panel,
-                [HammingAtLeast(1)],
-                [4],
-                n_reps=2,
-                strategy="batched",
-            )
 
     def test_custom_answer_fn_skips_batched(self, small_markov_panel):
         calls = []
@@ -323,74 +247,66 @@ class TestStrategies:
             n_reps=1,
             seed=5,
             answer_fn=spy,
-            strategy="auto",
         )
         assert calls == [4]
 
     def test_unknown_strategy_rejected(self, small_markov_panel):
-        with pytest.raises(ConfigurationError):
-            replicate_synthesizer(
-                window_factory(small_markov_panel),
-                small_markov_panel,
-                [AtLeastMOnes(3, 1)],
-                [4],
-                n_reps=1,
-                strategy="gpu",
-            )
+        # The path is not selectable: a caller still passing a strategy
+        # fails loudly instead of having it ignored.
+        for strategy in ("serial", "gpu"):
+            with pytest.raises(TypeError):
+                replicate_synthesizer(
+                    window_factory(small_markov_panel),
+                    small_markov_panel,
+                    [AtLeastMOnes(3, 1)],
+                    [4],
+                    n_reps=1,
+                    strategy=strategy,
+                )
 
 
 class TestStrategyResolution:
-    def test_env_var_resolution(self, monkeypatch):
-        from repro.analysis.replication import resolve_strategy
+    """Replication reads no environment variable: leftover ones change nothing."""
 
+    def test_env_var_resolution(self, small_markov_panel, monkeypatch):
+        kwargs = dict(
+            dataset=small_markov_panel,
+            queries=[HammingAtLeast(1)],
+            times=[4, 8],
+            n_reps=2,
+            seed=3,
+        )
+        factory = cumulative_factory(small_markov_panel, rho=0.1)
         monkeypatch.delenv("REPRO_REPLICATION_STRATEGY", raising=False)
-        assert resolve_strategy(None) == "auto"
-        monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "serial")
-        assert resolve_strategy(None) == "serial"
-        assert resolve_strategy("batched") == "batched"  # explicit beats env
-        monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "sclar")
-        with pytest.raises(ConfigurationError):
-            resolve_strategy(None)
+        unset = replicate_synthesizer(factory, **kwargs)
+        for value in ("serial", "sclar"):
+            monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", value)
+            with pytest.MonkeyPatch.context() as spy_patch:
+                calls = _spy_on_batched(spy_patch)
+                result = replicate_synthesizer(factory, **kwargs)
+            assert calls, value
+            assert result.answers.tobytes() == unset.answers.tobytes()
 
-    def test_n_jobs_resolution(self, monkeypatch):
-        from repro.analysis.replication import resolve_n_jobs
-
+    def test_n_jobs_resolution(self, small_markov_panel, monkeypatch):
+        kwargs = dict(
+            dataset=small_markov_panel,
+            queries=[AtLeastMOnes(3, 1)],
+            times=[4],
+            n_reps=2,
+            seed=3,
+        )
+        factory = window_factory(small_markov_panel, rho=0.1)
         monkeypatch.delenv("REPRO_N_JOBS", raising=False)
-        assert resolve_n_jobs(3) == 3
-        assert resolve_n_jobs(None) >= 1
-        monkeypatch.setenv("REPRO_N_JOBS", "2")
-        assert resolve_n_jobs(None) == 2
+        unset = replicate_synthesizer(factory, **kwargs)
         monkeypatch.setenv("REPRO_N_JOBS", "zero")
-        with pytest.raises(ConfigurationError):
-            resolve_n_jobs(None)
-        with pytest.raises(ConfigurationError):
-            resolve_n_jobs(0)
+        assert replicate_synthesizer(factory, **kwargs).answers.tobytes() == (
+            unset.answers.tobytes()
+        )
+        with pytest.raises(TypeError):
+            replicate_synthesizer(factory, n_jobs=2, **kwargs)
 
 
 class TestStrategySoftening:
-    """window_strategy / cumulative_strategy downgrade inapplicable 'batched'."""
-
-    def test_window_strategy_softens_explicit_and_env(self, monkeypatch):
-        from repro.analysis.replication import window_strategy
-
-        monkeypatch.delenv("REPRO_REPLICATION_STRATEGY", raising=False)
-        assert window_strategy("batched") == "auto"
-        assert window_strategy("process") == "process"
-        assert window_strategy(None) == "auto"
-        # The env var must soften exactly like the explicit flag.
-        monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "batched")
-        assert window_strategy(None) == "auto"
-
-    def test_cumulative_strategy_softens_ineligible_combos(self, monkeypatch):
-        from repro.analysis.replication import cumulative_strategy
-
-        monkeypatch.delenv("REPRO_REPLICATION_STRATEGY", raising=False)
-        assert cumulative_strategy("batched", "binary_tree") == "batched"
-        assert cumulative_strategy("batched", "honaker") == "auto"
-        assert cumulative_strategy("serial", "honaker") == "serial"
-        monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "batched")
-        assert cumulative_strategy(None, "honaker") == "auto"
-
     def test_window_experiment_runs_under_batched_env(
         self, small_markov_panel, monkeypatch
     ):
@@ -401,6 +317,101 @@ class TestStrategySoftening:
             small_markov_panel, 0.1, n_reps=2, seed=0, noise_method="vectorized"
         )
         assert error >= 0.0
+
+
+def _spy_on_batched(monkeypatch) -> list:
+    from repro.core import replicated
+
+    calls = []
+    original = replicated.replicate_cumulative
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(replicated, "replicate_cumulative", spy)
+    return calls
+
+
+PROPERTY_PANEL = two_state_markov(60, 6, p_stay=0.8, p_enter=0.1, seed=5)
+
+QUERY_LISTS = {
+    "hamming": [HammingAtLeast(2), HammingExactly(1)],
+    "mixed": [HammingAtLeast(2), AtLeastMOnes(3, 1)],
+}
+
+FACTORIES = st.one_of(
+    st.tuples(st.just("cumulative"), st.sampled_from(available_counters()), st.booleans()),
+    st.tuples(st.just("fallback"), st.sampled_from(available_counters()), st.just(False)),
+    st.just(("window", None, False)),
+)
+
+
+def _property_factory(kind, counter, with_kwargs, rho):
+    """A factory of the drawn kind; ``block`` is the counter with a kwarg."""
+    if kind == "window":
+        return window_factory(PROPERTY_PANEL, rho=rho)
+    counter_kwargs = ({"block_size": 2} if counter == "block" else {}) if with_kwargs else None
+
+    def factory(generator):
+        synth = CumulativeSynthesizer(
+            horizon=PROPERTY_PANEL.horizon, rho=rho, counter=counter, seed=generator,
+            noise_method="vectorized", counter_kwargs=counter_kwargs,
+        )
+        return fallback_reference(synth) if kind == "fallback" else synth
+
+    return factory
+
+
+class TestAutomaticPath:
+    """replicate_synthesizer batches exactly the runs the rule admits."""
+
+    @given(
+        spec=FACTORIES,
+        query_list=st.sampled_from(sorted(QUERY_LISTS)),
+        use_grid_answer=st.booleans(),
+        noisy=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batched_exactly_when_qualifying(self, spec, query_list, use_grid_answer, noisy):
+        kind, counter, with_kwargs = spec
+        factory = _property_factory(kind, counter, with_kwargs, 0.5 if noisy else math.inf)
+        queries = QUERY_LISTS[query_list]
+        answer_fn = grid_answer if use_grid_answer else None
+        qualifies = (
+            kind == "cumulative"
+            and counter in available_banks()
+            and query_list == "hamming"
+            and answer_fn is None
+        )
+        assert (_batched_config(factory, PROPERTY_PANEL, queries, answer_fn) is not None) == (
+            qualifies
+        )
+
+        def run(fn):
+            # A cumulative release rejects window queries and a window
+            # release has no Hamming answers (an AttributeError today):
+            # both paths must fail alike.
+            try:
+                return replicate_synthesizer(
+                    factory, PROPERTY_PANEL, queries, [1, 3, 6], n_reps=3, seed=11,
+                    answer_fn=fn,
+                )
+            except (AttributeError, ConfigurationError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _spy_on_batched(monkeypatch)
+            result = run(answer_fn)
+        assert bool(calls) == qualifies
+        reference = run(grid_answer)
+        if isinstance(reference, str) or isinstance(result, str):
+            assert result == reference
+        elif noisy:
+            assert (result.truth == reference.truth).all()
+            assert (np.isnan(result.answers) == np.isnan(reference.answers)).all()
+        else:
+            assert result.answers.tobytes() == reference.answers.tobytes()
 
 
 class TestHammingExactlyAboveHorizon:
@@ -416,8 +427,8 @@ class TestHammingExactlyAboveHorizon:
             n_reps=2,
             seed=6,
         )
-        for strategy in ("serial", "process", "batched"):
+        for answer_fn in (None, grid_answer):
             result = replicate_synthesizer(
-                cumulative_factory(small_markov_panel), strategy=strategy, **kwargs
+                cumulative_factory(small_markov_panel), answer_fn=answer_fn, **kwargs
             )
-            assert (result.answers == 0.0).all(), strategy
+            assert (result.answers == 0.0).all(), answer_fn

@@ -250,7 +250,6 @@ class TestProbeAndHarness:
             seed=11,
             width=3,
             label="window",
-            strategy="serial",
         )
         assert report.label == "window"
         assert report.probe_names == ("pmse_ratio",)
@@ -269,7 +268,6 @@ class TestProbeAndHarness:
                 [3, 6],
                 n_reps=2,
                 seed=42,
-                strategy="serial",
             )
 
         first, second = run(), run()
@@ -283,7 +281,6 @@ class TestProbeAndHarness:
             [6],
             n_reps=1,
             seed=0,
-            strategy="serial",
         )
         with pytest.raises(ConfigurationError, match="unknown row"):
             report.query_rmse("nope")
@@ -296,7 +293,6 @@ class TestProbeAndHarness:
             [6],
             n_reps=1,
             seed=0,
-            strategy="serial",
         )
         assert report.mean_pmse_ratio == 0.0
         with pytest.raises(ConfigurationError, match="no query rows"):

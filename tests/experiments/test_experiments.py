@@ -147,30 +147,74 @@ class TestCLI:
         # Patch in a fast fake experiment to keep the CLI test quick.
         from repro.experiments import registry
 
-        def fake(n_reps, seed=0, strategy=None, n_jobs=None, alphabet=None, attributes=None):
+        def fake(n_reps, seed=0, alphabet=None, attributes=None):
             result = FigureResult(experiment_id="fake", title="fake experiment")
             result.check("always true", True)
-            result.check(
-                "strategy threaded",
-                strategy in ("auto", "batched", "process", "serial"),
-            )
             return result
 
         monkeypatch.setitem(registry.EXPERIMENTS, "fake", fake)
         assert main(["run", "fake", "--reps", "1"]) == 0
         assert "fake experiment" in capsys.readouterr().out
-        assert main(["run", "fake", "--replication-strategy", "process", "--n-jobs", "2"]) == 0
 
     def test_run_command_fails_on_failed_checks(self, capsys, monkeypatch):
         from repro.experiments import registry
 
-        def fake(n_reps, seed=0, strategy=None, n_jobs=None, alphabet=None, attributes=None):
+        def fake(n_reps, seed=0, alphabet=None, attributes=None):
             result = FigureResult(experiment_id="fake2", title="failing experiment")
             result.check("always false", False)
             return result
 
         monkeypatch.setitem(registry.EXPERIMENTS, "fake2", fake)
         assert main(["run", "fake2"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "nope"],
+            ["run", "fig2", "--reps", "0"],
+            ["run", "multiattr", "--attributes", "0"],
+            ["serve-demo", "--shards", "0"],
+        ],
+    )
+    def test_argument_errors_exit_2_with_one_line(self, capsys, argv):
+        # Exit 1 means a shape check failed; a bad argument is a usage error.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-experiments: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_bound_checks_report_once_under_thm32(self, capsys):
+        assert "corB1" not in list_experiments()
+        assert main(["run", "thm32", "--reps", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("### ") == 1
+        assert "theorem_3_2 (counts)" in out and "corollary_B1 (fractions)" in out
+
+
+class TestLeftoverEnvironment:
+    def test_removed_variables_change_no_output(self, monkeypatch):
+        # Variables that once picked the replication path, the shard
+        # executor or the attribute count are ignored.
+        panel = two_state_markov(2000, 12, p_stay=0.87, p_enter=0.017, seed=42)
+
+        def figure2():
+            return run_sipp_cumulative_experiment(
+                rho=0.005, n_reps=3, seed=0, data=panel
+            ).render()
+
+        for name in (
+            "REPRO_REPLICATION_STRATEGY",
+            "REPRO_N_JOBS",
+            "REPRO_SHARD_EXECUTOR",
+            "REPRO_ATTRIBUTES",
+        ):
+            monkeypatch.delenv(name, raising=False)
+        unset = figure2()
+        monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "serial")
+        monkeypatch.setenv("REPRO_N_JOBS", "1")
+        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_ATTRIBUTES", "3")
+        assert figure2().encode() == unset.encode()
 
 
 class TestChurnExperiment:

@@ -19,7 +19,6 @@ TINY = dict(
     rhos=(0.05,),
     horizons=(6,),
     n_households=300,
-    strategy="serial",
 )
 
 

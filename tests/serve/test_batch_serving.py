@@ -31,7 +31,7 @@ needs_fork = pytest.mark.skipif(
     reason="process executor needs the fork start method",
 )
 
-EXECUTORS = ["serial", "thread", pytest.param("process", marks=needs_fork)]
+EXECUTORS = ["serial", pytest.param("process", marks=needs_fork)]
 
 #: algorithm -> (service kwargs, mixed workload, first answerable round)
 CONFIGS = {

@@ -10,6 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from oracles.checkpoint_v2 import write_bundle_v2
 from oracles.scalar import fallback_reference
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data import iid_bernoulli
@@ -508,20 +509,19 @@ def test_bundles_are_byte_deterministic(tmp_path, columns):
     assert bundle_bytes(7) == bundle_bytes(7)
 
 
-def test_format_version_2_roundtrip(tmp_path, columns):
-    """The legacy monolithic-npz layout stays writable and readable."""
-    path = tmp_path / "legacy.ckpt"
+def _v2_service(columns, target):
     service = StreamingSynthesizer.cumulative(horizon=HORIZON, rho=0.02, seed=3)
     for column in columns[:4]:
         service.observe(column)
     synth = service.synthesizer
-    write_bundle(
-        path,
-        kind="streaming",
-        config=synth.config_dict(),
-        state=synth.state_dict(),
-        format_version=2,
-    )
+    write_bundle_v2(target, "streaming", synth.config_dict(), synth.state_dict())
+    return service
+
+
+def test_format_version_2_roundtrip(tmp_path, columns):
+    """The legacy monolithic-npz layout stays readable."""
+    path = tmp_path / "legacy.ckpt"
+    service = _v2_service(columns, path)
     with zipfile.ZipFile(path) as bundle:
         names = set(bundle.namelist())
         manifest = json.loads(bundle.read("manifest.json"))
@@ -536,15 +536,44 @@ def test_format_version_2_roundtrip(tmp_path, columns):
         assert np.array_equal(a, b)
 
 
-def test_unwritable_format_version_rejected(tmp_path):
-    with pytest.raises(SerializationError, match="writable versions"):
-        write_bundle(
-            tmp_path / "bad.ckpt",
-            kind="streaming",
-            config={},
-            state={},
-            format_version=1,
-        )
+def _v2_members(columns) -> tuple[dict[str, bytes], dict]:
+    buffer = io.BytesIO()
+    _v2_service(columns, buffer)
+    members = _unpack(buffer.getvalue())
+    return members, json.loads(members["manifest.json"])
+
+
+def test_v2_flipped_array_byte_rejected(columns):
+    members, _ = _v2_members(columns)
+    blob = bytearray(members["arrays.npz"])
+    blob[len(blob) // 2] ^= 0xFF
+    members["arrays.npz"] = bytes(blob)
+    with pytest.raises(SerializationError, match="array checksum"):
+        StreamingSynthesizer.restore(_repack(members))
+
+
+def test_v2_manifest_without_arrays_checksum_rejected(columns):
+    members, manifest = _v2_members(columns)
+    del manifest["arrays_checksum"]
+    members["manifest.json"] = json.dumps(manifest)
+    with pytest.raises(SerializationError, match="missing field: 'arrays_checksum'"):
+        StreamingSynthesizer.restore(_repack(members))
+
+
+def test_v2_unprefixed_array_entry_rejected(columns):
+    members, manifest = _v2_members(columns)
+    with np.load(io.BytesIO(members["arrays.npz"])) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    first = sorted(arrays)[0]
+    arrays[first.removeprefix("k/")] = arrays.pop(first)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    members["arrays.npz"] = buffer.getvalue()
+    # Re-signed, so only the entry name is wrong.
+    manifest["arrays_checksum"] = hashlib.sha256(members["arrays.npz"]).hexdigest()
+    members["manifest.json"] = json.dumps(manifest)
+    with pytest.raises(SerializationError, match="lacks the 'k/' key prefix"):
+        StreamingSynthesizer.restore(_repack(members))
 
 
 def test_write_bundle_accepts_empty_arrays(tmp_path):
@@ -556,12 +585,13 @@ def test_write_bundle_accepts_empty_arrays(tmp_path):
 
 def test_write_bundle_handles_reserved_array_keys(tmp_path):
     """A state key named 'file' must not collide with savez's parameter."""
-    path = tmp_path / "reserved.ckpt"
     state = {"file": np.arange(3), "args": np.ones(2)}
-    write_bundle(path, kind="streaming", config={}, state=state)
-    _, rebuilt = read_bundle(path)
-    assert np.array_equal(rebuilt["file"], state["file"])
-    assert np.array_equal(rebuilt["args"], state["args"])
+    for write in (write_bundle, write_bundle_v2):
+        path = tmp_path / f"{write.__name__}.ckpt"
+        write(path, "streaming", {}, state)
+        _, rebuilt = read_bundle(path)
+        assert np.array_equal(rebuilt["file"], state["file"])
+        assert np.array_equal(rebuilt["args"], state["args"])
 
 
 def test_counter_state_class_mismatch_rejected():

@@ -1,6 +1,6 @@
-"""Executor equivalence: serial, thread, and process shard stepping.
+"""Executor equivalence: serial and process shard stepping.
 
-The contract the scale-out layer rests on: the three
+The contract the scale-out layer rests on: the two
 :mod:`repro.serve.executor` strategies are *indistinguishable* from the
 outside — byte-identical merged answers, zCDP ledgers, and checkpoint
 bundles, under noise, churn, and mid-stream restore, for every
@@ -12,7 +12,6 @@ that an enforced invariant rather than an argument.
 import io
 import math
 import multiprocessing as mp
-import os
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from repro.exceptions import ConfigurationError, ConsistencyError
 from repro.queries import AtLeastMOnes, HammingAtLeast
 from repro.queries.categorical import CategoryAtLeastM
 from repro.serve import EXECUTOR_STRATEGIES, ShardedService
-from repro.serve.executor import EXECUTOR_ENV, resolve_strategy
 
 HORIZON = 8
 K = 3
@@ -58,10 +56,7 @@ CONFIGS = {
     ),
 }
 
-PARALLEL = [
-    pytest.param("thread"),
-    pytest.param("process", marks=needs_fork),
-]
+PARALLEL = [pytest.param("process", marks=needs_fork)]
 
 
 @pytest.fixture(scope="module")
@@ -239,24 +234,21 @@ def test_process_worker_death_raises_consistency_error():
     service.close()
 
 
-def test_environment_selects_default_strategy(monkeypatch):
-    monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-    assert resolve_strategy(None) == "serial"
-    monkeypatch.setenv(EXECUTOR_ENV, "thread")
-    assert resolve_strategy(None) == "thread"
+def test_default_is_serial_and_thread_is_rejected(monkeypatch):
+    # A REPRO_SHARD_EXECUTOR left in a deployment's environment changes
+    # nothing.
+    monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "thread")
     service = ShardedService(2, algorithm="cumulative", horizon=4, rho=math.inf)
-    assert service.executor == "thread"
+    assert service.executor == "serial"
     service.close()
-    # Explicit argument beats the environment.
-    assert resolve_strategy("serial") == "serial"
-    monkeypatch.setenv(EXECUTOR_ENV, "bogus")
-    with pytest.raises(ConfigurationError, match="executor must be one of"):
-        resolve_strategy(None)
+    with pytest.raises(ConfigurationError, match="'serial', 'process'"):
+        ShardedService(
+            2, algorithm="cumulative", horizon=4, rho=math.inf, executor="thread"
+        )
 
 
 def test_strategy_names_are_the_documented_set():
-    assert EXECUTOR_STRATEGIES == ("serial", "thread", "process")
-    assert os.environ.get(EXECUTOR_ENV, "") in ("", *EXECUTOR_STRATEGIES)
+    assert EXECUTOR_STRATEGIES == ("serial", "process")
 
 
 @needs_fork

@@ -28,10 +28,7 @@ needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="process executor needs the fork start method"
 )
 
-PARALLEL = [
-    pytest.param("thread"),
-    pytest.param("process", marks=needs_fork),
-]
+PARALLEL = [pytest.param("process", marks=needs_fork)]
 
 KWARGS = dict(
     algorithm="multi_attribute",

@@ -14,7 +14,7 @@ The fault-tolerance acceptance contract, enforced end to end:
   the journaled ones exactly;
 * zCDP spend is monotone across crash/recover cycles — no double-spend;
 * a poisoned or degraded service behaves identically across the
-  serial/thread/process executors.
+  serial/process executors.
 """
 
 import io
@@ -190,7 +190,7 @@ def test_crash_midstream_recovery_is_byte_identical(
 @needs_fork
 @pytest.mark.parametrize(
     "executor",
-    ["serial", "thread", pytest.param("process", marks=needs_fork)],
+    ["serial", pytest.param("process", marks=needs_fork)],
 )
 def test_recovery_is_executor_agnostic(executor, churn_events, tmp_path):
     """Attach with any strategy: the recovered state is the same bytes."""
@@ -353,7 +353,7 @@ def test_checkpoint_without_noise_sampler_is_one_recovery_event(churn_events, tm
 # Fail-closed / degraded parity across executors
 # ---------------------------------------------------------------------------
 
-EXECUTORS = ["serial", "thread", pytest.param("process", marks=needs_fork)]
+EXECUTORS = ["serial", pytest.param("process", marks=needs_fork)]
 
 
 def _poison_observables(executor, panel_columns):
