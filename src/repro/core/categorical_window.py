@@ -161,8 +161,12 @@ class CategoricalWindowRelease(WindowRelease):
 
     # -- query answering -----------------------------------------------
 
+    _query_types = (CategoricalWindowQuery,)
+    _release_name = "categorical window release"
+
     def _check_query(self, query: CategoricalWindowQuery) -> None:
-        """Reject queries over a different alphabet."""
+        """Reject foreign query types and queries over a different alphabet."""
+        self._check_query_type(query)
         if query.alphabet != self.alphabet:
             raise ConfigurationError(
                 f"query alphabet {query.alphabet} != release alphabet {self.alphabet}"
@@ -191,9 +195,15 @@ class CategoricalWindowRelease(WindowRelease):
             Subtract the padding contribution and renormalize by ``n``
             (default); otherwise return the biased fraction of the
             synthetic population.
+
+        Raises
+        ------
+        repro.exceptions.ConfigurationError
+            For a query that is not a categorical window query over the
+            release's alphabet, or a round before the query's first.
         """
-        query.check_time(t)
         self._check_query(query)
+        query.check_time(t)
         if query.k <= self.window:
             weights = lift_categorical_weights(
                 query.weights, query.k, self.window, self.alphabet
@@ -278,16 +288,10 @@ class CategoricalWindowRelease(WindowRelease):
         """Compile a width-``k' <= k`` categorical query for the batch path.
 
         Returns ``None`` — scalar fallback — for record-level wide
-        queries and foreign query types; an alphabet mismatch raises
+        queries; a foreign query type or an alphabet mismatch raises
         exactly like the scalar :meth:`answer`.
         """
         if options:
-            return None
-        if (
-            getattr(query, "alphabet", None) is None
-            or getattr(query, "k", None) is None
-            or getattr(query, "weights", None) is None
-        ):
             return None
         self._check_query(query)
         if query.k > self.window:

@@ -52,6 +52,7 @@ from repro.exceptions import (
     SerializationError,
 )
 from repro.queries.base import WindowQuery
+from repro.queries.categorical import CategoricalWindowQuery
 from repro.queries.plan import query_signature
 from repro.rng import SeedLike
 
@@ -75,6 +76,9 @@ class FixedWindowRelease(WindowRelease):
         live view of its state (one cached instance per synthesizer),
         not a frozen copy.
     """
+
+    _query_types = (WindowQuery, CategoricalWindowQuery)
+    _release_name = "fixed-window release"
 
     def synthetic_data(self, t: int | None = None) -> LongitudinalDataset:
         """The synthetic panel through round ``t`` (default: latest)."""
@@ -110,7 +114,14 @@ class FixedWindowRelease(WindowRelease):
         people per bin, extrapolated for widths above ``k``) or ``"panel"``
         (evaluate the query on the materialized de Bruijn padding records;
         identical for widths <= ``k``).
+
+        Any query other than a :class:`~repro.queries.base.WindowQuery`
+        (or a binary
+        :class:`~repro.queries.categorical.CategoricalWindowQuery`) — a
+        Hamming query, say — raises
+        :class:`~repro.exceptions.ConfigurationError`.
         """
+        self._check_query_type(query)
         query.check_time(t)
         if padding_convention not in ("uniform", "panel"):
             raise ConfigurationError(

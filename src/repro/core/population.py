@@ -36,6 +36,8 @@ enforced invariant rather than an assumption.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.exceptions import DataValidationError, SerializationError
@@ -165,6 +167,8 @@ class PopulationLedger:
         self._churned = bool(
             (self._exit > 0).any() or (self._entry > 1).any()
         )
+        self._entry_hash = hashlib.sha256()  # over entry_round[:_entry_hashed]
+        self._entry_hashed = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -203,6 +207,27 @@ class PopulationLedger:
             individual is still active.
         """
         return np.stack([self._entry, self._exit], axis=1)
+
+    def entry_round_digest(self) -> bytes:
+        """SHA-256 of the ``entry_round`` array's bytes, caught up lazily.
+
+        ``entry_round`` only grows at its end (entrants take the next
+        ids), so a running digest absorbs the ids admitted since the last
+        call and never re-reads the rest; :meth:`admit` itself does no
+        hashing.
+
+        Returns
+        -------
+        bytes
+            The 32-byte digest of the ``entry_round`` leaf
+            :meth:`state_dict` returns.
+        """
+        if self._entry_hashed < self._entry.shape[0]:
+            self._entry_hash.update(
+                np.ascontiguousarray(self._entry[self._entry_hashed :])
+            )
+            self._entry_hashed = self._entry.shape[0]
+        return self._entry_hash.digest()
 
     # ------------------------------------------------------------------
     # Mutation

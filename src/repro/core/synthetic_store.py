@@ -31,6 +31,8 @@ privacy gain.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.data.dataset import LongitudinalDataset
@@ -214,6 +216,51 @@ def _assign_within_groups(
     return _count_ranks_below(group_of, sizes, tails, generator)
 
 
+def _check_window_records(
+    matrix: np.ndarray, codes: np.ndarray, window: int, t: int, alphabet: int
+) -> None:
+    """Reject window-store records Algorithm 1 cannot produce.
+
+    Rounds ``1..t`` hold symbols in ``[0, alphabet)``, later rounds are
+    still all zero, and each record's window code is its last ``window``
+    published symbols read as a base-``alphabet`` number.
+
+    Raises
+    ------
+    repro.exceptions.SerializationError
+        On the first violated rule.
+    """
+    for name, values in (("matrix", matrix), ("codes", codes)):
+        if values.dtype.kind not in "biu":
+            raise SerializationError(
+                f"window-store {name} must hold integers, got dtype {values.dtype}"
+            )
+    if matrix.size and (matrix.min() < 0 or matrix.max() >= alphabet):
+        bad = int(matrix.max()) if matrix.max() >= alphabet else int(matrix.min())
+        raise SerializationError(
+            f"window-store matrix holds symbol {bad} outside the alphabet "
+            f"[0, {alphabet})"
+        )
+    unwritten = matrix[:, t:]
+    if unwritten.any():
+        record, offset = np.argwhere(unwritten)[0]
+        raise SerializationError(
+            f"window-store record {int(record)} has a non-zero symbol in round "
+            f"{t + int(offset) + 1}, but only rounds 1..{t} are written"
+        )
+    expected = np.zeros(matrix.shape[0], dtype=np.int64)
+    for j in range(t - window, t):
+        expected = expected * alphabet + matrix[:, j]
+    mismatched = np.flatnonzero(codes != expected)
+    if mismatched.size:
+        record = int(mismatched[0])
+        raise SerializationError(
+            f"window-store code {int(codes[record])} of record {record} "
+            f"disagrees with its last {window} published symbols "
+            f"(code {int(expected[record])})"
+        )
+
+
 class WindowSyntheticStore:
     """Synthetic records for Algorithm 1 over any alphabet.
 
@@ -272,6 +319,14 @@ class WindowSyntheticStore:
         self._active = np.ones(self.m, dtype=bool)
         for j in range(window):
             self._matrix[:, j] = (codes // alphabet ** (window - 1 - j)) % alphabet
+        self._reset_digests()
+
+    def _reset_digests(self) -> None:
+        """Empty the record matrix's column-digest cache."""
+        self._column_hashes: list = []  # running SHA-256 per written round
+        self._hashed_rows = 0  # records every cached column digest covers
+        self._zero_hash = hashlib.sha256()  # an unwritten column: _zero_bytes zeros
+        self._zero_bytes = 0
 
     @property
     def n_active(self) -> int:
@@ -375,6 +430,50 @@ class WindowSyntheticStore:
         self._codes = suffixes * self.alphabet + new_digit
         self._t += 1
 
+    def matrix_digest(self) -> bytes:
+        """Fingerprint digest of the record matrix, caught up lazily.
+
+        The record-matrix leaf rule of
+        :func:`repro.serve.checkpoint.state_fingerprint`: SHA-256 over
+        the concatenated SHA-256 of each round column ``matrix[:, j]``.
+        It rests on Algorithm 1's invariant — a published round is never
+        rewritten and records are only appended — so the catch-up costs
+        what changed since the last call:
+
+        * each cached column digest absorbs the admitted records' bytes,
+          read from the matrix;
+        * each newly written round column is hashed once;
+        * every unwritten round shares one running digest of zero bytes,
+          extended as records are admitted (:meth:`from_state` rejects
+          a state with a non-zero symbol there).
+
+        :meth:`extend`, :meth:`admit` and :meth:`retire` never hash, and
+        :meth:`from_state` starts with an empty cache.
+
+        Returns
+        -------
+        bytes
+            The 32-byte leaf digest of the ``matrix`` array
+            :meth:`state_dict` returns.
+        """
+        hashes = self._column_hashes
+        if hashes and self.m > self._hashed_rows:
+            admitted = self._matrix[self._hashed_rows :, : len(hashes)].T.copy()
+            for running, rows in zip(hashes, admitted):
+                running.update(rows)
+        for j in range(len(hashes), self._t):
+            hashes.append(hashlib.sha256(np.ascontiguousarray(self._matrix[:, j])))
+        self._hashed_rows = self.m
+        column_bytes = self.m * self._matrix.dtype.itemsize
+        if column_bytes > self._zero_bytes:
+            self._zero_hash.update(bytes(column_bytes - self._zero_bytes))
+            self._zero_bytes = column_bytes
+        outer = hashlib.sha256()
+        for running in hashes:
+            outer.update(running.digest())
+        outer.update(self._zero_hash.digest() * (self.horizon - self._t))
+        return outer.digest()
+
     def as_dataset(self, t: int | None = None):
         """The synthetic panel through round ``t`` (default: current).
 
@@ -445,8 +544,14 @@ class WindowSyntheticStore:
         Raises
         ------
         repro.exceptions.SerializationError
-            If the snapshot is structurally invalid or its array shapes
-            disagree with the recorded dimensions.
+            If the snapshot is structurally invalid, its array shapes
+            disagree with the recorded dimensions, or its records are
+            ones Algorithm 1 cannot produce: a symbol outside the
+            alphabet, a non-zero symbol in a round not yet written, or a
+            window code that disagrees with its record's last ``k``
+            published symbols.  Values are checked before any dtype
+            cast, so a symbol the narrow record dtype would wrap around
+            is rejected, not reinterpreted.
         """
         store = object.__new__(cls)
         try:
@@ -455,13 +560,11 @@ class WindowSyntheticStore:
             store.alphabet = int(state.get("alphabet", 2))
             store.m = int(state["m"])
             store._t = int(state["t"])
-            store._codes = np.array(state["codes"], dtype=np.int64)
+            codes = np.asarray(state["codes"])
+            matrix = np.asarray(state["matrix"])
             store._active = np.array(state["active"], dtype=bool)
             if store.alphabet < 2:
                 raise ValueError(f"alphabet must be at least 2, got {store.alphabet}")
-            store._matrix = np.array(
-                state["matrix"], dtype=_digit_dtype(store.alphabet)
-            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid window-store state: {exc}") from exc
         store._generator = generator
@@ -470,20 +573,24 @@ class WindowSyntheticStore:
                 f"window-store active mask has shape {store._active.shape}, "
                 f"expected ({store.m},)"
             )
-        if store._matrix.shape != (store.m, store.horizon):
+        if matrix.shape != (store.m, store.horizon):
             raise SerializationError(
-                f"window-store matrix has shape {store._matrix.shape}, "
+                f"window-store matrix has shape {matrix.shape}, "
                 f"expected {(store.m, store.horizon)}"
             )
-        if store._codes.shape != (store.m,):
+        if codes.shape != (store.m,):
             raise SerializationError(
-                f"window-store codes have shape {store._codes.shape}, expected ({store.m},)"
+                f"window-store codes have shape {codes.shape}, expected ({store.m},)"
             )
         if not store.window <= store._t <= store.horizon:
             raise SerializationError(
                 f"window-store clock {store._t} outside "
                 f"[{store.window}, {store.horizon}]"
             )
+        _check_window_records(matrix, codes, store.window, store._t, store.alphabet)
+        store._codes = codes.astype(np.int64)
+        store._matrix = matrix.astype(_digit_dtype(store.alphabet))
+        store._reset_digests()
         return store
 
 

@@ -92,8 +92,21 @@ class WindowRelease:
     #: The replication harness dispatches on this instead of isinstance.
     debias_aware = True
 
+    #: Query types this release answers, and its name in the rejection
+    #: message for any other; subclasses set both.
+    _query_types: tuple = ()
+    _release_name = "window release"
+
     def __init__(self, synthesizer: "WindowEngine"):
         self._synth = synthesizer
+
+    def _check_query_type(self, query) -> None:
+        """Reject a query this release cannot answer, naming the ones it can."""
+        if not isinstance(query, self._query_types):
+            names = "/".join(cls.__name__ for cls in self._query_types)
+            raise ConfigurationError(
+                f"{self._release_name} answers {names}, got {query!r}"
+            )
 
     # -- metadata ------------------------------------------------------
 
@@ -208,9 +221,14 @@ class WindowRelease:
         every entry is **bit-identical** with :meth:`answer`.  Cells
         with ``t < query.min_time()`` are ``NaN``; queries the planner
         cannot compile fall back to the scalar call per cell.  Results
-        are memoized per release version.
+        are memoized per release version.  A query type the release
+        does not answer raises
+        :class:`~repro.exceptions.ConfigurationError`, as :meth:`answer`
+        does.
         """
         queries = list(queries)
+        for query in queries:
+            self._check_query_type(query)
         times = [int(t) for t in times]
         key = workload_key(queries, times, debias=bool(debias), **kwargs)
         cache = self._synth._answer_cache
@@ -694,6 +712,28 @@ class WindowEngine:
         if self._store is not None:
             state["store"] = self._store.state_dict(copy=copy)
         return state
+
+    def leaf_digests(self) -> dict:
+        """Fingerprint digests of the append-only state leaves, cached.
+
+        Returns
+        -------
+        dict
+            ``"store/matrix"`` and ``"ledger/entry_round"`` (those that
+            exist yet), keyed like :meth:`state_dict`'s array leaves,
+            mapped to the leaf digests
+            :func:`repro.serve.checkpoint.state_fingerprint` would
+            compute for them from scratch.  The store and the ledger
+            catch their digests up here, so :meth:`observe` never
+            hashes and a fingerprint costs what changed since the last
+            one.
+        """
+        digests = {}
+        if self._ledger is not None:
+            digests["ledger/entry_round"] = self._ledger.entry_round_digest()
+        if self._store is not None:
+            digests["store/matrix"] = self._store.matrix_digest()
+        return digests
 
     def load_state(self, state: dict) -> None:
         """Restore a snapshot taken by :meth:`state_dict` in place.

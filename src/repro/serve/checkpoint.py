@@ -43,6 +43,7 @@ import io
 import json
 import math
 import os
+import struct
 import tempfile
 import warnings
 import zipfile
@@ -56,6 +57,7 @@ from repro.exceptions import NoiseSamplerWarning, SerializationError
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
+    "FINGERPRINT_SCHEME",
     "split_arrays",
     "join_arrays",
     "write_bundle",
@@ -78,6 +80,14 @@ FORMAT_VERSION = 3
 
 #: Versions this reader accepts.
 SUPPORTED_VERSIONS = (2, 3)
+
+#: Names the definition :func:`state_fingerprint` implements.  Every
+#: fingerprint reads ``"<scheme>:<hex root>"``, so a digest written under
+#: another definition (or before schemes were named) is recognizable as
+#: such instead of looking like a diverged state.
+FINGERPRINT_SCHEME = "merkle-sha256-v1"
+
+_FRAME_LENGTH = struct.Struct("<Q")
 
 _MANIFEST = "manifest.json"
 _ARRAYS = "arrays.npz"
@@ -258,19 +268,66 @@ def _canonical_json(payload) -> bytes:
         raise SerializationError(f"state is not JSON-serializable: {exc}") from exc
 
 
-def state_fingerprint(config: dict, state: dict) -> str:
-    """SHA-256 fingerprint of a full ``(config, state)`` snapshot.
+def _framed(data: bytes) -> bytes:
+    """``data`` prefixed with its length, so framed fields never run together."""
+    return _FRAME_LENGTH.pack(len(data)) + data
 
-    The fingerprint covers every byte that :func:`write_bundle` would
-    persist — the canonical JSON of the config and the JSON half of the
-    state, plus the dtype, shape, and raw bytes of every array leaf — so
-    two snapshots fingerprint equal **iff** their checkpoint bundles
-    would be byte-identical.  The serving layer's release journal records
-    one fingerprint per published round; on crash recovery the journal
-    tail is replayed and each round's fingerprint re-derived, which is
-    how "journaled rounds are replayed byte-identically, never re-noised"
-    is asserted rather than assumed (a recovery that drew fresh noise
-    would consume different RNG bits and land in a different state).
+
+def _leaf_digest(key: str, array: np.ndarray) -> bytes:
+    """The digest :func:`state_fingerprint` commits to for one array leaf.
+
+    Parameters
+    ----------
+    key:
+        The leaf's ``/``-joined path in the state tree.
+    array:
+        The leaf.
+
+    Returns
+    -------
+    bytes
+        For a record matrix (a 2-D leaf whose key ends in ``matrix``),
+        SHA-256 over the concatenated SHA-256 of its columns; for any
+        other leaf, SHA-256 of its C-order bytes, read straight from its
+        buffer when it is C-contiguous.
+    """
+    if array.ndim == 2 and key.rsplit("/", 1)[-1] == "matrix":
+        outer = hashlib.sha256()
+        for column in np.ascontiguousarray(array.T):
+            outer.update(hashlib.sha256(column).digest())
+        return outer.digest()
+    return hashlib.sha256(np.ascontiguousarray(array)).digest()
+
+
+def state_fingerprint(config: dict, state: dict, *, leaf_digests=None) -> str:
+    """Merkle fingerprint of a full ``(config, state)`` snapshot.
+
+    The root is SHA-256 over the length-framed canonical JSON of the
+    config and the JSON half of the state, followed by one entry per
+    array leaf in key order: the length-framed key, dtype string
+    (``dtype.str``) and comma-joined shape, then the leaf's 32-byte
+    digest.  The leaf rule:
+
+    * a record matrix (a 2-D leaf whose key ends in ``matrix``, shape
+      ``(records, rounds)``) digests to SHA-256 over the concatenated
+      SHA-256 of each round column ``matrix[:, j]``;
+    * every other leaf digests to SHA-256 of its C-order bytes.  (Not
+      the column rule: a categorical ``histograms`` leaf can have up to
+      65,536 bins, which would mean as many hash calls.)
+
+    The root therefore commits to every byte :func:`write_bundle` would
+    persist for the state: the JSON, and each leaf's key, dtype, shape
+    and contents.  Under SHA-256's collision resistance two snapshots
+    fingerprint equal **iff** their checkpoint bundles (written by the
+    same build) would be byte-identical.  The release journal records
+    one fingerprint per shard per published round; crash recovery
+    re-derives each replayed round's fingerprint, which is how
+    "journaled rounds are replayed byte-identically, never re-noised" is
+    asserted rather than assumed.
+
+    Because a published round's column never changes, an owner can keep
+    its column digests and pass the finished leaf digest through
+    ``leaf_digests`` instead of re-hashing every past round.
 
     Parameters
     ----------
@@ -278,11 +335,16 @@ def state_fingerprint(config: dict, state: dict) -> str:
         The synthesizer's JSON-safe constructor configuration.
     state:
         A ``state_dict()`` snapshot (nested dicts with array leaves).
+    leaf_digests:
+        Optional mapping from leaf key to that leaf's digest, kept up to
+        date by the leaf's owner; each must equal what
+        :func:`_leaf_digest` computes for the leaf.  Leaves not named
+        here are hashed from their buffers.
 
     Returns
     -------
     str
-        A hex SHA-256 digest.
+        ``"<FINGERPRINT_SCHEME>:<hex root>"``.
 
     Raises
     ------
@@ -291,22 +353,27 @@ def state_fingerprint(config: dict, state: dict) -> str:
         represent (the same rejection :func:`write_bundle` applies).
     """
     json_state, arrays = split_arrays(state)
-    digest = hashlib.sha256()
-    digest.update(
-        _canonical_json(
-            {
-                "config": _encode_nonfinite(config),
-                "state": _encode_nonfinite(json_state),
-            }
+    cached = leaf_digests or {}
+    root = hashlib.sha256(
+        _framed(
+            _canonical_json(
+                {
+                    "config": _encode_nonfinite(config),
+                    "state": _encode_nonfinite(json_state),
+                }
+            )
         )
     )
     for key in sorted(arrays):
-        array = np.ascontiguousarray(arrays[key])
-        digest.update(key.encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(repr(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
+        array = arrays[key]
+        digest = cached.get(key)
+        if digest is None:
+            digest = _leaf_digest(key, array)
+        root.update(_framed(key.encode()))
+        root.update(_framed(array.dtype.str.encode()))
+        root.update(_framed(",".join(str(size) for size in array.shape).encode()))
+        root.update(digest)
+    return f"{FINGERPRINT_SCHEME}:{root.hexdigest()}"
 
 
 class _HashingWriter:

@@ -18,6 +18,17 @@ replayed round's fingerprint is asserted against the journaled one, so
 a replay that would diverge fails closed with
 :class:`~repro.exceptions.RecoveryError` instead of re-releasing.
 
+Each journaled fingerprint names the scheme that produced it: it reads
+``"<scheme>:<hex root>"`` with the scheme
+:data:`~repro.serve.checkpoint.FINGERPRINT_SCHEME` (a Merkle root over
+the state's JSON and array leaves, see
+:func:`~repro.serve.checkpoint.state_fingerprint`).  Recovery refuses to
+replay a record written under another scheme, or before schemes were
+named (a bare hex digest), with a :class:`~repro.exceptions.RecoveryError`
+that says so: such a journal predates the running build, and the way
+across is to checkpoint at the journal tip before upgrading.  A service
+whose newest checkpoint is at the tip replays nothing and continues.
+
 On-disk format (version 1)::
 
     file    := frame*
@@ -150,8 +161,9 @@ class JournalRecord:
         Global ids that departed as of this round.
     fingerprints:
         Per-shard :func:`~repro.serve.checkpoint.state_fingerprint`
-        digests *after* the round was ingested — the byte-identity
-        anchor recovery replay is verified against.
+        digests *after* the round was ingested, each tagged with its
+        scheme (``""`` for a disabled shard) — the byte-identity anchor
+        recovery replay is verified against.
     zcdp_spent:
         Service-wide zCDP spend after the round (monotone non-decreasing
         across the journal; recovery asserts it never rewinds).

@@ -70,6 +70,49 @@ from repro.types import AttributeFrame, as_frame
 __all__ = ["ShardedService"]
 
 
+def _route_entrants(loads: np.ndarray, entrants: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-loaded routing of ``entrants`` arrivals, in closed form.
+
+    Sending each arrival in turn to the shard with the smallest load
+    (ties to the lowest index) fills the shards like water: shard ``s``
+    offers one slot at every level ``v >= loads[s]``, and arrival ``i``
+    takes the ``i``-th slot in ``(level, shard)`` order.  So the final
+    water level ``h`` is the largest with at most ``entrants`` slots
+    below it, every shard is filled to ``h``, the remaining arrivals
+    take level-``h`` slots by shard index, and sorting the taken slots
+    by ``(level, shard)`` gives the arrival sequence.
+
+    Parameters
+    ----------
+    loads:
+        Current per-shard loads (non-negative integers).
+    entrants:
+        Number of arrivals to route.
+
+    Returns
+    -------
+    tuple
+        ``(shard per arrival in arrival order, loads after routing)``,
+        both int64 — the same as the one-at-a-time ``argmin`` loop.
+    """
+    loads = np.asarray(loads, dtype=np.int64)
+    if entrants == 0:
+        return np.zeros(0, dtype=np.int64), loads.copy()
+    ascending = np.sort(loads)
+    below = np.cumsum(ascending)  # below[i] = the i + 1 lowest loads, summed
+    # Arrivals needed to lift the i lowest shards to the (i+1)-th load.
+    lifts = np.arange(1, loads.shape[0]) * ascending[1:] - below[:-1]
+    flooded = 1 + int(np.count_nonzero(lifts <= entrants))
+    level = (entrants + int(below[flooded - 1])) // flooded
+    taken = np.maximum(level - loads, 0)
+    remainder = entrants - int(taken.sum())
+    taken[np.flatnonzero(loads <= level)[:remainder]] += 1
+    shards = np.repeat(np.arange(loads.shape[0], dtype=np.int64), taken)
+    starts = np.repeat(np.cumsum(taken) - taken, taken)
+    levels = np.repeat(loads, taken) + np.arange(entrants) - starts
+    return shards[np.lexsort((shards, levels))], loads + taken
+
+
 class ShardedService:
     """K independent streaming shards behind one observe/answer façade.
 
@@ -591,16 +634,19 @@ class ShardedService:
         """Translate a churn round into per-shard reports and churn events.
 
         Validates the exits against the service-wide active set, routes
-        each entrant to the least-loaded shard, and builds each shard's
-        reports in its admission order (survivors first, entrants last)
-        — exactly what the shard synthesizers expect.
+        the entrants, and builds each shard's reports in its admission
+        order (survivors first, entrants last) — exactly what the shard
+        synthesizers expect.
+
+        Routing is least-loaded, one entrant at a time: each goes to the
+        shard with the fewest active members (this round's exits already
+        gone), ties to the lowest shard index.  That sequence has a
+        closed form, :func:`_route_entrants` (water-filling).
         """
         n_ever = self._shard_of.shape[0]
         # Same rules as PopulationLedger.retire, applied service-wide
         # *before* any shard advances (all-or-nothing rounds).
         exit_ids = validate_exit_ids(exit_ids, self._active)
-        # Route entrants to the least-loaded shard, one by one (ties to
-        # the lowest shard index), counting this round's exits as gone.
         # The load vector is the incrementally maintained cache — no
         # bincount over the ever-population per churn round.
         loads = self._loads.copy()
@@ -614,17 +660,13 @@ class ShardedService:
         # change which entrants the *surviving* shards receive and break
         # the byte-identity the journal replay is verified against —
         # survivors must evolve exactly as in the healthy run.
-        entrant_shards = np.empty(entrants, dtype=np.int64)
-        for index in range(entrants):
-            target = int(np.argmin(loads))
-            entrant_shards[index] = target
-            loads[target] += 1
+        entrant_shards, loads = _route_entrants(loads, entrants)
 
         # Survivors (ascending id) occupy the column's head, entrants the
         # tail; map every reporting id to its column position.
-        survivors = np.flatnonzero(self._active)
-        if exit_ids.size:
-            survivors = survivors[~np.isin(survivors, exit_ids)]
+        present = self._active.copy()
+        present[exit_ids] = False
+        survivors = np.flatnonzero(present)
         position = np.empty(n_ever + entrants, dtype=np.int64)
         position[survivors] = np.arange(survivors.shape[0])
         new_ids = n_ever + np.arange(entrants)
@@ -641,11 +683,7 @@ class ShardedService:
                 shard_exit_global = exit_ids
             # Shard-local id = rank in the shard's admission order.
             local_exits = np.searchsorted(members, shard_exit_global)
-            surviving_members = members[self._active[members]]
-            if shard_exit_global.size:
-                surviving_members = surviving_members[
-                    ~np.isin(surviving_members, shard_exit_global)
-                ]
+            surviving_members = members[present[members]]
             shard_new = new_ids[entrant_shards == np.int64(s)]
             reporting = np.concatenate([surviving_members, shard_new])
             shard_columns.append(self._take(data, position[reporting]))
@@ -656,9 +694,8 @@ class ShardedService:
 
         # Commit the service-side assignment only after the per-shard
         # views are built (shard-level failures then poison the service).
-        self._active[exit_ids] = False
         self._shard_of = np.concatenate([self._shard_of, entrant_shards])
-        self._active = np.concatenate([self._active, np.ones(entrants, dtype=bool)])
+        self._active = np.concatenate([present, np.ones(entrants, dtype=bool)])
         self._loads = loads
         self._members = new_members
         return shard_columns, shard_churn

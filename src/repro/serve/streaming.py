@@ -39,9 +39,10 @@ from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.core.multi_attribute import MultiAttributeSynthesizer
+from repro.core.window_engine import WindowEngine
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.rng import SeedLike
-from repro.serve.checkpoint import read_bundle, write_bundle
+from repro.serve.checkpoint import read_bundle, state_fingerprint, write_bundle
 
 __all__ = ["StreamingSynthesizer"]
 
@@ -342,20 +343,27 @@ class StreamingSynthesizer:
         Returns
         -------
         str
-            A hex SHA-256 over the same config/state a :meth:`checkpoint`
-            bundle captures (every state array hashed byte-for-byte).
-            Two services with equal fingerprints write byte-identical
-            checkpoint bundles and produce byte-identical future
-            releases.  The release journal stores one fingerprint per
-            shard per round, which is how crash recovery *proves* a
-            replayed round reproduced the original published state
-            instead of silently re-noising it.
+            The :func:`~repro.serve.checkpoint.state_fingerprint` Merkle
+            root of the same config/state a :meth:`checkpoint` bundle
+            captures, tagged with its scheme.  Two services with equal
+            fingerprints write byte-identical checkpoint bundles and
+            produce byte-identical future releases.  The release journal
+            stores one fingerprint per shard per round, which is how
+            crash recovery *proves* a replayed round reproduced the
+            original published state instead of silently re-noising it.
+            Window synthesizers hand over their cached record-matrix and
+            entry-round digests, so a fingerprint costs what changed
+            since the last one; the others are hashed from scratch.
         """
-        from repro.serve.checkpoint import state_fingerprint
-
+        synthesizer = self._synthesizer
         return state_fingerprint(
-            self._synthesizer.config_dict(),
-            self._synthesizer.state_dict(copy=False),
+            synthesizer.config_dict(),
+            synthesizer.state_dict(copy=False),
+            leaf_digests=(
+                synthesizer.leaf_digests()
+                if isinstance(synthesizer, WindowEngine)
+                else None
+            ),
         )
 
     def checkpoint(self, path) -> None:

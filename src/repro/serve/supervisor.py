@@ -66,7 +66,11 @@ from repro.exceptions import (
     RecoveryError,
     SerializationError,
 )
-from repro.serve.checkpoint import _decode_nonfinite, _encode_nonfinite
+from repro.serve.checkpoint import (
+    FINGERPRINT_SCHEME,
+    _decode_nonfinite,
+    _encode_nonfinite,
+)
 from repro.serve.journal import JournalRecord, ReleaseJournal
 from repro.serve.policy import RetryPolicy
 from repro.serve.sharded import ShardedService
@@ -95,6 +99,37 @@ def _checkpoint_round(name: str) -> int | None:
         return None
     digits = name[len(_CHECKPOINT_PREFIX): -len(_CHECKPOINT_SUFFIX)]
     return int(digits) if digits.isdigit() else None
+
+
+def _check_fingerprint_scheme(records) -> None:
+    """Fail closed on journal records another fingerprint scheme wrote.
+
+    A replayed round is verified by re-deriving its shards' fingerprints,
+    which only works when the journal used this build's definition.  A
+    record under another scheme (or from before schemes were named, a
+    bare hex digest) would read as a diverged replay; say what it is.
+    """
+    prefix = FINGERPRINT_SCHEME + ":"
+    for record in records:
+        stale = next(
+            (f for f in record.fingerprints if f and not f.startswith(prefix)), None
+        )
+        if stale is None:
+            continue
+        scheme, separator, _ = stale.rpartition(":")
+        written = (
+            f"under fingerprint scheme {scheme!r}"
+            if separator
+            else "before fingerprint schemes were named"
+        )
+        raise RecoveryError(
+            f"journal round {record.round} was written {written}: the "
+            "journal predates this build's fingerprint scheme "
+            f"{FINGERPRINT_SCHEME!r}, so its replay cannot be verified. "
+            "Attach the state directory with the build that wrote it and "
+            "checkpoint, so the newest checkpoint reaches the journal tip, "
+            "before upgrading"
+        )
 
 
 class SupervisedService:
@@ -723,6 +758,9 @@ class SupervisedService:
             )
             self._journal.compact(base_round)
             records = []
+        _check_fingerprint_scheme(
+            record for record in records if record.round > base_round
+        )
         if disable is not None:
             index, why = disable
             service.disable_shard(index, why)

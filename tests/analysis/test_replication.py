@@ -390,14 +390,13 @@ class TestAutomaticPath:
 
         def run(fn):
             # A cumulative release rejects window queries and a window
-            # release has no Hamming answers (an AttributeError today):
-            # both paths must fail alike.
+            # release rejects Hamming queries: both paths must fail alike.
             try:
                 return replicate_synthesizer(
                     factory, PROPERTY_PANEL, queries, [1, 3, 6], n_reps=3, seed=11,
                     answer_fn=fn,
                 )
-            except (AttributeError, ConfigurationError) as exc:
+            except ConfigurationError as exc:
                 return f"{type(exc).__name__}: {exc}"
 
         with pytest.MonkeyPatch.context() as monkeypatch:

@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
-from repro.exceptions import NotFittedError
-from repro.queries.cumulative import HammingAtLeast
+from repro.exceptions import ConfigurationError, NotFittedError
+from repro.queries.cumulative import HammingAtLeast, HammingExactly
+from repro.queries.window import AtLeastMOnes
+from repro.serve import ShardedService, StreamingSynthesizer
 from repro.streams.base import CounterAccuracy
 from repro.streams.binary_tree import BinaryTreeCounter
 
@@ -135,3 +137,69 @@ class TestCounterAccuracy:
     def test_noiseless_accuracy_zero(self):
         counter = BinaryTreeCounter(16, math.inf)
         assert counter.accuracy(beta=0.05).alpha == 0.0
+
+
+class TestForeignQueries:
+    """Window releases reject query types they cannot answer, by name."""
+
+    PANEL = np.random.default_rng(4).integers(0, 3, size=(40, 6))
+    CASES = {
+        "fixed_window": (
+            {},
+            2,
+            "fixed-window release answers WindowQuery/CategoricalWindowQuery",
+        ),
+        "categorical_window": (
+            {"alphabet": 3},
+            3,
+            "categorical window release answers CategoricalWindowQuery",
+        ),
+    }
+
+    def _release(self, algorithm):
+        kwargs, alphabet, _ = self.CASES[algorithm]
+        service = getattr(StreamingSynthesizer, algorithm)(
+            horizon=6, window=2, rho=math.inf, seed=0, **kwargs
+        )
+        for column in (self.PANEL % alphabet).T:
+            service.observe(column)
+        return service.release
+
+    @pytest.mark.parametrize("algorithm", sorted(CASES))
+    @pytest.mark.parametrize(
+        "query", [HammingAtLeast(2), HammingExactly(1)], ids=["at_least", "exactly"]
+    )
+    def test_answer_and_batch_reject(self, algorithm, query):
+        release = self._release(algorithm)
+        message = self.CASES[algorithm][2]
+        with pytest.raises(ConfigurationError, match=message):
+            release.answer(query, 4)
+        with pytest.raises(ConfigurationError, match=message):
+            release.answer_batch([query], [4])
+
+    def test_categorical_release_rejects_binary_window_query(self):
+        release = self._release("categorical_window")
+        with pytest.raises(ConfigurationError, match="CategoricalWindowQuery"):
+            release.answer(AtLeastMOnes(2, 1), 4)
+        with pytest.raises(ConfigurationError, match="CategoricalWindowQuery"):
+            release.answer_series(AtLeastMOnes(2, 1))
+
+    @pytest.mark.parametrize("algorithm", sorted(CASES))
+    def test_sharded_answer_rejects(self, algorithm):
+        kwargs, alphabet, message = self.CASES[algorithm]
+        with ShardedService(
+            2,
+            algorithm=algorithm,
+            seed=0,
+            executor="serial",
+            horizon=6,
+            window=2,
+            rho=math.inf,
+            **kwargs,
+        ) as service:
+            for column in (self.PANEL % alphabet).T:
+                service.observe(column)
+            with pytest.raises(ConfigurationError, match=message):
+                service.answer(HammingAtLeast(2), 4)
+            with pytest.raises(ConfigurationError, match=message):
+                service.answer_batch([HammingAtLeast(2)], [4])

@@ -1,5 +1,7 @@
 """Tests for the synthetic record stores."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.consistency import apply_overlap_correction
 from repro.core.synthetic_store import CumulativeSyntheticStore, WindowSyntheticStore
-from repro.exceptions import ConfigurationError, ConsistencyError
+from repro.exceptions import ConfigurationError, ConsistencyError, SerializationError
 from repro.rng import as_generator
 
 
@@ -107,6 +109,86 @@ class TestWindowSyntheticStore:
                 panel.suffix_histogram(panel.horizon, 3) == store.counts()
             ).all()
             assert (store.counts() == target).all()
+
+
+def _extend_at_random(store, generator):
+    """Extend ``store`` one round to a random overlap-consistent target."""
+    q = store.alphabet
+    suffixes = store.state_dict()["codes"] % q ** (store.window - 1)
+    groups = np.bincount(suffixes, minlength=q ** (store.window - 1))
+    store.extend(np.stack([generator.multinomial(g, [1 / q] * q) for g in groups]).ravel())
+
+
+def _grown_store(alphabet=3, window=2, horizon=7, rounds=3, seed=0):
+    """A categorical store after ``rounds`` extensions, with entrants."""
+    generator = as_generator(seed)
+    store = WindowSyntheticStore(
+        generator.integers(0, 4, size=alphabet**window),
+        window,
+        horizon,
+        generator,
+        alphabet=alphabet,
+    )
+    for round_index in range(rounds):
+        store.admit(round_index + 1)
+        _extend_at_random(store, generator)
+    return store
+
+
+def _column_digest(matrix):
+    """The record-matrix leaf rule, spelled out."""
+    columns = b"".join(
+        hashlib.sha256(matrix[:, j].tobytes()).digest() for j in range(matrix.shape[1])
+    )
+    return hashlib.sha256(columns).digest()
+
+
+class TestWindowStoreDigestAndRestore:
+    """The cached matrix digest, and restores that fail closed."""
+
+    def test_matrix_digest_follows_appends(self):
+        store = _grown_store(rounds=0)
+        assert store.matrix_digest() == _column_digest(store.state_dict()["matrix"])
+        generator = as_generator(9)
+        for count in (0, 3, 1):
+            store.admit(count)
+            store.retire(1)
+            _extend_at_random(store, generator)
+            assert store.matrix_digest() == _column_digest(store.state_dict()["matrix"])
+        restored = WindowSyntheticStore.from_state(store.state_dict(), as_generator(0))
+        assert restored.matrix_digest() == store.matrix_digest()
+
+    def test_valid_state_restores(self):
+        store = _grown_store()
+        restored = WindowSyntheticStore.from_state(store.state_dict(), as_generator(0))
+        assert np.array_equal(restored.state_dict()["matrix"], store.state_dict()["matrix"])
+
+    @pytest.mark.parametrize("symbol", [3, 7, 255])
+    def test_symbol_outside_alphabet_rejected(self, symbol):
+        state = _grown_store(rounds=3).state_dict()
+        state["matrix"][0, 0] = symbol  # round 1 is outside every window now
+        with pytest.raises(SerializationError, match="outside the alphabet"):
+            WindowSyntheticStore.from_state(state, as_generator(0))
+
+    def test_symbol_wrapping_the_record_dtype_rejected(self):
+        state = _grown_store(rounds=3).state_dict()
+        state["matrix"] = state["matrix"].astype(np.int64)
+        state["matrix"][0, 0] = 256  # would wrap to 0 in uint8
+        with pytest.raises(SerializationError, match="symbol 256 outside"):
+            WindowSyntheticStore.from_state(state, as_generator(0))
+
+    def test_symbol_in_unwritten_round_rejected(self):
+        store = _grown_store(rounds=2)
+        state = store.state_dict()
+        state["matrix"][2, store.t] = 1
+        with pytest.raises(SerializationError, match=f"round {store.t + 1}"):
+            WindowSyntheticStore.from_state(state, as_generator(0))
+
+    def test_code_disagreeing_with_records_rejected(self):
+        state = _grown_store().state_dict()
+        state["codes"][1] = (state["codes"][1] + 1) % 9
+        with pytest.raises(SerializationError, match="code .* of record 1 disagrees"):
+            WindowSyntheticStore.from_state(state, as_generator(0))
 
 
 class TestCumulativeSyntheticStore:

@@ -244,6 +244,29 @@ def test_bundle_from_another_sampler_names_it(columns):
         StreamingSynthesizer.restore(_repack(members))
 
 
+def test_resigned_bundle_with_impossible_records_rejected():
+    """Checksums prove integrity, not provenance: a re-signed bundle whose
+    record matrix holds a symbol outside the alphabet must not restore."""
+    service = StreamingSynthesizer.categorical_window(HORIZON, 2, 3, 0.5, seed=2)
+    reports = np.random.default_rng(1).integers(0, 3, size=(60, 5))
+    for column in reports.T:
+        service.observe(column)
+    buffer = io.BytesIO()
+    service.checkpoint(buffer)
+    members = _unpack(buffer.getvalue())
+    name = "arrays/store/matrix.npy"
+    matrix = np.lib.format.read_array(io.BytesIO(members[name]))
+    matrix[0, 0] = 7  # a uint8 the q=3 record dtype would have accepted
+    rewritten = io.BytesIO()
+    np.lib.format.write_array(rewritten, matrix)
+    members[name] = rewritten.getvalue()
+    manifest = json.loads(members["manifest.json"])
+    manifest["array_checksums"]["store/matrix"] = hashlib.sha256(members[name]).hexdigest()
+    members["manifest.json"] = json.dumps(manifest)
+    with pytest.raises(SerializationError, match="symbol 7 outside the alphabet"):
+        StreamingSynthesizer.restore(_repack(members))
+
+
 # ----------------------------------------------------------------------
 # Legacy configs: bundles written while engine/materialize were options
 # ----------------------------------------------------------------------

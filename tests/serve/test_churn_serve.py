@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.routing import route_entrants_loop
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data.generators import churn_two_state_markov
 from repro.exceptions import DataValidationError, SerializationError
 from repro.queries import HammingAtLeast
 from repro.serve import ShardedService, StreamingSynthesizer
 from repro.serve.checkpoint import write_bundle
+from repro.serve.sharded import _route_entrants
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +104,25 @@ class TestShardedChurn:
         service.observe(np.ones(11, dtype=np.int64), entrants=1)
         assert service.shard_loads().tolist() == [3, 4, 4]
         assert service.n == 11 and service.n_ever == 13
+
+    @given(
+        loads=st.integers(1, 16).flatmap(
+            lambda k: st.lists(
+                st.one_of(st.integers(0, 3), st.sampled_from([0, 9, 9]), st.integers(0, 5000)),
+                min_size=k,
+                max_size=k,
+            )
+        ),
+        entrants=st.integers(0, 2000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_routing_equals_the_argmin_loop(self, loads, entrants):
+        """Water-filling reproduces one-at-a-time least-loaded routing."""
+        shards, after = _route_entrants(np.asarray(loads, dtype=np.int64), entrants)
+        expected_shards, expected_after = route_entrants_loop(loads, entrants)
+        assert shards.dtype == np.int64 and after.dtype == np.int64
+        assert np.array_equal(shards, expected_shards)
+        assert np.array_equal(after, expected_after)
 
     def test_sharded_churn_checkpoint_restore_continues_identically(
         self, churned_panel

@@ -17,6 +17,7 @@ The fault-tolerance acceptance contract, enforced end to end:
   serial/process executors.
 """
 
+import dataclasses
 import io
 import json
 import multiprocessing as mp
@@ -38,6 +39,7 @@ from repro.exceptions import (
 from repro.queries import AtLeastMOnes, HammingAtLeast
 from repro.queries.categorical import CategoryAtLeastM
 from repro.serve import RetryPolicy, ShardedService, SupervisedService
+from repro.serve.journal import ReleaseJournal
 
 HORIZON = 8
 K = 3
@@ -345,6 +347,88 @@ def test_checkpoint_without_noise_sampler_is_one_recovery_event(churn_events, tm
         # The stripped field changes nothing about the state: the run
         # still equals an uninterrupted one.
         assert resumed.service.state_fingerprints() == _reference("cumulative", events)[
+            "fingerprints"
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Journals written under an earlier fingerprint scheme
+# ---------------------------------------------------------------------------
+
+
+def _rewrite_fingerprints(directory, scheme_prefix):
+    """Re-tag every journaled fingerprint, as an earlier build wrote them.
+
+    ``scheme_prefix`` replaces the scheme tag: ``""`` leaves the bare hex
+    digest journals held before schemes were named.
+    """
+    journal = ReleaseJournal(os.path.join(directory, "journal.log"))
+    legacy = [
+        dataclasses.replace(
+            record,
+            fingerprints=tuple(
+                scheme_prefix + digest.rpartition(":")[2] for digest in record.fingerprints
+            ),
+        )
+        for record in journal.records()
+    ]
+    journal._rewrite(legacy, journal.base_round)
+    journal.close()
+    return [record.round for record in legacy]
+
+
+@pytest.mark.parametrize(
+    "scheme_prefix, written",
+    [
+        ("", "before fingerprint schemes were named"),
+        ("sha256-v0:", "under fingerprint scheme 'sha256-v0'"),
+    ],
+    ids=["untagged", "other-scheme"],
+)
+def test_replaying_a_legacy_journal_names_the_scheme(
+    scheme_prefix, written, churn_events, tmp_path
+):
+    events = _events_for("fixed_window", churn_events)
+    kwargs, _, _ = CONFIGS["fixed_window"]
+    directory = str(tmp_path / "service")
+    policy = _policy(checkpoint_every=100)  # the whole journal is the tail
+    service = SupervisedService(
+        directory, n_shards=K, seed=SEED, executor="serial", policy=policy, **kwargs
+    )
+    for column, entrants, exits in events[:4]:
+        service.observe(column, entrants=entrants, exits=exits)
+    service.close()
+    assert _rewrite_fingerprints(directory, scheme_prefix) == [1, 2, 3, 4]
+    with pytest.raises(RecoveryError) as caught:
+        SupervisedService.attach(directory, executor="serial", policy=policy)
+    message = str(caught.value)
+    assert f"journal round 1 was written {written}" in message
+    assert "predates this build's fingerprint scheme" in message
+    assert "checkpoint" in message and "before upgrading" in message
+    assert "diverged" not in message
+
+
+def test_checkpoint_at_the_journal_tip_crosses_the_scheme_change(
+    churn_events, tmp_path
+):
+    events = _events_for("fixed_window", churn_events)
+    kwargs, _, _ = CONFIGS["fixed_window"]
+    directory = str(tmp_path / "service")
+    policy = _policy(checkpoint_every=2, checkpoint_retain=2)
+    service = SupervisedService(
+        directory, n_shards=K, seed=SEED, executor="serial", policy=policy, **kwargs
+    )
+    for column, entrants, exits in events[:4]:
+        service.observe(column, entrants=entrants, exits=exits)
+    service.close()
+    # Checkpoints at rounds 2 and 4; the journal keeps 3..4 for the older.
+    assert _rewrite_fingerprints(directory, "") == [3, 4]
+    with SupervisedService.attach(directory, executor="serial", policy=policy) as resumed:
+        assert resumed.t == 4
+        for column, entrants, exits in events[4:]:
+            record = resumed.observe(column, entrants=entrants, exits=exits)
+            assert all(f.startswith("merkle-sha256-v1:") for f in record.fingerprints)
+        assert resumed.service.state_fingerprints() == _reference("fixed_window", events)[
             "fingerprints"
         ]
 
