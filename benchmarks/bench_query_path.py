@@ -10,8 +10,8 @@ asserts both as an enforced contract (gated by the committed baseline in
    a handful of NumPy gathers instead of ``Q x T`` Python calls.  Gated
    at >= 10x (``workload_speedup``).
 2. **Shard fan-out amortization** — ``ShardedService.answer_batch``
-   under the ``process`` executor ships the whole compiled workload to
-   each worker in one RPC instead of ``Q x T`` round-trips.  Gated at
+   under the ``process`` executor sends the whole workload's query
+   objects to each worker in one RPC instead of ``Q x T`` round-trips.  Gated at
    >= 3x (``process_speedup``) when the machine can fork.
 
 Both are ratio-of-timings measured in the same process, so they stay

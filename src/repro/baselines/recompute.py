@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from repro.core.fixed_window import FixedWindowSynthesizer
-from repro.core.population import validate_binary_column
+from repro.core.population import validate_column
 from repro.data.dataset import LongitudinalDataset
 from repro.dp.accountant import ZCDPAccountant
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
@@ -266,7 +266,7 @@ class RecomputeBaseline:
         column = np.asarray(data)
         if column.ndim != 1:
             raise DataValidationError(f"column must be 1-D, got shape {column.shape}")
-        validate_binary_column(column)
+        validate_column(column, 2)
         if self._columns and column.shape[0] != self._columns[0].shape[0]:
             raise DataValidationError(
                 f"column has {column.shape[0]} entries, expected {self._columns[0].shape[0]}"

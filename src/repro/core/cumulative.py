@@ -32,7 +32,11 @@ import numpy as np
 
 from repro.core.budget import allocate_budget
 from repro.core.monotonize import is_monotone_table, monotonize_row
-from repro.core.population import PopulationLedger, validate_binary_column
+from repro.core.population import (
+    PopulationLedger,
+    validate_column,
+    validate_entrants,
+)
 from repro.core.synthetic_store import CumulativeSyntheticStore
 from repro.data.dataset import DynamicPanel, LongitudinalDataset
 from repro.dp.accountant import ZCDPAccountant
@@ -388,13 +392,12 @@ class CumulativeSynthesizer:
         column = np.asarray(data)
         if column.ndim != 1:
             raise DataValidationError(f"column must be 1-D, got shape {column.shape}")
-        validate_binary_column(column)
+        validate_column(column, 2)
         if self._t >= self.horizon:
             raise DataValidationError(f"horizon {self.horizon} already exhausted")
-        entrants = int(entrants)
-        if entrants < 0:
-            raise DataValidationError(f"entrants must be non-negative, got {entrants}")
-        exit_ids = np.asarray([] if exits is None else exits, dtype=np.int64)
+        entrants = validate_entrants(entrants)
+        # The ledger's retire() type-checks the ids (no truncating cast).
+        exit_ids = np.asarray([] if exits is None else exits)
         t = self._t + 1
         if self._n is None:
             if exit_ids.size:

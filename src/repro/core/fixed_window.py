@@ -39,15 +39,11 @@ or streaming, one report vector per round::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.debias import debias_count_answer, lift_window_weights
-from repro.core.population import validate_binary_column
 from repro.core.window_engine import WindowEngine, WindowRelease
 from repro.data.dataset import LongitudinalDataset
 from repro.exceptions import (
     ConfigurationError,
-    DataValidationError,
     NotFittedError,
     SerializationError,
 )
@@ -240,10 +236,6 @@ class FixedWindowSynthesizer(WindowEngine):
     def _make_release(self) -> FixedWindowRelease:
         """Build the cached binary release view."""
         return FixedWindowRelease(self)
-
-    def _validate_column_values(self, column: np.ndarray) -> None:
-        """Binary panels accept literal 0/1 reports only."""
-        validate_binary_column(column)
 
     @classmethod
     def from_config(cls, config: dict) -> "FixedWindowSynthesizer":

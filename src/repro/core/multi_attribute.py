@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
-from repro.core.population import validate_binary_column
+from repro.core.population import validate_column
 from repro.dp.accountant import ZCDPAccountant
 from repro.dp.discrete_gaussian import calibrate_sigma_sq
 from repro.dp.mechanisms import GaussianHistogramMechanism
@@ -754,16 +754,9 @@ class MultiAttributeSynthesizer:
         """
         frame = as_frame(data, names=self._names)
         for spec in self._specs:
-            column = frame.column(spec.name)
-            if spec.alphabet == 2:
-                validate_binary_column(column)
-            elif column.size and (
-                column.min() < 0 or column.max() >= spec.alphabet
-            ):
-                raise DataValidationError(
-                    f"column entries for {spec.name!r} must lie in "
-                    f"[0, {spec.alphabet})"
-                )
+            validate_column(
+                frame.column(spec.name), spec.alphabet, label=f"column {spec.name!r}"
+            )
         if self._t >= self.horizon:
             raise DataValidationError(f"horizon {self.horizon} already exhausted")
         for spec, engine in zip(self._specs, self._engines):

@@ -44,7 +44,11 @@ from repro.core.consistency import (
     check_window_consistency,
 )
 from repro.core.padding import PaddingSpec
-from repro.core.population import PopulationLedger
+from repro.core.population import (
+    PopulationLedger,
+    validate_column,
+    validate_entrants,
+)
 from repro.core.synthetic_store import WindowSyntheticStore
 from repro.queries.plan import AnswerCache, workload_key
 from repro.data.dataset import DynamicPanel
@@ -64,7 +68,6 @@ from repro.rng import (
     generator_state,
     restore_generator_state,
 )
-from repro.streams.layout import ArrayArena
 from repro.types import AttributeFrame
 
 __all__ = ["WindowEngine", "WindowRelease"]
@@ -418,17 +421,9 @@ class WindowEngine:
         # All released histograms live in one preallocated column-major
         # block (one column per update step, written in release order);
         # the dict maps each released round to its column view.
-        self._layout = ArrayArena(
-            [
-                (
-                    "histograms",
-                    (self.alphabet**self.window, self.update_steps),
-                    np.int64,
-                    "F",
-                )
-            ]
+        self._hist_block = np.zeros(
+            (self.alphabet**self.window, self.update_steps), dtype=np.int64, order="F"
         )
-        self._hist_block = self._layout["histograms"]
         self._histograms: dict[int, np.ndarray] = {}
         self._negative_events = 0
         self._release_view = self._make_release()
@@ -443,13 +438,6 @@ class WindowEngine:
     def _make_release(self):
         """Build the algorithm's release view (subclass hook)."""
         raise NotImplementedError
-
-    def _validate_column_values(self, column: np.ndarray) -> None:
-        """Reject out-of-alphabet report values (subclass hook)."""
-        if column.size and (column.min() < 0 or column.max() >= self.alphabet):
-            raise DataValidationError(
-                f"column entries must lie in [0, {self.alphabet})"
-            )
 
     def _check_dataset(self, dataset) -> None:
         """Reject panels this synthesizer cannot consume (subclass hook)."""
@@ -521,11 +509,10 @@ class WindowEngine:
         column = np.asarray(data)
         if column.ndim != 1:
             raise DataValidationError(f"column must be 1-D, got shape {column.shape}")
-        self._validate_column_values(column)
-        entrants = int(entrants)
-        if entrants < 0:
-            raise DataValidationError(f"entrants must be non-negative, got {entrants}")
-        exit_ids = np.asarray([] if exits is None else exits, dtype=np.int64)
+        validate_column(column, self.alphabet)
+        entrants = validate_entrants(entrants)
+        # The ledger's retire() type-checks the ids (no truncating cast).
+        exit_ids = np.asarray([] if exits is None else exits)
         if self._n is None:
             if exit_ids.size:
                 raise DataValidationError(

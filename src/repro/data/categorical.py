@@ -63,6 +63,9 @@ class CategoricalDataset:
     """
 
     def __init__(self, matrix, alphabet: int):
+        # Imported here: repro.core imports repro.data at package load.
+        from repro.core.population import validate_column
+
         if alphabet < 2:
             raise ConfigurationError(f"alphabet must be at least 2, got {alphabet}")
         arr = np.asarray(matrix)
@@ -70,11 +73,7 @@ class CategoricalDataset:
             raise DataValidationError(
                 f"panel must be 2-dimensional (individuals x time), got shape {arr.shape}"
             )
-        if arr.size and (arr.min() < 0 or arr.max() >= alphabet):
-            raise DataValidationError(
-                f"panel entries must lie in [0, {alphabet}), got range "
-                f"[{arr.min()}, {arr.max()}]"
-            )
+        validate_column(arr, alphabet, label="panel")
         self.alphabet = int(alphabet)
         self._matrix = arr.astype(np.int64).copy()
         self._matrix.setflags(write=False)

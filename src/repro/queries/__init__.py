@@ -29,8 +29,6 @@ from repro.queries.cumulative import (
 from repro.queries.plan import (
     AnswerCache,
     compile_cumulative,
-    decode_workload,
-    encode_workload,
     query_signature,
     release_answer_grid,
     scalar_answer_grid,
@@ -69,8 +67,6 @@ __all__ = [
     "cumulative_threshold_series",
     "AnswerCache",
     "compile_cumulative",
-    "decode_workload",
-    "encode_workload",
     "query_signature",
     "release_answer_grid",
     "scalar_answer_grid",

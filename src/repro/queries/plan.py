@@ -23,9 +23,10 @@ Three guarantees shape every function here:
   out-of-range ``t`` raises exactly like the scalar call would.
 * **Cacheability** — :func:`workload_key` derives a hashable identity
   for a workload so releases can memoize answers per release version
-  (see :class:`AnswerCache`), and :func:`encode_workload` /
-  :func:`decode_workload` round-trip a workload through flat arrays so
-  the process executor can stage it through shared memory.
+  (see :class:`AnswerCache`).
+
+Query objects are small and picklable, so the process executor sends a
+workload to its shard workers as-is, one pipe message per worker.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from repro.queries.cumulative import HammingAtLeast, HammingExactly
 __all__ = [
     "AnswerCache",
     "compile_cumulative",
-    "decode_workload",
-    "encode_workload",
     "query_signature",
     "release_answer_grid",
     "scalar_answer_grid",
@@ -186,77 +185,3 @@ def compile_cumulative(queries, horizon: int) -> tuple[np.ndarray, np.ndarray]:
                 f"queries, got {query!r}"
             )
     return lower, upper
-
-
-def encode_workload(queries) -> tuple[list, np.ndarray]:
-    """Flatten a workload into ``(spec, buffer)`` for shared-memory RPC.
-
-    ``spec`` is a small picklable list (one tuple per query) and
-    ``buffer`` one contiguous float64 array holding every weight vector;
-    the process executor stages the buffer through its shared-memory
-    segments and sends only the spec down the worker pipe.  Query types
-    the planner does not know ride along inside the spec verbatim.
-    """
-    spec: list = []
-    parts: list = []
-    offset = 0
-    for query in queries:
-        if isinstance(query, HammingAtLeast):
-            spec.append(("hamming_ge", query.b))
-        elif isinstance(query, HammingExactly):
-            spec.append(("hamming_eq", query.b))
-        elif isinstance(query, CategoricalWindowQuery):
-            weights = np.ascontiguousarray(query.weights, dtype=np.float64)
-            spec.append(
-                (
-                    "categorical",
-                    query.k,
-                    query.alphabet,
-                    query.name,
-                    offset,
-                    weights.size,
-                )
-            )
-            parts.append(weights)
-            offset += weights.size
-        elif isinstance(query, WindowQuery):
-            weights = np.ascontiguousarray(query.weights, dtype=np.float64)
-            spec.append(("window", query.k, query.name, offset, weights.size))
-            parts.append(weights)
-            offset += weights.size
-        else:
-            spec.append(("opaque", query))
-    buffer = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float64)
-    return spec, buffer
-
-
-def decode_workload(spec, buffer) -> list:
-    """Rebuild the query objects from :func:`encode_workload` output.
-
-    The reconstructed queries carry bit-identical weight vectors (flat
-    float64 copies out of ``buffer``), so answers computed on the far
-    side of the RPC equal answers computed in-process.
-    """
-    buffer = np.asarray(buffer, dtype=np.float64)
-    queries = []
-    for entry in spec:
-        tag = entry[0]
-        if tag == "hamming_ge":
-            queries.append(HammingAtLeast(entry[1]))
-        elif tag == "hamming_eq":
-            queries.append(HammingExactly(entry[1]))
-        elif tag == "categorical":
-            _, k, alphabet, name, offset, size = entry
-            queries.append(
-                CategoricalWindowQuery(
-                    k, buffer[offset : offset + size].copy(), alphabet, name=name
-                )
-            )
-        elif tag == "window":
-            _, k, name, offset, size = entry
-            queries.append(WindowQuery(k, buffer[offset : offset + size].copy(), name))
-        elif tag == "opaque":
-            queries.append(entry[1])
-        else:
-            raise ConfigurationError(f"unknown workload spec entry {entry!r}")
-    return queries

@@ -56,7 +56,7 @@ from repro.serve.executor import (
     ShardExecutor,
 )
 from repro.serve.journal import JournalRecord, ReleaseJournal
-from repro.serve.policy import POLICY_ENV_VARS, RetryPolicy
+from repro.serve.policy import RetryPolicy
 from repro.serve.sharded import ShardedService
 from repro.serve.streaming import StreamingSynthesizer
 from repro.serve.supervisor import SupervisedService
@@ -68,7 +68,6 @@ __all__ = [
     "ReleaseJournal",
     "JournalRecord",
     "RetryPolicy",
-    "POLICY_ENV_VARS",
     "ShardExecutor",
     "SerialShardExecutor",
     "ProcessShardExecutor",

@@ -6,22 +6,23 @@ A :class:`ShardExecutor` owns the per-shard
 *how* does a round fan out across the ``K`` shards?
 
 ``"serial"``
-    Today's behavior, bit for bit: shards advance one after another in
-    the calling thread, stopping at the first failure.
+    Shards advance one after another in the calling thread, stopping at
+    the first failure.
 
 ``"process"``
     One **persistent forked worker per shard**.  Each shard object lives
     in its worker from fork time on — nothing is pickled, ever — and the
     parent talks to it over a :func:`multiprocessing.Pipe` with small
-    tagged messages.  Round columns travel through **double-buffered
-    shared-memory staging**: the parent writes each round's per-shard
-    slices into one of two :class:`multiprocessing.shared_memory`
-    segments (selected by round parity) and sends only offsets, so a
-    10M-row column crosses the process boundary without serialization.
-    Two rounds may be in flight at once (the parity buffer is only
-    reused after its previous round is acknowledged), which is what
-    makes :meth:`~repro.serve.sharded.ShardedService.observe_async`
-    overlap staging of round ``r+1`` with computation of round ``r``.
+    tagged messages.  Round columns travel through one
+    :class:`multiprocessing.shared_memory` staging segment: the parent
+    writes each round's per-shard slices into it and sends only offsets,
+    so a 10M-row column crosses the process boundary without
+    serialization.  The segment doubles whenever a round outgrows it.
+
+Either way :meth:`ShardExecutor.dispatch_round` ingests the whole round
+before it returns: a shard's rounds are strictly sequential (each
+release extends the one before), so exactly one round is ever in
+flight, and the staging segment is free again once it returns.
 
 Both strategies produce byte-identical releases, ledgers, and
 checkpoint bundles; ``tests/serve/test_executors.py`` locks that in.
@@ -37,12 +38,11 @@ from __future__ import annotations
 import io
 import multiprocessing as mp
 import weakref
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConsistencyError
-from repro.queries.plan import decode_workload, encode_workload, scalar_answer_grid
+from repro.queries.plan import scalar_answer_grid
 from repro.types import AttributeFrame
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "ShardExecutor",
     "SerialShardExecutor",
     "ProcessShardExecutor",
-    "RoundTicket",
     "make_executor",
     "merge_weight",
 ]
@@ -64,6 +63,24 @@ def _tag_shard(exc: BaseException, index: int) -> BaseException:
     except Exception:  # pragma: no cover - exotic __slots__ exceptions
         pass
     return exc
+
+
+def _round_failure(
+    exc: BaseException, *, dispatched: int, completed: int
+) -> BaseException:
+    """Best-effort: record how far a failed round got before ``exc``.
+
+    ``dispatched`` counts the shards that received the round and
+    ``completed`` those that ingested it; the sharded service reads both
+    to decide whether the failure is retryable or poisons the service.
+    """
+    try:
+        exc.dispatched = dispatched
+        exc.completed = completed
+    except Exception:  # pragma: no cover - exotic __slots__ exceptions
+        pass
+    return exc
+
 
 #: Recognized ``executor=`` strategy names, in documentation order.
 EXECUTOR_STRATEGIES = ("serial", "process")
@@ -109,43 +126,6 @@ def merge_weight(algorithm: str, release, t: int, **kwargs) -> float:
     if kwargs.get("debias", True):
         return release.population(t)
     return release.synthetic_population(t)
-
-
-class RoundTicket:
-    """Handle for one in-flight round; :meth:`wait` joins it.
-
-    Parameters
-    ----------
-    waiter:
-        Callable performing the join; returns the number of shards that
-        completed the round and raises the first per-shard failure (in
-        shard order).  Called at most once; the outcome is cached so
-        ``wait`` is idempotent.
-    """
-
-    def __init__(self, waiter=None):
-        self._waiter = waiter
-        self._done = waiter is None
-        self._error: BaseException | None = None
-        #: Shards that completed the round (valid once waited).
-        self.completed = 0
-
-    def wait(self) -> None:
-        """Block until the round is fully ingested; re-raise any failure."""
-        if not self._done:
-            self._done = True
-            waiter, self._waiter = self._waiter, None
-            try:
-                self.completed = waiter()
-            except BaseException as exc:
-                self._error = exc
-        if self._error is not None:
-            raise self._error
-
-    @property
-    def done(self) -> bool:
-        """True once the round has been joined (successfully or not)."""
-        return self._done
 
 
 class ShardExecutor:
@@ -221,11 +201,7 @@ class ShardExecutor:
         raise NotImplementedError
 
     def ping(self) -> list[bool]:
-        """Round-trip liveness probe; ``worker_health`` plus an RPC echo.
-
-        Must only be called with no rounds in flight (the process
-        strategy's pipe protocol is strict request-response).
-        """
+        """Round-trip liveness probe; ``worker_health`` plus an RPC echo."""
         return self.worker_health()
 
     @property
@@ -233,9 +209,14 @@ class ShardExecutor:
         """The live shard objects (strategies that keep them in-process)."""
         return tuple(self._shards)
 
-    def dispatch_round(self, jobs: list) -> RoundTicket:
-        """Start ingesting one round; ``jobs`` is per-shard
-        ``(column, entrants, exits)``.  Returns a ticket to join."""
+    def dispatch_round(self, jobs: list) -> None:
+        """Ingest one round; ``jobs`` is per-shard ``(column, entrants, exits)``.
+
+        Returns once every live shard has ingested the round.  On failure
+        it raises the first per-shard error in shard order, annotated with
+        ``dispatched`` (shards that received the round) and ``completed``
+        (shards that ingested it).
+        """
         raise NotImplementedError
 
     def answer(self, query, t: int, kwargs: dict) -> list[tuple[float, float]]:
@@ -315,31 +296,22 @@ class SerialShardExecutor(ShardExecutor):
 
     strategy = "serial"
 
-    def dispatch_round(self, jobs: list) -> RoundTicket:
+    def dispatch_round(self, jobs: list) -> None:
         self._weight_memo.clear()
-
-        def run() -> int:
-            advanced = 0
-            for index, (shard, (column, entrants, exits)) in enumerate(
-                zip(self._shards, jobs)
-            ):
-                if index in self._disabled:
-                    continue
-                try:
-                    shard.observe(column, entrants=entrants, exits=exits)
-                except Exception as exc:
-                    raise _tag_shard(exc, index)
-                advanced += 1
-            return advanced
-
-        ticket = RoundTicket(run)
-        # Serial ingestion is synchronous: the round is done (or failed)
-        # before dispatch returns; wait() only replays the outcome.
-        try:
-            ticket.wait()
-        except Exception:
-            pass
-        return ticket
+        completed = 0
+        for index, (shard, (column, entrants, exits)) in enumerate(
+            zip(self._shards, jobs)
+        ):
+            if index in self._disabled:
+                continue
+            try:
+                shard.observe(column, entrants=entrants, exits=exits)
+            except Exception as exc:
+                _tag_shard(exc, index)
+                raise _round_failure(
+                    exc, dispatched=completed + 1, completed=completed
+                )
+            completed += 1
 
     def _map_live(self, fn, *args) -> list:
         return [
@@ -377,9 +349,9 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
     the worker survives shard-level failures (the parent may still need
     ledger reads from a poisoned service).
     """
-    from multiprocessing import shared_memory
+    from multiprocessing import resource_tracker, shared_memory
 
-    segments: OrderedDict[str, object] = OrderedDict()
+    stage = None  # the parent's staging segment, attached on first use
     # Worker-side merge-weight memo, mirroring the serial executor's
     # (see ShardExecutor._shard_weight): cleared whenever the shard
     # advances, so cached denominators never go stale.
@@ -396,29 +368,29 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
             weight_memo[key] = weight
         return weight
 
-    def attach(name: str):
-        segment = segments.get(name)
-        if segment is None:
+    def read_staged(name, offset: int, shape: tuple, dtype: str) -> np.ndarray:
+        """A private copy of one staged array: the parent overwrites the
+        segment with the next round as soon as this one is acknowledged."""
+        nonlocal stage
+        data = np.empty(shape, dtype=np.dtype(dtype))
+        if not data.size:
+            return data
+        if stage is None or stage.name != name:
+            # The parent grew its segment; the old one is already unlinked.
+            if stage is not None:
+                stage.close()
             # CPython < 3.13 registers even attach-only handles with the
-            # resource tracker; the parent owns these segments' lifetime,
-            # so a worker registration only produces spurious "leaked
+            # resource tracker; the parent owns the segment's lifetime, so
+            # a worker registration only produces spurious "leaked
             # shared_memory" noise (or double-unregister errors) at exit.
-            # Suppress it for the duration of the attach.
-            from multiprocessing import resource_tracker
-
             original_register = resource_tracker.register
             resource_tracker.register = lambda *args, **kwargs: None
             try:
-                segment = shared_memory.SharedMemory(name=name)
+                stage = shared_memory.SharedMemory(name=name)
             finally:
                 resource_tracker.register = original_register
-            segments[name] = segment
-        segments.move_to_end(name)
-        # Two parity buffers are ever live; anything older was replaced
-        # by a grown segment and can be detached.
-        while len(segments) > 2:
-            segments.popitem(last=False)[1].close()
-        return segment
+        data[...] = np.ndarray(shape, dtype=data.dtype, buffer=stage.buf, offset=offset)
+        return data
 
     try:
         while True:
@@ -426,43 +398,12 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
             tag = message[0]
             try:
                 if tag == "observe":
-                    _, name, offset, count, dtype, entrants, exits = message
-                    if count:
-                        segment = attach(name)
-                        view = np.ndarray(
-                            (count,),
-                            dtype=np.dtype(dtype),
-                            buffer=segment.buf,
-                            offset=offset,
-                        )
-                        # Private copy: the parent reuses this parity
-                        # buffer as soon as the round is acknowledged.
-                        column = np.array(view)
-                        del view
-                    else:
-                        column = np.empty(0, dtype=np.dtype(dtype))
+                    _, name, offset, shape, dtype, names, entrants, exits = message
+                    data = read_staged(name, offset, shape, dtype)
+                    if names is not None:
+                        data = AttributeFrame(data, names)
                     weight_memo.clear()
-                    shard.observe(column, entrants=entrants, exits=exits)
-                    conn.send(("ok", None))
-                elif tag == "observe_frame":
-                    _, name, offset, count, width, dtype, names, entrants, exits = (
-                        message
-                    )
-                    if count:
-                        segment = attach(name)
-                        view = np.ndarray(
-                            (count, width),
-                            dtype=np.dtype(dtype),
-                            buffer=segment.buf,
-                            offset=offset,
-                        )
-                        matrix = np.array(view)
-                        del view
-                    else:
-                        matrix = np.empty((0, width), dtype=np.dtype(dtype))
-                    frame = AttributeFrame(matrix, names)
-                    weight_memo.clear()
-                    shard.observe(frame, entrants=entrants, exits=exits)
+                    shard.observe(data, entrants=entrants, exits=exits)
                     conn.send(("ok", None))
                 elif tag == "answer":
                     _, query, t, kwargs = message
@@ -471,22 +412,7 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
                         ("ok", (weight, shard.release.answer(query, t, **kwargs)))
                     )
                 elif tag == "answer_batch":
-                    _, name, offset, size, spec, times, kwargs = message
-                    if size:
-                        segment = attach(name)
-                        view = np.ndarray(
-                            (size,),
-                            dtype=np.float64,
-                            buffer=segment.buf,
-                            offset=offset,
-                        )
-                        # Private copy: the parent may restage the buffer
-                        # for the next round as soon as we acknowledge.
-                        flat = np.array(view)
-                        del view
-                    else:
-                        flat = np.empty(0, dtype=np.float64)
-                    queries = decode_workload(spec, flat)
+                    _, queries, times, kwargs = message
                     weights = np.asarray(
                         [shard_weight(t, kwargs) for t in times],
                         dtype=np.float64,
@@ -520,13 +446,13 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
     except (EOFError, KeyboardInterrupt):
         pass
     finally:
-        for segment in segments.values():
-            segment.close()
+        if stage is not None:
+            stage.close()
         conn.close()
 
 
 class _StageBuffer:
-    """One parity's shared-memory staging segment (parent side)."""
+    """The parent's shared-memory staging segment for round columns."""
 
     def __init__(self):
         self.segment = None
@@ -537,30 +463,24 @@ class _StageBuffer:
         return None if self.segment is None else self.segment.name
 
     def ensure(self, nbytes: int) -> None:
-        """Guarantee at least ``nbytes`` capacity, growing geometrically."""
+        """Guarantee at least ``nbytes`` capacity, doubling the old one."""
         from multiprocessing import shared_memory
 
         if nbytes <= self.capacity:
             return
+        capacity = max(nbytes, 2 * self.capacity)
         self.release()
-        capacity = max(nbytes, 1, self.capacity * 2)
         self.segment = shared_memory.SharedMemory(create=True, size=capacity)
         self.capacity = capacity
 
-    def write(self, offset: int, column: np.ndarray) -> None:
-        if not column.size:
-            return
-        view = np.ndarray(
-            (column.size,),
-            dtype=column.dtype,
-            buffer=self.segment.buf,
-            offset=offset,
-        )
-        view[:] = column.reshape(-1)
-        del view
+    def write(self, offset: int, array: np.ndarray) -> None:
+        if array.size:
+            np.ndarray(
+                array.shape, dtype=array.dtype, buffer=self.segment.buf, offset=offset
+            )[...] = array
 
     def release(self) -> None:
-        """Drop the current segment (workers detach on next attach)."""
+        """Unlink the current segment (workers detach on their next read)."""
         if self.segment is not None:
             self.segment.close()
             try:
@@ -571,16 +491,16 @@ class _StageBuffer:
             self.capacity = 0
 
 
-def _cleanup_process_executor(processes, connections, stages) -> None:
+def _cleanup_process_executor(processes, connections, stage) -> None:
     """Finalizer-safe teardown shared by close() and weakref.finalize.
 
     Escalates per worker: graceful ``stop`` RPC → ``join`` → ``terminate``
     (SIGTERM) → ``kill`` (SIGKILL).  The final escalation matters for
     *stopped* (SIGSTOP'd) workers: SIGTERM stays pending while a process
     is stopped, so ``terminate`` alone would hang the teardown forever,
-    while SIGKILL takes effect even on a stopped process.  Shared-memory
-    staging segments are unlinked last, unconditionally, so no worker
-    death mode can leak ``/dev/shm`` segments.
+    while SIGKILL takes effect even on a stopped process.  The staging
+    segment is unlinked last, unconditionally, so no worker death mode
+    can leak a ``/dev/shm`` segment.
     """
     for conn in connections:
         try:
@@ -605,8 +525,7 @@ def _cleanup_process_executor(processes, connections, stages) -> None:
         if process.is_alive():  # pragma: no cover - SIGTERM-immune worker
             process.kill()
             process.join(timeout=5.0)
-    for stage in stages:
-        stage.release()
+    stage.release()
 
 
 class ProcessShardExecutor(ShardExecutor):
@@ -615,11 +534,9 @@ class ProcessShardExecutor(ShardExecutor):
     The constructor forks immediately: each worker inherits its shard
     object by copy-on-write (nothing is pickled) and the parent's shard
     references become **stale** — the executor never touches them again
-    and the service must not either.  Two staging buffers (round parity)
-    let one round compute while the next is being staged; the parent
-    reuses a parity buffer only after its previous round was
-    acknowledged, which the service guarantees by capping in-flight
-    rounds at two.
+    and the service must not either.  Each round's columns are staged
+    through one shared-memory segment, which :meth:`dispatch_round` may
+    overwrite again as soon as every worker acknowledged the last round.
     """
 
     strategy = "process"
@@ -643,7 +560,7 @@ class ProcessShardExecutor(ShardExecutor):
             pass
         self._connections = []
         self._processes = []
-        self._stages = (_StageBuffer(), _StageBuffer())
+        self._stage = _StageBuffer()
         for shard in self._shards:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
@@ -657,13 +574,12 @@ class ProcessShardExecutor(ShardExecutor):
             self._processes.append(process)
         # The parent-side shard objects are stale from this point on.
         self._shards = []
-        self._rounds_dispatched = 0
         self._finalizer = weakref.finalize(
             self,
             _cleanup_process_executor,
             self._processes,
             self._connections,
-            self._stages,
+            self._stage,
         )
 
     @property
@@ -731,104 +647,53 @@ class ProcessShardExecutor(ShardExecutor):
             raise first_error
         return results
 
-    def dispatch_round(self, jobs: list) -> RoundTicket:
+    def dispatch_round(self, jobs: list) -> None:
         live = self._live_indices()
-        stage = self._stages[self._rounds_dispatched % 2]
-        self._rounds_dispatched += 1
-        offsets, total = [], 0
-        for column, _, _ in jobs:
-            # 64-byte aligned slots so worker views never straddle dtypes.
-            total = -(-total // 64) * 64
-            offsets.append(total)
-            payload = column.data if isinstance(column, AttributeFrame) else column
-            total += payload.nbytes
-        stage.ensure(total)
-        messages = []
-        for index, ((column, entrants, exits), offset) in enumerate(
-            zip(jobs, offsets)
-        ):
-            if index in self._disabled:
-                messages.append(None)
-                continue
-            if isinstance(column, AttributeFrame):
-                stage.write(offset, column.data)
-                messages.append(
-                    (
-                        "observe_frame",
-                        stage.name,
-                        offset,
-                        column.n,
-                        column.width,
-                        column.data.dtype.str,
-                        column.names,
-                        entrants,
-                        exits,
-                    )
-                )
-                continue
-            stage.write(offset, column)
-            messages.append(
-                (
-                    "observe",
-                    stage.name,
-                    offset,
-                    int(column.shape[0]),
-                    column.dtype.str,
-                    entrants,
-                    exits,
-                )
-            )
-        sent = 0
+        slots, total = [], 0
         for index in live:
+            column = jobs[index][0]
+            payload = column.data if isinstance(column, AttributeFrame) else column
+            # 64-byte aligned slots so worker views never straddle dtypes.
+            offset = -(-total // 64) * 64
+            slots.append((index, payload, offset))
+            total = offset + payload.nbytes
+        self._stage.ensure(total)
+        for position, (index, payload, offset) in enumerate(slots):
+            column, entrants, exits = jobs[index]
+            self._stage.write(offset, payload)
+            names = column.names if isinstance(column, AttributeFrame) else None
+            message = (
+                "observe",
+                self._stage.name,
+                offset,
+                payload.shape,
+                payload.dtype.str,
+                names,
+                entrants,
+                exits,
+            )
             try:
-                self._connections[index].send(messages[index])
+                self._connections[index].send(message)
             except OSError as exc:
                 error = self._dead_error(index, exc)
-                # How many workers already received the round decides
-                # whether the failure is retryable (nothing ingested) or
-                # must poison the service (clocks now desynchronized).
-                error.dispatched = sent
-                raise error from exc
-            sent += 1
-
-        def join() -> int:
-            advanced = 0
-            first_error = None
-            for index in live:
-                try:
-                    self._recv(index)
-                    advanced += 1
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
-            return advanced
-
-        return RoundTicket(join)
+                raise _round_failure(error, dispatched=position, completed=0) from exc
+        completed, failure = 0, None
+        for index in live:
+            try:
+                self._recv(index)
+                completed += 1
+            except Exception as exc:
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise _round_failure(failure, dispatched=len(live), completed=completed)
 
     def answer(self, query, t: int, kwargs: dict) -> list:
         return self._request_all(("answer", query, t, kwargs))
 
     def answer_batch(self, queries, times, kwargs: dict) -> list:
-        """Ship the compiled workload to every worker in one RPC each.
-
-        The query weight buffers are staged once through a shared-memory
-        segment (the parity buffer that is idle — the service drains all
-        in-flight rounds before answering) and every worker copies out of
-        the same staging bytes, so the fan-out cost is one flat-array
-        write plus one small spec message per live worker.
-        """
-        spec, flat = encode_workload(queries)
-        name = None
-        if flat.size:
-            stage = self._stages[self._rounds_dispatched % 2]
-            stage.ensure(flat.nbytes)
-            stage.write(0, flat)
-            name = stage.name
-        return self._request_all(
-            ("answer_batch", name, 0, int(flat.size), spec, list(times), kwargs)
-        )
+        """Send the workload's query objects to every worker, one RPC each."""
+        return self._request_all(("answer_batch", list(queries), list(times), kwargs))
 
     def ledgers(self) -> list:
         return self._request_all(("ledger",))
@@ -851,7 +716,6 @@ class ProcessShardExecutor(ShardExecutor):
         Unlike :meth:`_request_all` this never raises on a dead worker —
         it is the supervisor's heartbeat probe, and a probe that fails
         closed would turn every detected failure into a second failure.
-        Must only run with no rounds in flight.
         """
         alive = [False] * self.n_shards
         timeout = 5.0 if self._policy is None else (self._policy.rpc_timeout or 5.0)

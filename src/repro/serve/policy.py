@@ -6,41 +6,17 @@ timeouts on worker pipes) and the
 :class:`~repro.serve.supervisor.SupervisedService` (how many times a
 failed round is retried through recovery, how long to back off between
 attempts, how often workers are heartbeat-probed, and how often —
-and how deep — the automatic checkpoints roll).
-
-Every knob is overridable from the environment so operators can tune a
-deployment without code changes::
-
-    REPRO_RPC_TIMEOUT=30        # seconds one worker RPC may take
-    REPRO_MAX_RETRIES=2         # recovery attempts per failed round
-    REPRO_BACKOFF_BASE=0.05     # first retry delay (seconds)
-    REPRO_BACKOFF_FACTOR=2.0    # exponential growth per attempt
-    REPRO_BACKOFF_MAX=5.0       # delay ceiling (seconds)
-    REPRO_HEARTBEAT_EVERY=1     # rounds between worker liveness probes
-    REPRO_CHECKPOINT_EVERY=16   # rounds between automatic checkpoints
-    REPRO_CHECKPOINT_RETAIN=3   # rolling checkpoints kept on disk
+and how deep — the automatic checkpoints roll).  Every field is set
+through the ``policy=`` argument; the environment plays no part.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["RetryPolicy", "POLICY_ENV_VARS"]
-
-#: Environment variable consumed by each :class:`RetryPolicy` field.
-POLICY_ENV_VARS = {
-    "rpc_timeout": "REPRO_RPC_TIMEOUT",
-    "max_retries": "REPRO_MAX_RETRIES",
-    "backoff_base": "REPRO_BACKOFF_BASE",
-    "backoff_factor": "REPRO_BACKOFF_FACTOR",
-    "backoff_max": "REPRO_BACKOFF_MAX",
-    "heartbeat_every": "REPRO_HEARTBEAT_EVERY",
-    "checkpoint_every": "REPRO_CHECKPOINT_EVERY",
-    "checkpoint_retain": "REPRO_CHECKPOINT_RETAIN",
-}
+__all__ = ["RetryPolicy"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,44 +116,3 @@ class RetryPolicy:
             self.backoff_base * self.backoff_factor ** (attempt - 1),
             self.backoff_max,
         )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RetryPolicy":
-        """Build a policy from ``REPRO_*`` environment variables.
-
-        Parameters
-        ----------
-        **overrides:
-            Explicit field values; each beats its environment variable,
-            which beats the dataclass default.
-
-        Returns
-        -------
-        RetryPolicy
-            The resolved policy.
-
-        Raises
-        ------
-        repro.exceptions.ConfigurationError
-            If an environment value does not parse as the field's type
-            or violates a field constraint.
-        """
-        values: dict = {}
-        for field, env_name in POLICY_ENV_VARS.items():
-            raw = os.environ.get(env_name)
-            if raw is None or field in overrides:
-                continue
-            try:
-                if field in ("max_retries", "heartbeat_every",
-                             "checkpoint_every", "checkpoint_retain"):
-                    values[field] = int(raw)
-                elif field == "rpc_timeout" and raw.lower() in ("", "none", "inf"):
-                    values[field] = None
-                else:
-                    values[field] = float(raw)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"cannot parse ${env_name}={raw!r}: {exc}"
-                ) from exc
-        values.update(overrides)
-        return cls(**values)

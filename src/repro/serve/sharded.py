@@ -12,11 +12,13 @@ synthetic populations.
 
 Shards are independent state machines, and *how* they advance is a
 pluggable :class:`~repro.serve.executor.ShardExecutor` strategy:
-``executor="serial"`` (default; today's loop, bit for bit) or
+``executor="serial"`` (default; shards advance one after another) or
 ``"process"`` (one persistent forked worker per shard, columns staged
 through shared memory).  Both produce byte-identical releases, ledgers,
-and checkpoint bundles.  The
-whole service checkpoints into a single bundle that nests one streaming
+and checkpoint bundles.  Each round extends the release before it, so
+:meth:`ShardedService.observe` ingests the round on every shard before
+it returns; there is never more than one round in flight.  The whole
+service checkpoints into a single bundle that nests one streaming
 bundle per shard.
 
 Example
@@ -45,11 +47,14 @@ from __future__ import annotations
 
 import io
 import warnings
-from collections import deque
 
 import numpy as np
 
-from repro.core.population import validate_binary_column, validate_exit_ids
+from repro.core.population import (
+    validate_column,
+    validate_entrants,
+    validate_exit_ids,
+)
 from repro.exceptions import (
     ConfigurationError,
     ConsistencyError,
@@ -63,7 +68,7 @@ from repro.exceptions import (
 from repro.queries.plan import AnswerCache, workload_key
 from repro.rng import SeedLike, spawn
 from repro.serve.checkpoint import read_bundle, write_bundle
-from repro.serve.executor import RoundTicket, make_executor
+from repro.serve.executor import make_executor
 from repro.serve.streaming import _ALGORITHMS, StreamingSynthesizer
 from repro.types import AttributeFrame, as_frame
 
@@ -223,7 +228,6 @@ class ShardedService:
             self._attribute_names = None
             self._alphabets = None
         self._executor = make_executor(executor, shards, self.algorithm, policy)
-        self._pending: deque[tuple[int, RoundTicket]] = deque()
         # Release version for the batched answer cache: bumped by every
         # committed round and by shard disablement (restore builds a fresh
         # service, so its cache starts empty).
@@ -286,7 +290,6 @@ class ShardedService:
             Under the ``"process"`` executor, whose shard objects live
             in worker processes.
         """
-        self._drain()
         return tuple(self._executor.shards)
 
     @property
@@ -296,7 +299,7 @@ class ShardedService:
 
     @property
     def t(self) -> int:
-        """Rounds ingested so far (dispatched rounds for async callers)."""
+        """Rounds ingested so far."""
         return self._t
 
     @property
@@ -398,12 +401,14 @@ class ShardedService:
         Raises
         ------
         repro.exceptions.DataValidationError
-            On non-1-D or out-of-alphabet input, a column length disagreeing
-            with the declared churn, an exhausted horizon, invalid exit
-            ids, or when the initial population is smaller than the
-            shard count.  This validation happens *before* any shard
-            advances, so a rejected column leaves every shard's clock
-            unchanged and the corrected column can simply be resubmitted.
+            On non-1-D or out-of-alphabet input (non-integral and NaN
+            reports included), a column length disagreeing with the
+            declared churn, an exhausted horizon, a non-integer or
+            negative ``entrants``, invalid or non-integer exit ids, or
+            when the initial population is smaller than the shard count.
+            This validation happens *before* any shard advances, so a
+            rejected column leaves every shard's clock unchanged and the
+            corrected column can simply be resubmitted.
         repro.exceptions.ConsistencyError
             If a shard fails *mid-round* (only possible through
             noise-dependent per-shard failures such as
@@ -412,31 +417,9 @@ class ShardedService:
             refuses all further operations except :meth:`shard_ledgers`
             — restore from the last checkpoint (or use
             ``on_negative="redistribute"``, the default, which cannot
-            fail mid-round).
-        """
-        self.observe_async(data, entrants=entrants, exits=exits).wait()
-        return self
-
-    def observe_async(
-        self, data, *, entrants: int = 0, exits=None
-    ) -> RoundTicket:
-        """Validate, stage, and dispatch one round without joining it.
-
-        The round is validated and the service-side churn assignment is
-        committed *synchronously* (so a rejected round raises here and
-        leaves every shard untouched); the per-shard ingestion is then
-        handed to the executor and a :class:`~repro.serve.executor.RoundTicket`
-        is returned.  Under the ``"process"`` strategy up to **two**
-        rounds may be in flight — staging round ``r+1``'s columns into
-        shared memory overlaps round ``r``'s compute — and dispatching a
-        third blocks on the oldest (its staging buffer is being reused).
-        The serial strategy ingests before returning, so the ticket is
-        already complete.
-
-        Joining happens implicitly before any read (``answer``,
-        ``shard_ledgers``, ``checkpoint`` …) or explicitly via
-        ``ticket.wait()``, which re-raises the round's failure (and
-        poisons the service) if a shard rejected it mid-flight.
+            fail mid-round).  A failure before any shard received the
+            round (a full ``/dev/shm``, say) stays retryable unless the
+            round's churn was already committed.
         """
         self._check_not_poisoned()
         # All-or-nothing rounds need the value check *before* any shard
@@ -446,16 +429,7 @@ class ShardedService:
         if self._attribute_names is not None:
             data = as_frame(data, names=self._attribute_names)
             for name, alphabet in zip(self._attribute_names, self._alphabets):
-                attribute_column = data.column(name)
-                if alphabet == 2:
-                    validate_binary_column(attribute_column)
-                elif attribute_column.size and (
-                    attribute_column.min() < 0
-                    or attribute_column.max() >= alphabet
-                ):
-                    raise DataValidationError(
-                        f"column entries for {name!r} must lie in [0, {alphabet})"
-                    )
+                validate_column(data.column(name), alphabet, label=f"column {name!r}")
             n_reports = data.n
         else:
             data = np.asarray(data)
@@ -463,19 +437,13 @@ class ShardedService:
                 raise DataValidationError(
                     f"column must be 1-D, got shape {data.shape}"
                 )
-            if self._alphabet == 2:
-                validate_binary_column(data)
-            elif data.size and (data.min() < 0 or data.max() >= self._alphabet):
-                raise DataValidationError(
-                    f"column entries must lie in [0, {self._alphabet})"
-                )
+            validate_column(data, self._alphabet)
             n_reports = int(data.shape[0])
         if self._t >= self._horizon:
             raise DataValidationError(f"horizon {self._horizon} already exhausted")
-        entrants = int(entrants)
-        if entrants < 0:
-            raise DataValidationError(f"entrants must be non-negative, got {entrants}")
-        exit_ids = np.asarray([] if exits is None else exits, dtype=np.int64)
+        entrants = validate_entrants(entrants)
+        # _route_churn type-checks the ids (no truncating cast).
+        exit_ids = np.asarray([] if exits is None else exits)
         round_number = self._t + 1
         if self._boundaries is None:
             if exit_ids.size:
@@ -523,10 +491,6 @@ class ShardedService:
             shard_churn = [(0, None)] * self.n_shards
         else:
             shard_columns, shard_churn = self._route_churn(data, entrants, exit_ids)
-        # Double-buffered staging: at most two rounds in flight, so the
-        # parity buffer of round r is free again when round r+2 stages.
-        while len(self._pending) >= 2:
-            self._wait_oldest()
         jobs = [
             (shard_column, shard_entrants, shard_exits)
             for shard_column, (shard_entrants, shard_exits) in zip(
@@ -534,63 +498,26 @@ class ShardedService:
             )
         ]
         try:
-            inner = self._executor.dispatch_round(jobs)
+            self._executor.dispatch_round(jobs)
         except Exception as exc:
-            # A dispatch failure is retryable only if no shard received
-            # the round AND no service-side churn state was committed
-            # (_route_churn mutates the assignment before dispatching).
-            # Otherwise the clocks can no longer be trusted: fail closed.
-            dispatched = getattr(exc, "dispatched", None)
-            if churn_round or (dispatched is not None and dispatched > 0):
-                if self._poisoned is None:
-                    self._poisoned = (
-                        f"round {round_number} dispatch failed after "
-                        f"{dispatched or 0} shards received it"
-                        + (" (churn already committed)" if churn_round else "")
-                    )
+            # Retryable only if no shard received the round AND no
+            # service-side churn state was committed (_route_churn mutates
+            # the assignment before dispatching).  Pre-validation covers
+            # every data-level failure, so anything else means a shard
+            # failed during its update: the round is partially ingested and
+            # the clocks can no longer be trusted — fail closed instead of
+            # serving silently wrong merges.
+            if churn_round or getattr(exc, "dispatched", 0):
+                self._poisoned = (
+                    f"round {round_number} failed after "
+                    f"{getattr(exc, 'completed', 0)} of {self.n_shards} shards "
+                    "ingested it"
+                    + (" (churn already committed)" if churn_round else "")
+                )
             raise
         self._t = round_number
         self._version += 1
-        ticket = RoundTicket(lambda: self._join_round(round_number, inner))
-        self._pending.append((round_number, ticket))
-        if inner.done:
-            # The serial strategy ingests eagerly; surface failures
-            # now (poisoning included) instead of at the next read.
-            ticket.wait()
-        return ticket
-
-    def _join_round(self, round_number: int, inner: RoundTicket) -> int:
-        """Join one dispatched round, poisoning the service on failure."""
-        try:
-            inner.wait()
-        except Exception:
-            # Pre-validation covers every data-level failure, so reaching
-            # here means a shard failed *during* its update.  Whether or
-            # not other shards advanced, the round is now partially
-            # ingested and the clocks can no longer be trusted —
-            # fail closed instead of serving silently wrong merges.
-            if self._poisoned is None:
-                self._poisoned = (
-                    f"round {round_number} failed after {inner.completed} of "
-                    f"{self.n_shards} shards ingested it"
-                )
-            raise
-        finally:
-            self._pending = deque(
-                (number, pending)
-                for number, pending in self._pending
-                if number != round_number
-            )
-        return inner.completed
-
-    def _wait_oldest(self) -> None:
-        """Join the oldest in-flight round (propagating its failure)."""
-        self._pending[0][1].wait()
-
-    def _drain(self) -> None:
-        """Join every in-flight round before reading derived state."""
-        while self._pending:
-            self._wait_oldest()
+        return self
 
     @staticmethod
     def _take(data, rows):
@@ -729,7 +656,6 @@ class ShardedService:
             :class:`~repro.exceptions.DegradedServiceWarning`.
         """
         self._check_not_poisoned()
-        self._drain()
         self._warn_if_degraded("answer")
         weighted = 0.0
         total = 0.0
@@ -768,7 +694,6 @@ class ShardedService:
             committed round or shard disablement invalidates the cache.
         """
         self._check_not_poisoned()
-        self._drain()
         self._warn_if_degraded("answer_batch")
         queries = list(queries)
         times = [int(t) for t in times]
@@ -911,7 +836,6 @@ class ShardedService:
             can verify a replay reproduced the published state exactly.
         """
         self._check_not_poisoned()
-        self._drain()
         return self._executor.fingerprints()
 
     def zcdp_spent(self) -> float:
@@ -940,13 +864,6 @@ class ShardedService:
         one surface the desync guard does not cover — auditing spend
         stays possible).
         """
-        try:
-            self._drain()
-        except Exception:
-            # A failed in-flight round poisons the service but must not
-            # hide the ledgers — the accountants charged before any
-            # per-shard failure could occur.
-            pass
         return self._executor.ledgers()
 
     # ------------------------------------------------------------------
@@ -981,7 +898,6 @@ class ShardedService:
                 "disabled and their state is unrecoverable; rebuild the "
                 "service (restore from the last complete bundle) first"
             )
-        self._drain()
         shard_blobs: dict = {}
         for index, blob in enumerate(self._executor.checkpoint_blobs()):
             shard_blobs[str(index)] = {
@@ -1151,18 +1067,14 @@ class ShardedService:
         )
 
     def close(self) -> None:
-        """Join in-flight rounds and release executor resources.
+        """Release executor resources.
 
         Required for the ``"process"`` strategy (worker processes and
-        shared-memory segments); a no-op for serial.  Idempotent, and
-        also invoked by a finalizer as a safety net — but call it
-        explicitly (or use the service as a context manager) to bound
-        resource lifetime deterministically.
+        the shared-memory staging segment); a no-op for serial.
+        Idempotent, and also invoked by a finalizer as a safety net — but
+        call it explicitly (or use the service as a context manager) to
+        bound resource lifetime deterministically.
         """
-        try:
-            self._drain()
-        except Exception:
-            pass  # a poisoned in-flight round must not block teardown
         self._executor.close()
 
     def __enter__(self) -> "ShardedService":

@@ -160,7 +160,7 @@ class SupervisedService:
         one.
     policy:
         The :class:`~repro.serve.policy.RetryPolicy`; ``None`` uses
-        :meth:`RetryPolicy.from_env`.
+        ``RetryPolicy()``.
     probe_queries:
         Optional mapping of label → query object.  Each published
         round's probe answers are recorded in the journal and verified
@@ -205,7 +205,7 @@ class SupervisedService:
     ):
         self._directory = os.fspath(directory)
         self._executor_name = executor
-        self._policy = RetryPolicy.from_env() if policy is None else policy
+        self._policy = RetryPolicy() if policy is None else policy
         self._probe_queries = dict(probe_queries or {})
         self._degraded_ok = bool(degraded_ok)
         self._needs_recovery = False
@@ -287,7 +287,7 @@ class SupervisedService:
         executor:
             Shard-stepping strategy for the resumed service.
         policy:
-            Supervision policy; ``None`` reads the environment.
+            Supervision policy; ``None`` uses ``RetryPolicy()``.
         probe_queries:
             Label → query mapping matching the one used at create time
             (enables journal answer verification during replay).

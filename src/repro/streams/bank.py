@@ -67,7 +67,6 @@ from repro.rng import (
     restore_generator_state,
     spawn,
 )
-from repro.streams.layout import ArrayArena
 from repro.streams.sqrt_factorization import sqrt_factorization_coefficients
 
 __all__ = [
@@ -488,20 +487,13 @@ class _TreeBankCore(CounterBank):
         lengths = self.row_horizons()
         self.levels = np.array([int(n).bit_length() for n in lengths], dtype=np.int64)
         n_levels = int(self.levels[0])  # row 0 has the longest stream
-        # Both level-buffer families live in one contiguous arena block,
-        # column-major, so a shard's whole tree state is a single buffer
-        # (snapshot-able, shareable across processes).
-        self._arena = self._tree_arena(n_levels)
-        self._alpha = self._arena["alpha"]
-        self._alpha_noisy = self._arena["alpha_noisy"]
+        self._alpha = self._level_buffers(n_levels)
+        self._alpha_noisy = self._level_buffers(n_levels)
         self._level_idx = np.arange(n_levels, dtype=np.int64)
 
-    def _tree_arena(self, n_levels: int) -> ArrayArena:
-        """One contiguous block for both level-buffer families."""
-        shape = (self.n_reps, self.horizon, n_levels)
-        return ArrayArena(
-            [("alpha", shape, np.int64, "F"), ("alpha_noisy", shape, np.int64, "F")]
-        )
+    def _level_buffers(self, n_levels: int) -> np.ndarray:
+        """Zeroed ``(n_reps, horizon, n_levels)`` level buffers, column-major."""
+        return np.zeros((self.n_reps, self.horizon, n_levels), dtype=np.int64, order="F")
 
     def _feed(self, z: np.ndarray) -> np.ndarray:
         t = self._t
@@ -541,14 +533,11 @@ class _TreeBankCore(CounterBank):
         n_levels = int(self.levels[0])
         # Appending rows and (zero) level buffers preserves every existing
         # buffer value in place; deeper local clocks of the widened rows
-        # simply start folding into the fresh columns.  The arena cannot
-        # grow, so the extension builds one for the new layout and copies.
-        grown_arena = self._tree_arena(n_levels)
-        grown = grown_arena["alpha"]
+        # simply start folding into the fresh columns.
+        grown = self._level_buffers(n_levels)
         grown[:, :old_horizon, : self._alpha.shape[2]] = self._alpha
-        grown_noisy = grown_arena["alpha_noisy"]
+        grown_noisy = self._level_buffers(n_levels)
         grown_noisy[:, :old_horizon, : self._alpha_noisy.shape[2]] = self._alpha_noisy
-        self._arena = grown_arena
         self._alpha, self._alpha_noisy = grown, grown_noisy
         self._level_idx = np.arange(n_levels, dtype=np.int64)
         extra = self._extension_cost(old_levels, self.levels[:old_horizon])
@@ -574,8 +563,7 @@ class _TreeBankCore(CounterBank):
         }
 
     def _load_extra(self, extra: dict) -> None:
-        # Copy *into* the arena views: restoring must not unhook the
-        # state from its contiguous backing block.
+        # Copy *into* the buffers: they keep their column-major layout.
         self._alpha[...] = self._require_array(extra, "alpha", self._alpha)
         self._alpha_noisy[...] = self._require_array(
             extra, "alpha_noisy", self._alpha_noisy
@@ -807,10 +795,9 @@ class SqrtFactorizationBank(CounterBank):
             )
         self.sigma_rows = np.sqrt(sigma_sq)
         self._noiseless = bool((self.sigma_rows == 0).all())
-        self._arena = ArrayArena(
-            [("xi", (self.n_reps, self.horizon, self.horizon), np.float64, "F")]
+        self._xi = np.zeros(
+            (self.n_reps, self.horizon, self.horizon), dtype=np.float64, order="F"
         )
-        self._xi = self._arena["xi"]
 
     def _feed(self, z: np.ndarray) -> np.ndarray:
         t = self._t

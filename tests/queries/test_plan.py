@@ -5,9 +5,8 @@ The contracts the batched read path stands on:
 * ``compile_cumulative`` maps Hamming-threshold queries onto threshold
   table columns exactly (including the virtual zero column for
   ``b > horizon``);
-* ``encode_workload``/``decode_workload`` round-trip a mixed workload
-  bit-identically, which is what lets the process executor ship a
-  compiled workload through shared memory;
+* a mixed workload sent to process-executor shard workers as query
+  objects comes back as the serial grid, byte for byte;
 * ``AnswerCache`` serves a grid back only at the version it was stored
   under — every ``observe()``, ``load_state()``, and
   ``extend_horizon()`` bumps the release version, so churny services
@@ -15,6 +14,7 @@ The contracts the batched read path stands on:
 """
 
 import math
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -27,13 +27,11 @@ from repro.queries.categorical import CategoricalWindowQuery
 from repro.queries.plan import (
     AnswerCache,
     compile_cumulative,
-    decode_workload,
-    encode_workload,
-    query_signature,
     release_answer_grid,
     scalar_answer_grid,
     workload_key,
 )
+from repro.serve import ShardedService
 
 HORIZON = 6
 N = 40
@@ -88,33 +86,45 @@ class TestCompileCumulative:
 # ----------------------------------------------------------------------
 
 
-class TestWorkloadRoundTrip:
-    def test_mixed_workload_round_trips_bit_identically(self):
-        workload = [
-            HammingAtLeast(2),
-            HammingExactly(1),
+#: The mixed workload, split by the service algorithm whose releases
+#: answer each part: ``algorithm -> (service kwargs, queries)``.
+MIXED_WORKLOAD = {
+    "cumulative": (dict(horizon=HORIZON), [HammingAtLeast(2), HammingExactly(1)]),
+    "fixed_window": (
+        dict(horizon=HORIZON, window=3),
+        [
             AtLeastMOnes(3, 2),
             WindowQuery(2, np.array([0.25, -1.5, 3.0, 0.0]), "custom"),
-            CategoricalWindowQuery(
-                1, np.array([0.0, 1.0, 0.5]), 3, name="cat-probe"
-            ),
-        ]
-        spec, buffer = encode_workload(workload)
-        rebuilt = decode_workload(spec, buffer)
-        # Window subclasses flatten to their weight vector (signatures —
-        # hence answers — are preserved; the subclass identity is not).
-        for original, clone in zip(workload, rebuilt):
-            assert query_signature(clone) == query_signature(original)
-            assert query_signature(clone) is not None
-            if isinstance(original, WindowQuery):
-                assert clone.name == original.name
-                assert clone.weights.tobytes() == original.weights.tobytes()
+        ],
+    ),
+    "categorical_window": (
+        dict(horizon=HORIZON, window=2, alphabet=3),
+        [CategoricalWindowQuery(1, np.array([0.0, 1.0, 0.5]), 3, name="cat-probe")],
+    ),
+}
 
-    def test_unknown_queries_ride_along_as_opaque_entries(self):
-        sentinel = object()
-        spec, buffer = encode_workload([sentinel])
-        assert buffer.size == 0
-        assert decode_workload(spec, buffer)[0] is sentinel
+
+class TestWorkloadRoundTrip:
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="process executor needs the fork start method",
+    )
+    def test_mixed_workload_round_trips_bit_identically(self):
+        """Query objects cross the worker pipes and answer as in-process."""
+        for algorithm, (kwargs, queries) in MIXED_WORKLOAD.items():
+            alphabet = kwargs.get("alphabet", 2)
+            # Windowed releases answer from their first full window on.
+            times = list(range(kwargs.get("window", 1), HORIZON + 1))
+            grids = {}
+            for executor in ("serial", "process"):
+                with ShardedService(
+                    2, algorithm=algorithm, rho=0.5, seed=3, executor=executor, **kwargs
+                ) as service:
+                    for t in range(1, HORIZON + 1):
+                        service.observe((np.arange(N) * t // 3 + t) % alphabet)
+                    grids[executor] = service.answer_batch(queries, times)
+            assert grids["process"].tobytes() == grids["serial"].tobytes(), algorithm
+            assert not np.isnan(grids["serial"][:, -1]).any()
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data.generators import churn_two_state_markov
-from repro.exceptions import ConfigurationError, ConsistencyError
+from repro.exceptions import ConfigurationError, ConsistencyError, DataValidationError
 from repro.queries import AtLeastMOnes, HammingAtLeast
 from repro.queries.categorical import CategoryAtLeastM
 from repro.serve import EXECUTOR_STRATEGIES, ShardedService
@@ -152,25 +152,6 @@ def test_mid_churn_restore_crosses_executors(executor, churn_events):
 
 
 @needs_fork
-def test_async_pipelining_matches_synchronous_ingestion(churn_events):
-    kwargs, query, start = CONFIGS["fixed_window"]
-    sync = _drive(ShardedService(K, seed=2, executor="serial", **kwargs), churn_events)
-    pipelined = ShardedService(K, seed=2, executor="process", **kwargs)
-    tickets = [
-        pipelined.observe_async(column, entrants=entrants, exits=exits)
-        for column, entrants, exits in churn_events
-    ]
-    for ticket in tickets:
-        ticket.wait()
-        assert ticket.done and ticket.completed == K
-    reference = _observables(sync, query, start)
-    observed = _observables(pipelined, query, start)
-    pipelined.close()
-    sync.close()
-    assert observed == reference
-
-
-@needs_fork
 def test_process_executor_hides_shard_objects(churn_events):
     service = ShardedService(
         K, algorithm="cumulative", horizon=HORIZON, rho=math.inf, executor="process"
@@ -202,21 +183,20 @@ def test_rejected_round_does_not_poison_process_service():
 @needs_fork
 def test_worker_exceptions_propagate_to_parent():
     """An exception raised inside a forked worker crosses the pipe intact."""
-    from repro.exceptions import DataValidationError
-
     service = ShardedService(
         2, algorithm="cumulative", horizon=4, rho=math.inf, executor="process"
     )
     service.observe(np.ones(8, dtype=np.int64))
     # Bypass service validation: hand shard 1 a column of the wrong length.
-    ticket = service._executor.dispatch_round(
-        [
-            (np.ones(4, dtype=np.int64), 0, None),
-            (np.ones(99, dtype=np.int64), 0, None),
-        ]
-    )
-    with pytest.raises(DataValidationError):
-        ticket.wait()
+    with pytest.raises(DataValidationError) as raised:
+        service._executor.dispatch_round(
+            [
+                (np.ones(4, dtype=np.int64), 0, None),
+                (np.ones(99, dtype=np.int64), 0, None),
+            ]
+        )
+    assert raised.value.shard_index == 1
+    assert (raised.value.dispatched, raised.value.completed) == (2, 1)
     service.close()
 
 
@@ -264,4 +244,64 @@ def test_large_round_grows_staging_buffers():
     assert service.n == 5000
     # Only the 64 round-1 members have three ones; noiseless => exact.
     assert service.answer(HammingAtLeast(3), t=3) == pytest.approx(64 / 5000)
+    service.close()
+
+
+@needs_fork
+def test_staging_segment_grows_geometrically(monkeypatch):
+    """A growing panel re-creates the staging segment O(log) times, not per round."""
+    from multiprocessing import shared_memory
+
+    rounds, initial, per_round = 40, 1000, 10
+    service = ShardedService(
+        2,
+        algorithm="cumulative",
+        horizon=rounds + 1,
+        rho=math.inf,
+        executor="process",
+    )
+    created = []
+    real = shared_memory.SharedMemory
+
+    def counting(*args, **kwargs):
+        if kwargs.get("create"):
+            created.append(kwargs["size"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", counting)
+    service.observe(np.ones(initial, dtype=np.int64))
+    for _ in range(rounds):
+        service.observe(np.ones(service.n + per_round, dtype=np.int64), entrants=per_round)
+    final = service.n
+    assert final == initial + rounds * per_round
+    # Noiseless: only the round-1 members report in every round.
+    assert service.answer(HammingAtLeast(rounds + 1), t=rounds + 1) == pytest.approx(
+        initial / final
+    )
+    service.close()
+    assert 1 <= len(created) <= 1 + math.ceil(math.log2(final / initial))
+
+
+@pytest.mark.parametrize("executor", ["serial", *PARALLEL])
+def test_poison_message_counts_the_shards_that_ingested_the_round(executor):
+    """Shard 2 of 3 rejects round 2 after shards 0 and 1 ingested it."""
+    service = ShardedService(
+        3, algorithm="cumulative", horizon=4, rho=math.inf, executor=executor
+    )
+    service.observe(np.ones(9, dtype=np.int64))
+    real = service._executor.dispatch_round
+
+    def short_last_shard(jobs):
+        column, entrants, exits = jobs[2]
+        return real([*jobs[:2], (column[:-1], entrants, exits)])
+
+    service._executor.dispatch_round = short_last_shard
+    with pytest.raises(DataValidationError):
+        service.observe(np.zeros(9, dtype=np.int64))
+    if executor == "serial":
+        assert [shard.t for shard in service.shards] == [2, 2, 1]
+    with pytest.raises(
+        ConsistencyError, match="round 2 failed after 2 of 3 shards ingested it"
+    ):
+        service.answer(HammingAtLeast(1), t=1)
     service.close()

@@ -142,26 +142,6 @@ def test_mid_churn_restore_crosses_executors(executor, frame_events):
     again.close()
 
 
-@needs_fork
-def test_async_pipelining_matches_synchronous_ingestion(frame_events):
-    sync = _drive(
-        ShardedService(K, seed=2, executor="serial", **KWARGS), frame_events
-    )
-    pipelined = ShardedService(K, seed=2, executor="process", **KWARGS)
-    tickets = [
-        pipelined.observe_async(frame, entrants=entrants, exits=exits)
-        for frame, entrants, exits in frame_events
-    ]
-    for ticket in tickets:
-        ticket.wait()
-        assert ticket.done and ticket.completed == K
-    reference = _observables(sync)
-    observed = _observables(pipelined)
-    pipelined.close()
-    sync.close()
-    assert observed == reference
-
-
 def test_mapping_and_matrix_inputs_round_like_frames(frame_events):
     """observe() accepts a plain dict of columns and produces the same bytes."""
     by_frame = ShardedService(K, seed=7, executor="serial", **KWARGS)

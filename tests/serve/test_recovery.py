@@ -101,6 +101,19 @@ def _policy(**overrides):
     return RetryPolicy(**defaults)
 
 
+#: The policy variables earlier builds read; none may change a policy now.
+LEFTOVER_POLICY_VARIABLES = {
+    "REPRO_RPC_TIMEOUT": "0.001",
+    "REPRO_MAX_RETRIES": "junk",
+    "REPRO_BACKOFF_BASE": "9",
+    "REPRO_BACKOFF_FACTOR": "9",
+    "REPRO_BACKOFF_MAX": "9",
+    "REPRO_HEARTBEAT_EVERY": "0",
+    "REPRO_CHECKPOINT_EVERY": "1",
+    "REPRO_CHECKPOINT_RETAIN": "9",
+}
+
+
 def _observables(service, query, start):
     """Everything a client can see from a (plain) sharded service."""
     answers = [service.answer(query, t) for t in range(start, HORIZON + 1)]
@@ -187,6 +200,21 @@ def test_crash_midstream_recovery_is_byte_identical(
     assert observed["ledgers"] == expected["ledgers"]
     assert observed["spent"] == expected["spent"]
     assert observed["bundle"] == expected["bundle"]
+
+
+def test_leftover_policy_variables_are_ignored(churn_events, tmp_path, monkeypatch):
+    """``policy=None`` means ``RetryPolicy()``, whatever the environment holds."""
+    for name, value in LEFTOVER_POLICY_VARIABLES.items():
+        monkeypatch.setenv(name, value)
+    kwargs, _, _ = CONFIGS["cumulative"]
+    directory = str(tmp_path / "svc")
+    with SupervisedService(directory, n_shards=K, seed=SEED, **kwargs) as service:
+        assert service.policy == RetryPolicy()
+        column, entrants, exits = churn_events[0]
+        service.observe(column, entrants=entrants, exits=exits)
+    with SupervisedService.attach(directory) as resumed:
+        assert resumed.policy == RetryPolicy()
+        assert resumed.t == 1
 
 
 @needs_fork
