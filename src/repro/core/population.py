@@ -339,17 +339,19 @@ class PopulationLedger:
         Parameters
         ----------
         column:
-            Length-``n_active`` int64 report vector, ordered by ascending
-            id over the active individuals.
+            Length-``n_active`` integer report vector, ordered by
+            ascending id over the active individuals.
 
         Returns
         -------
         numpy.ndarray
-            Length-``n_ever`` vector with the reports placed at the
-            active ids and structural zeros elsewhere.  When everyone
-            ever admitted is still active this is ``column`` itself (no
-            copy), which keeps the fixed-population fast path allocation-
-            and bit-exact.
+            Length-``n_ever`` vector of ``column``'s dtype (the window
+            engine passes its narrow code dtype, the cumulative
+            synthesizer ``int64``) with the reports placed at the active
+            ids and structural zeros elsewhere.  When everyone ever
+            admitted is still active this is ``column`` itself (no copy),
+            which keeps the fixed-population fast path allocation- and
+            bit-exact.
         """
         if column.shape != (self.n_active,):
             raise DataValidationError(
@@ -357,7 +359,7 @@ class PopulationLedger:
             )
         if self.n_active == self.n_ever:
             return column
-        full = np.zeros(self.n_ever, dtype=np.int64)
+        full = np.zeros(self.n_ever, dtype=column.dtype)
         full[self.active_ids()] = column
         return full
 

@@ -9,9 +9,17 @@ per round:
 * :class:`WindowSyntheticStore` (Algorithm 1, any alphabet ``q >= 2``)
   tracks each record's current length-``k`` base-``q`` window code and
   extends records grouped by their ``(k-1)``-digit suffix; the binary
-  panels of the paper's figures are the ``alphabet=2`` default.
+  panels of the paper's figures are the ``alphabet=2`` default.  It
+  holds its records round-major (one contiguous row per round) and its
+  codes in the narrowest unsigned dtype, as Algorithm 1 appends one
+  symbol per record per round into a histogram of only ``q**k`` bins.
 * :class:`CumulativeSyntheticStore` (Algorithm 2) tracks each record's
   Hamming weight and extends records grouped by exact weight.
+
+Both extend records by :func:`_count_ranks_below`, which ranks every group
+uniformly at random from one key per record and finds the cut keys as
+order statistics: by one value sort for small populations, by bucketed
+selection in linear time for large ones, with identical results.
 
 Both stores also speak the dynamic-population protocol of
 :mod:`repro.core.population`: :meth:`admit` appends fresh records for
@@ -50,6 +58,149 @@ def _digit_dtype(alphabet: int) -> np.dtype:
     return np.min_scalar_type(alphabet - 1)
 
 
+def _code_dtype(alphabet: int, window: int) -> np.dtype:
+    """Smallest unsigned dtype holding a width-``window`` base-``alphabet`` code.
+
+    ``uint8`` up to 256 histogram bins, which covers every alphabet and
+    window the figures and benchmarks use.
+    """
+    return np.min_scalar_type(alphabet**window - 1)
+
+
+def _code_suffix(codes: np.ndarray, n_groups: int, out=None) -> np.ndarray:
+    """``codes % n_groups`` in the codes' own dtype (into ``out`` if given).
+
+    Spelled ``codes - (codes // n_groups) * n_groups`` with explicit
+    dtypes: NumPy divides narrow unsigned integers by a scalar with SIMD,
+    while its remainder loop does not (0.3 ms against 2.7 ms on a
+    million ``uint8`` codes).
+    """
+    divisor = codes.dtype.type(n_groups)
+    high = np.floor_divide(codes, divisor)
+    np.multiply(high, divisor, out=high)
+    return np.subtract(codes, high, out=high if out is None else out)
+
+
+#: Records per bucket the bucketed selection aims for; see :func:`_bucket_width`.
+_RECORDS_PER_BUCKET = 16
+
+
+def _bucket_width(sizes: np.ndarray, n_cuts: int) -> int:
+    """Buckets per unit of ``group + key`` for :func:`_cut_by_buckets`, or 0.
+
+    A power of two, so scaling a composite key by it is exact.  It aims
+    for :data:`_RECORDS_PER_BUCKET` records per bucket in the largest
+    group, and keeps at least ``16 * (n_cuts + 1)`` buckets per group,
+    so the buckets a group compares exactly (one per cut, plus its
+    first) hold about a sixteenth of its records or fewer.
+
+    Returns 0 when one value sort of the keys is the cheaper way
+    (:func:`_cut_by_sorting`).  The bucketed path makes about forty
+    NumPy calls whatever the record count, plus a few passes over its
+    ``len(sizes) * width`` buckets, and then runs in linear time; the
+    sort makes a handful and runs in ``n log n``.  Measured against each
+    other on a shared 2-vCPU host, they break even between 2**14 and
+    2**15 records, and the buckets win clearly above that; the sort is
+    kept below 2**15 records, and wherever the buckets would average
+    fewer than four records (many small groups beside a large one, as in
+    the cumulative store's weight groups).
+    """
+    n = int(sizes.sum())
+    if n < 1 << 15:
+        return 0
+    width = 1 << max((int(sizes.max()) // _RECORDS_PER_BUCKET).bit_length() - 1, 0)
+    width = max(width, 1 << (16 * (n_cuts + 1) - 1).bit_length())
+    return width if n >= 4 * sizes.shape[0] * width else 0
+
+
+def _break_straddled_ties(counts, keys, group_of, cuts, values, straddled) -> None:
+    """Give each straddled cut's tied records below it, in index order.
+
+    ``straddled`` lists the ``(g, j)`` cuts whose order statistic's
+    predecessor carries the same key: the records of group ``g`` whose
+    key equals ``values[g, j]`` straddle the cut, and the first
+    ``cuts[g, j] - below`` of them by index rank below it.
+    """
+    for g, j in straddled:
+        in_group = group_of == g
+        tied = np.flatnonzero(in_group & (keys == values[g, j]))
+        below = np.count_nonzero(in_group & (keys < values[g, j]))
+        counts[tied[: cuts[g, j] - below]] += 1
+
+
+def _cut_by_sorting(keys, group_of, sizes, cuts) -> np.ndarray:
+    """:func:`_count_ranks_below` by one value sort of every composite key."""
+    ordered = np.sort(keys)
+    positions = (np.cumsum(sizes) - sizes)[:, None] + cuts
+    interior = (cuts > 0) & (cuts < sizes[:, None])
+    values = np.where(cuts == 0, -np.inf, np.inf)
+    values[interior] = ordered[positions[interior]]
+    counts = np.zeros(keys.shape[0], dtype=np.min_scalar_type(cuts.shape[1]))
+    for column in values.T:
+        counts += keys < column.take(group_of)
+    straddled = np.zeros_like(interior)
+    straddled[interior] = ordered[positions[interior] - 1] == values[interior]
+    _break_straddled_ties(
+        counts, keys, group_of, cuts, values, zip(*np.nonzero(straddled), strict=True)
+    )
+    return counts
+
+
+def _cut_by_buckets(keys, group_of, sizes, cuts, width: int) -> np.ndarray:
+    """:func:`_count_ranks_below` by bucketed order statistics, in linear time.
+
+    The composite keys are scaled by ``width`` in place (exact: a power
+    of two) and bucketed by their integer part, which is monotone in the
+    key, so equal keys share a bucket and group ``g`` spans buckets
+    ``g * width`` to ``(g + 1) * width``.  One ``bincount`` places every
+    cut's order statistic in its bucket.  A per-bucket table then gives
+    each record the number of cuts its bucket lies wholly below; only
+    the records of a cut's bucket, and of each group's first bucket
+    (where a previous group's key can round up onto the integer), are
+    compared exactly, against the order statistics read off their sorted
+    keys.
+    """
+    n_groups, n_cuts = cuts.shape
+    keys *= width
+    bucket = keys.astype(np.intp)  # floor: the keys are non-negative
+    n_buckets = n_groups * width + 1
+    per_bucket = np.bincount(bucket, minlength=n_buckets)
+    filled = np.cumsum(per_bucket)  # records in buckets 0..b
+    g, j = np.nonzero(cuts)
+    cut = cuts[g, j]
+    full = cut == sizes[g]
+    positions = (np.cumsum(sizes) - sizes)[g] + cut  # the cut's order statistic
+    cut_bucket = np.searchsorted(filled, positions, side="right")
+    cut_bucket[full] = (g[full] + 1) * width
+    # A bucket's label counts the cuts of its group that lie in a later bucket.
+    label = np.bincount(g * width, minlength=n_buckets + 1)
+    label -= np.bincount(cut_bucket, minlength=n_buckets + 1)
+    hot = n_cuts + 1  # not a count: the bucket's records are compared exactly
+    table = np.cumsum(label[:n_buckets]).astype(np.min_scalar_type(hot))
+    interior = ~full
+    g, j, cut_bucket = g[interior], j[interior], cut_bucket[interior]
+    table[cut_bucket] = hot
+    table[width::width] = hot
+    counts = table.take(bucket)
+    exact = np.flatnonzero(counts == hot)
+    exact_keys = keys[exact]
+    ordered = np.sort(exact_keys)
+    rank = positions[interior] - (filled[cut_bucket] - per_bucket[cut_bucket])
+    at = np.searchsorted(ordered, cut_bucket) + rank
+    values = np.where(cuts == 0, -np.inf, np.inf)
+    values[g, j] = ordered[at]
+    exact_groups = group_of[exact]
+    exact_counts = np.zeros(exact.shape[0], dtype=counts.dtype)
+    for column in values.T:
+        exact_counts += exact_keys < column.take(exact_groups)
+    counts[exact] = exact_counts
+    straddled = (rank > 0) & (ordered[at - 1] == ordered[at])
+    _break_straddled_ties(
+        counts, keys, group_of, cuts, values, zip(g[straddled], j[straddled], strict=True)
+    )
+    return counts.astype(np.min_scalar_type(n_cuts), copy=False)
+
+
 def _count_ranks_below(
     group_of: np.ndarray,
     sizes: np.ndarray,
@@ -60,20 +211,27 @@ def _count_ranks_below(
 
     Every record draws one uniform key (a single ``generator.random(n)``
     call); its *rank* is its position among its own group's records
-    ordered by that key, equal keys ordered by record index.  Ranking
-    every group uniformly at random is what makes the blocks cut out of
-    the ranks uniform without-replacement samples.
+    ordered by the composite ``group + key``, equal composites ordered
+    by record index.  Ranking every group uniformly at random is what
+    makes the blocks cut out of the ranks uniform without-replacement
+    samples.
 
-    No rank is materialized.  One value sort of the composite
-    ``group + key`` lays each group's keys out as a contiguous block (the
-    integer part orders the groups, the fraction orders the members), so
-    the key of group ``g``'s rank-``c`` member is ``sorted[start_g + c]``
-    and ``rank < c`` is just ``key < sorted[start_g + c]``.  A zero cut
-    compares against ``-inf`` and a full cut against ``+inf``; only
-    interior cuts read the sorted array.  When equal keys straddle a cut
-    (``sorted[start_g + c - 1] == sorted[start_g + c]``, about 1e-10 per
-    cut at a million records) the tied records below it are taken in
-    index order, so every cut stays exact.
+    No rank is materialized.  The integer part of ``group + key`` orders
+    the groups and the fraction orders the members, so the composite of
+    group ``g``'s rank-``c`` member is the ``(start_g + c)``-th smallest
+    composite overall, and ``rank < c`` is just ``composite < that
+    value``.  A zero cut compares against ``-inf`` and a full cut
+    against ``+inf``.  When equal composites straddle a cut (the order
+    statistic's predecessor carries the same value, about 1e-10 per cut
+    at a million records) the tied records below it are taken in index
+    order, so every cut stays exact.
+
+    The order statistics come from one of two exact paths with the same
+    result and the same single draw: below about 2**15 records, a value
+    sort of every composite (:func:`_cut_by_sorting`); above it,
+    bucketed order statistics in linear time (:func:`_cut_by_buckets`,
+    :func:`_bucket_width` decides).  At a million records in nine
+    groups the bucketed path takes about a third of the sort's time.
 
     Parameters
     ----------
@@ -94,22 +252,10 @@ def _count_ranks_below(
     """
     keys = generator.random(group_of.shape[0])
     keys += group_of  # the composite group + key, in place
-    ordered = np.sort(keys)
-    positions = (np.cumsum(sizes) - sizes)[:, None] + cuts
-    interior = (cuts > 0) & (cuts < sizes[:, None])
-    values = np.where(cuts == 0, -np.inf, np.inf)
-    values[interior] = ordered[positions[interior]]
-    counts = np.zeros(keys.shape[0], dtype=np.min_scalar_type(cuts.shape[1]))
-    for j in range(cuts.shape[1]):
-        counts += keys < values[:, j].take(group_of)
-    straddled = np.zeros_like(interior)
-    straddled[interior] = ordered[positions[interior] - 1] == values[interior]
-    for g, j in zip(*np.nonzero(straddled), strict=True):
-        in_group = group_of == g
-        tied = np.flatnonzero(in_group & (keys == values[g, j]))
-        below = np.count_nonzero(in_group & (keys < values[g, j]))
-        counts[tied[: cuts[g, j] - below]] += 1
-    return counts
+    width = _bucket_width(sizes, cuts.shape[1])
+    if width:
+        return _cut_by_buckets(keys, group_of, sizes, cuts, width)
+    return _cut_by_sorting(keys, group_of, sizes, cuts)
 
 
 def _choose_within_groups(
@@ -129,9 +275,10 @@ def _choose_within_groups(
     :func:`_count_ranks_below` are chosen: each group is ranked uniformly
     at random by one key per record, so its lowest ranks are a uniform
     without-replacement sample.  Records labelled ``n_groups`` or above
-    have quota 0 and are never chosen.  The whole selection is one value
-    sort per round instead of a Python loop with one ``generator.choice``
-    call per group — ``benchmarks/bench_replication.py`` pins the speedup.
+    have quota 0 and are never chosen.  The whole selection is one
+    vectorized pass per round (a value sort, or bucketed order statistics
+    at scale) instead of a Python loop with one ``generator.choice`` call
+    per group — ``benchmarks/bench_replication.py`` pins the speedup.
     When nothing is requested no randomness is consumed.
     """
     picks_per_group = np.asarray(picks_per_group, dtype=np.int64)
@@ -216,6 +363,40 @@ def _assign_within_groups(
     return _count_ranks_below(group_of, sizes, tails, generator)
 
 
+def _check_published_records(
+    store: str, arrays: dict, matrix: np.ndarray, t: int, alphabet: int
+) -> None:
+    """Reject a record matrix no run of the store's algorithm can produce.
+
+    Every array in ``arrays`` (by name) holds integers, rounds ``1..t``
+    of the ``(records, rounds)`` ``matrix`` hold symbols in
+    ``[0, alphabet)``, and later rounds are still all zero.  Values are
+    read as they are, before any narrowing cast.
+
+    Raises
+    ------
+    repro.exceptions.SerializationError
+        On the first violated rule, naming ``store``.
+    """
+    for name, values in arrays.items():
+        if values.dtype.kind not in "biu":
+            raise SerializationError(
+                f"{store} {name} must hold integers, got dtype {values.dtype}"
+            )
+    if matrix.size and (matrix.min() < 0 or matrix.max() >= alphabet):
+        bad = int(matrix.max()) if matrix.max() >= alphabet else int(matrix.min())
+        raise SerializationError(
+            f"{store} matrix holds symbol {bad} outside the alphabet [0, {alphabet})"
+        )
+    unwritten = matrix[:, t:]
+    if unwritten.any():
+        record, offset = np.argwhere(unwritten)[0]
+        raise SerializationError(
+            f"{store} record {int(record)} has a non-zero symbol in round "
+            f"{t + int(offset) + 1}, but only rounds 1..{t} are written"
+        )
+
+
 def _check_window_records(
     matrix: np.ndarray, codes: np.ndarray, window: int, t: int, alphabet: int
 ) -> None:
@@ -230,24 +411,9 @@ def _check_window_records(
     repro.exceptions.SerializationError
         On the first violated rule.
     """
-    for name, values in (("matrix", matrix), ("codes", codes)):
-        if values.dtype.kind not in "biu":
-            raise SerializationError(
-                f"window-store {name} must hold integers, got dtype {values.dtype}"
-            )
-    if matrix.size and (matrix.min() < 0 or matrix.max() >= alphabet):
-        bad = int(matrix.max()) if matrix.max() >= alphabet else int(matrix.min())
-        raise SerializationError(
-            f"window-store matrix holds symbol {bad} outside the alphabet "
-            f"[0, {alphabet})"
-        )
-    unwritten = matrix[:, t:]
-    if unwritten.any():
-        record, offset = np.argwhere(unwritten)[0]
-        raise SerializationError(
-            f"window-store record {int(record)} has a non-zero symbol in round "
-            f"{t + int(offset) + 1}, but only rounds 1..{t} are written"
-        )
+    _check_published_records(
+        "window-store", {"matrix": matrix, "codes": codes}, matrix, t, alphabet
+    )
     expected = np.zeros(matrix.shape[0], dtype=np.int64)
     for j in range(t - window, t):
         expected = expected * alphabet + matrix[:, j]
@@ -264,6 +430,19 @@ def _check_window_records(
 class WindowSyntheticStore:
     """Synthetic records for Algorithm 1 over any alphabet.
 
+    The records are held round-major, as a ``(T, m)`` array with one row
+    per round, because Algorithm 1 appends one symbol to every record
+    per round and never rewrites a published one: :meth:`extend` writes
+    one contiguous row, :meth:`admit` copies only the rounds already
+    written, and each round's fingerprint digest reads one row.  The
+    record axis grows to exactly the admitted count, and rounds not yet
+    written stay untouched zero pages.  Window codes, and the suffix
+    groups cut from them, are held in the smallest unsigned dtype that
+    holds ``q**k - 1`` (``uint8`` up to 256 bins).  Neither choice shows
+    outside: :meth:`state_dict` presents the records as the
+    ``(records, rounds)`` matrix and the codes as ``int64``, so
+    checkpoint bundles and fingerprints are unchanged.
+
     Parameters
     ----------
     initial_counts:
@@ -274,7 +453,7 @@ class WindowSyntheticStore:
     window:
         Window width ``k``.
     horizon:
-        Total rounds ``T`` — the record matrix is preallocated.
+        Total rounds ``T``.
     generator:
         Randomness for record ordering and extension choices.
     alphabet:
@@ -312,20 +491,25 @@ class WindowSyntheticStore:
 
         # Materialize initial records: codes are assigned in shuffled order
         # so record index carries no information about the pattern.
-        codes = np.repeat(np.arange(alphabet**window, dtype=np.int64), counts)
+        code_dtype = _code_dtype(alphabet, window)
+        codes = np.repeat(np.arange(alphabet**window, dtype=code_dtype), counts)
         generator.shuffle(codes)
         self._codes = codes  # current base-q window code per record
-        self._matrix = np.zeros((self.m, horizon), dtype=_digit_dtype(alphabet))
+        self._records = np.zeros((horizon, self.m), dtype=_digit_dtype(alphabet))
         self._active = np.ones(self.m, dtype=bool)
-        for j in range(window):
-            self._matrix[:, j] = (codes // alphabet ** (window - 1 - j)) % alphabet
+        digits = codes
+        radix = code_dtype.type(alphabet)
+        for j in range(window - 1, -1, -1):  # least significant digit first
+            high = np.floor_divide(digits, radix)
+            self._records[j] = digits - high * radix
+            digits = high
         self._reset_digests()
 
     def _reset_digests(self) -> None:
-        """Empty the record matrix's column-digest cache."""
+        """Empty the records' per-round digest cache."""
         self._column_hashes: list = []  # running SHA-256 per written round
-        self._hashed_rows = 0  # records every cached column digest covers
-        self._zero_hash = hashlib.sha256()  # an unwritten column: _zero_bytes zeros
+        self._hashed_rows = 0  # records every cached round digest covers
+        self._zero_hash = hashlib.sha256()  # an unwritten round: _zero_bytes zeros
         self._zero_bytes = 0
 
     @property
@@ -345,16 +529,19 @@ class WindowSyntheticStore:
         (they are treated as having reported 0 since round 1), so the
         admitted records land in histogram bin 0 and the caller must
         credit the previous target histogram accordingly before the next
-        :meth:`extend`.  No randomness is consumed.
+        :meth:`extend`.  No randomness is consumed.  Only the rounds
+        already written are copied into the wider record array.
         """
         if count < 0:
             raise ConfigurationError(f"count must be non-negative, got {count}")
         if count == 0:
             return
-        self._codes = np.concatenate([self._codes, np.zeros(count, dtype=np.int64)])
-        self._matrix = np.vstack(
-            [self._matrix, np.zeros((count, self.horizon), dtype=self._matrix.dtype)]
+        self._codes = np.concatenate(
+            [self._codes, np.zeros(count, dtype=self._codes.dtype)]
         )
+        records = np.zeros((self.horizon, self.m + count), dtype=self._records.dtype)
+        records[: self._t, : self.m] = self._records[: self._t]
+        self._records = records
         self._active = np.concatenate([self._active, np.ones(count, dtype=bool)])
         self.m += count
 
@@ -415,7 +602,7 @@ class WindowSyntheticStore:
             raise ConsistencyError("target_counts must be non-negative")
 
         n_groups = self.alphabet ** (self.window - 1)
-        suffixes = self._codes % n_groups
+        suffixes = _code_suffix(self._codes, n_groups)
         group_targets = target.reshape(n_groups, self.alphabet)
         current_groups = np.bincount(suffixes, minlength=n_groups)
         if not (group_targets.sum(axis=1) == current_groups).all():
@@ -426,8 +613,10 @@ class WindowSyntheticStore:
         new_digit = _assign_within_groups(
             suffixes, n_groups, group_targets, self._generator, current_groups
         )
-        self._matrix[:, self._t] = new_digit
-        self._codes = suffixes * self.alphabet + new_digit
+        self._records[self._t] = new_digit
+        np.multiply(suffixes, suffixes.dtype.type(self.alphabet), out=suffixes)
+        np.add(suffixes, new_digit.astype(suffixes.dtype, copy=False), out=suffixes)
+        self._codes = suffixes
         self._t += 1
 
     def matrix_digest(self) -> bytes:
@@ -435,14 +624,15 @@ class WindowSyntheticStore:
 
         The record-matrix leaf rule of
         :func:`repro.serve.checkpoint.state_fingerprint`: SHA-256 over
-        the concatenated SHA-256 of each round column ``matrix[:, j]``.
-        It rests on Algorithm 1's invariant — a published round is never
+        the concatenated SHA-256 of each round column ``matrix[:, j]``,
+        which is one contiguous row of the round-major records.  It rests
+        on Algorithm 1's invariant — a published round is never
         rewritten and records are only appended — so the catch-up costs
         what changed since the last call:
 
-        * each cached column digest absorbs the admitted records' bytes,
-          read from the matrix;
-        * each newly written round column is hashed once;
+        * each cached round digest absorbs the admitted records' bytes,
+          the tail of its row;
+        * each newly written round is hashed once;
         * every unwritten round shares one running digest of zero bytes,
           extended as records are admitted (:meth:`from_state` rejects
           a state with a non-zero symbol there).
@@ -458,13 +648,13 @@ class WindowSyntheticStore:
         """
         hashes = self._column_hashes
         if hashes and self.m > self._hashed_rows:
-            admitted = self._matrix[self._hashed_rows :, : len(hashes)].T.copy()
-            for running, rows in zip(hashes, admitted):
-                running.update(rows)
+            admitted = self._records[: len(hashes), self._hashed_rows :]
+            for running, row in zip(hashes, admitted):
+                running.update(row)
         for j in range(len(hashes), self._t):
-            hashes.append(hashlib.sha256(np.ascontiguousarray(self._matrix[:, j])))
+            hashes.append(hashlib.sha256(self._records[j]))
         self._hashed_rows = self.m
-        column_bytes = self.m * self._matrix.dtype.itemsize
+        column_bytes = self.m * self._records.dtype.itemsize
         if column_bytes > self._zero_bytes:
             self._zero_hash.update(bytes(column_bytes - self._zero_bytes))
             self._zero_bytes = column_bytes
@@ -485,10 +675,10 @@ class WindowSyntheticStore:
         if not self.window <= t <= self._t:
             raise ConfigurationError(f"t must lie in [{self.window}, {self._t}], got {t}")
         if self.alphabet == 2:
-            return LongitudinalDataset(self._matrix[:, :t])
+            return LongitudinalDataset(self._records[:t].T)
         from repro.data.categorical import CategoricalDataset
 
-        return CategoricalDataset(self._matrix[:, :t], self.alphabet)
+        return CategoricalDataset(self._records[:t].T, self.alphabet)
 
     def state_dict(self, *, copy: bool = True) -> dict:
         """Snapshot the store: record matrix, window codes, and clocks.
@@ -496,26 +686,31 @@ class WindowSyntheticStore:
         Parameters
         ----------
         copy:
-            Copy the arrays (default).  ``copy=False`` returns live views
-            for the streaming checkpoint writer; consume them before the
-            store extends again.
+            Copy the record matrix and active mask (default).
+            ``copy=False`` returns live views for the streaming
+            checkpoint writer — the matrix as the transposed view of the
+            round-major records, which is F-contiguous, not a C-order
+            array — so consume them before the store extends again.
 
         Returns
         -------
         dict
-            Scalars plus the ``codes`` and ``matrix`` arrays; array values
-            stay NumPy arrays for the :mod:`repro.serve` bundle layer.
-            The store's generator is shared with (and serialized by) its
-            owning synthesizer, so it is *not* captured here.
+            Scalars plus the ``codes`` (``int64``, always a fresh array),
+            ``matrix`` (``(records, rounds)``, the record dtype) and
+            ``active`` arrays; array values stay NumPy arrays for the
+            :mod:`repro.serve` bundle layer.  The store's generator is
+            shared with (and serialized by) its owning synthesizer, so it
+            is *not* captured here.
         """
+        matrix = self._records.T
         return {
             "window": self.window,
             "horizon": self.horizon,
             "alphabet": self.alphabet,
             "m": self.m,
             "t": self._t,
-            "codes": self._codes.copy() if copy else self._codes,
-            "matrix": self._matrix.copy() if copy else self._matrix,
+            "codes": self._codes.astype(np.int64),
+            "matrix": matrix.copy() if copy else matrix,
             "active": self._active.copy() if copy else self._active,
         }
 
@@ -588,8 +783,11 @@ class WindowSyntheticStore:
                 f"[{store.window}, {store.horizon}]"
             )
         _check_window_records(matrix, codes, store.window, store._t, store.alphabet)
-        store._codes = codes.astype(np.int64)
-        store._matrix = matrix.astype(_digit_dtype(store.alphabet))
+        store._codes = codes.astype(_code_dtype(store.alphabet, store.window))
+        store._records = np.zeros(
+            (store.horizon, store.m), dtype=_digit_dtype(store.alphabet)
+        )
+        store._records[: store._t] = matrix[:, : store._t].T
         store._reset_digests()
         return store
 
@@ -782,16 +980,21 @@ class CumulativeSyntheticStore:
         Raises
         ------
         repro.exceptions.SerializationError
-            If the snapshot is structurally invalid or its array shapes
-            disagree with the recorded dimensions.
+            If the snapshot is structurally invalid, its array shapes
+            disagree with the recorded dimensions, or its records are
+            ones Algorithm 2 cannot produce: a symbol other than 0 or 1,
+            a 1 in a round not yet written, or a weight that is not its
+            record's count of ones.  Values are checked before the
+            ``uint8`` cast, so a symbol it would wrap around is
+            rejected, not reinterpreted.
         """
         store = object.__new__(cls)
         try:
             store.m = int(state["m"])
             store.horizon = int(state["horizon"])
             store._t = int(state["t"])
-            store._weights = np.array(state["weights"], dtype=np.int64)
-            store._matrix = np.array(state["matrix"], dtype=np.uint8)
+            weights = np.asarray(state["weights"])
+            matrix = np.asarray(state["matrix"])
             store._active = np.array(state["active"], dtype=bool)
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid cumulative-store state: {exc}") from exc
@@ -801,18 +1004,30 @@ class CumulativeSyntheticStore:
                 f"cumulative-store active mask has shape {store._active.shape}, "
                 f"expected ({store.m},)"
             )
-        if store._matrix.shape != (store.m, store.horizon):
+        if matrix.shape != (store.m, store.horizon):
             raise SerializationError(
-                f"cumulative-store matrix has shape {store._matrix.shape}, "
+                f"cumulative-store matrix has shape {matrix.shape}, "
                 f"expected {(store.m, store.horizon)}"
             )
-        if store._weights.shape != (store.m,):
+        if weights.shape != (store.m,):
             raise SerializationError(
-                f"cumulative-store weights have shape {store._weights.shape}, "
+                f"cumulative-store weights have shape {weights.shape}, "
                 f"expected ({store.m},)"
             )
         if not 0 <= store._t <= store.horizon:
             raise SerializationError(
                 f"cumulative-store clock {store._t} outside [0, {store.horizon}]"
             )
+        _check_published_records(
+            "cumulative-store", {"matrix": matrix, "weights": weights}, matrix, store._t, 2
+        )
+        mismatched = np.flatnonzero(weights != matrix.sum(axis=1, dtype=np.int64))
+        if mismatched.size:
+            record = int(mismatched[0])
+            raise SerializationError(
+                f"cumulative-store weight {int(weights[record])} of record {record} "
+                f"disagrees with its {int(matrix[record].sum())} published ones"
+            )
+        store._matrix = matrix.astype(np.uint8)
+        store._weights = weights.astype(np.int64)
         return store

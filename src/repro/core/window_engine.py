@@ -49,7 +49,7 @@ from repro.core.population import (
     validate_column,
     validate_entrants,
 )
-from repro.core.synthetic_store import WindowSyntheticStore
+from repro.core.synthetic_store import WindowSyntheticStore, _code_dtype, _code_suffix
 from repro.queries.plan import AnswerCache, workload_key
 from repro.data.dataset import DynamicPanel
 from repro.dp.accountant import ZCDPAccountant
@@ -415,6 +415,9 @@ class WindowEngine:
         self._t = 0
         self._n: int | None = None  # initial (round-1) population
         self._ledger: PopulationLedger | None = None
+        # Window codes and buffered reports stay in the narrow code dtype
+        # (uint8 up to 256 bins); the snapshot widens them to int64.
+        self._code_dtype = _code_dtype(self.alphabet, self.window)
         self._window_codes: np.ndarray | None = None  # original-data codes
         self._recent_columns: list[np.ndarray] = []  # first k-1 columns buffer
         self._store: WindowSyntheticStore | None = None
@@ -545,7 +548,7 @@ class WindowEngine:
                 # window codes and all-zero buffered reports.
                 if self._window_codes is not None:
                     self._window_codes = np.concatenate(
-                        [self._window_codes, np.zeros(entrants, dtype=np.int64)]
+                        [self._window_codes, np.zeros(entrants, dtype=self._code_dtype)]
                     )
                 if self._recent_columns:
                     self._recent_columns = [
@@ -555,7 +558,8 @@ class WindowEngine:
         # exceed it: the constructor requires horizon >= window >= 1).
         self._t += 1
         self._version += 1
-        column = column.astype(np.int64)
+        # Validated to lie in [0, q), so the narrow cast is exact.
+        column = column.astype(self._code_dtype)
         full_column = self._ledger.scatter_column(column)
 
         if self._t < self.window:
@@ -563,20 +567,24 @@ class WindowEngine:
             return self.release
 
         # Maintain each individual's current base-q window code over the
-        # ever-admitted population (departed ids decay through zeros).
-        q = self.alphabet
-        n_ever = self._ledger.n_ever
+        # ever-admitted population (departed ids decay through zeros),
+        # in place and in the narrow code dtype throughout.
+        radix = self._code_dtype.type(self.alphabet)
         if self._t == self.window:
-            codes = np.zeros(n_ever, dtype=np.int64)
-            for past in self._recent_columns:
-                codes = codes * q + past
-            codes = codes * q + full_column
+            codes = np.zeros(self._ledger.n_ever, dtype=self._code_dtype)
+            for past in [*self._recent_columns, full_column]:
+                np.multiply(codes, radix, out=codes)
+                np.add(codes, past, out=codes)
             self._recent_columns = []
         else:
-            codes = (self._window_codes % q ** (self.window - 1)) * q + full_column
+            codes = self._window_codes
+            _code_suffix(codes, self.alphabet ** (self.window - 1), out=codes)
+            np.multiply(codes, radix, out=codes)
+            np.add(codes, full_column, out=codes)
         self._window_codes = codes
 
-        true_counts = np.bincount(codes, minlength=q**self.window).astype(np.int64)
+        n_bins = self.alphabet**self.window
+        true_counts = np.bincount(codes, minlength=n_bins).astype(np.int64)
         self._update_step(true_counts, entrants=entrants, exit_count=exit_count)
         return self.release
 
@@ -659,7 +667,9 @@ class WindowEngine:
             ``copy=False`` returns live views of the engine's buffers —
             the streaming checkpoint writer uses this to spool state into
             the bundle without a second in-RAM copy; such a snapshot must
-            be consumed before the engine advances.
+            be consumed before the engine advances.  The window codes and
+            buffered columns are held narrow, so their ``int64`` leaves
+            are fresh arrays either way.
 
         Returns
         -------
@@ -685,12 +695,12 @@ class WindowEngine:
         }
         if self._ledger is not None:
             state["ledger"] = self._ledger.state_dict(copy=copy)
+        # Codes and buffered reports are held narrow and snapshot as int64,
+        # so these leaves are fresh arrays whatever ``copy`` says.
         if self._window_codes is not None:
-            state["window_codes"] = (
-                self._window_codes.copy() if copy else self._window_codes
-            )
+            state["window_codes"] = self._window_codes.astype(np.int64)
         for index, column in enumerate(self._recent_columns):
-            state[f"recent_{index}"] = column.copy() if copy else column
+            state[f"recent_{index}"] = column.astype(np.int64)
         if released:
             # Releases fill block columns 0..len-1 in round order, so the
             # transposed prefix *is* the stacked released-histogram table.
@@ -793,23 +803,15 @@ class WindowEngine:
                     f"lifespan table covers {self._ledger.n_ever} individuals "
                     f"but the initial population was {self._n}"
                 )
-        try:
-            self._recent_columns = [
-                np.array(state[f"recent_{index}"], dtype=np.int64)
-                for index in range(recent_count)
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(
-                f"invalid {self.algorithm} state: {exc}"
-            ) from exc
+        n_ever = None if self._n is None else self._ledger.n_ever
+        self._recent_columns = [
+            self._narrow_leaf(state, f"recent_{index}", n_ever, self.alphabet)
+            for index in range(recent_count)
+        ]
         if "window_codes" in state:
-            codes = np.array(state["window_codes"], dtype=np.int64)
-            expected_n = None if self._n is None else self._ledger.n_ever
-            if expected_n is None or codes.shape != (expected_n,):
-                raise SerializationError(
-                    f"window codes have shape {codes.shape}, expected ({expected_n},)"
-                )
-            self._window_codes = codes
+            self._window_codes = self._narrow_leaf(
+                state, "window_codes", n_ever, self.alphabet**self.window
+            )
         self._histograms = {}
         if released:
             # One release per round from round k on — anything else cannot
@@ -852,6 +854,41 @@ class WindowEngine:
                     f"synthesizer alphabet {self.alphabet}"
                 )
         self._version += 1
+
+    def _narrow_leaf(self, state: dict, key: str, n_ever, bound: int) -> np.ndarray:
+        """Snapshot leaf ``key`` in the narrow code dtype, checked first.
+
+        The per-individual leaves (``window_codes`` and the buffered
+        ``recent_*`` columns) must be 1-D integer arrays of length
+        ``n_ever`` with values in ``[0, bound)`` — anything else is a
+        state Algorithm 1 cannot produce, which a narrowing cast would
+        wrap or truncate into a plausible one.  Always returns a fresh
+        array, so advancing the engine never writes into the snapshot.
+
+        Raises
+        ------
+        repro.exceptions.SerializationError
+            On a missing leaf or the first violated rule.
+        """
+        try:
+            values = np.asarray(state[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(f"invalid {self.algorithm} state: {exc!r}") from exc
+        if n_ever is None or values.shape != (n_ever,):
+            raise SerializationError(
+                f"{key} has shape {values.shape}, expected ({n_ever},)"
+            )
+        if values.dtype.kind not in "iu":
+            raise SerializationError(
+                f"{key} must hold integers, got dtype {values.dtype}"
+            )
+        if values.size:
+            low, high = int(values.min()), int(values.max())
+            if low < 0 or high >= bound:
+                raise SerializationError(
+                    f"{key} holds {low if low < 0 else high}, outside [0, {bound})"
+                )
+        return values.astype(self._code_dtype)
 
     # ------------------------------------------------------------------
     # Internals

@@ -407,6 +407,34 @@ def _array_member(key: str) -> str:
     return f"{_ARRAY_DIR}{key}{_ARRAY_SUFFIX}"
 
 
+#: Bytes per block when a leaf that is not C-contiguous is written.
+_WRITE_CHUNK_BYTES = 1 << 20
+
+
+def _write_array(fp, array: np.ndarray) -> None:
+    """Write ``array`` as one ``.npy`` member, always in C order.
+
+    A C-contiguous leaf goes through NumPy's own writer.  Any other leaf
+    — such as the window store's record matrix, a transposed view of its
+    round-major records, which is F-contiguous when the record axis is
+    exactly full — gets the header NumPy would write for its C-order
+    copy (``fortran_order: False``), then its C-order bytes in blocks of
+    leading-axis slices of about :data:`_WRITE_CHUNK_BYTES`, so no copy
+    of the whole leaf is ever made.  Equal leaves therefore give equal
+    member bytes whatever their memory layout, which is what lets equal
+    fingerprints mean byte-identical bundles.
+    """
+    if array.flags.c_contiguous or array.dtype.hasobject:
+        np.lib.format.write_array(fp, array, allow_pickle=False)
+        return
+    header = np.lib.format.header_data_from_array_1_0(array)
+    header["fortran_order"] = False
+    np.lib.format.write_array_header_1_0(fp, header)
+    step = max(1, _WRITE_CHUNK_BYTES // max(1, array[0].nbytes))
+    for start in range(0, array.shape[0], step):
+        fp.write(np.ascontiguousarray(array[start : start + step]))
+
+
 def write_bundle(
     path,
     kind: str,
@@ -448,8 +476,10 @@ def write_bundle(
     zip (NumPy's ``.npy`` serializer writes buffered slabs, not one
     monolithic ``tobytes()``), so the writer's peak memory does not scale
     with the state size — pass ``state_dict(copy=False)`` snapshots to
-    keep the whole checkpoint path allocation-lean.  Member timestamps
-    are pinned, making equal states produce byte-identical bundles.
+    keep the whole checkpoint path allocation-lean.  Every member is
+    written in C order (``fortran_order: False``), whatever the layout
+    of the array handed in, and member timestamps are pinned, so equal
+    states produce byte-identical bundles.
 
     Filesystem writes are atomic: the bundle is assembled in a temporary
     file in the target directory and renamed over ``path``, so a crash
@@ -483,9 +513,7 @@ def write_bundle(
                 info = _member_info(_array_member(key), member_type)
                 with bundle.open(info, "w", force_zip64=True) as member:
                     writer = _HashingWriter(member)
-                    np.lib.format.write_array(
-                        writer, np.asanyarray(arrays[key]), allow_pickle=False
-                    )
+                    _write_array(writer, np.asanyarray(arrays[key]))
                 checksums[key] = writer.hexdigest()
             manifest["array_checksums"] = checksums
             manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)

@@ -250,3 +250,58 @@ class TestCumulativeSyntheticStore:
             CumulativeSyntheticStore(0, 5, as_generator(0))
         with pytest.raises(ConfigurationError):
             CumulativeSyntheticStore(5, 0, as_generator(0))
+
+
+def _cumulative_after_two_rounds():
+    """A 6-record, T=5 cumulative store after two rounds, and its snapshot."""
+    store = CumulativeSyntheticStore(6, 5, as_generator(3))
+    store.extend(np.array([3]))
+    store.extend(np.array([1, 2]))
+    return store, store.state_dict()
+
+
+class TestCumulativeStoreRestore:
+    """Restores that fail closed on records Algorithm 2 cannot produce."""
+
+    def test_valid_state_restores_and_continues(self):
+        store, state = _cumulative_after_two_rounds()
+        twin = as_generator(0)
+        twin.bit_generator.state = store._generator.bit_generator.state
+        restored = CumulativeSyntheticStore.from_state(state, twin)
+        store.extend(np.array([1, 1, 1]))
+        restored.extend(np.array([1, 1, 1]))
+        assert np.array_equal(restored.state_dict()["matrix"], store.state_dict()["matrix"])
+        assert np.array_equal(restored.weights(), store.weights())
+
+    def test_symbol_wrapping_the_record_dtype_rejected(self):
+        _, state = _cumulative_after_two_rounds()
+        state["matrix"] = state["matrix"].astype(np.int64)
+        state["matrix"][0, 0] = 256  # would wrap to 0 in uint8
+        with pytest.raises(SerializationError, match="symbol 256 outside"):
+            CumulativeSyntheticStore.from_state(state, as_generator(0))
+
+    def test_symbol_outside_the_binary_alphabet_rejected(self):
+        _, state = _cumulative_after_two_rounds()
+        state["matrix"][1, 1] = 2
+        with pytest.raises(SerializationError, match="symbol 2 outside"):
+            CumulativeSyntheticStore.from_state(state, as_generator(0))
+
+    def test_one_in_an_unwritten_round_rejected(self):
+        _, state = _cumulative_after_two_rounds()
+        state["matrix"][2, 3] = 1
+        state["weights"][2] += 1  # the weight agrees; the round does not exist yet
+        with pytest.raises(SerializationError, match="record 2 .* round 4"):
+            CumulativeSyntheticStore.from_state(state, as_generator(0))
+
+    def test_weight_disagreeing_with_the_records_rejected(self):
+        _, state = _cumulative_after_two_rounds()
+        record = int(np.flatnonzero(state["matrix"].sum(axis=1) == 0)[0])
+        state["weights"][record] = 5
+        with pytest.raises(SerializationError, match=f"weight 5 of record {record}"):
+            CumulativeSyntheticStore.from_state(state, as_generator(0))
+
+    def test_fractional_weights_rejected(self):
+        _, state = _cumulative_after_two_rounds()
+        state["weights"] = state["weights"] + 0.5
+        with pytest.raises(SerializationError, match="weights must hold integers"):
+            CumulativeSyntheticStore.from_state(state, as_generator(0))

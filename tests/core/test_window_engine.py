@@ -365,3 +365,64 @@ class TestGeneralizedStoreAndPadding:
     def test_padding_spec_validation(self):
         with pytest.raises(ConfigurationError):
             PaddingSpec(window=2, n_pad=1, horizon=5, alphabet=1)
+
+
+def _q3_snapshot(rounds: int):
+    """A q=3, k=3 synthesizer over 500 individuals after ``rounds`` rounds."""
+    synth = CategoricalWindowSynthesizer(6, 3, 3, 1.0, seed=8)
+    reports = np.random.default_rng(2).integers(0, 3, size=(500, rounds))
+    for column in reports.T:
+        synth.observe(column)
+    return synth, synth.state_dict()
+
+
+class TestLoadStateFailsClosed:
+    """Engine state Algorithm 1 cannot produce is rejected before any cast."""
+
+    def _load(self, source, state):
+        fresh = CategoricalWindowSynthesizer.from_config(source.config_dict())
+        fresh.load_state(state)
+        return fresh
+
+    def test_valid_snapshots_restore_narrow_and_continue(self):
+        for rounds in (2, 4):
+            source, state = _q3_snapshot(rounds)
+            restored = self._load(source, state)
+            column = np.random.default_rng(9).integers(0, 3, size=500)
+            source.observe(column)
+            restored.observe(column)
+            for ours, theirs in zip(
+                _fingerprint(restored), _fingerprint(source), strict=True
+            ):
+                assert np.array_equal(ours, theirs)
+            snapshot = restored.state_dict()
+            assert snapshot["window_codes"].dtype == np.int64
+            expected = source.state_dict()["window_codes"]
+            assert np.array_equal(snapshot["window_codes"], expected)
+
+    @pytest.mark.parametrize("code", [27, 300, -1])
+    def test_window_code_outside_the_histogram_rejected(self, code):
+        # 300 would narrow to 44 and extend differently (44 % 9 != 300 % 9).
+        source, state = _q3_snapshot(4)
+        state["window_codes"][0] = code
+        with pytest.raises(SerializationError, match=f"window_codes holds {code},"):
+            self._load(source, state)
+
+    @pytest.mark.parametrize("shape", [(1,), (500, 1)])
+    def test_buffered_column_of_the_wrong_shape_rejected(self, shape):
+        source, state = _q3_snapshot(2)
+        state["recent_0"] = np.ones(shape, dtype=np.int64)
+        with pytest.raises(SerializationError, match=r"recent_0 has shape .*\(500,\)"):
+            self._load(source, state)
+
+    def test_buffered_symbol_outside_the_alphabet_rejected(self):
+        source, state = _q3_snapshot(2)
+        state["recent_1"][3] = 7
+        with pytest.raises(SerializationError, match="recent_1 holds 7, outside"):
+            self._load(source, state)
+
+    def test_fractional_buffered_reports_rejected(self):
+        source, state = _q3_snapshot(2)
+        state["recent_0"] = np.array([0.5, 1.5, 2.5] + [0.0] * 497)
+        with pytest.raises(SerializationError, match="recent_0 must hold integers"):
+            self._load(source, state)

@@ -2,11 +2,12 @@
 
 :func:`repro.core.synthetic_store._choose_within_groups` and
 :func:`repro.core.synthetic_store._assign_within_groups` written the direct
-way: one ``generator.random(n)`` key per record, a full argsort of the
-composite ``group + key``, and an explicit within-group rank per record.
-The sort is stable, which is the store's documented rule for equal keys
-(ties go by record index); on distinct keys any argsort gives the same
-order.
+way: one ``generator.random(n)`` key per record, a full argsort by
+group, then composite ``group + key``, then record index, and an explicit
+within-group rank per record.  That is the store's documented rule: a
+group's members rank by their composite keys, equal composites by index.
+Sorting by group first keeps each group's block contiguous even when a
+key rounds its composite up onto the next group's integer.
 
 The production helpers must return what these return and leave the
 generator in the same state.  ``oracle_choose`` returns indices in sorted
@@ -16,6 +17,11 @@ key order, so compare it as a set.
 import numpy as np
 
 from repro.exceptions import ConsistencyError
+
+
+def _rank_order(group_of, keys):
+    """Record indices by group, then composite ``group + key``, then index."""
+    return np.lexsort((np.arange(group_of.shape[0]), group_of + keys, group_of))
 
 
 def oracle_choose(group_of, n_groups, picks_per_group, generator):
@@ -32,7 +38,7 @@ def oracle_choose(group_of, n_groups, picks_per_group, generator):
     if not picks_per_group.any():
         return np.zeros(0, dtype=np.int64)
     keys = generator.random(group_of.shape[0])
-    order = np.argsort(group_of + keys, kind="stable")
+    order = _rank_order(group_of, keys)
     sorted_groups = group_of[order]
     n_labels = max(n_groups, int(sorted_groups[-1]) + 1)
     starts = np.searchsorted(sorted_groups, np.arange(n_labels))
@@ -58,7 +64,7 @@ def oracle_assign(group_of, n_groups, quotas, generator):
     if not quotas[:, 1:].any():
         return labels
     keys = generator.random(group_of.shape[0])
-    order = np.argsort(group_of + keys, kind="stable")
+    order = _rank_order(group_of, keys)
     sorted_groups = group_of[order]
     starts = np.searchsorted(sorted_groups, np.arange(n_groups))
     rank = np.arange(order.shape[0], dtype=np.int64) - starts[sorted_groups]

@@ -267,6 +267,30 @@ def test_resigned_bundle_with_impossible_records_rejected():
         StreamingSynthesizer.restore(_repack(members))
 
 
+def test_resigned_cumulative_bundle_with_impossible_records_rejected(columns):
+    """The cumulative store fails closed too: a re-signed bundle whose
+    record matrix holds a 2 (a uint8 the record dtype would accept) must
+    not restore."""
+    service = StreamingSynthesizer.cumulative(horizon=HORIZON, rho=0.5, seed=2)
+    for column in columns[:4]:
+        service.observe(column)
+    service.release.synthetic_data()  # materialize the records
+    buffer = io.BytesIO()
+    service.checkpoint(buffer)
+    members = _unpack(buffer.getvalue())
+    name = "arrays/store/matrix.npy"
+    matrix = np.lib.format.read_array(io.BytesIO(members[name]))
+    matrix[0, 0] = 2
+    rewritten = io.BytesIO()
+    np.lib.format.write_array(rewritten, matrix)
+    members[name] = rewritten.getvalue()
+    manifest = json.loads(members["manifest.json"])
+    manifest["array_checksums"]["store/matrix"] = hashlib.sha256(members[name]).hexdigest()
+    members["manifest.json"] = json.dumps(manifest)
+    with pytest.raises(SerializationError, match="symbol 2 outside the alphabet"):
+        StreamingSynthesizer.restore(_repack(members))
+
+
 # ----------------------------------------------------------------------
 # Legacy configs: bundles written while engine/materialize were options
 # ----------------------------------------------------------------------
