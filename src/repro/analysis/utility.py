@@ -267,11 +267,6 @@ def propensity_pmse_counts(
     )
 
 
-def _panel_alphabet(panel) -> int:
-    """Alphabet size of a panel: ``alphabet`` attribute or binary."""
-    return int(getattr(panel, "alphabet", 2))
-
-
 def panel_window_codes(panel, t: int, width: int) -> np.ndarray:
     """Per-record feature codes: the length-``width`` window ending at ``t``.
 
@@ -363,8 +358,8 @@ def pmse_panels(real_panel, synthetic_panel, t: int, width: int) -> PMSEScore:
     PMSEScore
         The score at round ``t``.
     """
-    q_real = _panel_alphabet(real_panel)
-    q_synthetic = _panel_alphabet(synthetic_panel)
+    q_real = real_panel.alphabet
+    q_synthetic = synthetic_panel.alphabet
     if q_real != q_synthetic:
         raise DataValidationError(
             f"alphabet mismatch: real panel has q={q_real}, "
@@ -441,11 +436,10 @@ def pmse_release(
             f"features must be 'window' or 'hamming', got {features!r}"
         )
     synthetic = _release_panel(release, t)
-    q = _panel_alphabet(real_panel)
-    if q != _panel_alphabet(synthetic):
+    q = real_panel.alphabet
+    if q != synthetic.alphabet:
         raise DataValidationError(
-            f"alphabet mismatch: real panel has q={q}, "
-            f"synthetic has q={_panel_alphabet(synthetic)}"
+            f"alphabet mismatch: real panel has q={q}, synthetic has q={synthetic.alphabet}"
         )
     t_synthetic = min(int(t), int(synthetic.horizon))
     padding = getattr(release, "padding", None)

@@ -369,10 +369,9 @@ class PrivateDensityBaseline:
                 f"dataset horizon {dataset.horizon} != baseline horizon "
                 f"{self.horizon}"
             )
-        panel_alphabet = int(getattr(dataset, "alphabet", 2))
-        if panel_alphabet != self.alphabet:
+        if dataset.alphabet != self.alphabet:
             raise DataValidationError(
-                f"dataset alphabet {panel_alphabet} != baseline alphabet "
+                f"dataset alphabet {dataset.alphabet} != baseline alphabet "
                 f"{self.alphabet}"
             )
         if self._t:

@@ -32,102 +32,37 @@ extend by order statistics of one value sort;
 ``benchmarks/bench_categorical_extension.py`` pins the speedup over the
 per-group/per-record reference loops, which release identical
 histograms in noiseless mode.
+
+Queries are answered by the engine's
+:class:`~repro.core.window_engine.WindowRelease`, as for the binary
+synthesizer; :class:`CategoricalWindowRelease` only accepts categorical
+queries over its alphabet and hands its synthetic records back as a
+:class:`~repro.data.categorical.CategoricalDataset`, also at ``q = 2``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.consistency import apply_group_correction
-from repro.core.debias import debias_count_answer
 from repro.core.window_engine import WindowEngine, WindowRelease
 from repro.data.categorical import CategoricalDataset
-from repro.exceptions import (
-    ConfigurationError,
-    DataValidationError,
-    NotFittedError,
-    SerializationError,
-)
+from repro.exceptions import DataValidationError
 from repro.queries.categorical import CategoricalWindowQuery
-from repro.queries.plan import query_signature
 from repro.rng import SeedLike
 
-__all__ = [
-    "CategoricalWindowSynthesizer",
-    "CategoricalWindowRelease",
-    "apply_categorical_correction",
-    "lift_categorical_weights",
-]
+__all__ = ["CategoricalWindowSynthesizer", "CategoricalWindowRelease"]
 
 # Guard against accidentally materializing astronomically many bins.
 _MAX_BINS = 1 << 16
 
 
-def apply_categorical_correction(
-    previous_counts: np.ndarray,
-    noisy_counts: np.ndarray,
-    alphabet: int,
-    generator: np.random.Generator,
-    on_negative: str = "redistribute",
-) -> tuple[np.ndarray, int]:
-    """Project noisy categorical counts onto the consistency constraint.
-
-    A thin alias for :func:`repro.core.consistency.apply_group_correction`
-    (where the projection now lives alongside its binary special case);
-    kept here because the categorical extension has always exported it.
-
-    Parameters
-    ----------
-    previous_counts, noisy_counts:
-        Length-``q**k`` histograms at ``t`` and the noisy ``t+1``.
-    alphabet:
-        Number of categories ``q >= 2``.
-    generator:
-        Source of the residue-placement randomness.
-    on_negative:
-        ``"redistribute"`` (default) or ``"raise"``.
-
-    Returns
-    -------
-    ``(new_counts, n_negative_events)``.
-    """
-    return apply_group_correction(
-        previous_counts, noisy_counts, alphabet, generator, on_negative=on_negative
-    )
-
-
-def lift_categorical_weights(
-    weights: np.ndarray, from_k: int, to_k: int, alphabet: int
-) -> np.ndarray:
-    """Lift a width-``k'`` categorical weight vector to width ``k >= k'``.
-
-    Parameters
-    ----------
-    weights:
-        Length-``alphabet**from_k`` coefficient vector.
-    from_k, to_k:
-        Source and target window widths (``to_k >= from_k``).
-    alphabet:
-        Number of categories ``q >= 2``.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (alphabet**from_k,):
-        raise ConfigurationError(
-            f"weights must have length {alphabet}**{from_k}, got {weights.shape}"
-        )
-    if to_k < from_k:
-        raise ConfigurationError(f"cannot lift width {from_k} down to {to_k}")
-    codes = np.arange(alphabet**to_k)
-    return weights[codes % (alphabet**from_k)]
-
-
 class CategoricalWindowRelease(WindowRelease):
     """Release view of a categorical fixed-window run.
 
-    The categorical counterpart of
-    :class:`~repro.core.fixed_window.FixedWindowRelease`, sharing the
-    metadata and churn-aware population surface of
-    :class:`~repro.core.window_engine.WindowRelease`.
+    The :class:`~repro.core.window_engine.WindowRelease` of a run over
+    ``q >= 2`` categories: it answers
+    :class:`~repro.queries.categorical.CategoricalWindowQuery` queries
+    over its alphabet and hands its synthetic records back as a
+    :class:`~repro.data.categorical.CategoricalDataset`, at ``q = 2``
+    too.
 
     Parameters
     ----------
@@ -137,185 +72,9 @@ class CategoricalWindowRelease(WindowRelease):
         not a frozen copy.
     """
 
-    @property
-    def alphabet(self) -> int:
-        """Alphabet size ``q``."""
-        return self._synth.alphabet
-
-    @property
-    def n_pad(self) -> int:
-        """Padding per bin (public)."""
-        return self._synth.padding.n_pad
-
-    def synthetic_data(self, t: int | None = None) -> CategoricalDataset:
-        """The synthetic categorical panel through round ``t``."""
-        store = self._synth._store
-        if store is None:
-            raise NotFittedError("the first update step has not run yet")
-        panel = store.as_dataset(t)
-        if not isinstance(panel, CategoricalDataset):
-            # The shared store hands q = 2 panels back as binary
-            # LongitudinalDatasets; this release's contract is categorical.
-            panel = CategoricalDataset(panel.matrix, self.alphabet)
-        return panel
-
-    # -- query answering -----------------------------------------------
-
     _query_types = (CategoricalWindowQuery,)
     _release_name = "categorical window release"
-
-    def _check_query(self, query: CategoricalWindowQuery) -> None:
-        """Reject foreign query types and queries over a different alphabet."""
-        self._check_query_type(query)
-        if query.alphabet != self.alphabet:
-            raise ConfigurationError(
-                f"query alphabet {query.alphabet} != release alphabet {self.alphabet}"
-            )
-
-    def answer(
-        self, query: CategoricalWindowQuery, t: int, debias: bool = True
-    ) -> float:
-        """Answer a categorical window query at round ``t``.
-
-        Queries of width ``k' <= k`` are answered from the maintained
-        width-``k`` histogram; wider queries are evaluated on the
-        synthetic records directly, with *no accuracy guarantee* — the
-        same caveat as the binary release.  With ``debias`` (default)
-        the publicly known padding contribution is subtracted and the
-        answer renormalized by the real population.
-
-        Parameters
-        ----------
-        query:
-            A :class:`~repro.queries.categorical.CategoricalWindowQuery`
-            over the release's alphabet.
-        t:
-            Round to answer at (``t >= query.k``).
-        debias:
-            Subtract the padding contribution and renormalize by ``n``
-            (default); otherwise return the biased fraction of the
-            synthetic population.
-
-        Raises
-        ------
-        repro.exceptions.ConfigurationError
-            For a query that is not a categorical window query over the
-            release's alphabet, or a round before the query's first.
-        """
-        self._check_query(query)
-        query.check_time(t)
-        if query.k <= self.window:
-            weights = lift_categorical_weights(
-                query.weights, query.k, self.window, self.alphabet
-            )
-            count_answer = float(weights @ self.histogram(t))
-        else:
-            panel = self.synthetic_data(t)
-            # Entrants admitted after round t sit at the end of the record
-            # matrix; exclude them so record-level answers describe the
-            # round-t population (a no-op for static populations).
-            m_t = self.synthetic_population(t)
-            if m_t < panel.n_individuals:
-                panel = CategoricalDataset(panel.matrix[:m_t], self.alphabet)
-            count_answer = query.evaluate(panel, t) * panel.n_individuals
-        if not debias:
-            return count_answer / self.synthetic_population(t)
-        padding_count = self.padding.count_contribution(query)
-        return debias_count_answer(count_answer, padding_count, self.population(t))
-
-    def answer_series(
-        self, query: CategoricalWindowQuery, times=None, debias: bool = True
-    ) -> np.ndarray:
-        """Batch-answer one query over many released rounds at once.
-
-        One weight lift and one matrix product replace the per-round
-        :meth:`answer` loop: the released histograms are stacked into a
-        ``(len(times), q**k)`` table and multiplied by the lifted weight
-        vector, with the padding/debias arithmetic applied vectorized.
-        Agrees exactly with calling :meth:`answer` per round.
-
-        Parameters
-        ----------
-        query:
-            A width-``k' <= k`` query over the release's alphabet
-            (record-level wide queries have no batched path).
-        times:
-            Rounds to answer at (default: every released round at which
-            the query is defined).
-        debias:
-            As in :meth:`answer`.
-
-        Returns
-        -------
-        numpy.ndarray
-            One answer per requested round, in order.
-        """
-        self._check_query(query)
-        if query.k > self.window:
-            raise ConfigurationError(
-                f"answer_series answers histogram queries (width <= "
-                f"{self.window}); width-{query.k} queries need per-round "
-                "record evaluation via answer()"
-            )
-        if times is None:
-            times = [t for t in self.released_times() if t >= query.min_time()]
-        times = [int(t) for t in times]
-        for t in times:
-            query.check_time(t)
-        if not times:
-            return np.zeros(0, dtype=np.float64)
-        weights = lift_categorical_weights(
-            query.weights, query.k, self.window, self.alphabet
-        )
-        # histogram() raises NotFittedError for unreleased rounds, exactly
-        # like the per-round answer() path.
-        table = np.stack([self.histogram(t) for t in times])
-        counts = table @ weights
-        if not debias:
-            denominators = np.array(
-                [self.synthetic_population(t) for t in times], dtype=np.float64
-            )
-            self._check_denominators(denominators, times, "synthetic population")
-            return counts / denominators
-        padding_count = self.padding.count_contribution(query)
-        populations = np.array(
-            [self.population(t) for t in times], dtype=np.float64
-        )
-        self._check_denominators(populations, times, "n_original")
-        return (counts - padding_count) / populations
-
-    def _compile_batch_query(self, query, options: dict):
-        """Compile a width-``k' <= k`` categorical query for the batch path.
-
-        Returns ``None`` — scalar fallback — for record-level wide
-        queries; a foreign query type or an alphabet mismatch raises
-        exactly like the scalar :meth:`answer`.
-        """
-        if options:
-            return None
-        self._check_query(query)
-        if query.k > self.window:
-            return None
-        signature = query_signature(query)
-        plans = self._synth._plan_cache
-        lifted = None if signature is None else plans.get(signature)
-        if lifted is None:
-            lifted = lift_categorical_weights(
-                query.weights, query.k, self.window, self.alphabet
-            )
-            if signature is not None:
-                plans[signature] = lifted
-        return lifted, self.padding.count_contribution(query)
-
-    @staticmethod
-    def _check_denominators(values: np.ndarray, times, label: str) -> None:
-        """Raise like :func:`debias_count_answer` instead of emitting inf."""
-        bad = np.flatnonzero(values <= 0)
-        if bad.size:
-            t = times[int(bad[0])]
-            raise ConfigurationError(
-                f"{label} must be positive, got {int(values[bad[0]])} at t={t}"
-            )
+    _panel_type = CategoricalDataset
 
     def __repr__(self) -> str:
         return (
@@ -364,6 +123,7 @@ class CategoricalWindowSynthesizer(WindowEngine):
     """
 
     algorithm = "categorical_window"
+    _release_type = CategoricalWindowRelease
     _max_bins = _MAX_BINS
 
     def __init__(
@@ -393,10 +153,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
             noise_method=noise_method,
         )
 
-    def _make_release(self) -> CategoricalWindowRelease:
-        """Build the cached categorical release view."""
-        return CategoricalWindowRelease(self)
-
     def _check_dataset(self, dataset) -> None:
         """Batch runs consume a matching :class:`CategoricalDataset`."""
         if not isinstance(dataset, CategoricalDataset):
@@ -421,47 +177,3 @@ class CategoricalWindowSynthesizer(WindowEngine):
         config = super().config_dict()
         config["alphabet"] = self.alphabet
         return config
-
-    @classmethod
-    def from_config(cls, config: dict) -> "CategoricalWindowSynthesizer":
-        """Rebuild a fresh synthesizer from :meth:`config_dict` output.
-
-        Parameters
-        ----------
-        config:
-            A mapping produced by :meth:`config_dict`.  Older configs
-            also carry ``engine: "vectorized"``, which is accepted.
-
-        Returns
-        -------
-        CategoricalWindowSynthesizer
-            An unfitted synthesizer with the same configuration, ready
-            for :meth:`~repro.core.window_engine.WindowEngine.load_state`.
-
-        Raises
-        ------
-        repro.exceptions.SerializationError
-            If required keys are missing or fail constructor validation,
-            or the config was written by the removed scalar engine
-            (``engine: "scalar"``), whose continuation cannot be
-            reproduced.
-        """
-        engine = config.get("engine", "vectorized")
-        if engine != "vectorized":
-            raise SerializationError(
-                f"categorical-window config has engine {engine!r}; only the "
-                "vectorized engine's bundles can be continued"
-            )
-        try:
-            return cls(
-                int(config["horizon"]),
-                int(config["window"]),
-                int(config["alphabet"]),
-                float(config["rho"]),
-                n_pad=int(config["n_pad"]),
-                on_negative=str(config["on_negative"]),
-                sensitivity=float(config["sensitivity"]),
-                noise_method=str(config["noise_method"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(f"invalid categorical-window config: {exc}") from exc

@@ -17,23 +17,33 @@ from repro.exceptions import ConfigurationError
 __all__ = ["lift_window_weights", "debias_count_answer"]
 
 
-def lift_window_weights(weights: np.ndarray, from_k: int, to_k: int) -> np.ndarray:
+def lift_window_weights(
+    weights: np.ndarray, from_k: int, to_k: int, alphabet: int = 2
+) -> np.ndarray:
     """Lift a width-``k'`` weight vector to width ``k >= k'``.
 
     The width-``k'`` histogram is the marginal of the width-``k`` histogram
-    over the most recent ``k'`` positions, so a width-``k'`` linear query
-    is the width-``k`` linear query with weights
-    ``w_k[s] = w_{k'}[s mod 2**k']``.
+    over the most recent ``k'`` positions (the least significant base-``q``
+    digits), so a width-``k'`` linear query is the width-``k`` linear query
+    with weights ``w_k[s] = w_{k'}[s mod q**k']``.
+
+    Parameters
+    ----------
+    weights:
+        Length-``alphabet**from_k`` coefficient vector.
+    from_k, to_k:
+        Source and target window widths (``to_k >= from_k``).
+    alphabet:
+        Number of categories ``q >= 2`` (default 2, the binary panel).
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (1 << from_k,):
+    if weights.shape != (alphabet**from_k,):
         raise ConfigurationError(
-            f"weights must have length 2**{from_k}, got shape {weights.shape}"
+            f"weights must have length {alphabet}**{from_k}, got shape {weights.shape}"
         )
     if to_k < from_k:
         raise ConfigurationError(f"cannot lift width {from_k} down to {to_k}")
-    codes = np.arange(1 << to_k)
-    return weights[codes & ((1 << from_k) - 1)]
+    return weights[np.arange(alphabet**to_k) % alphabet**from_k]
 
 
 def debias_count_answer(

@@ -9,11 +9,10 @@ padding's (exactly computable) contribution.
 :class:`PaddingSpec` bundles the parameters with the exact padding
 arithmetic for any alphabet size ``q >= 2`` (``q = 2`` is the paper's
 binary panel), and can materialize the padding population as de Bruijn
-records (:func:`repro.data.debruijn.padding_panel` /
-:func:`repro.data.categorical.categorical_padding_panel`) — a concrete
-witness that a dataset with exactly ``n_pad`` per bin in *every* window
-exists, used by the release object to debias queries of widths other than
-``k``.
+records (:func:`repro.data.debruijn.padding_panel`, binary at ``q = 2``
+and categorical above) — a concrete witness that a dataset with exactly
+``n_pad`` per bin in *every* window exists, used by the release object to
+debias queries of widths other than ``k``.
 """
 
 from __future__ import annotations
@@ -120,13 +119,7 @@ class PaddingSpec:
         binary alphabet, a
         :class:`~repro.data.categorical.CategoricalDataset` otherwise.
         """
-        if self.alphabet == 2:
-            return padding_panel(self.window, self.n_pad, self.horizon)
-        from repro.data.categorical import categorical_padding_panel
-
-        return categorical_padding_panel(
-            self.window, self.n_pad, self.horizon, self.alphabet
-        )
+        return padding_panel(self.window, self.n_pad, self.horizon, self.alphabet)
 
     def panel_count_answer(self, query, t: int) -> float:
         """Padding count answer computed on the materialized records.

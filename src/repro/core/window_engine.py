@@ -1,4 +1,4 @@
-"""Shared engine for Algorithm 1 over an arbitrary alphabet.
+"""Algorithm 1 over an arbitrary alphabet: one engine, one release.
 
 The paper's fixed-window solution "naturally extends to handle categorical
 data with more than 2 categories" (§1); this module is that statement made
@@ -13,21 +13,28 @@ the fixed-window synthesizer for any alphabet size ``q >= 2``:
   ``q**k`` bins at once, consistency projection, and synthetic-record
   extension through the shared
   :class:`~repro.core.synthetic_store.WindowSyntheticStore`;
-* zCDP accounting, padding (:class:`~repro.core.padding.PaddingSpec`), and
-  the full checkpoint protocol (``config_dict`` / ``state_dict`` /
-  ``load_state``) consumed by :mod:`repro.serve`.
+* zCDP accounting, padding (:class:`~repro.core.padding.PaddingSpec`), the
+  config reader and the full checkpoint protocol (``config_dict`` /
+  ``from_config`` / ``state_dict`` / ``load_state``) consumed by
+  :mod:`repro.serve`.
 
-:class:`~repro.core.fixed_window.FixedWindowSynthesizer` is the thin
-``q = 2`` specialization: it pins the paper's fair ``+-1/2`` pair rounding
-(:func:`~repro.core.consistency.apply_overlap_correction`) and stays
-bit-exact — noise draws, record randomness, and zCDP ledger included —
-with the pre-engine implementation.
-:class:`~repro.core.categorical_window.CategoricalWindowSynthesizer` is the
-generic-``q`` instantiation: batched residue placement
-(:func:`~repro.core.consistency.apply_group_correction`) and
-order-statistic record extension
+:class:`WindowRelease` answers queries for every alphabet: one query
+(``answer``), one query over many rounds (``answer_series``) or a whole
+workload (``answer_batch``), each from the histograms for widths up to
+``k`` and from the synthetic records above it.
+
+:class:`~repro.core.fixed_window.FixedWindowSynthesizer` is the ``q = 2``
+specialization: the projection below runs the paper's fair ``+-1/2`` pair
+rounding (:func:`~repro.core.consistency.apply_overlap_correction`) at
+``q = 2``, bit-exact — noise draws, record randomness, and zCDP ledger
+included — with the pre-engine implementation, and its release hands back
+binary panels.  :class:`~repro.core.categorical_window.CategoricalWindowSynthesizer`
+is the generic-``q`` instantiation: batched residue placement
+(:func:`~repro.core.consistency.apply_group_correction`) above ``q = 2``
+and order-statistic record extension
 (``benchmarks/bench_categorical_extension.py`` pins the speedup over the
-per-group/per-record reference loops).
+per-group/per-record reference loops); its release hands back categorical
+panels at every ``q``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.core.consistency import (
     check_group_consistency,
     check_window_consistency,
 )
+from repro.core.debias import debias_count_answer, lift_window_weights
 from repro.core.padding import PaddingSpec
 from repro.core.population import (
     PopulationLedger,
@@ -50,8 +58,7 @@ from repro.core.population import (
     validate_entrants,
 )
 from repro.core.synthetic_store import WindowSyntheticStore, _code_dtype, _code_suffix
-from repro.queries.plan import AnswerCache, workload_key
-from repro.data.dataset import DynamicPanel
+from repro.data.dataset import DynamicPanel, LongitudinalDataset
 from repro.dp.accountant import ZCDPAccountant
 from repro.dp.discrete_gaussian import calibrate_sigma_sq
 from repro.dp.mechanisms import GaussianHistogramMechanism
@@ -62,6 +69,7 @@ from repro.exceptions import (
     NotFittedError,
     SerializationError,
 )
+from repro.queries.plan import AnswerCache, query_signature, workload_key
 from repro.rng import (
     SeedLike,
     as_generator,
@@ -74,14 +82,20 @@ __all__ = ["WindowEngine", "WindowRelease"]
 
 
 class WindowRelease:
-    """Shared surface of a fixed-window release, for any alphabet.
+    """The release of a fixed-window run, for any alphabet.
 
-    Holds everything both release views expose identically — the public
-    metadata, the churn-aware population accounting, and the released
-    histogram table.  The binary
-    :class:`~repro.core.fixed_window.FixedWindowRelease` and categorical
+    Answers window queries of width at most ``k`` from the maintained
+    histograms and wider ones from the synthetic records — one query at
+    a time, one query over many rounds, or a whole workload — and
+    exposes the public metadata and the churn-aware population
+    accounting.  Every answer path first checks that the query is an
+    accepted type over the release's alphabet, so all of them reject
+    the same queries.  The binary
+    :class:`~repro.core.fixed_window.FixedWindowRelease` and the
+    categorical
     :class:`~repro.core.categorical_window.CategoricalWindowRelease`
-    subclasses add their panel types and query-answering conventions.
+    only name the query types they accept and the panel type their
+    records come back as.
 
     Parameters
     ----------
@@ -95,20 +109,26 @@ class WindowRelease:
     #: The replication harness dispatches on this instead of isinstance.
     debias_aware = True
 
-    #: Query types this release answers, and its name in the rejection
-    #: message for any other; subclasses set both.
+    #: Query types this release answers, its name in the rejection
+    #: message for any other, and the panel type of its synthetic
+    #: records; subclasses set all three.
     _query_types: tuple = ()
     _release_name = "window release"
+    _panel_type: type = LongitudinalDataset
 
     def __init__(self, synthesizer: "WindowEngine"):
         self._synth = synthesizer
 
-    def _check_query_type(self, query) -> None:
-        """Reject a query this release cannot answer, naming the ones it can."""
+    def _check_query(self, query) -> None:
+        """Reject a query that is not an accepted type over the alphabet."""
         if not isinstance(query, self._query_types):
             names = "/".join(cls.__name__ for cls in self._query_types)
             raise ConfigurationError(
                 f"{self._release_name} answers {names}, got {query!r}"
+            )
+        if query.alphabet != self.alphabet:
+            raise ConfigurationError(
+                f"query alphabet {query.alphabet} != release alphabet {self.alphabet}"
             )
 
     # -- metadata ------------------------------------------------------
@@ -119,9 +139,19 @@ class WindowRelease:
         return self._synth.window
 
     @property
+    def alphabet(self) -> int:
+        """Alphabet size ``q`` (2 for the binary release)."""
+        return self._synth.alphabet
+
+    @property
     def padding(self) -> PaddingSpec:
         """Public padding parameters (``n_pad`` per ``q**k`` bin)."""
         return self._synth.padding
+
+    @property
+    def n_pad(self) -> int:
+        """Padding per bin (public)."""
+        return self._synth.padding.n_pad
 
     @property
     def n_original(self) -> int:
@@ -191,6 +221,167 @@ class WindowRelease:
         """Rounds with a released histogram, ascending."""
         return sorted(self._synth._histograms)
 
+    def synthetic_data(self, t: int | None = None):
+        """The synthetic panel through round ``t`` (default: latest).
+
+        A :class:`~repro.data.dataset.LongitudinalDataset` from the
+        binary release and a
+        :class:`~repro.data.categorical.CategoricalDataset` from the
+        categorical one, at every alphabet size.
+        """
+        store = self._synth._store
+        if store is None:
+            raise NotFittedError("the first update step has not run yet")
+        panel = store.as_dataset(t)
+        # The store hands q = 2 records back as a binary panel.
+        return panel if isinstance(panel, self._panel_type) else self._panel(panel.matrix)
+
+    def _panel(self, matrix: np.ndarray):
+        """``matrix`` as the release's panel type."""
+        if self._panel_type is LongitudinalDataset:
+            return LongitudinalDataset(matrix)
+        return self._panel_type(matrix, self.alphabet)
+
+    # -- query answering -----------------------------------------------
+
+    def answer(
+        self, query, t: int, debias: bool = True, padding_convention: str = "uniform"
+    ) -> float:
+        """Answer a window query at round ``t``.
+
+        Queries of width ``k' <= k`` are answered from the maintained
+        width-``k`` histogram (exactly equal to evaluating on the
+        records).  Queries of width ``k' > k`` are evaluated on the
+        synthetic records directly; the synthesizer gives *no accuracy
+        guarantee* for them — the Figure 3 bottom-panel caveat.
+
+        Parameters
+        ----------
+        query:
+            A window query of a type the release accepts, over its
+            alphabet.
+        t:
+            Round to answer at (``t >= query.k``).
+        debias:
+            Subtract the publicly known padding contribution and
+            renormalize by the real population ``n`` — the §3.2
+            estimator (default); otherwise return the biased fraction of
+            the synthetic population (the left panels of Figures 5-7).
+        padding_convention:
+            How the padding contribution is computed when debiasing:
+            ``"uniform"`` (the paper's convention — ``n_pad`` fake
+            people per bin, extrapolated for widths above ``k``) or
+            ``"panel"`` (evaluate the query on the materialized de
+            Bruijn padding records; identical for widths ``<= k``).
+
+        Raises
+        ------
+        repro.exceptions.ConfigurationError
+            For a query the release does not accept (a Hamming query,
+            say, or one over another alphabet), a round before the
+            query's first, or an unknown padding convention.
+        """
+        self._check_query(query)
+        query.check_time(t)
+        if padding_convention not in ("uniform", "panel"):
+            raise ConfigurationError(
+                f"padding_convention must be 'uniform' or 'panel', got "
+                f"{padding_convention!r}"
+            )
+        if query.k <= self.window:
+            count_answer = float(self._lifted(query) @ self.histogram(t))
+        else:
+            panel = self.synthetic_data(t)
+            # Entrants admitted after round t sit at the end of the record
+            # matrix; exclude them so record-level answers describe the
+            # round-t population (a no-op for static populations).
+            m_t = self.synthetic_population(t)
+            if m_t < panel.n_individuals:
+                panel = self._panel(panel.matrix[:m_t])
+            count_answer = query.evaluate(panel, t) * panel.n_individuals
+        if not debias:
+            return count_answer / self.synthetic_population(t)
+        if padding_convention == "uniform":
+            padding_count = self.padding.count_contribution(query)
+        else:
+            padding_count = self.padding.panel_count_answer(query, t)
+        return debias_count_answer(count_answer, padding_count, self.population(t))
+
+    def answer_series(self, query, times=None, debias: bool = True) -> np.ndarray:
+        """Batch-answer one query over many released rounds at once.
+
+        One weight lift and one matrix product replace the per-round
+        :meth:`answer` loop: the released histograms are stacked into a
+        ``(len(times), q**k)`` table and multiplied by the lifted weight
+        vector, with the padding/debias arithmetic applied vectorized.
+        Agrees exactly with calling :meth:`answer` per round for 0/1
+        weights (every count is an integer sum).
+
+        Parameters
+        ----------
+        query:
+            A width-``k' <= k`` query the release accepts (record-level
+            wide queries have no batched path).
+        times:
+            Rounds to answer at (default: every released round at which
+            the query is defined).
+        debias:
+            As in :meth:`answer`.
+
+        Returns
+        -------
+        numpy.ndarray
+            One answer per requested round, in order.
+        """
+        self._check_query(query)
+        if query.k > self.window:
+            raise ConfigurationError(
+                f"answer_series answers histogram queries (width <= "
+                f"{self.window}); width-{query.k} queries need per-round "
+                "record evaluation via answer()"
+            )
+        if times is None:
+            times = [t for t in self.released_times() if t >= query.min_time()]
+        times = [int(t) for t in times]
+        for t in times:
+            query.check_time(t)
+        if not times:
+            return np.zeros(0, dtype=np.float64)
+        # histogram() raises NotFittedError for unreleased rounds, exactly
+        # like the per-round answer() path.
+        table = np.stack([self.histogram(t) for t in times])
+        counts = table @ self._lifted(query)
+        if not debias:
+            denominators = np.array(
+                [self.synthetic_population(t) for t in times], dtype=np.float64
+            )
+            self._check_denominators(denominators, times, "synthetic population")
+            return counts / denominators
+        padding_count = self.padding.count_contribution(query)
+        populations = np.array([self.population(t) for t in times], dtype=np.float64)
+        self._check_denominators(populations, times, "n_original")
+        return (counts - padding_count) / populations
+
+    @staticmethod
+    def _check_denominators(values: np.ndarray, times, label: str) -> None:
+        """Raise like :func:`debias_count_answer` instead of emitting inf."""
+        bad = np.flatnonzero(values <= 0)
+        if bad.size:
+            t = times[int(bad[0])]
+            raise ConfigurationError(
+                f"{label} must be positive, got {int(values[bad[0]])} at t={t}"
+            )
+
+    def _lifted(self, query) -> np.ndarray:
+        """``query``'s weights lifted to width ``k``, memoized per signature."""
+        plans = self._synth._plan_cache
+        signature = query_signature(query)
+        lifted = plans.get(signature)
+        if lifted is None:
+            lifted = lift_window_weights(query.weights, query.k, self.window, self.alphabet)
+            plans[signature] = lifted
+        return lifted
+
     # -- batched query answering ---------------------------------------
 
     @property
@@ -203,16 +394,6 @@ class WindowRelease:
         """
         return self._synth._version
 
-    def _compile_batch_query(self, query, options: dict):
-        """Compile one query for the batched path (subclass hook).
-
-        Returns ``(lifted_weights, padding_count)`` when the query is a
-        histogram query this release can vectorize, or ``None`` to route
-        it through the scalar :meth:`answer` per cell (record-level wide
-        queries, foreign query types, non-default conventions).
-        """
-        return None
-
     def answer_batch(self, queries, times, debias: bool = True, **kwargs) -> np.ndarray:
         """Answer a whole window-query workload as one grid.
 
@@ -222,16 +403,17 @@ class WindowRelease:
         population denominators hoisted out of the per-cell loop; the
         count itself stays the scalar path's dot product per cell, so
         every entry is **bit-identical** with :meth:`answer`.  Cells
-        with ``t < query.min_time()`` are ``NaN``; queries the planner
-        cannot compile fall back to the scalar call per cell.  Results
-        are memoized per release version.  A query type the release
-        does not answer raises
+        with ``t < query.min_time()`` are ``NaN``; record-level wide
+        queries, the time-dependent ``padding_convention="panel"`` and
+        any other keyword fall back to the scalar call per cell.
+        Results are memoized per release version.  A query the release
+        does not accept raises
         :class:`~repro.exceptions.ConfigurationError`, as :meth:`answer`
         does.
         """
         queries = list(queries)
         for query in queries:
-            self._check_query_type(query)
+            self._check_query(query)
         times = [int(t) for t in times]
         key = workload_key(queries, times, debias=bool(debias), **kwargs)
         cache = self._synth._answer_cache
@@ -240,6 +422,9 @@ class WindowRelease:
             hit = cache.get(version, key)
             if hit is not None:
                 return hit
+        compiled = kwargs.keys() <= {"padding_convention"} and (
+            kwargs.get("padding_convention", "uniform") == "uniform"
+        )
         out = np.full((len(queries), len(times)), np.nan, dtype=np.float64)
         histograms: dict[int, np.ndarray] = {}
         populations: dict[int, int] = {}
@@ -249,12 +434,11 @@ class WindowRelease:
             cells = [i for i, t in enumerate(times) if t >= floor]
             if not cells:
                 continue
-            compiled = self._compile_batch_query(query, kwargs)
-            if compiled is None:
+            if not compiled or query.k > self.window:
                 for i in cells:
                     out[qi, i] = self.answer(query, times[i], debias=debias, **kwargs)
                 continue
-            lifted, padding_count = compiled
+            lifted = self._lifted(query)
             counts = np.empty(len(cells), dtype=np.float64)
             for j, i in enumerate(cells):
                 t = times[i]
@@ -286,6 +470,7 @@ class WindowRelease:
                 raise ConfigurationError(
                     f"n_original must be positive, got {int(denominators.min())}"
                 )
+            padding_count = self.padding.count_contribution(query)
             out[qi, cells] = (counts - padding_count) / denominators
         if key is not None:
             cache.put(version, key, out)
@@ -299,10 +484,10 @@ class WindowEngine:
     :class:`~repro.core.fixed_window.FixedWindowSynthesizer` and the
     generic-``q``
     :class:`~repro.core.categorical_window.CategoricalWindowSynthesizer` —
-    by setting :attr:`algorithm`, building their release view, and
-    validating their column/panel types; everything else (streaming,
-    churn, noise, projection, store, accounting, checkpointing) lives
-    here once.
+    by setting :attr:`algorithm`, their constructor signature, their
+    release view class, and the panels they consume; everything else
+    (streaming, churn, noise, projection, store, accounting,
+    checkpointing, the config reader) lives here once.
 
     Parameters
     ----------
@@ -335,6 +520,9 @@ class WindowEngine:
 
     #: Tag stored in checkpoint configs; subclasses override.
     algorithm = "window"
+
+    #: Release view class built once per synthesizer; subclasses override.
+    _release_type: type = WindowRelease
 
     #: Bin-count guard (``None`` disables); the categorical subclass caps
     #: ``q**k`` so a typo'd alphabet cannot materialize 2**40 bins.
@@ -429,7 +617,7 @@ class WindowEngine:
         )
         self._histograms: dict[int, np.ndarray] = {}
         self._negative_events = 0
-        self._release_view = self._make_release()
+        self._release_view = self._release_type(self)
         self._version = 0
         self._answer_cache = AnswerCache()
         self._plan_cache: dict = {}
@@ -437,10 +625,6 @@ class WindowEngine:
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
-
-    def _make_release(self):
-        """Build the algorithm's release view (subclass hook)."""
-        raise NotImplementedError
 
     def _check_dataset(self, dataset) -> None:
         """Reject panels this synthesizer cannot consume (subclass hook)."""
@@ -466,9 +650,9 @@ class WindowEngine:
     def padding_panel(self):
         """The materialized de Bruijn padding population (public).
 
-        Returns the :attr:`padding` spec's record panel — binary
-        (:class:`~repro.data.dataset.LongitudinalDataset`) or
-        categorical, matching the synthesizer's alphabet.
+        Returns the :attr:`padding` spec's record panel: a
+        :class:`~repro.data.dataset.LongitudinalDataset` at ``q = 2``
+        and a :class:`~repro.data.categorical.CategoricalDataset` above.
         """
         return self.padding.panel
 
@@ -642,9 +826,10 @@ class WindowEngine:
             JSON-safe mapping with the ``algorithm`` tag plus the
             horizon, window width, budget, resolved padding,
             negative-count policy, sensitivity, and noise backend.
-            Consumed by ``from_config``; the seed is deliberately
-            absent.  Subclasses append their own knobs (the categorical
-            synthesizer adds ``alphabet`` and ``engine``).
+            Consumed by :meth:`from_config`; the seed is deliberately
+            absent.  The categorical synthesizer adds ``alphabet``; a
+            binary config has no such key, so its fingerprint stays what
+            it was.
         """
         return {
             "algorithm": self.algorithm,
@@ -656,6 +841,53 @@ class WindowEngine:
             "sensitivity": self.sensitivity,
             "noise_method": self.noise_method,
         }
+
+    @classmethod
+    def from_config(cls, config: dict):
+        """Rebuild a fresh synthesizer from :meth:`config_dict` output.
+
+        Parameters
+        ----------
+        config:
+            A mapping produced by :meth:`config_dict`; ``alphabet`` is
+            passed on when present.  Older configs also carry
+            ``engine: "vectorized"``, which is accepted.
+
+        Returns
+        -------
+        WindowEngine
+            An unfitted synthesizer of the calling class with the same
+            configuration, ready for :meth:`load_state`.
+
+        Raises
+        ------
+        repro.exceptions.SerializationError
+            If required keys are missing or fail constructor validation,
+            or the config was written by the removed scalar engine
+            (``engine: "scalar"``), whose continuation cannot be
+            reproduced.
+        """
+        name = cls.algorithm.replace("_", "-")
+        engine = config.get("engine", "vectorized")
+        if engine != "vectorized":
+            raise SerializationError(
+                f"{name} config has engine {engine!r}; only the "
+                "vectorized engine's bundles can be continued"
+            )
+        try:
+            alphabet = {"alphabet": int(config["alphabet"])} if "alphabet" in config else {}
+            return cls(
+                int(config["horizon"]),
+                int(config["window"]),
+                rho=float(config["rho"]),
+                n_pad=int(config["n_pad"]),
+                on_negative=str(config["on_negative"]),
+                sensitivity=float(config["sensitivity"]),
+                noise_method=str(config["noise_method"]),
+                **alphabet,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(f"invalid {name} config: {exc}") from exc
 
     def state_dict(self, *, copy: bool = True) -> dict:
         """Snapshot the full mid-stream state.

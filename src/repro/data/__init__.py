@@ -20,7 +20,6 @@ from repro.data.categorical import (
     CategoricalDataset,
     categorical_iid,
     categorical_markov,
-    categorical_padding_panel,
     employment_status_panel,
     sticky_transitions,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "CategoricalDataset",
     "categorical_iid",
     "categorical_markov",
-    "categorical_padding_panel",
     "EMPLOYMENT_TRANSITIONS",
     "employment_status_panel",
     "sticky_transitions",

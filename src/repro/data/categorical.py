@@ -5,8 +5,9 @@ queries naturally extend to handle categorical data with more than 2
 categories."  This module provides the data substrate for that extension:
 an ``n x T`` panel over ``{0, ..., q-1}`` (e.g. SIPP employment status:
 employed / unemployed / not in labor force), the base-``q`` window-code
-helpers mirroring :class:`LongitudinalDataset`, generators, and the
-categorical de Bruijn padding population.
+helpers mirroring :class:`LongitudinalDataset`, and generators.  The
+categorical de Bruijn padding population is
+:func:`repro.data.debruijn.padding_panel` with ``alphabet=q``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.debruijn import debruijn_sequence
 from repro.exceptions import ConfigurationError, DataValidationError
 from repro.rng import SeedLike, as_generator
 
@@ -24,7 +24,6 @@ __all__ = [
     "EMPLOYMENT_TRANSITIONS",
     "categorical_iid",
     "categorical_markov",
-    "categorical_padding_panel",
     "employment_status_panel",
     "sticky_transitions",
 ]
@@ -327,27 +326,3 @@ def employment_status_panel(
     else:
         transitions = sticky_transitions(alphabet)
     return categorical_markov(n, horizon, transitions, seed=seed)
-
-
-def categorical_padding_panel(
-    k: int, n_pad: int, horizon: int, alphabet: int
-) -> CategoricalDataset:
-    """Padding population with exactly ``n_pad`` per ``q^k`` bin per window.
-
-    The categorical generalization of
-    :func:`~repro.data.debruijn.padding_panel`: one fake individual per
-    rotation offset of the de Bruijn cycle ``B(q, k)``, times ``n_pad``.
-    """
-    if n_pad < 0:
-        raise ConfigurationError(f"n_pad must be non-negative, got {n_pad}")
-    if horizon < k:
-        raise ConfigurationError(f"horizon {horizon} shorter than window width {k}")
-    cycle = debruijn_sequence(k, alphabet=alphabet)
-    length = cycle.shape[0]
-    if n_pad == 0:
-        return CategoricalDataset(np.zeros((0, horizon), dtype=np.int64), alphabet)
-    repeats = -(-(horizon + length) // length)
-    tiled = np.tile(cycle, repeats)
-    offsets = np.arange(length)[:, None] + np.arange(horizon)[None, :]
-    base = tiled[offsets]
-    return CategoricalDataset(np.tile(base, (n_pad, 1)), alphabet)

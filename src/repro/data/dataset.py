@@ -41,6 +41,10 @@ class LongitudinalDataset:
     [0, 2, 0, 0]
     """
 
+    #: Alphabet size ``q``: a binary panel is the ``q = 2`` case of
+    #: :class:`~repro.data.categorical.CategoricalDataset`.
+    alphabet = 2
+
     def __init__(self, matrix):
         arr = np.asarray(matrix)
         if arr.ndim != 2:

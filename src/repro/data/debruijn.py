@@ -6,22 +6,27 @@ constant on each count; this module makes the padding *concrete*: an actual
 population of fake individuals whose window histogram equals exactly
 ``n_pad`` in every bin at every time step.
 
-The construction uses a binary de Bruijn cycle ``B(2, k)`` — a cyclic
-sequence of length ``2**k`` containing every length-``k`` pattern exactly
-once as a (cyclic) window.  Take one fake individual per rotation offset of
-the cycle (``2**k`` of them, each reporting the cycle starting from their
-offset, wrapping around as long as needed): at every time ``t >= k`` their
-``k``-windows are the ``2**k`` distinct patterns, i.e. exactly one per bin.
-``n_pad`` copies of this population put exactly ``n_pad`` in every bin in
-every window, and the padding answer to any window query can be computed
-exactly — which is what makes the debiasing step of §3.2 an *exact*
-correction rather than an approximation.
+The construction uses a de Bruijn cycle ``B(q, k)`` — a cyclic sequence of
+length ``q**k`` containing every length-``k`` pattern over ``q`` symbols
+exactly once as a (cyclic) window.  Take one fake individual per rotation
+offset of the cycle (``q**k`` of them, each reporting the cycle starting
+from their offset, wrapping around as long as needed): at every time
+``t >= k`` their ``k``-windows are the ``q**k`` distinct patterns, i.e.
+exactly one per bin.  ``n_pad`` copies of this population put exactly
+``n_pad`` in every bin in every window, and the padding answer to any
+window query can be computed exactly — which is what makes the debiasing
+step of §3.2 an *exact* correction rather than an approximation.  The
+binary panel (``q = 2``, a
+:class:`~repro.data.dataset.LongitudinalDataset`) is Algorithm 1's; larger
+alphabets (a :class:`~repro.data.categorical.CategoricalDataset`) serve
+the categorical extension.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.data.categorical import CategoricalDataset
 from repro.data.dataset import LongitudinalDataset
 from repro.exceptions import ConfigurationError
 
@@ -63,11 +68,13 @@ def debruijn_sequence(k: int, alphabet: int = 2) -> np.ndarray:
     return result
 
 
-def padding_panel(k: int, n_pad: int, horizon: int) -> LongitudinalDataset:
-    """Padding population: ``n_pad * 2**k`` fake individuals over ``horizon``.
+def padding_panel(k: int, n_pad: int, horizon: int, alphabet: int = 2):
+    """Padding population: ``n_pad * q**k`` fake individuals over ``horizon``.
 
-    Every length-``k`` window histogram of the returned panel equals exactly
-    ``n_pad`` in every bin, for every ``t in [k, horizon]``.
+    One fake individual per rotation offset of the de Bruijn cycle
+    ``B(q, k)``, times ``n_pad``: every length-``k`` window histogram of
+    the returned panel equals exactly ``n_pad`` in every bin, for every
+    ``t in [k, horizon]``.
 
     Parameters
     ----------
@@ -77,29 +84,32 @@ def padding_panel(k: int, n_pad: int, horizon: int) -> LongitudinalDataset:
         Fake individuals per length-``k`` bin (non-negative).
     horizon:
         Number of rounds ``T >= k``.
+    alphabet:
+        Number of categories ``q >= 2`` (default 2, the binary panel).
 
     Returns
     -------
-    LongitudinalDataset
-        The materialized padding panel (possibly with zero rows).
+    LongitudinalDataset or CategoricalDataset
+        The materialized padding panel (possibly with zero rows): binary
+        at ``q = 2``, categorical above.
 
     Raises
     ------
     repro.exceptions.ConfigurationError
-        If ``n_pad`` is negative or ``horizon < k``.
+        If ``n_pad`` is negative, ``horizon < k``, or ``alphabet < 2``.
     """
     if n_pad < 0:
         raise ConfigurationError(f"n_pad must be non-negative, got {n_pad}")
     if horizon < k:
         raise ConfigurationError(f"horizon {horizon} shorter than window width {k}")
-    cycle = debruijn_sequence(k)
+    cycle = debruijn_sequence(k, alphabet=alphabet)
     length = cycle.shape[0]
-    if n_pad == 0:
-        return LongitudinalDataset(np.zeros((0, horizon), dtype=np.uint8))
     # Row r follows the cycle starting at offset r; tile enough copies of
     # the cycle to cover the horizon, then slice per offset.
     repeats = -(-(horizon + length) // length)  # ceil division
     tiled = np.tile(cycle, repeats)
     offsets = np.arange(length)[:, None] + np.arange(horizon)[None, :]
-    base = tiled[offsets]  # (2**k, horizon)
-    return LongitudinalDataset(np.tile(base, (n_pad, 1)))
+    records = np.tile(tiled[offsets], (n_pad, 1))  # (n_pad * q**k, horizon)
+    if alphabet == 2:
+        return LongitudinalDataset(records)
+    return CategoricalDataset(records, alphabet)

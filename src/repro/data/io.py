@@ -82,8 +82,7 @@ def load_panel_csv(path, alphabet: int = 2):
 def save_panel_npz(panel, path) -> Path:
     """Write a panel as a compressed numpy archive; returns the path."""
     path = Path(path)
-    alphabet = getattr(panel, "alphabet", 2)
-    np.savez_compressed(path, matrix=panel.matrix, alphabet=alphabet)
+    np.savez_compressed(path, matrix=panel.matrix, alphabet=panel.alphabet)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
@@ -102,28 +101,34 @@ def save_release_csv(release, directory, stem: str = "synthetic") -> tuple[Path,
 
     The metadata sidecar carries everything an analyst needs to debias
     query answers offline: ``n`` (original population), ``n_pad``, ``k``,
-    the horizon, and the synthetic population size.  Returns
+    the horizon, and the synthetic population size.  Its ``kind`` is
+    ``"fixed_window"`` for a release of binary panels and
+    ``"categorical_window"`` (with ``alphabet``) for a release of
+    categorical panels, ``q = 2`` included.  Returns
     ``(csv_path, json_path)``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    data_path = save_panel_csv(release.synthetic_data(), directory / f"{stem}.csv")
-    if not hasattr(release, "alphabet"):  # binary fixed-window release
-        metadata = {
-            "kind": "fixed_window",
-            "window": release.window,
-            "n_pad": release.padding.n_pad,
-            "horizon": release.padding.horizon,
-            "n_original": release.n_original,
-            "n_synthetic": release.n_synthetic,
-            "negative_count_events": release.negative_count_events,
-        }
-    else:  # categorical release
+    panel = release.synthetic_data()
+    data_path = save_panel_csv(panel, directory / f"{stem}.csv")
+    # Every window release has an alphabet; the panel type its subclass
+    # fixes tells the binary release from a q = 2 categorical one.
+    if isinstance(panel, CategoricalDataset):
         metadata = {
             "kind": "categorical_window",
             "window": release.window,
             "alphabet": release.alphabet,
             "n_pad": release.n_pad,
+            "n_original": release.n_original,
+            "n_synthetic": release.n_synthetic,
+            "negative_count_events": release.negative_count_events,
+        }
+    else:
+        metadata = {
+            "kind": "fixed_window",
+            "window": release.window,
+            "n_pad": release.padding.n_pad,
+            "horizon": release.padding.horizon,
             "n_original": release.n_original,
             "n_synthetic": release.n_synthetic,
             "negative_count_events": release.negative_count_events,

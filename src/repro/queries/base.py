@@ -54,6 +54,10 @@ class WindowQuery(Query):
     equals pattern ``s``.
     """
 
+    #: Alphabet size ``q``: a binary window query is the ``q = 2`` case of
+    #: :class:`~repro.queries.categorical.CategoricalWindowQuery`.
+    alphabet = 2
+
     def __init__(self, k: int, weights: np.ndarray, name: str):
         if k <= 0:
             raise ConfigurationError(f"window width k must be positive, got {k}")

@@ -61,7 +61,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import struct
 import tempfile
@@ -69,6 +68,7 @@ import tempfile
 import numpy as np
 
 from repro.exceptions import SerializationError
+from repro.serve.checkpoint import _decode_nonfinite, _encode_nonfinite
 
 __all__ = ["JournalRecord", "ReleaseJournal", "JOURNAL_MAGIC", "JOURNAL_VERSION"]
 
@@ -81,31 +81,6 @@ JOURNAL_VERSION = 1
 _LENGTH = struct.Struct("<Q")
 _META_LENGTH = struct.Struct("<I")
 _DIGEST_SIZE = hashlib.sha256().digest_size
-
-# Non-finite floats (rho=inf runs journal zcdp_spent=0.0, but answers on
-# empty shards can be nan) travel as string markers, as in the
-# checkpoint manifest format.
-_NONFINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
-
-
-def _encode_float(value: float):
-    if isinstance(value, float) and not math.isfinite(value):
-        if math.isnan(value):
-            return {"__nonfinite__": "nan"}
-        return {"__nonfinite__": "inf" if value > 0 else "-inf"}
-    return value
-
-
-def _decode_float(value):
-    if isinstance(value, dict):
-        try:
-            return _NONFINITE[value["__nonfinite__"]]
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(
-                f"invalid non-finite marker in journal: {value!r}"
-            ) from exc
-    return value
-
 
 def _encode_column(column: np.ndarray) -> tuple[str, np.ndarray]:
     """Pick the cheapest lossless on-disk encoding for a round column.
@@ -193,9 +168,11 @@ class JournalRecord:
             "entrants": int(self.entrants),
             "exits": [int(e) for e in self.exits],
             "fingerprints": list(self.fingerprints),
-            "zcdp_spent": _encode_float(float(self.zcdp_spent)),
+            # Non-finite floats (answers on empty shards can be nan)
+            # travel as the checkpoint manifest's string markers.
+            "zcdp_spent": _encode_nonfinite(float(self.zcdp_spent)),
             "answers": {
-                str(key): _encode_float(float(value))
+                str(key): _encode_nonfinite(float(value))
                 for key, value in self.answers.items()
             },
             "dtype": column.dtype.str,
@@ -231,9 +208,9 @@ class JournalRecord:
                 entrants=int(meta["entrants"]),
                 exits=tuple(int(e) for e in meta["exits"]),
                 fingerprints=tuple(str(f) for f in meta["fingerprints"]),
-                zcdp_spent=float(_decode_float(meta["zcdp_spent"])),
+                zcdp_spent=float(_decode_nonfinite(meta["zcdp_spent"])),
                 answers={
-                    str(key): float(_decode_float(value))
+                    str(key): float(_decode_nonfinite(value))
                     for key, value in dict(meta["answers"]).items()
                 },
             )
@@ -556,15 +533,3 @@ class ReleaseJournal:
             f"ReleaseJournal(path={self._path!r}, last_round={self._last_round}, "
             f"fsync={self._fsync})"
         )
-
-
-def _read_journal_bytes(blob: bytes) -> list[JournalRecord]:
-    """Parse journal *bytes* (testing helper used by the fault harness)."""
-    with tempfile.NamedTemporaryFile(suffix=".journal", delete=False) as handle:
-        handle.write(blob)
-        temp_path = handle.name
-    try:
-        records, _, _ = ReleaseJournal._scan(temp_path)
-        return records
-    finally:
-        os.unlink(temp_path)

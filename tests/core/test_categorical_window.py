@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.categorical_window import (
-    CategoricalWindowSynthesizer,
-    apply_categorical_correction,
-    lift_categorical_weights,
-)
+from repro.core.categorical_window import CategoricalWindowSynthesizer
+from repro.core.consistency import apply_group_correction
+from repro.core.debias import lift_window_weights
 from repro.data.categorical import CategoricalDataset, categorical_iid, categorical_markov
 from repro.exceptions import (
     ConfigurationError,
@@ -39,7 +37,7 @@ class TestCategoricalCorrection:
         q, k = 3, 2
         previous = np.arange(q**k, dtype=np.int64) + 5
         noisy = previous + rng.integers(-4, 5, size=q**k)
-        corrected, events = apply_categorical_correction(previous, noisy, q, rng)
+        corrected, events = apply_group_correction(previous, noisy, q, rng)
         group_totals = previous.reshape(q, q).sum(axis=0)
         child_sums = corrected.reshape(q, q).sum(axis=1)
         assert (child_sums == group_totals).all()
@@ -52,7 +50,7 @@ class TestCategoricalCorrection:
 
         previous = np.array([8, 6, 7, 9], dtype=np.int64)
         noisy = np.array([7, 8, 4, 12], dtype=np.int64)
-        corrected, _ = apply_categorical_correction(previous, noisy, 2, rng)
+        corrected, _ = apply_group_correction(previous, noisy, 2, rng)
         assert check_window_consistency(previous, corrected)
 
     def test_residue_distributed_fairly(self):
@@ -63,9 +61,7 @@ class TestCategoricalCorrection:
         totals = np.zeros(3)
         trials = 300
         for seed in range(trials):
-            corrected, _ = apply_categorical_correction(
-                previous, noisy, q, as_generator(seed)
-            )
+            corrected, _ = apply_group_correction(previous, noisy, q, as_generator(seed))
             totals += corrected[0:3]
         # Each child gets +1 with probability 2/3 on top of its noisy count.
         expected = np.array([1, 1, 0]) + 2 / 3
@@ -75,7 +71,7 @@ class TestCategoricalCorrection:
         previous = np.array([1, 0, 0, 0], dtype=np.int64)
         noisy = np.array([-40, 40, 0, 0], dtype=np.int64)
         with pytest.raises(NegativeCountError):
-            apply_categorical_correction(previous, noisy, 2, rng, on_negative="raise")
+            apply_group_correction(previous, noisy, 2, rng, on_negative="raise")
 
     def test_negative_redistribute_keeps_sums(self, rng):
         q = 3
@@ -83,7 +79,7 @@ class TestCategoricalCorrection:
         previous[0] = 6  # M_0 = 6 (pattern 00 has leading digit 0, code 0)
         noisy = np.zeros(9, dtype=np.int64)
         noisy[0:3] = [-50, 40, 4]
-        corrected, events = apply_categorical_correction(previous, noisy, q, rng)
+        corrected, events = apply_group_correction(previous, noisy, q, rng)
         assert events >= 1
         assert (corrected >= 0).all()
         group_totals = previous.reshape(q, q).sum(axis=0)
@@ -91,7 +87,7 @@ class TestCategoricalCorrection:
 
     def test_invalid_policy(self, rng):
         with pytest.raises(ConfigurationError):
-            apply_categorical_correction(
+            apply_group_correction(
                 np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
                 2,
@@ -106,7 +102,7 @@ class TestCategoricalCorrection:
         k = 2
         previous = generator.integers(0, 20, size=q**k).astype(np.int64)
         noisy = previous + generator.integers(-8, 9, size=q**k)
-        corrected, _ = apply_categorical_correction(previous, noisy, q, generator)
+        corrected, _ = apply_group_correction(previous, noisy, q, generator)
         group_totals = previous.reshape(q, q ** (k - 1)).sum(axis=0)
         child_sums = corrected.reshape(q ** (k - 1), q).sum(axis=1)
         assert (child_sums == group_totals).all()
@@ -116,7 +112,7 @@ class TestCategoricalCorrection:
 class TestLiftCategoricalWeights:
     def test_lift_preserves_answers(self, employment_panel):
         query = CategoryAtLeastM(1, 3, category=1, m=1)
-        lifted = lift_categorical_weights(query.weights, 1, 2, 3)
+        lifted = lift_window_weights(query.weights, 1, 2, alphabet=3)
         t = 5
         hist2 = employment_panel.suffix_histogram(t, 2)
         direct = query.evaluate(employment_panel, t)
@@ -125,9 +121,9 @@ class TestLiftCategoricalWeights:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            lift_categorical_weights(np.zeros(3), 1, 2, 4)  # wrong length
+            lift_window_weights(np.zeros(3), 1, 2, alphabet=4)  # wrong length
         with pytest.raises(ConfigurationError):
-            lift_categorical_weights(np.zeros(9), 2, 1, 3)  # downward
+            lift_window_weights(np.zeros(9), 2, 1, alphabet=3)  # downward
 
 
 class TestCategoricalSynthesizer:

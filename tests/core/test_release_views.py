@@ -8,6 +8,7 @@ import pytest
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.queries.categorical import CategoricalWindowQuery, CategoryAtLeastM
 from repro.queries.cumulative import HammingAtLeast, HammingExactly
 from repro.queries.window import AtLeastMOnes
 from repro.serve import ShardedService, StreamingSynthesizer
@@ -203,3 +204,104 @@ class TestForeignQueries:
                 service.answer(HammingAtLeast(2), 4)
             with pytest.raises(ConfigurationError, match=message):
                 service.answer_batch([HammingAtLeast(2)], [4])
+
+
+class TestOneWindowRelease:
+    """The binary and categorical releases answer through one code path."""
+
+    PANEL = np.random.default_rng(9).integers(0, 2, size=(120, 8))
+    TIMES = list(range(3, 9))
+
+    def _release(self, algorithm):
+        kwargs = {"alphabet": 2} if algorithm == "categorical_window" else {}
+        service = getattr(StreamingSynthesizer, algorithm)(
+            horizon=8, window=3, rho=0.5, seed=1, **kwargs
+        )
+        for column in self.PANEL.T:
+            service.observe(column)
+        return service.release
+
+    @pytest.mark.parametrize("convention", ["uniform", "panel"])
+    def test_binary_release_answers_wide_binary_categorical_query(self, convention):
+        release = self._release("fixed_window")
+        categorical = CategoricalWindowQuery.from_predicate(
+            5, 2, lambda digits: sum(digits) >= 2, name="two of five"
+        )
+        binary = AtLeastMOnes(5, 2)
+        conv = {"padding_convention": convention}
+        for t in range(5, 9):
+            assert release.answer(categorical, t, **conv) == release.answer(binary, t, **conv)
+        grids = [release.answer_batch([q], self.TIMES, **conv) for q in (categorical, binary)]
+        assert grids[0].tobytes() == grids[1].tobytes()
+
+    def test_categorical_release_takes_padding_convention(self):
+        release = self._release("categorical_window")
+        queries = [CategoryAtLeastM(2, 2, category=1, m=1), CategoryAtLeastM(5, 2, 1, 2)]
+        default = release.answer_batch(queries, self.TIMES)
+        uniform = release.answer_batch(queries, self.TIMES, padding_convention="uniform")
+        assert uniform.tobytes() == default.tobytes()
+        panel = release.answer_batch(queries, self.TIMES, padding_convention="panel")
+        for i, t in enumerate(self.TIMES):
+            narrow = release.answer(queries[0], t)
+            assert release.answer(queries[0], t, padding_convention="uniform") == narrow
+            assert panel[0, i] == pytest.approx(narrow)
+            if t >= 5:
+                assert panel[1, i] == release.answer(queries[1], t, padding_convention="panel")
+        with pytest.raises(ConfigurationError, match="padding_convention"):
+            release.answer(queries[0], 4, padding_convention="bogus")
+
+    def test_sharded_categorical_service_takes_padding_convention(self):
+        queries = [CategoryAtLeastM(2, 2, category=1, m=1), CategoryAtLeastM(5, 2, 1, 2)]
+        with ShardedService(
+            2,
+            algorithm="categorical_window",
+            seed=0,
+            executor="serial",
+            horizon=8,
+            window=3,
+            alphabet=2,
+            rho=0.5,
+        ) as service:
+            for column in self.PANEL.T:
+                service.observe(column)
+            default = service.answer_batch(queries, self.TIMES)
+            uniform = service.answer_batch(queries, self.TIMES, padding_convention="uniform")
+            assert uniform.tobytes() == default.tobytes()
+            panel = service.answer_batch(queries, self.TIMES, padding_convention="panel")
+            for t in range(5, 9):
+                expected = service.answer(queries[1], t, padding_convention="panel")
+                assert panel[1, t - 3] == expected
+
+    @pytest.mark.parametrize("debias", [True, False])
+    def test_binary_answer_series_equals_the_answer_loop(self, debias):
+        release = self._release("fixed_window")
+        for query in (AtLeastMOnes(2, 1), AtLeastMOnes(3, 2)):
+            series = release.answer_series(query, debias=debias)
+            looped = [release.answer(query, t, debias=debias) for t in self.TIMES]
+            assert series.tolist() == looped
+
+    @pytest.mark.parametrize("algorithm", ["fixed_window", "categorical_window"])
+    def test_every_path_rejects_the_same_queries(self, algorithm):
+        release = self._release(algorithm)
+        foreign = [HammingAtLeast(2), CategoryAtLeastM(2, 3, category=1, m=1)]
+        if algorithm == "categorical_window":
+            foreign.append(AtLeastMOnes(2, 1))
+        for query in foreign:
+            with pytest.raises(ConfigurationError):
+                release.answer(query, 4)
+            with pytest.raises(ConfigurationError):
+                release.answer_batch([query], [4])
+            with pytest.raises(ConfigurationError):
+                release.answer_series(query)
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.core.categorical_window", "lift_categorical_weights"),
+            ("repro.core.categorical_window", "apply_categorical_correction"),
+            ("repro.data.categorical", "categorical_padding_panel"),
+        ],
+    )
+    def test_removed_twins_are_gone(self, module, name):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})

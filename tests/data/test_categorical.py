@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.categorical import (
-    CategoricalDataset,
-    categorical_iid,
-    categorical_markov,
-    categorical_padding_panel,
-)
-from repro.data.debruijn import debruijn_sequence
+from repro.data.categorical import CategoricalDataset, categorical_iid, categorical_markov
+from repro.data.debruijn import debruijn_sequence, padding_panel
 from repro.exceptions import ConfigurationError, DataValidationError
 
 
@@ -127,19 +122,19 @@ class TestCategoricalDeBruijn:
     @pytest.mark.parametrize("alphabet,k,n_pad", [(3, 2, 1), (3, 2, 2), (4, 2, 1), (3, 3, 1)])
     def test_padding_panel_uniform_in_every_window(self, alphabet, k, n_pad):
         horizon = k + 6
-        panel = categorical_padding_panel(k, n_pad, horizon, alphabet)
+        panel = padding_panel(k, n_pad, horizon, alphabet)
         assert panel.n_individuals == n_pad * alphabet**k
         for t in range(k, horizon + 1):
             assert (panel.suffix_histogram(t, k) == n_pad).all()
 
     def test_zero_padding(self):
-        panel = categorical_padding_panel(2, 0, 6, 3)
+        panel = padding_panel(2, 0, 6, 3)
         assert panel.n_individuals == 0
 
     @given(alphabet=st.integers(2, 4), k=st.integers(1, 3))
     @settings(max_examples=15, deadline=None)
     def test_padding_uniformity_property(self, alphabet, k):
         horizon = k + 4
-        panel = categorical_padding_panel(k, 1, horizon, alphabet)
+        panel = padding_panel(k, 1, horizon, alphabet)
         for t in range(k, horizon + 1):
             assert (panel.suffix_histogram(t, k) == 1).all()

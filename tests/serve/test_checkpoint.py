@@ -323,6 +323,10 @@ def _legacy_services():
             lambda: StreamingSynthesizer.categorical_window(HORIZON, 2, 3, 0.2, seed=5),
             list(employment.T),
         ),
+        "fixed_window": (
+            lambda: StreamingSynthesizer.fixed_window(HORIZON, 2, 0.2, seed=7),
+            list((employment.T == 1).astype(np.int8)),
+        ),
         "multi_attribute": (
             lambda: StreamingSynthesizer.multi_attribute(
                 HORIZON, 2, 0.3, seed=6,
@@ -370,12 +374,16 @@ def test_legacy_eager_bundle_without_engine_key_restores():
     _legacy_roundtrip("cumulative", 5, draw_before_checkpoint=True, materialize="eager")
 
 
-@pytest.mark.parametrize("algorithm", ["categorical_window", "multi_attribute"])
+@pytest.mark.parametrize(
+    "algorithm", ["categorical_window", "fixed_window", "multi_attribute"]
+)
 def test_legacy_window_bundle_with_vectorized_engine_restores(algorithm):
     _legacy_roundtrip(algorithm, 4, engine="vectorized")
 
 
-@pytest.mark.parametrize("algorithm", ["cumulative", "categorical_window", "multi_attribute"])
+@pytest.mark.parametrize(
+    "algorithm", ["cumulative", "categorical_window", "fixed_window", "multi_attribute"]
+)
 def test_scalar_engine_bundle_fails_closed(algorithm):
     build, columns = _legacy_services()[algorithm]
     service = build()
