@@ -42,7 +42,7 @@ def test_categorical_extension_accuracy(benchmark, figure_report):
     def run_once(generator):
         synthesizer = CategoricalWindowSynthesizer(
             horizon=horizon, window=2, alphabet=3, rho=rho,
-            seed=generator, noise_method="vectorized",
+            seed=generator,
         )
         release = synthesizer.run(panel)
         return release.answer_series(query, times)
@@ -90,7 +90,7 @@ def test_categorical_engine_speedup(benchmark, figure_report):
 
     def run_once(engine, seed):
         synthesizer = CategoricalWindowSynthesizer(
-            horizon, window, alphabet, rho, seed=seed, noise_method="vectorized"
+            horizon, window, alphabet, rho, seed=seed
         )
         with loops(engine):
             start = time.perf_counter()

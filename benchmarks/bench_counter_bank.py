@@ -54,10 +54,9 @@ def _engines(horizon: int, counter: str = "binary_tree"):
         horizon=horizon,
         rho_per_threshold=rho_vec,
         seeds=1,
-        noise_method="vectorized",
     )
     scalar = FallbackBank(
-        horizon, rho_vec, seeds=1, noise_method="vectorized", counter=counter
+        horizon, rho_vec, seeds=1, counter=counter
     )
     assert not isinstance(native, FallbackBank)
     return native, scalar
@@ -122,7 +121,6 @@ class TestBenchmarkHarness:
                 horizon=horizon,
                 rho_per_threshold=rho_vec,
                 seeds=2,
-                noise_method="vectorized",
             )
             for z in increments:
                 bank.feed(z)
@@ -141,7 +139,7 @@ class TestSynthesizerEndToEnd:
         for engine, wrap in (("vectorized", lambda s: s), ("scalar", fallback_reference)):
             synth = wrap(
                 CumulativeSynthesizer(
-                    horizon=horizon, rho=0.5, seed=4, noise_method="vectorized"
+                    horizon=horizon, rho=0.5, seed=4
                 )
             )
             start = time.perf_counter()
@@ -170,7 +168,6 @@ class TestExactNoise:
             horizon=horizon,
             rho_per_threshold=allocate_budget(horizon, 0.005, "corollary_b1"),
             seeds=5,
-            noise_method="exact",
         )
         rows = bank.sigma_sq_rows
         sampler = DiscreteGaussianSampler(0, seed=6)

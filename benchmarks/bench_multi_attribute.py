@@ -56,7 +56,6 @@ def test_multi_attribute_composition_overhead(benchmark, figure_report):
     def run_composite(seed):
         synth = MultiAttributeSynthesizer(
             horizon, window, 0.02, attributes=specs, seed=seed,
-            noise_method="vectorized",
         )
         start = time.perf_counter()
         synth.run({"employment": emp.matrix, "income": inc.matrix})
@@ -65,7 +64,6 @@ def test_multi_attribute_composition_overhead(benchmark, figure_report):
     def run_standalone(panel, alphabet, seed):
         synth = CategoricalWindowSynthesizer(
             horizon, window, alphabet, 0.01, seed=seed,
-            noise_method="vectorized",
         )
         start = time.perf_counter()
         synth.run(panel)
@@ -135,7 +133,6 @@ def test_multi_attribute_pinned_accuracy(benchmark, figure_report):
         for child in spawn(ACCURACY_SEED + 1, ACCURACY_REPS):
             release = MultiAttributeSynthesizer(
                 horizon, window, rho, attributes=specs, seed=child,
-                noise_method="vectorized",
             ).run(panels)
             for name in panels:
                 answers = np.array(

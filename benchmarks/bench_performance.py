@@ -29,12 +29,13 @@ def panel():
 
 class TestSamplerThroughput:
     def test_exact_discrete_gaussian_single_samples(self, benchmark):
-        sampler = DiscreteGaussianSampler(Fraction(1000), seed=1, method="exact")
+        sampler = DiscreteGaussianSampler(Fraction(1000), seed=1)
         benchmark(sampler.sample)
 
-    def test_vectorized_discrete_gaussian_batch_100k(self, benchmark):
-        sampler = DiscreteGaussianSampler(1000, seed=2, method="vectorized")
-        benchmark(sampler.sample_array, 100_000)
+    def test_rep_axis_discrete_gaussian_block_100k(self, benchmark):
+        # The float (R, rows) block of the batched replication engine.
+        sampler = DiscreteGaussianSampler(0, seed=2)
+        benchmark(sampler.sample_array_2d, [1000], 100_000)
 
 
 class TestCounterLatency:
@@ -46,7 +47,7 @@ class TestCounterLatency:
 
         def run_counter():
             counter = make_counter(
-                name, horizon=64, rho=0.5, seed=4, noise_method="vectorized"
+                name, horizon=64, rho=0.5, seed=4
             )
             return counter.run(stream)
 
@@ -57,7 +58,7 @@ class TestSynthesizerRounds:
     def test_fixed_window_full_run_sipp_scale(self, benchmark, panel):
         def run():
             synth = FixedWindowSynthesizer(
-                horizon=12, window=3, rho=0.005, seed=5, noise_method="vectorized"
+                horizon=12, window=3, rho=0.005, seed=5
             )
             return synth.run(panel)
 
@@ -68,7 +69,7 @@ class TestSynthesizerRounds:
         def run():
             synth = fallback_reference(
                 CumulativeSynthesizer(
-                    horizon=12, rho=0.005, seed=6, noise_method="vectorized"
+                    horizon=12, rho=0.005, seed=6
                 )
             )
             return synth.run(panel)
@@ -79,7 +80,7 @@ class TestSynthesizerRounds:
         # Same workload as above on the vectorized CounterBank engine.
         def run():
             synth = CumulativeSynthesizer(
-                horizon=12, rho=0.005, seed=6, noise_method="vectorized"
+                horizon=12, rho=0.005, seed=6
             )
             return synth.run(panel)
 
@@ -89,7 +90,7 @@ class TestSynthesizerRounds:
         # k=6 means 64 histogram bins: stresses the consistency projection.
         def run():
             synth = FixedWindowSynthesizer(
-                horizon=12, window=6, rho=0.005, seed=7, noise_method="vectorized"
+                horizon=12, window=6, rho=0.005, seed=7
             )
             return synth.run(panel)
 
@@ -97,7 +98,7 @@ class TestSynthesizerRounds:
 
     def test_streaming_single_round_latency(self, benchmark, panel):
         synth = FixedWindowSynthesizer(
-            horizon=12, window=3, rho=0.005, seed=8, noise_method="vectorized"
+            horizon=12, window=3, rho=0.005, seed=8
         )
         columns = iter(list(panel.columns()))
 
@@ -136,7 +137,6 @@ class TestReplicationStrategies:
         def factory(generator):
             return CumulativeSynthesizer(
                 horizon=panel.horizon, rho=0.005, seed=generator,
-                noise_method="vectorized",
             )
 
         def run():

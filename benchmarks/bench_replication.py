@@ -58,7 +58,7 @@ def panel():
 def _factory(panel, rho=RHO):
     def factory(generator):
         return CumulativeSynthesizer(
-            horizon=panel.horizon, rho=rho, seed=generator, noise_method="vectorized"
+            horizon=panel.horizon, rho=rho, seed=generator
         )
 
     return factory
@@ -132,7 +132,7 @@ class TestBatchedEquivalence:
     def test_zcdp_ledger_identical_per_rep(self, panel):
         replicated = replicate_cumulative(panel, 2, rho=RHO, seed=1)
         serial = CumulativeSynthesizer(
-            horizon=panel.horizon, rho=RHO, seed=2, noise_method="vectorized"
+            horizon=panel.horizon, rho=RHO, seed=2
         )
         serial.run(panel)
         assert replicated.accountant.charges == serial.accountant.charges

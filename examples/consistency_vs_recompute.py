@@ -33,7 +33,7 @@ def main() -> None:
     ]
 
     algorithm = FixedWindowSynthesizer(
-        horizon=HORIZON, window=WINDOW, rho=RHO, seed=12, noise_method="vectorized"
+        horizon=HORIZON, window=WINDOW, rho=RHO, seed=12
     )
     algo_release = algorithm.run(panel)
     algo_series = [
@@ -42,7 +42,7 @@ def main() -> None:
     ]
 
     baseline = RecomputeBaseline(
-        horizon=HORIZON, window=WINDOW, rho=RHO, seed=2, noise_method="vectorized"
+        horizon=HORIZON, window=WINDOW, rho=RHO, seed=2
     )
     base_release = baseline.run(panel)
     base_series = base_release.ever_spell_series(SPELL)

@@ -37,7 +37,7 @@ def standalone_comparison() -> None:
         finals, worst = [], 0.0
         for seed in range(REPS):
             counter = make_counter(
-                name, horizon=HORIZON, rho=RHO, seed=seed, noise_method="vectorized"
+                name, horizon=HORIZON, rho=RHO, seed=seed
             )
             outputs = counter.run(stream)
             finals.append(outputs[-1] - truth[-1])
@@ -66,7 +66,6 @@ def end_to_end_comparison() -> None:
                 rho=0.02,
                 counter=name,
                 seed=generator,
-                noise_method="vectorized",
             )
             release = synthesizer.run(panel)
             worst = max(

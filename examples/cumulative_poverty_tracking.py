@@ -25,7 +25,7 @@ def main() -> None:
         N, HORIZON, p_stay=0.87, p_enter=0.017, seed=5
     )
     synthesizer = CumulativeSynthesizer(
-        horizon=HORIZON, rho=RHO, seed=6, noise_method="vectorized"
+        horizon=HORIZON, rho=RHO, seed=6
     )
 
     print(f"streaming {HORIZON} monthly reports for {N} households (rho={RHO})")

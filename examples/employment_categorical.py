@@ -51,7 +51,6 @@ def main() -> None:
         alphabet=ALPHABET,
         rho=RHO,
         seed=31,
-        noise_method="vectorized",
     )
     release = synthesizer.run(panel)
     print(

@@ -24,7 +24,7 @@ def main() -> None:
 
     # --- Algorithm 1: preserve every quarterly (k=3) window histogram.
     window_synth = FixedWindowSynthesizer(
-        horizon=panel.horizon, window=3, rho=RHO, seed=1, noise_method="vectorized"
+        horizon=panel.horizon, window=3, rho=RHO, seed=1
     )
     window_release = window_synth.run(panel)
     query = AtLeastMOnes(3, 1)  # in poverty at least one month of the quarter
@@ -36,7 +36,7 @@ def main() -> None:
 
     # --- Algorithm 2: preserve every cumulative Hamming-weight threshold.
     cumulative_synth = CumulativeSynthesizer(
-        horizon=panel.horizon, rho=RHO, seed=2, noise_method="vectorized"
+        horizon=panel.horizon, rho=RHO, seed=2
     )
     cumulative_release = cumulative_synth.run(panel)
     query = HammingAtLeast(3)  # at least 3 months in poverty so far

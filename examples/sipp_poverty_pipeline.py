@@ -41,7 +41,6 @@ def main() -> None:
         window=WINDOW,
         rho=RHO,
         seed=94,
-        noise_method="vectorized",
     )
     release = synthesizer.run(panel)
     print(

@@ -112,7 +112,6 @@ from repro.streams import (
     BinaryTreeCounter,
     BlockCounter,
     HonakerCounter,
-    MonotoneCounter,
     SimpleCounter,
     SqrtFactorizationCounter,
     available_counters,
@@ -171,7 +170,6 @@ __all__ = [
     "HonakerCounter",
     "SqrtFactorizationCounter",
     "BlockCounter",
-    "MonotoneCounter",
     "make_counter",
     "available_counters",
     # baselines / analysis

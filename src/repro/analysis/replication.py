@@ -15,7 +15,10 @@ Each call picks its own path:
   Algorithm 2 advance as one ``(R, T)`` NumPy state machine
   (:mod:`repro.core.replicated`): one batched noise draw per round,
   batched monotonization, and no synthetic record draws (cumulative
-  answers read off the threshold tables);
+  answers read off the threshold tables).  For ``R >= 2`` that draw is the
+  samplers' float rep-axis block, whatever the factory's synthesizer
+  would draw on its own: these are accuracy studies, and nothing they
+  compute is released.  ``R = 1`` draws exact noise;
 * everything else runs one repetition at a time, each on its own
   spawned child generator.
 """
@@ -239,7 +242,6 @@ def _batched_config(factory, dataset, queries, answer_fn) -> dict | None:
         "rho": probe.rho,
         "counter": probe.counter_name,
         "budget": probe.rho_per_threshold,
-        "noise_method": probe.noise_method,
     }
 
 

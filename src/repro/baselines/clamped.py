@@ -42,7 +42,6 @@ class ClampingBaseline(FixedWindowSynthesizer):
         rho: float,
         *,
         seed: SeedLike = None,
-        noise_method: str = "exact",
         sensitivity: float = 1.0,
     ):
         super().__init__(
@@ -52,6 +51,5 @@ class ClampingBaseline(FixedWindowSynthesizer):
             n_pad=0,
             on_negative="redistribute",
             seed=seed,
-            noise_method=noise_method,
             sensitivity=sensitivity,
         )

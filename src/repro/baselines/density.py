@@ -156,10 +156,7 @@ class PrivateDensityBaseline:
         Records per released sample (default: the observed population
         size).
     seed:
-        Seed or generator for noise and sampling.
-    noise_method:
-        Discrete Gaussian sampler backend (``"exact"`` or
-        ``"vectorized"``).
+        Seed or generator for the (exact) noise and the sampling.
 
     Raises
     ------
@@ -177,7 +174,6 @@ class PrivateDensityBaseline:
         alphabet: int = 2,
         n_synthetic: int | None = None,
         seed: SeedLike = None,
-        noise_method: str = "exact",
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -198,7 +194,6 @@ class PrivateDensityBaseline:
         self.rho = float(rho)
         self.alphabet = int(alphabet)
         self.n_synthetic = None if n_synthetic is None else int(n_synthetic)
-        self.noise_method = noise_method
         self.n_bins = self.alphabet**self.window
         self.rounds = self.horizon - self.window + 1
         noise_seed, self._sampling_generator = spawn(as_generator(seed), 2)
@@ -215,7 +210,6 @@ class PrivateDensityBaseline:
                 self.n_bins,
                 1.0 / (2.0 * self.rho_per_round),
                 seed=noise_seed,
-                method=noise_method,
             )
         self._pattern_table = categorical_pattern_table(self.window, self.alphabet)
         self._t = 0
@@ -337,7 +331,6 @@ class PrivateDensityBaseline:
             "rho": self.rho,
             "alphabet": self.alphabet,
             "n_synthetic": self.n_synthetic,
-            "noise_method": self.noise_method,
         }
 
     def state_dict(self, *, copy: bool = True) -> dict:

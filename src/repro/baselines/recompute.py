@@ -199,7 +199,6 @@ class RecomputeBaseline:
         *,
         beta: float = 0.05,
         seed: SeedLike = None,
-        noise_method: str = "exact",
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -213,7 +212,6 @@ class RecomputeBaseline:
         self.window = int(window)
         self.rho = float(rho)
         self.beta = float(beta)
-        self.noise_method = noise_method
         self._generator = as_generator(seed)
         self.rounds = self.horizon - self.window + 1
         self.rho_per_round = math.inf if math.isinf(rho) else self.rho / self.rounds
@@ -290,7 +288,6 @@ class RecomputeBaseline:
             rho=self.rho_per_round,
             beta=self.beta,
             seed=self._round_seeds[round_index],
-            noise_method=self.noise_method,
         )
         inner_release = single_shot.run(prefix)
         self._releases[self._t] = inner_release
@@ -317,7 +314,6 @@ class RecomputeBaseline:
             "window": self.window,
             "rho": self.rho,
             "beta": self.beta,
-            "noise_method": self.noise_method,
         }
 
     def state_dict(self, *, copy: bool = True) -> dict:

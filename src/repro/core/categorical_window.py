@@ -118,8 +118,8 @@ class CategoricalWindowSynthesizer(WindowEngine):
         ``"redistribute"`` (default) or ``"raise"``.
     sensitivity:
         Histogram L2 sensitivity for noise calibration.
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
+    seed:
+        Seed or generator for all randomness (exact noise and records).
     """
 
     algorithm = "categorical_window"
@@ -138,7 +138,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
         on_negative: str = "redistribute",
         sensitivity: float = 1.0,
         seed: SeedLike = None,
-        noise_method: str = "exact",
     ):
         super().__init__(
             horizon,
@@ -150,7 +149,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
             on_negative=on_negative,
             sensitivity=sensitivity,
             seed=seed,
-            noise_method=noise_method,
         )
 
     def _check_dataset(self, dataset) -> None:

@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from repro.core.budget import allocate_budget
+from repro.core.legacy import check_legacy_config
 from repro.core.monotonize import is_monotone_table, monotonize_row
 from repro.core.population import (
     PopulationLedger,
@@ -263,8 +264,6 @@ class CumulativeSynthesizer:
     budget:
         ``"corollary_b1"`` (default), ``"uniform"``, or an explicit
         length-``T`` sequence of per-threshold budgets summing to ``rho``.
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` noise backend for the counters.
     counter_kwargs:
         Extra keyword arguments forwarded to every counter constructor.
 
@@ -273,7 +272,7 @@ class CumulativeSynthesizer:
     All ``T`` per-threshold counters advance as one
     :class:`~repro.streams.bank.CounterBank` (counters without a native
     bank, or with ``counter_kwargs``, run inside a
-    :class:`~repro.streams.bank.FallbackBank`).
+    :class:`~repro.streams.bank.FallbackBank`), whose noise is exact.
 
     Synthetic records are drawn lazily: each round's prescribed
     increments are queued and replayed in release order the first time
@@ -294,7 +293,6 @@ class CumulativeSynthesizer:
         counter: str = "binary_tree",
         budget="corollary_b1",
         seed: SeedLike = None,
-        noise_method: str = "exact",
         counter_kwargs: dict | None = None,
     ):
         if horizon <= 0:
@@ -308,7 +306,6 @@ class CumulativeSynthesizer:
         self.horizon = int(horizon)
         self.rho = float(rho)
         self.counter_name = counter
-        self.noise_method = noise_method
         self._counter_kwargs = dict(counter_kwargs or {})
         self._generator = as_generator(seed)
         self.rho_per_threshold = allocate_budget(self.horizon, self.rho, budget)
@@ -323,7 +320,6 @@ class CumulativeSynthesizer:
             horizon=self.horizon,
             rho_per_threshold=self.rho_per_threshold,
             seeds=self._counter_seeds,
-            noise_method=noise_method,
             counter_kwargs=self._counter_kwargs,
         )
         self._release_view = CumulativeRelease(self)
@@ -642,7 +638,8 @@ class CumulativeSynthesizer:
         dict
             JSON-safe mapping with ``algorithm: "cumulative"`` plus the
             horizon, budget (as the resolved explicit per-threshold
-            vector), counter name, noise method, and counter kwargs.
+            vector), counter name, counter kwargs, and the constant
+            exact-noise tag (kept because fingerprints hash the config).
             :meth:`from_config` consumes it;
             the seed is deliberately absent — a restored synthesizer gets
             its randomness from the serialized generator states, not from
@@ -654,7 +651,7 @@ class CumulativeSynthesizer:
             "rho": self.rho,
             "counter": self.counter_name,
             "budget": [float(r) for r in self.rho_per_threshold],
-            "noise_method": self.noise_method,
+            "noise_method": "exact",
             "counter_kwargs": dict(self._counter_kwargs),
         }
 
@@ -668,7 +665,7 @@ class CumulativeSynthesizer:
             A mapping produced by :meth:`config_dict`.  Older configs
             also carry ``engine: "vectorized"`` and ``materialize:
             "lazy"`` or ``"eager"``; both mean today's behaviour and are
-            accepted.
+            accepted (see :func:`~repro.core.legacy.check_legacy_config`).
 
         Returns
         -------
@@ -680,25 +677,16 @@ class CumulativeSynthesizer:
         ------
         repro.exceptions.SerializationError
             If required keys are missing or fail constructor validation,
-            or the config was written by the removed scalar engine
-            (``engine: "scalar"``), whose continuation cannot be
-            reproduced.
+            or the config was written by the removed scalar engine or with
+            float noise, whose continuation cannot be reproduced.
         """
-        engine = config.get("engine", "vectorized")
-        materialize = config.get("materialize", "lazy")
-        if engine != "vectorized" or materialize not in ("lazy", "eager"):
-            raise SerializationError(
-                f"cumulative config has engine {engine!r} and materialization "
-                f"{materialize!r}; only the vectorized engine's bundles can be "
-                "continued"
-            )
+        check_legacy_config(config, "cumulative")
         try:
             return cls(
                 int(config["horizon"]),
                 float(config["rho"]),
                 counter=str(config["counter"]),
                 budget=config["budget"],
-                noise_method=str(config["noise_method"]),
                 counter_kwargs=dict(config["counter_kwargs"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

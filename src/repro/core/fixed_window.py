@@ -106,8 +106,8 @@ class FixedWindowSynthesizer(WindowEngine):
     sensitivity:
         Histogram L2 sensitivity used for noise calibration (1.0 matches
         the paper's accounting; see :mod:`repro.dp.mechanisms`).
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
+    seed:
+        Seed or generator for all randomness (exact noise and records).
     """
 
     algorithm = "fixed_window"
@@ -124,7 +124,6 @@ class FixedWindowSynthesizer(WindowEngine):
         on_negative: str = "redistribute",
         sensitivity: float = 1.0,
         seed: SeedLike = None,
-        noise_method: str = "exact",
     ):
         super().__init__(
             horizon,
@@ -136,5 +135,4 @@ class FixedWindowSynthesizer(WindowEngine):
             on_negative=on_negative,
             sensitivity=sensitivity,
             seed=seed,
-            noise_method=noise_method,
         )

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
+from repro.core.legacy import check_legacy_config
 from repro.core.population import validate_column
 from repro.dp.accountant import ZCDPAccountant
 from repro.dp.discrete_gaussian import calibrate_sigma_sq
@@ -434,9 +435,8 @@ class MultiAttributeSynthesizer:
     seed:
         Seed or generator for all randomness.  With one attribute and no
         cross pairs the sole engine consumes this stream directly and is
-        bit-exact with the standalone engine.
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
+        bit-exact with the standalone engine.  Every noise draw is exact
+        discrete Gaussian.
     """
 
     #: Tag stored in checkpoint configs.
@@ -455,7 +455,6 @@ class MultiAttributeSynthesizer:
         on_negative: str = "redistribute",
         sensitivity: float = 1.0,
         seed: SeedLike = None,
-        noise_method: str = "exact",
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -475,7 +474,6 @@ class MultiAttributeSynthesizer:
         self.cross_weight = float(cross_weight)
         self.on_negative = str(on_negative)
         self.sensitivity = float(sensitivity)
-        self.noise_method = str(noise_method)
 
         if attributes is None:
             attributes = (AttributeSpec(name="attr0"),)
@@ -543,7 +541,6 @@ class MultiAttributeSynthesizer:
                     on_negative=self.on_negative,
                     sensitivity=self.sensitivity,
                     seed=spec_seed,
-                    noise_method=self.noise_method,
                 )
             else:
                 built = CategoricalWindowSynthesizer(
@@ -556,7 +553,6 @@ class MultiAttributeSynthesizer:
                     on_negative=self.on_negative,
                     sensitivity=self.sensitivity,
                     seed=spec_seed,
-                    noise_method=self.noise_method,
                 )
             self._engines.append(built)
 
@@ -576,7 +572,6 @@ class MultiAttributeSynthesizer:
                 sigma_sq=sigma_sq,
                 sensitivity=self.sensitivity,
                 seed=pair_generator,
-                method=self.noise_method,
             )
             self._cross_accountants[pair] = (
                 None if infinite else ZCDPAccountant(rho_pair)
@@ -860,7 +855,7 @@ class MultiAttributeSynthesizer:
             "cross_weight": self.cross_weight,
             "on_negative": self.on_negative,
             "sensitivity": self.sensitivity,
-            "noise_method": self.noise_method,
+            "noise_method": "exact",
         }
 
     @classmethod
@@ -868,16 +863,12 @@ class MultiAttributeSynthesizer:
         """Rebuild a fresh synthesizer from :meth:`config_dict` output.
 
         Older configs also carry ``engine: "vectorized"``, which is
-        accepted; ``engine: "scalar"`` (the removed reference engine,
-        whose continuation cannot be reproduced) raises
-        :class:`~repro.exceptions.SerializationError`.
+        accepted; a config written by the removed scalar engine or with
+        float noise (whose continuation cannot be reproduced) raises
+        :class:`~repro.exceptions.SerializationError` (see
+        :func:`~repro.core.legacy.check_legacy_config`).
         """
-        engine = config.get("engine", "vectorized")
-        if engine != "vectorized":
-            raise SerializationError(
-                f"multi-attribute config has engine {engine!r}; only the "
-                "vectorized engine's bundles can be continued"
-            )
+        check_legacy_config(config, "multi-attribute")
         try:
             return cls(
                 int(config["horizon"]),
@@ -890,7 +881,6 @@ class MultiAttributeSynthesizer:
                 cross_weight=float(config["cross_weight"]),
                 on_negative=str(config["on_negative"]),
                 sensitivity=float(config["sensitivity"]),
-                noise_method=str(config["noise_method"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid multi-attribute config: {exc}") from exc

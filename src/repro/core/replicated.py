@@ -26,8 +26,11 @@ Equivalence contract (pinned by ``tests/core/test_replicated.py`` and the
 (``rho = inf``) every replica's table is bit-exact with a serial
 :class:`~repro.core.cumulative.CumulativeSynthesizer` run, and the zCDP
 ledger charged per replica is identical to the serial ledger entry for
-entry; with noise, the per-rep answer distributions are the same (the
-noise is drawn from the same per-threshold mechanisms, batched).
+entry; with noise, the per-rep answer distributions are the same up to
+float rounding (the noise is drawn from the same per-threshold
+mechanisms, batched, with the samplers' float rep-axis draw when
+``R > 1`` — an accuracy study never publishes, and exact noise at the
+figures' ``12 x 1,000`` shape is still many times slower).
 """
 
 from __future__ import annotations
@@ -175,7 +178,6 @@ def replicate_cumulative(
     counter: str = "binary_tree",
     budget="corollary_b1",
     seed: SeedLike = None,
-    noise_method: str = "vectorized",
 ) -> ReplicatedCumulativeRelease:
     """Run ``n_reps`` independent Algorithm-2 executions as one batch.
 
@@ -186,6 +188,9 @@ def replicate_cumulative(
     counter with a native vectorized bank (``binary_tree``, ``simple``,
     ``sqrt_factorization``, ``laplace_tree``); counters that only exist as
     scalar objects have no rep axis and replicate one repetition at a time.
+    The bank picks the noise by ``n_reps`` alone: a single run draws exact
+    noise, and ``n_reps > 1`` draws the float rep-axis block, which is for
+    accuracy studies only.
     """
     if n_reps <= 0:
         raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
@@ -207,7 +212,6 @@ def replicate_cumulative(
         horizon=horizon,
         rho_per_threshold=rho_per_threshold,
         seeds=generator,
-        noise_method=noise_method,
         n_reps=n_reps,
     )
 

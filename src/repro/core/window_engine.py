@@ -51,6 +51,7 @@ from repro.core.consistency import (
     check_window_consistency,
 )
 from repro.core.debias import debias_count_answer, lift_window_weights
+from repro.core.legacy import check_legacy_config
 from repro.core.padding import PaddingSpec
 from repro.core.population import (
     PopulationLedger,
@@ -513,9 +514,8 @@ class WindowEngine:
         Histogram L2 sensitivity used for noise calibration (1.0 matches
         the paper's accounting; see :mod:`repro.dp.mechanisms`).
     seed:
-        Seed or generator for all randomness (noise and records).
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
+        Seed or generator for all randomness (noise and records); the
+        per-bin noise is exact discrete Gaussian.
     """
 
     #: Tag stored in checkpoint configs; subclasses override.
@@ -540,7 +540,6 @@ class WindowEngine:
         on_negative: str = "redistribute",
         sensitivity: float = 1.0,
         seed: SeedLike = None,
-        noise_method: str = "exact",
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -567,7 +566,6 @@ class WindowEngine:
         self.rho = float(rho)
         self.on_negative = on_negative
         self.sensitivity = float(sensitivity)
-        self.noise_method = noise_method
         self._generator = as_generator(seed)
 
         self.update_steps = self.horizon - self.window + 1
@@ -583,7 +581,6 @@ class WindowEngine:
             sigma_sq=sigma_sq,
             sensitivity=sensitivity,
             seed=self._generator,
-            method=noise_method,
         )
 
         if n_pad is None:
@@ -825,7 +822,8 @@ class WindowEngine:
         dict
             JSON-safe mapping with the ``algorithm`` tag plus the
             horizon, window width, budget, resolved padding,
-            negative-count policy, sensitivity, and noise backend.
+            negative-count policy, sensitivity, and the constant
+            exact-noise tag (kept because fingerprints hash the config).
             Consumed by :meth:`from_config`; the seed is deliberately
             absent.  The categorical synthesizer adds ``alphabet``; a
             binary config has no such key, so its fingerprint stays what
@@ -839,7 +837,7 @@ class WindowEngine:
             "n_pad": self.padding.n_pad,
             "on_negative": self.on_negative,
             "sensitivity": self.sensitivity,
-            "noise_method": self.noise_method,
+            "noise_method": "exact",
         }
 
     @classmethod
@@ -851,7 +849,8 @@ class WindowEngine:
         config:
             A mapping produced by :meth:`config_dict`; ``alphabet`` is
             passed on when present.  Older configs also carry
-            ``engine: "vectorized"``, which is accepted.
+            ``engine: "vectorized"``, which is accepted (see
+            :func:`~repro.core.legacy.check_legacy_config`).
 
         Returns
         -------
@@ -863,17 +862,11 @@ class WindowEngine:
         ------
         repro.exceptions.SerializationError
             If required keys are missing or fail constructor validation,
-            or the config was written by the removed scalar engine
-            (``engine: "scalar"``), whose continuation cannot be
-            reproduced.
+            or the config was written by the removed scalar engine or with
+            float noise, whose continuation cannot be reproduced.
         """
         name = cls.algorithm.replace("_", "-")
-        engine = config.get("engine", "vectorized")
-        if engine != "vectorized":
-            raise SerializationError(
-                f"{name} config has engine {engine!r}; only the "
-                "vectorized engine's bundles can be continued"
-            )
+        check_legacy_config(config, name)
         try:
             alphabet = {"alphabet": int(config["alphabet"])} if "alphabet" in config else {}
             return cls(
@@ -883,7 +876,6 @@ class WindowEngine:
                 n_pad=int(config["n_pad"]),
                 on_negative=str(config["on_negative"]),
                 sensitivity=float(config["sensitivity"]),
-                noise_method=str(config["noise_method"]),
                 **alphabet,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -114,9 +114,13 @@ class LongitudinalDataset:
         Requires ``t >= k``.
         """
         self._check_window(t, k)
-        window = self._matrix[:, t - k : t]
-        powers = 1 << np.arange(k - 1, -1, -1)
-        return window @ powers.astype(np.int64)
+        # Column by column: NumPy runs a uint8 @ int64 product on a slow
+        # mixed-type path, several times slower than k shift-or passes.
+        codes = self._matrix[:, t - k].astype(np.int64)
+        for column in range(t - k + 1, t):
+            codes <<= 1
+            codes |= self._matrix[:, column]
+        return codes
 
     def suffix_histogram(self, t: int, k: int) -> np.ndarray:
         """Counts ``C_s^t`` of each length-``k`` pattern at time ``t``.

@@ -8,8 +8,9 @@ synthesizers are built on:
 * :mod:`repro.dp.discrete_laplace` — exact discrete Laplace sampling.
 * :mod:`repro.dp.discrete_gaussian` — the discrete Gaussian ``N_Z(0, sigma^2)``
   of Canonne, Kamath & Steinke (2020), used by every mechanism in the paper:
-  exact (one draw in rational arithmetic, a batch in integer-only NumPy),
-  plus a float form for the replication harness; and the round-up
+  exact for every release (one draw in rational arithmetic, a batch in
+  integer-only NumPy), plus the ``size=R`` float block that only the
+  batched replication engine's accuracy studies draw; and the round-up
   variance calibration every mechanism shares.
 * :mod:`repro.dp.accountant` — zero-concentrated DP (zCDP) budget ledger,
   composition, and conversion to approximate DP.

@@ -6,38 +6,41 @@ histogram noise, Algorithm 3 tree-node noise) is discrete Gaussian because it
 composes cleanly under zCDP and is supported on the integers, so noisy counts
 remain valid (integer) synthetic-record counts.
 
-Two samplers are provided:
+Every draw a release makes is exact: the rejection sampler of Canonne,
+Kamath & Steinke (2020, Algorithm 3), a discrete Laplace proposal accepted
+with probability ``exp(-gamma)``, every decision an integer comparison of
+uniform integers, so no floating point touches the distribution.  A
+request for one draw runs :func:`sample_discrete_gaussian` (``Fraction``
+arithmetic, one proposal at a time; also the reference the tests hold the
+batched form to).  A request for more draws runs the same scheme over the
+whole request at once in int64 NumPy: every pending draw gets a few
+proposals per pass, each proposal's uniforms come from one
+``Generator.integers`` call, and ``Bernoulli(exp(-1))`` is read off a
+single uniform below ``20!``.  Before sampling, ``sigma^2`` is rounded
+*up* to a rational with a power-of-two denominator small enough that every
+product fits in 64 bits — more noise, never less, so the realized zCDP
+cost is at most the charge.  A proposal whose products could still
+overflow, and the rare chain that runs past its first block of draws,
+finish in Python integers; a variance too large for any int64 calibration
+is drawn by the scalar sampler.  Oversampled proposals are discarded
+inside the call and nothing is buffered across calls, so the output is a
+function of the generator state alone.  :meth:`DiscreteGaussianSampler.sample`,
+:meth:`~DiscreteGaussianSampler.sample_array` and the one-dimensional
+:meth:`~DiscreteGaussianSampler.sample_columns` (one draw per column at
+per-column variances — the counter banks' per-round draw) all run it.
 
-* ``method="exact"`` (the default) — the rejection sampler of Canonne,
-  Kamath & Steinke (2020, Algorithm 3): a discrete Laplace proposal
-  accepted with probability ``exp(-gamma)``, every decision an integer
-  comparison of uniform integers, so no floating point touches the
-  distribution.  A request for one draw runs :func:`sample_discrete_gaussian`
-  (``Fraction`` arithmetic, one proposal at a time; also the reference the
-  tests hold the batched form to).  A request for more draws runs the same
-  scheme over the whole request at once in int64 NumPy: every pending draw
-  gets a few proposals per pass, each proposal's uniforms come from one
-  ``Generator.integers`` call, and ``Bernoulli(exp(-1))`` is read off a
-  single uniform below ``20!``.  Before sampling, ``sigma^2`` is rounded
-  *up* to a rational with a power-of-two denominator small enough that
-  every product fits in 64 bits — more noise, never less, so the realized
-  zCDP cost is at most the charge.  A proposal whose products could still
-  overflow, and the rare chain that runs past its first block of draws,
-  finish in Python integers; a variance too large for any int64
-  calibration is drawn by the scalar sampler.  Oversampled proposals are
-  discarded inside the call and nothing is buffered across calls, so the
-  output is a function of the generator state alone.
-* ``method="vectorized"`` — the same rejection scheme executed batch-wise
-  in numpy with the acceptance probability evaluated in double precision.
-  Its distributional error is bounded by float rounding of ``exp``; it is
-  kept only for the replication harness, whose rep-axis draws at the
-  paper's figure scale are several times cheaper this way.
-
-For the counter banks there are *heterogeneous* batched APIs:
-:meth:`DiscreteGaussianSampler.sample_columns` draws one value per column
-at per-column variances, and its ``size=R`` form returns an ``(R, columns)``
-block — ``R`` independent replicas per call, the rep-axis draw behind the
-batched replication engine (:mod:`repro.core.replicated`).
+The one float draw is the replicated block for accuracy studies:
+:meth:`~DiscreteGaussianSampler.sample_columns` with ``size=R`` (or
+:meth:`~DiscreteGaussianSampler.sample_array_2d`) returns ``R``
+independent replicas of the per-column vector, drawn by the same
+rejection scheme with the acceptance probability evaluated in double
+precision.  Its distributional error is bounded by float rounding of
+``exp``; a floating-point sampler can leak through its low-order bits
+(Mironov, CCS 2012), so nothing released draws from it.  It exists for
+the batched replication engine (:mod:`repro.core.replicated`), whose
+``(R, rows)`` draw per round at the paper's figure scale is many times
+cheaper this way; a counter bank takes it only when it runs more than
+one replica.
 """
 
 from __future__ import annotations
@@ -202,8 +205,6 @@ class DiscreteGaussianSampler:
         budget" oracle runs in tests).
     seed:
         Seed, :class:`numpy.random.Generator`, or ``None``.
-    method:
-        ``"exact"`` (default) or ``"vectorized"``; see the module docstring.
 
     Notes
     -----
@@ -212,12 +213,9 @@ class DiscreteGaussianSampler:
     use the ``sigma^2`` upper bound, and so does :mod:`repro.analysis.theory`.
     """
 
-    def __init__(self, sigma_sq, seed: SeedLike = None, method: str = "exact"):
+    def __init__(self, sigma_sq, seed: SeedLike = None):
         self.sigma_sq = upper_sigma_sq(sigma_sq)
         _check_sigma_sq(self.sigma_sq)
-        if method not in ("exact", "vectorized"):
-            raise ValueError(f"method must be 'exact' or 'vectorized', got {method!r}")
-        self.method = method
         self._generator = as_generator(seed)
         self._exact = ExactRandom(self._generator)
         self._rows = _Calibration()
@@ -228,22 +226,17 @@ class DiscreteGaussianSampler:
         return math.sqrt(float(self.sigma_sq))
 
     def sample(self) -> int:
-        """Draw a single integer sample."""
+        """Draw a single exact integer sample."""
         if self.sigma_sq == 0:
             return 0
-        if self.method == "exact":
-            return sample_discrete_gaussian(self.sigma_sq, self._exact)
-        return int(self.sample_array(1)[0])
+        return sample_discrete_gaussian(self.sigma_sq, self._exact)
 
     def sample_array(self, shape) -> np.ndarray:
-        """Draw an integer array of the given shape."""
+        """Draw an exact integer array of the given shape."""
         size = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
         if self.sigma_sq == 0:
             return np.zeros(shape, dtype=np.int64)
-        if self.method == "exact":
-            flat = self._sample_exact([self.sigma_sq], np.zeros(size, dtype=np.intp))
-        else:
-            flat = self._sample_vectorized(size)
+        flat = self._sample_exact([self.sigma_sq], np.zeros(size, dtype=np.intp))
         return flat.reshape(shape)
 
     def sample_columns(self, sigma_sqs, size: int | None = None) -> np.ndarray:
@@ -251,38 +244,34 @@ class DiscreteGaussianSampler:
 
         ``sigma_sqs`` is a sequence of non-negative variances (floats or
         :class:`~fractions.Fraction`); entry ``j`` of the returned int64
-        vector is an independent ``N_Z(0, sigma_sqs[j])`` draw (exactly 0
-        where ``sigma_sqs[j] == 0``).  The instance's own ``sigma_sq`` is
-        ignored — this is the batched API used by the vectorized counter
-        banks, which run many sub-mechanisms with different budgets and
-        need a single noise draw per round.
+        vector is an independent exact ``N_Z(0, sigma_sqs[j])`` draw
+        (exactly 0 where ``sigma_sqs[j] == 0``).  The instance's own
+        ``sigma_sq`` is ignored — this is the batched API used by the
+        counter banks, which run many sub-mechanisms with different
+        budgets and need a single noise draw per round.
 
-        With ``size=R`` the call returns a ``(R, len(sigma_sqs))`` array of
-        i.i.d. draws — ``R`` independent replicas of the length-``len``
-        heterogeneous vector, drawn in one batch.  This is the rep-axis API
-        behind the replicated counter banks: all ``R`` repetitions of a
-        figure consume one ``(R, rows)`` draw per round instead of ``R``
-        separate vectors.  ``size=None`` (default) keeps the 1-D shape.
+        With ``size=R`` the call returns the ``(R, len(sigma_sqs))`` float
+        draw of :meth:`sample_array_2d` — ``R`` independent replicas for
+        accuracy studies, never for a release.  ``size=None`` (default)
+        keeps the exact 1-D draw.
         """
         if size is not None:
             if size < 0:
                 raise ValueError(f"size must be non-negative, got {size}")
             return self.sample_array_2d(sigma_sqs, size)
-        if self.method == "exact":
-            return self._sample_exact(sigma_sqs, np.arange(len(sigma_sqs)))
-        if not isinstance(sigma_sqs, np.ndarray):
-            sigma_sqs = [float(s) for s in sigma_sqs]
-        sigma_sqs = np.asarray(sigma_sqs, dtype=np.float64)
-        return _sample_heterogeneous_gaussian(sigma_sqs, self._generator)
+        return self._sample_exact(sigma_sqs, np.arange(len(sigma_sqs)))
 
     def sample_array_2d(self, sigma_sqs, n_rows: int) -> np.ndarray:
-        """``(n_rows, len(sigma_sqs))`` i.i.d. draws, column ``j`` at ``sigma_sqs[j]``."""
+        """``(n_rows, len(sigma_sqs))`` i.i.d. float draws, column ``j`` at ``sigma_sqs[j]``.
+
+        The replicated draw for accuracy studies (the batched replication
+        engine's rep axis): the rejection scheme of the exact sampler with
+        its acceptance probability evaluated in double precision, each
+        variance converted with ``float()``.  Not for a release.
+        """
         if n_rows < 0:
             raise ValueError(f"n_rows must be non-negative, got {n_rows}")
         n_cols = len(sigma_sqs)
-        if self.method == "exact":
-            rows = np.tile(np.arange(n_cols), n_rows)
-            return self._sample_exact(sigma_sqs, rows).reshape(n_rows, n_cols)
         tiled = np.tile(np.asarray([float(s) for s in sigma_sqs], dtype=np.float64), n_rows)
         return _sample_heterogeneous_gaussian(tiled, self._generator).reshape(n_rows, n_cols)
 
@@ -303,29 +292,6 @@ class DiscreteGaussianSampler:
         for index in scalar:
             sigma_sq = upper_sigma_sq(sigma_sqs[rows[index]])
             out[index] = sample_discrete_gaussian(sigma_sq, self._exact)
-        return out
-
-    def _sample_vectorized(self, size: int) -> np.ndarray:
-        """Batch rejection sampling with float acceptance probabilities."""
-        sigma_sq = float(self.sigma_sq)
-        t = math.isqrt(math.floor(self.sigma_sq)) + 1
-        q = 1.0 - math.exp(-1.0 / t)
-        out = np.empty(size, dtype=np.int64)
-        filled = 0
-        generator = self._generator
-        while filled < size:
-            # Oversample: acceptance is at least ~0.4 for every sigma, so a
-            # 3x batch nearly always finishes in one or two rounds.
-            batch = max(64, 3 * (size - filled))
-            g1 = generator.geometric(q, size=batch) - 1
-            g2 = generator.geometric(q, size=batch) - 1
-            y = (g1 - g2).astype(np.int64)
-            gamma = (np.abs(y) - sigma_sq / t) ** 2 / (2.0 * sigma_sq)
-            accept = generator.random(batch) < np.exp(-gamma)
-            accepted = y[accept]
-            take = min(accepted.size, size - filled)
-            out[filled : filled + take] = accepted[:take]
-            filled += take
         return out
 
 
@@ -567,12 +533,13 @@ def _exp1_trial(exact: ExactRandom) -> bool:
 def _sample_heterogeneous_gaussian(
     sigma_sqs: np.ndarray, generator: np.random.Generator
 ) -> np.ndarray:
-    """One ``N_Z(0, sigma_sqs[j])`` draw per entry, in a single rejection loop.
+    """One float ``N_Z(0, sigma_sqs[j])`` draw per entry, in a single rejection loop.
 
-    The same Canonne-Kamath-Steinke rejection scheme as the homogeneous
-    vectorized path, but every entry carries its own proposal scale and
-    acceptance probability; entries that reject are retried together until
-    all are filled.  Zero-variance entries yield exactly 0.
+    The Canonne-Kamath-Steinke rejection scheme with every entry carrying
+    its own proposal scale and a double-precision acceptance probability;
+    entries that reject are retried together until all are filled.
+    Zero-variance entries yield exactly 0.  The rep-axis draw of
+    :meth:`DiscreteGaussianSampler.sample_array_2d` only.
     """
     if (sigma_sqs < 0).any():
         raise ValueError("sigma_sq entries must be non-negative")

@@ -1,4 +1,4 @@
-"""Exact and vectorized sampling from the discrete Laplace distribution.
+"""Sampling from the discrete Laplace distribution.
 
 The discrete (two-sided geometric) Laplace distribution with scale ``s`` is
 supported on the integers with ``P[X = x]`` proportional to
@@ -7,10 +7,15 @@ Steinke (2020) and handles any positive rational scale; it is the proposal
 distribution inside the exact discrete Gaussian sampler and is also exposed
 directly for pure-DP mechanism variants.
 
-:meth:`DiscreteLaplaceSampler.sample_columns` is the heterogeneous batched
-API (one draw per column at per-column scales); its ``size=R`` form returns
-an ``(R, columns)`` block of independent replicas — the rep-axis draw used
-by the batched replication engine (:mod:`repro.core.replicated`).
+:class:`DiscreteLaplaceSampler` draws exactly for ``sample``,
+``sample_array`` and the one-dimensional
+:meth:`~DiscreteLaplaceSampler.sample_columns` (one draw per column at
+per-column scales).  Its ``size=R`` form
+(:meth:`~DiscreteLaplaceSampler.sample_array_2d`) is the one float draw:
+an ``(R, columns)`` block of independent replicas from NumPy geometric
+draws with a floating-point parameter, the rep-axis draw of the batched
+replication engine (:mod:`repro.core.replicated`) for accuracy studies,
+never for a release.
 """
 
 from __future__ import annotations
@@ -122,21 +127,12 @@ class DiscreteLaplaceSampler:
         denominator of at most ``10**12``, never down).
     seed:
         Seed, :class:`numpy.random.Generator`, or ``None``.
-    method:
-        ``"exact"`` uses the rational-arithmetic rejection sampler for every
-        draw.  ``"vectorized"`` uses numpy geometric draws with a
-        floating-point parameter — distributionally correct up to float
-        rounding of ``exp(-1/s)``, and roughly two orders of magnitude
-        faster for large batches.
     """
 
-    def __init__(self, scale, seed: SeedLike = None, method: str = "exact"):
+    def __init__(self, scale, seed: SeedLike = None):
         self.scale = _upper_scale(scale)
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
-        if method not in ("exact", "vectorized"):
-            raise ValueError(f"method must be 'exact' or 'vectorized', got {method!r}")
-        self.method = method
         self._generator = as_generator(seed)
         self._exact = ExactRandom(self._generator)
 
@@ -147,66 +143,36 @@ class DiscreteLaplaceSampler:
         return 2 * p / (1 - p) ** 2
 
     def sample(self) -> int:
-        """Draw a single integer sample."""
-        if self.method == "exact":
-            return sample_discrete_laplace(self.scale, self._exact)
-        return int(self.sample_array(1)[0])
+        """Draw a single exact integer sample."""
+        return sample_discrete_laplace(self.scale, self._exact)
 
     def sample_array(self, shape) -> np.ndarray:
-        """Draw an integer array of the given shape."""
+        """Draw an exact integer array of the given shape."""
         size = int(np.prod(shape)) if not np.isscalar(shape) else int(shape)
-        if self.method == "exact":
-            flat = np.array(
-                [sample_discrete_laplace(self.scale, self._exact) for _ in range(size)],
-                dtype=np.int64,
-            )
-            return flat.reshape(shape)
-        return self._sample_vectorized(size).reshape(shape)
-
-    def _sample_vectorized(self, size: int) -> np.ndarray:
-        # Two-sided geometric: difference of two iid geometrics with
-        # success probability 1 - exp(-1/s) is Lap_Z(s).
-        q = 1.0 - math.exp(-1 / float(self.scale))
-        g1 = self._generator.geometric(q, size=size) - 1
-        g2 = self._generator.geometric(q, size=size) - 1
-        return (g1 - g2).astype(np.int64)
+        flat = np.array(
+            [sample_discrete_laplace(self.scale, self._exact) for _ in range(size)],
+            dtype=np.int64,
+        )
+        return flat.reshape(shape)
 
     def sample_columns(self, scales, size: int | None = None) -> np.ndarray:
         """Per-column-scale draws (heterogeneous), optionally replicated.
 
         ``scales`` is a sequence of non-negative scales; entry ``j`` of the
-        returned int64 vector is an independent ``Lap_Z(scales[j])`` draw
-        (exactly 0 where ``scales[j] == 0``, the noiseless convention used
-        by the counter banks).  The instance's own ``scale`` is ignored.
+        returned int64 vector is an independent exact ``Lap_Z(scales[j])``
+        draw (exactly 0 where ``scales[j] == 0``, the noiseless convention
+        used by the counter banks).  The instance's own ``scale`` is
+        ignored.
 
-        With ``size=R`` the call returns a ``(R, len(scales))`` array of
-        i.i.d. draws — the rep-axis API used by the replicated counter
-        banks, which feed all ``R`` repetitions of an experiment from one
-        batched draw per round.  ``size=None`` (default) keeps the legacy
-        1-D shape and bit-stream.
+        With ``size=R`` the call returns the ``(R, len(scales))`` float draw
+        of :meth:`sample_array_2d` — ``R`` independent replicas for
+        accuracy studies, never for a release.  ``size=None`` (default)
+        keeps the exact 1-D draw.
         """
         if size is not None:
             if size < 0:
                 raise ValueError(f"size must be non-negative, got {size}")
             return self.sample_array_2d(scales, size)
-        if self.method == "exact":
-            return self._sample_columns_exact(scales)
-        return _sample_heterogeneous_laplace(
-            np.asarray([float(s) for s in scales], dtype=np.float64), self._generator
-        )
-
-    def sample_array_2d(self, scales, n_rows: int) -> np.ndarray:
-        """``(n_rows, len(scales))`` i.i.d. draws, column ``j`` at scale ``scales[j]``."""
-        if n_rows < 0:
-            raise ValueError(f"n_rows must be non-negative, got {n_rows}")
-        n_cols = len(scales)
-        if self.method == "exact":
-            rows = [self._sample_columns_exact(scales) for _ in range(n_rows)]
-            return np.stack(rows) if rows else np.zeros((0, n_cols), dtype=np.int64)
-        tiled = np.tile(np.asarray([float(s) for s in scales], dtype=np.float64), n_rows)
-        return _sample_heterogeneous_laplace(tiled, self._generator).reshape(n_rows, n_cols)
-
-    def _sample_columns_exact(self, scales) -> np.ndarray:
         out = np.zeros(len(scales), dtype=np.int64)
         for j, scale in enumerate(scales):
             if not isinstance(scale, Fraction):
@@ -217,11 +183,24 @@ class DiscreteLaplaceSampler:
                 out[j] = sample_discrete_laplace(scale, self._exact)
         return out
 
+    def sample_array_2d(self, scales, n_rows: int) -> np.ndarray:
+        """``(n_rows, len(scales))`` i.i.d. float draws, column ``j`` at scale ``scales[j]``.
+
+        The replicated draw for accuracy studies: differences of NumPy
+        geometric draws with the float parameter ``1 - exp(-1/s)``, each
+        scale converted with ``float()``.  Not for a release.
+        """
+        if n_rows < 0:
+            raise ValueError(f"n_rows must be non-negative, got {n_rows}")
+        n_cols = len(scales)
+        tiled = np.tile(np.asarray([float(s) for s in scales], dtype=np.float64), n_rows)
+        return _sample_heterogeneous_laplace(tiled, self._generator).reshape(n_rows, n_cols)
+
 
 def _sample_heterogeneous_laplace(
     scales: np.ndarray, generator: np.random.Generator
 ) -> np.ndarray:
-    """One ``Lap_Z(scales[j])`` draw per entry; zero-scale entries yield 0."""
+    """One float ``Lap_Z(scales[j])`` draw per entry; zero-scale entries yield 0."""
     if (scales < 0).any():
         raise ValueError("scale entries must be non-negative")
     out = np.zeros(scales.shape, dtype=np.int64)

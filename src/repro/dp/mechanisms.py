@@ -29,14 +29,9 @@ from repro.rng import SeedLike
 __all__ = ["GaussianHistogramMechanism", "noisy_count"]
 
 
-def noisy_count(
-    count: int,
-    sigma_sq,
-    seed: SeedLike = None,
-    method: str = "exact",
-) -> int:
-    """Return ``count + N_Z(0, sigma_sq)`` — one scalar noisy count."""
-    sampler = DiscreteGaussianSampler(sigma_sq, seed=seed, method=method)
+def noisy_count(count: int, sigma_sq, seed: SeedLike = None) -> int:
+    """Return ``count + N_Z(0, sigma_sq)`` — one scalar noisy count (exact noise)."""
+    sampler = DiscreteGaussianSampler(sigma_sq, seed=seed)
     return int(count) + sampler.sample()
 
 
@@ -55,8 +50,8 @@ class GaussianHistogramMechanism:
         the per-release zCDP cost is ``sensitivity^2 / (2 sigma_sq)``.  The
         default 1.0 matches the paper's add/remove accounting; pass
         ``sqrt(2)`` for substitution neighbors.
-    method:
-        Sampler backend, ``"exact"`` or ``"vectorized"``.
+    seed:
+        Seed or generator of the exact noise draws.
     """
 
     def __init__(
@@ -65,14 +60,13 @@ class GaussianHistogramMechanism:
         sigma_sq,
         sensitivity: float = 1.0,
         seed: SeedLike = None,
-        method: str = "exact",
     ):
         if n_bins <= 0:
             raise ConfigurationError(f"n_bins must be positive, got {n_bins}")
         self.n_bins = int(n_bins)
         self.sigma_sq = upper_sigma_sq(sigma_sq)
         self.sensitivity = float(sensitivity)
-        self._sampler = DiscreteGaussianSampler(self.sigma_sq, seed=seed, method=method)
+        self._sampler = DiscreteGaussianSampler(self.sigma_sq, seed=seed)
 
     @property
     def rho_per_release(self) -> float:

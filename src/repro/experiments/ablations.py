@@ -59,7 +59,6 @@ def _cumulative_max_errors(
     *,
     counter: str = "binary_tree",
     budget: str = "corollary_b1",
-    noise_method: str,
 ) -> np.ndarray:
     """Per-rep worst |error| over the full (threshold, time) grid.
 
@@ -76,7 +75,6 @@ def _cumulative_max_errors(
             counter=counter,
             budget=budget,
             seed=generator,
-            noise_method=noise_method,
         )
 
     replicated = replicate_synthesizer(
@@ -89,15 +87,12 @@ def run_counter_ablation(
     rho: float = 0.05,
     n_reps: int = 10,
     seed: SeedLike = 0,
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Algorithm 2 with every registered counter, same data and budget."""
     panel = ablation_panel()
     rows = []
     for name in available_counters():
-        errors = _cumulative_max_errors(
-            panel, rho, n_reps, seed, counter=name, noise_method=noise_method
-        )
+        errors = _cumulative_max_errors(panel, rho, n_reps, seed, counter=name)
         rows.append(
             {
                 "counter": name,
@@ -138,7 +133,6 @@ def run_padding_ablation(
     rho: float = 0.01,
     n_reps: int = 10,
     seed: SeedLike = 0,
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Padding levels from none (clamping baseline) to the Theorem 3.2 value."""
     panel = ablation_panel()
@@ -159,7 +153,6 @@ def run_padding_ablation(
                 rho=rho,
                 n_pad=n_pad,
                 seed=generator,
-                noise_method=noise_method,
             )
             release = synthesizer.run(panel)
             events.append(release.negative_count_events)
@@ -223,15 +216,12 @@ def run_budget_ablation(
     rho: float = 0.01,
     n_reps: int = 10,
     seed: SeedLike = 0,
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Uniform vs Corollary B.1 budget split across thresholds."""
     panel = ablation_panel()
     rows = []
     for budget in ("uniform", "corollary_b1"):
-        errors = _cumulative_max_errors(
-            panel, rho, n_reps, seed, budget=budget, noise_method=noise_method
-        )
+        errors = _cumulative_max_errors(panel, rho, n_reps, seed, budget=budget)
         rows.append(
             {
                 "budget": budget,
@@ -267,7 +257,6 @@ def run_baseline_comparison(
     rho: float = 0.05,
     n_reps: int = 5,
     seed: SeedLike = 0,
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Algorithm 1 vs the recompute-from-scratch strawman."""
     panel = ablation_panel(n=2000)
@@ -281,8 +270,7 @@ def run_baseline_comparison(
     for generator in spawn(seed, n_reps):
         children = spawn(generator, 2)
         synthesizer = FixedWindowSynthesizer(
-            horizon=_HORIZON, window=window, rho=rho, seed=children[0],
-            noise_method=noise_method,
+            horizon=_HORIZON, window=window, rho=rho, seed=children[0]
         )
         release = synthesizer.run(panel)
         algo_errors.append(
@@ -298,8 +286,7 @@ def run_baseline_comparison(
         algo_violations.append(violations)
 
         baseline = RecomputeBaseline(
-            horizon=_HORIZON, window=window, rho=rho, seed=children[1],
-            noise_method=noise_method,
+            horizon=_HORIZON, window=window, rho=rho, seed=children[1]
         )
         base_release = baseline.run(panel)
         base_errors.append(
@@ -359,7 +346,6 @@ def run_bound_checks(
     n_reps: int = 20,
     seed: SeedLike = 0,
     rho: float = 0.05,
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Empirical max errors vs Theorem 3.2 and Corollary B.1 bounds.
 
@@ -376,8 +362,7 @@ def run_bound_checks(
     worst_errors = []
     for generator in spawn(seed, n_reps):
         synthesizer = FixedWindowSynthesizer(
-            horizon=_HORIZON, window=window, rho=rho, seed=generator,
-            noise_method=noise_method,
+            horizon=_HORIZON, window=window, rho=rho, seed=generator
         )
         release = synthesizer.run(panel)
         n_pad = release.padding.n_pad
@@ -391,9 +376,7 @@ def run_bound_checks(
 
     # Corollary B.1: fraction-scale error of Algorithm 2 over all (b, t).
     bound_b1 = corollary_b1_alpha(_HORIZON, rho, beta, panel.n_individuals)
-    worst_cumulative = _cumulative_max_errors(
-        panel, rho, n_reps, seed, noise_method=noise_method
-    )
+    worst_cumulative = _cumulative_max_errors(panel, rho, n_reps, seed)
     exceed_b1 = sum(1 for err in worst_cumulative if err > bound_b1)
 
     rows = [
@@ -436,6 +419,11 @@ def run_bound_checks(
             "runs_exceeding",
         ],
     )
-    result.check("Theorem 3.2 bound holds in every run", exceed_32 == 0)
+    # Theorem 3.2 bounds each run's error with probability 1 - beta, so
+    # up to a beta share of the runs may exceed it.
+    result.check(
+        f"Theorem 3.2 bound exceeded in at most a beta = {beta} share of runs",
+        exceed_32 <= beta * n_reps,
+    )
     result.check("Corollary B.1 bound holds in every run", exceed_b1 == 0)
     return result

@@ -124,14 +124,7 @@ def run_categorical_experiment(
     times = list(range(window, horizon + 1))
 
     def factory(generator):
-        return CategoricalWindowSynthesizer(
-            horizon,
-            window,
-            alphabet,
-            rho,
-            seed=generator,
-            noise_method="vectorized",
-        )
+        return CategoricalWindowSynthesizer(horizon, window, alphabet, rho, seed=generator)
 
     replicated = replicate_synthesizer(
         factory,

@@ -44,7 +44,6 @@ def run_simulated_window_experiment(
     n: int = 25000,
     horizon: int = 12,
     rho: float = 0.005,
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Reproduce Figure 3 (``debias=True``) or Figure 4 (``debias=False``).
 
@@ -59,7 +58,6 @@ def run_simulated_window_experiment(
             window=_SYNTH_K,
             rho=rho,
             seed=generator,
-            noise_method=noise_method,
         )
 
     result = FigureResult(

@@ -33,7 +33,6 @@ def run_sipp_cumulative_experiment(
     counter: str = "binary_tree",
     budget: str = "corollary_b1",
     data: LongitudinalDataset | None = None,
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Reproduce Figure 2 / Figure 8.
 
@@ -62,7 +61,6 @@ def run_sipp_cumulative_experiment(
             counter=counter,
             budget=budget,
             seed=generator,
-            noise_method=noise_method,
         )
 
     replicated = replicate_synthesizer(

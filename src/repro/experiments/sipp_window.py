@@ -42,7 +42,6 @@ def run_sipp_window_experiment(
     experiment_id: str = "fig1",
     debias: bool = False,
     data: LongitudinalDataset | None = None,
-    noise_method: str = "vectorized",
     include_debiased_panel: bool = True,
 ) -> FigureResult:
     """Reproduce one SIPP quarterly-poverty figure.
@@ -69,7 +68,6 @@ def run_sipp_window_experiment(
             window=_WINDOW,
             rho=rho,
             seed=generator,
-            noise_method=noise_method,
         )
 
     headline = replicate_synthesizer(

@@ -37,7 +37,7 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(slope)
 
 
-def _mean_abs_error(panel, rho: float, n_reps: int, seed, noise_method: str) -> float:
+def _mean_abs_error(panel, rho: float, n_reps: int, seed) -> float:
     """Mean |debiased error| of the ≥1-month query at the final round."""
     query = AtLeastMOnes(_WINDOW, 1)
     t = panel.horizon
@@ -48,7 +48,6 @@ def _mean_abs_error(panel, rho: float, n_reps: int, seed, noise_method: str) -> 
             window=_WINDOW,
             rho=rho,
             seed=generator,
-            noise_method=noise_method,
         )
 
     replicated = replicate_synthesizer(
@@ -62,7 +61,6 @@ def run_rho_sweep(
     seed: SeedLike = 0,
     n: int = 8000,
     rhos: tuple[float, ...] = (0.002, 0.005, 0.02, 0.05, 0.2),
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Error vs privacy budget at fixed population size.
 
@@ -72,7 +70,7 @@ def run_rho_sweep(
     rows = []
     errors = []
     for rho in rhos:
-        error = _mean_abs_error(panel, rho, n_reps, seed, noise_method)
+        error = _mean_abs_error(panel, rho, n_reps, seed)
         errors.append(error)
         rows.append({"rho": rho, "mean_abs_error": error})
     slope = fit_loglog_slope(np.asarray(rhos), np.asarray(errors))
@@ -99,7 +97,6 @@ def run_population_sweep(
     seed: SeedLike = 0,
     rho: float = 0.02,
     sizes: tuple[int, ...] = (1000, 2000, 4000, 8000, 16000),
-    noise_method: str = "vectorized",
 ) -> FigureResult:
     """Error vs population size at fixed budget.
 
@@ -111,7 +108,7 @@ def run_population_sweep(
     errors = []
     for n in sizes:
         panel = two_state_markov(n, _HORIZON, p_stay=0.85, p_enter=0.02, seed=18)
-        error = _mean_abs_error(panel, rho, n_reps, seed, noise_method)
+        error = _mean_abs_error(panel, rho, n_reps, seed)
         errors.append(error)
         rows.append({"n": n, "mean_abs_error": error})
     slope = fit_loglog_slope(np.asarray(sizes, dtype=np.float64), np.asarray(errors))

@@ -110,7 +110,7 @@ class StreamingSynthesizer:
             Seed for all randomness (noise and synthetic records).
         **kwargs:
             Forwarded to :class:`~repro.core.cumulative.CumulativeSynthesizer`
-            (``counter``, ``budget``, ``engine``, ``noise_method``, ...).
+            (``counter``, ``budget``, ``counter_kwargs``).
 
         Returns
         -------
@@ -180,7 +180,7 @@ class StreamingSynthesizer:
         **kwargs:
             Forwarded to
             :class:`~repro.core.categorical_window.CategoricalWindowSynthesizer`
-            (``engine``, ``n_pad``, ``noise_method``, ...).
+            (``n_pad``, ``beta``, ``on_negative``, ``sensitivity``).
 
         Returns
         -------
@@ -228,7 +228,7 @@ class StreamingSynthesizer:
         **kwargs:
             Forwarded to
             :class:`~repro.core.multi_attribute.MultiAttributeSynthesizer`
-            (``cross``, ``cross_weight``, ``noise_method``, ...).
+            (``cross``, ``cross_weight``, ``beta``, ...).
 
         Returns
         -------

@@ -22,8 +22,12 @@ Implementations:
   middle ground with better constants than the tree for tiny ``T``.
 * :class:`LaplaceTreeCounter` — the pure-DP tree variant with discrete
   Laplace noise (converted into zCDP accounting via ``eps^2 / 2``).
-* :class:`MonotoneCounter` — wrapper enforcing non-decreasing outputs
-  (single-stream consistency of Chan-Shi-Song §4).
+
+Every discrete noise draw of a counter or of a one-replica bank is exact
+(:mod:`repro.dp.discrete_gaussian`), and no setting chooses otherwise; the
+square-root factorization's noise is continuous Gaussian by design.  A
+bank built with ``n_reps=R > 1`` is an accuracy study and draws its
+``(R, rows)`` rep-axis block in floating point.
 
 Counters exist in two execution forms.  The classes above are the
 *scalar* form — one Python object per stream.  The :mod:`~repro.streams.bank`
@@ -50,7 +54,6 @@ from repro.streams.binary_tree import BinaryTreeCounter
 from repro.streams.block import BlockCounter
 from repro.streams.honaker import HonakerCounter
 from repro.streams.laplace_tree import LaplaceTreeCounter
-from repro.streams.monotone import MonotoneCounter
 from repro.streams.registry import (
     available_banks,
     available_counters,
@@ -61,10 +64,8 @@ from repro.streams.registry import (
 )
 from repro.streams.simple import SimpleCounter
 from repro.streams.sqrt_factorization import SqrtFactorizationCounter
-from repro.streams.unbounded import UnknownHorizonCounter
 
 __all__ = [
-    "UnknownHorizonCounter",
     "StreamCounter",
     "CounterAccuracy",
     "BinaryTreeCounter",
@@ -73,7 +74,6 @@ __all__ = [
     "SqrtFactorizationCounter",
     "BlockCounter",
     "LaplaceTreeCounter",
-    "MonotoneCounter",
     "CounterBank",
     "BinaryTreeBank",
     "SimpleBank",

@@ -25,6 +25,11 @@ same interface.  In noiseless mode (``rho_b = inf``) every native bank is
 bit-exact with its scalar counterpart — the equivalence tests in
 ``tests/streams/test_bank.py`` pin this down.
 
+**Noise.**  A bank with one replica (``n_reps=1``, the default, and every
+bank a synthesizer builds) draws exact noise: one 1-D
+``sample_columns`` call per round over the per-row ``Fraction``
+calibrations, the scalar counters' distribution.
+
 **Rep axis.**  Every native bank additionally accepts ``n_reps=R`` and then
 runs ``R`` statistically independent replicas of the whole counter family
 in lockstep: state arrays carry a leading rep axis, each round draws one
@@ -32,11 +37,13 @@ in lockstep: state arrays carry a leading rep axis, each round draws one
 :meth:`~repro.dp.discrete_gaussian.DiscreteGaussianSampler.sample_columns`
 API, and :meth:`CounterBank.feed` returns a ``(R, t)`` estimate matrix.
 The increments are shared across replicas (all repetitions of a figure see
-the same panel); only the noise differs.  This is the engine behind
+the same panel); only the noise differs.  That block is the samplers' one
+float draw, for accuracy studies only: this is the engine behind
 :func:`~repro.analysis.replication.replicate_synthesizer`'s batched path,
 which collapses the 1000-repetition Python loop of the paper's figures
-into one batched NumPy state machine.  With ``n_reps=1`` (default) the public shapes and the
-noise bit-stream are unchanged from the single-run bank.
+into one batched NumPy state machine, and nothing it computes is
+released.  :meth:`CounterBank._rep_noise` is the one place that picks
+between the two draws, by ``n_reps`` alone.
 
 **Row growth.**  :meth:`CounterBank.extend_rows` appends threshold rows
 mid-stream — the bank half of dynamic-population horizon extension
@@ -95,13 +102,11 @@ class CounterBank(abc.ABC):
         children) or an explicit length-``T`` sequence of per-row seeds —
         the synthesizer passes its spawned counter seeds, so a fallback
         row ``b`` draws from the synthesizer's seed for threshold ``b``.
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` noise backend, forwarded to the
-        batched samplers (and to wrapped counters in the fallback).
     n_reps:
         Number of independent replicas advanced in lockstep (the rep
-        axis).  With ``n_reps=1`` (default) :meth:`feed` returns the legacy
-        ``(t,)`` vector; with ``n_reps=R > 1`` it returns ``(R, t)``.
+        axis).  With ``n_reps=1`` (default) :meth:`feed` returns a ``(t,)``
+        vector of exactly-noised estimates; with ``n_reps=R > 1`` it
+        returns ``(R, t)`` from the float rep-axis draw (accuracy studies).
     """
 
     def __init__(
@@ -109,15 +114,10 @@ class CounterBank(abc.ABC):
         horizon: int,
         rho_per_threshold,
         seeds: SeedLike | Sequence = None,
-        noise_method: str = "vectorized",
         n_reps: int = 1,
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
-        if noise_method not in ("exact", "vectorized"):
-            raise ConfigurationError(
-                f"noise_method must be 'exact' or 'vectorized', got {noise_method!r}"
-            )
         if n_reps < 1:
             raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
         rho = np.asarray(rho_per_threshold, dtype=np.float64)
@@ -129,7 +129,6 @@ class CounterBank(abc.ABC):
             raise ConfigurationError("every rho_b must be positive (or math.inf)")
         self.horizon = int(horizon)
         self.rho_per_threshold = rho
-        self.noise_method = noise_method
         self.n_reps = int(n_reps)
         if isinstance(seeds, (list, tuple)):
             if len(seeds) != horizon:
@@ -296,7 +295,7 @@ class CounterBank(abc.ABC):
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(horizon={self.horizon}, t={self._t}, "
-            f"noise_method={self.noise_method!r})"
+            f"n_reps={self.n_reps})"
         )
 
     # ------------------------------------------------------------------
@@ -342,7 +341,7 @@ class CounterBank(abc.ABC):
         ----------
         state:
             A snapshot from a bank of the same class, built with the same
-            ``(horizon, rho_per_threshold, noise_method, n_reps)``.
+            ``(horizon, rho_per_threshold, n_reps)``.
 
         Raises
         ------
@@ -437,11 +436,12 @@ class CounterBank(abc.ABC):
     def _rep_noise(self, sampler, scales) -> np.ndarray:
         """One ``(n_reps, len(scales))`` heterogeneous draw.
 
-        The ``n_reps == 1`` arm calls the legacy 1-D ``sample_columns``
-        path so a single-run bank consumes exactly the PR-1 bit-stream;
-        the replicated arm uses the ``size``-aware batched API.  All
-        native banks draw through this helper so the two arms cannot
-        drift per bank.
+        The only place that chooses the noise, and it chooses by
+        ``n_reps`` alone: one replica draws exactly (the 1-D
+        ``sample_columns`` over the ``Fraction`` rows ``scales``); more
+        than one is an accuracy study and draws the float ``size=R``
+        block, which converts each row with ``float()``.  All native
+        banks that sample discrete noise draw through this helper.
         """
         if self.n_reps == 1:
             return sampler.sample_columns(scales)[None, :]
@@ -451,7 +451,7 @@ class CounterBank(abc.ABC):
         """Per-row ``numerator / (2 rho_b)`` variances as exact Fractions.
 
         The scalar counters' calibration (:func:`calibrate_sigma_sq`, never
-        below the exact value), so exact-mode noise has the same
+        below the exact value), so a one-replica bank's noise has the same
         distribution as the scalar counters'.  ``rho_rows`` defaults to the
         full per-threshold budget vector; :meth:`extend_rows` passes just
         the appended rows' budgets.
@@ -477,13 +477,8 @@ class _TreeBankCore(CounterBank):
     per-rep.
     """
 
-    def __init__(
-        self, horizon, rho_per_threshold, seeds=None, noise_method="vectorized", n_reps=1
-    ):
-        super().__init__(
-            horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method,
-            n_reps=n_reps,
-        )
+    def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
+        super().__init__(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
         lengths = self.row_horizons()
         self.levels = np.array([int(n).bit_length() for n in lengths], dtype=np.int64)
         n_levels = int(self.levels[0])  # row 0 has the longest stream
@@ -592,31 +587,16 @@ class BinaryTreeBank(_TreeBankCore):
     dyadic level count — exactly the scalar counter's calibration.
     """
 
-    def __init__(
-        self, horizon, rho_per_threshold, seeds=None, noise_method="vectorized", n_reps=1
-    ):
-        super().__init__(
-            horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method,
-            n_reps=n_reps,
-        )
+    def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
+        super().__init__(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
         self.sigma_sq_rows = self._gaussian_sigma_sq_rows(self.levels)
-        self._sigma_sq_float = np.array(
-            [float(s) for s in self.sigma_sq_rows], dtype=np.float64
-        )
-        self._sampler = DiscreteGaussianSampler(
-            0, seed=self._generator, method=self.noise_method
-        )
+        self._sampler = DiscreteGaussianSampler(0, seed=self._generator)
 
     def _round_noise(self, t: int) -> np.ndarray:
-        scales = (
-            self.sigma_sq_rows[:t]
-            if self.noise_method == "exact"
-            else self._sigma_sq_float[:t]
-        )
-        return self._rep_noise(self._sampler, scales)
+        return self._rep_noise(self._sampler, self.sigma_sq_rows[:t])
 
     def _node_variance(self, b: int) -> float:
-        return float(self._sigma_sq_float[b - 1])
+        return float(self.sigma_sq_rows[b - 1])
 
     def _extension_cost(
         self, old_levels: np.ndarray, new_levels: np.ndarray
@@ -637,9 +617,6 @@ class BinaryTreeBank(_TreeBankCore):
             self.levels[-k:], self.rho_per_threshold[-k:]
         )
         self.sigma_sq_rows = list(self.sigma_sq_rows) + appended
-        self._sigma_sq_float = np.concatenate(
-            [self._sigma_sq_float, np.array([float(s) for s in appended])]
-        )
 
 
 class LaplaceTreeBank(_TreeBankCore):
@@ -651,18 +628,10 @@ class LaplaceTreeBank(_TreeBankCore):
     pure-DP tree variant.
     """
 
-    def __init__(
-        self, horizon, rho_per_threshold, seeds=None, noise_method="vectorized", n_reps=1
-    ):
-        super().__init__(
-            horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method,
-            n_reps=n_reps,
-        )
+    def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
+        super().__init__(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
         self.scale_rows = self._calibrate(self.levels, self.rho_per_threshold)
-        self._scale_float = np.array([float(s) for s in self.scale_rows], dtype=np.float64)
-        self._sampler = DiscreteLaplaceSampler(
-            1, seed=self._generator, method=self.noise_method
-        )
+        self._sampler = DiscreteLaplaceSampler(1, seed=self._generator)
 
     @staticmethod
     def _calibrate(levels, rho_rows) -> list[Fraction]:
@@ -673,13 +642,10 @@ class LaplaceTreeBank(_TreeBankCore):
         ]
 
     def _round_noise(self, t: int) -> np.ndarray:
-        scales = (
-            self.scale_rows[:t] if self.noise_method == "exact" else self._scale_float[:t]
-        )
-        return self._rep_noise(self._sampler, scales)
+        return self._rep_noise(self._sampler, self.scale_rows[:t])
 
     def _node_variance(self, b: int) -> float:
-        scale = float(self._scale_float[b - 1])
+        scale = float(self.scale_rows[b - 1])
         if scale == 0:
             return 0.0
         p = math.exp(-1.0 / scale)
@@ -702,9 +668,6 @@ class LaplaceTreeBank(_TreeBankCore):
     def _append_rows_noise(self, k: int) -> None:
         appended = self._calibrate(self.levels[-k:], self.rho_per_threshold[-k:])
         self.scale_rows = list(self.scale_rows) + appended
-        self._scale_float = np.concatenate(
-            [self._scale_float, np.array([float(s) for s in appended])]
-        )
 
 
 class SimpleBank(CounterBank):
@@ -715,34 +678,19 @@ class SimpleBank(CounterBank):
     vector add plus one batched draw per round.
     """
 
-    def __init__(
-        self, horizon, rho_per_threshold, seeds=None, noise_method="vectorized", n_reps=1
-    ):
-        super().__init__(
-            horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method,
-            n_reps=n_reps,
-        )
+    def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
+        super().__init__(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
         self.sigma_sq_rows = self._gaussian_sigma_sq_rows(self.row_horizons())
-        self._sigma_sq_float = np.array(
-            [float(s) for s in self.sigma_sq_rows], dtype=np.float64
-        )
-        self._sampler = DiscreteGaussianSampler(
-            0, seed=self._generator, method=self.noise_method
-        )
+        self._sampler = DiscreteGaussianSampler(0, seed=self._generator)
 
     def _feed(self, z: np.ndarray) -> np.ndarray:
         t = self._t
-        scales = (
-            self.sigma_sq_rows[:t]
-            if self.noise_method == "exact"
-            else self._sigma_sq_float[:t]
-        )
-        noise = self._rep_noise(self._sampler, scales)
+        noise = self._rep_noise(self._sampler, self.sigma_sq_rows[:t])
         return (self._true_sums[:t][None, :] + noise).astype(np.float64)
 
     def error_stddev(self, b: int, t: int) -> float:
         self._check_row(b)
-        return math.sqrt(float(self._sigma_sq_float[b - 1]))
+        return math.sqrt(float(self.sigma_sq_rows[b - 1]))
 
     _supports_extension = True
 
@@ -759,9 +707,6 @@ class SimpleBank(CounterBank):
             self.row_horizons()[-k:], self.rho_per_threshold[-k:]
         )
         self.sigma_sq_rows = list(self.sigma_sq_rows) + appended
-        self._sigma_sq_float = np.concatenate(
-            [self._sigma_sq_float, np.array([float(s) for s in appended])]
-        )
         return extra
 
 
@@ -777,13 +722,8 @@ class SqrtFactorizationBank(CounterBank):
     size the rep count accordingly for very long horizons.
     """
 
-    def __init__(
-        self, horizon, rho_per_threshold, seeds=None, noise_method="vectorized", n_reps=1
-    ):
-        super().__init__(
-            horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method,
-            n_reps=n_reps,
-        )
+    def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
+        super().__init__(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
         self.coefficients = sqrt_factorization_coefficients(self.horizon)
         norm_sq = np.cumsum(self.coefficients**2)
         col_norm_sq = norm_sq[self.row_horizons() - 1]
@@ -845,7 +785,6 @@ class FallbackBank(CounterBank):
         horizon,
         rho_per_threshold,
         seeds=None,
-        noise_method="vectorized",
         n_reps: int = 1,
         counter: str = "binary_tree",
         counter_kwargs: dict | None = None,
@@ -856,7 +795,7 @@ class FallbackBank(CounterBank):
                 f"n_reps must be 1, got {n_reps} (counter {counter!r} has no "
                 "native vectorized bank)"
             )
-        super().__init__(horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method)
+        super().__init__(horizon, rho_per_threshold, seeds=seeds)
         self.counter_name = counter
         self._counter_kwargs = dict(counter_kwargs or {})
         self._counters: list = []
@@ -876,7 +815,6 @@ class FallbackBank(CounterBank):
                 horizon=self.horizon - t + 1,
                 rho=float(self.rho_per_threshold[t - 1]),
                 seed=self._row_seeds[t - 1],
-                noise_method=self.noise_method,
                 **self._counter_kwargs,
             )
         )
@@ -940,7 +878,6 @@ class FallbackBank(CounterBank):
                 horizon=self.horizon - index,
                 rho=float(self.rho_per_threshold[index]),
                 seed=self._row_seeds[index],
-                noise_method=self.noise_method,
                 payload=payloads[str(index)],
                 counter_kwargs=self._counter_kwargs,
             )
@@ -960,7 +897,6 @@ class FallbackBank(CounterBank):
             horizon=self.horizon - b + 1,
             rho=float(self.rho_per_threshold[b - 1]),
             seed=0,
-            noise_method=self.noise_method,
             **self._counter_kwargs,
         )
         return probe.error_stddev(t)

@@ -45,30 +45,17 @@ class StreamCounter(abc.ABC):
         accepted and yields a noiseless counter (useful as an oracle in tests
         and for the non-private baseline).
     seed:
-        Seed or :class:`numpy.random.Generator` for the noise stream.
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` — forwarded to the discrete Gaussian
-        sampler where applicable.
+        Seed or :class:`numpy.random.Generator` for the noise stream; every
+        discrete draw is exact.
     """
 
-    def __init__(
-        self,
-        horizon: int,
-        rho: float,
-        seed: SeedLike = None,
-        noise_method: str = "exact",
-    ):
+    def __init__(self, horizon: int, rho: float, seed: SeedLike = None):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
         if not (rho > 0):
             raise ConfigurationError(f"rho must be positive (or math.inf), got {rho}")
-        if noise_method not in ("exact", "vectorized"):
-            raise ConfigurationError(
-                f"noise_method must be 'exact' or 'vectorized', got {noise_method!r}"
-            )
         self.horizon = int(horizon)
         self.rho = float(rho)
-        self.noise_method = noise_method
         self._generator = as_generator(seed)
         self._t = 0
         self._true_sum = 0
@@ -141,7 +128,7 @@ class StreamCounter(abc.ABC):
         ----------
         state:
             A snapshot from a counter of the *same class* constructed with
-            the same ``(horizon, rho, noise_method)`` configuration.
+            the same ``(horizon, rho)`` configuration.
 
         Raises
         ------

@@ -46,16 +46,14 @@ class BinaryTreeCounter(StreamCounter):
         Per-node noise variance ``L / (2 rho)``.
     """
 
-    def __init__(self, horizon, rho, seed=None, noise_method="exact"):
-        super().__init__(horizon, rho, seed=seed, noise_method=noise_method)
+    def __init__(self, horizon, rho, seed=None):
+        super().__init__(horizon, rho, seed=seed)
         self.levels = max(int(self.horizon).bit_length(), 1)
         if self.noiseless:
             self.sigma_sq = Fraction(0)
         else:
             self.sigma_sq = calibrate_sigma_sq(self.levels, self.rho)
-        self._sampler = DiscreteGaussianSampler(
-            self.sigma_sq, seed=self._generator, method=self.noise_method
-        )
+        self._sampler = DiscreteGaussianSampler(self.sigma_sq, seed=self._generator)
         # alpha[j]: exact sum buffered at level j; alpha_noisy[j]: its noisy
         # release.  Both live until a higher level folds them.
         self._alpha = [0] * self.levels

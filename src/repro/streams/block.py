@@ -27,8 +27,8 @@ __all__ = ["BlockCounter"]
 class BlockCounter(StreamCounter):
     """Square-root block decomposition with discrete Gaussian noise."""
 
-    def __init__(self, horizon, rho, seed=None, noise_method="exact", block_size=None):
-        super().__init__(horizon, rho, seed=seed, noise_method=noise_method)
+    def __init__(self, horizon, rho, seed=None, block_size=None):
+        super().__init__(horizon, rho, seed=seed)
         if block_size is None:
             block_size = max(1, math.isqrt(self.horizon - 1) + 1)
         if block_size <= 0:
@@ -40,9 +40,7 @@ class BlockCounter(StreamCounter):
             # Each element sits in exactly 2 noisy nodes (its singleton and
             # its block total): 2 * 1/(2 sigma^2) = rho.
             self.sigma_sq = calibrate_sigma_sq(2, self.rho)
-        self._sampler = DiscreteGaussianSampler(
-            self.sigma_sq, seed=self._generator, method=self.noise_method
-        )
+        self._sampler = DiscreteGaussianSampler(self.sigma_sq, seed=self._generator)
         self._closed_blocks_noisy = 0  # sum of noisy totals of completed blocks
         self._open_block_true = 0  # exact sum of the open block
         self._open_singletons_noisy = 0  # sum of noisy singletons in open block

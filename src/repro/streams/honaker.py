@@ -49,16 +49,14 @@ class HonakerCounter(StreamCounter):
     sum.
     """
 
-    def __init__(self, horizon, rho, seed=None, noise_method="exact"):
-        super().__init__(horizon, rho, seed=seed, noise_method=noise_method)
+    def __init__(self, horizon, rho, seed=None):
+        super().__init__(horizon, rho, seed=seed)
         self.levels = max(int(self.horizon).bit_length(), 1)
         if self.noiseless:
             self.sigma_sq = Fraction(0)
         else:
             self.sigma_sq = calibrate_sigma_sq(self.levels, self.rho)
-        self._sampler = DiscreteGaussianSampler(
-            self.sigma_sq, seed=self._generator, method=self.noise_method
-        )
+        self._sampler = DiscreteGaussianSampler(self.sigma_sq, seed=self._generator)
         self._pending: list[_Node | None] = [None] * (self.levels + 1)
 
     def _measure(self, true_sum: int) -> float:

@@ -48,8 +48,8 @@ class LaplaceTreeCounter(StreamCounter):
         Per-node Laplace scale ``L / epsilon``.
     """
 
-    def __init__(self, horizon, rho, seed=None, noise_method="exact"):
-        super().__init__(horizon, rho, seed=seed, noise_method=noise_method)
+    def __init__(self, horizon, rho, seed=None):
+        super().__init__(horizon, rho, seed=seed)
         self.levels = max(int(self.horizon).bit_length(), 1)
         if self.noiseless:
             self.epsilon = math.inf
@@ -60,21 +60,17 @@ class LaplaceTreeCounter(StreamCounter):
         self._sampler = (
             None
             if self.scale == 0
-            else DiscreteLaplaceSampler(
-                self.scale, seed=self._generator, method=self.noise_method
-            )
+            else DiscreteLaplaceSampler(self.scale, seed=self._generator)
         )
         self._alpha = [0] * self.levels
         self._alpha_noisy = [0] * self.levels
 
     @classmethod
-    def from_epsilon(
-        cls, horizon: int, epsilon: float, seed=None, noise_method="exact"
-    ) -> "LaplaceTreeCounter":
+    def from_epsilon(cls, horizon: int, epsilon: float, seed=None) -> "LaplaceTreeCounter":
         """Construct from a pure-DP budget ``epsilon`` directly."""
         if not epsilon > 0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        return cls(horizon, epsilon**2 / 2.0, seed=seed, noise_method=noise_method)
+        return cls(horizon, epsilon**2 / 2.0, seed=seed)
 
     def _noise(self) -> int:
         return 0 if self._sampler is None else self._sampler.sample()

@@ -81,8 +81,8 @@ def make_counter(name: str, horizon: int, rho: float, **kwargs) -> StreamCounter
         Total zCDP budget for the counter's whole output sequence
         (``math.inf`` for a noiseless oracle).
     **kwargs:
-        Forwarded to the counter constructor (``seed``,
-        ``noise_method``, counter-specific knobs like ``block_size``).
+        Forwarded to the counter constructor (``seed``, counter-specific
+        knobs like ``block_size``).
 
     Returns
     -------
@@ -109,7 +109,6 @@ def restore_counter(
     horizon: int,
     rho: float,
     seed,
-    noise_method: str,
     payload: dict,
     counter_kwargs: dict | None = None,
 ) -> StreamCounter:
@@ -130,8 +129,6 @@ def restore_counter(
     seed:
         The counter's noise generator (its bit state is overwritten by
         the payload's recorded state).
-    noise_method:
-        ``"exact"`` or ``"vectorized"``.
     payload:
         A snapshot from :meth:`repro.streams.base.StreamCounter.state_dict`.
     counter_kwargs:
@@ -149,14 +146,7 @@ def restore_counter(
     repro.exceptions.SerializationError
         If the payload does not match the counter class.
     """
-    counter = make_counter(
-        name,
-        horizon=horizon,
-        rho=rho,
-        seed=seed,
-        noise_method=noise_method,
-        **(counter_kwargs or {}),
-    )
+    counter = make_counter(name, horizon=horizon, rho=rho, seed=seed, **(counter_kwargs or {}))
     counter.load_state(payload)
     return counter
 
@@ -203,7 +193,6 @@ def make_bank(
     rho_per_threshold,
     *,
     seeds=None,
-    noise_method: str = "vectorized",
     n_reps: int = 1,
     counter_kwargs: dict | None = None,
 ) -> "CounterBank":
@@ -227,12 +216,12 @@ def make_bank(
     seeds:
         A single seed (spawned into per-row children) or an explicit
         length-``T`` sequence of per-row seeds.
-    noise_method:
-        ``"exact"`` or ``"vectorized"`` noise backend.
     n_reps:
-        Number of independent replicas advanced in lockstep; values
-        above 1 require a native bank (the fallback has no batched noise
-        path and rejects them).
+        Number of independent replicas advanced in lockstep.  One replica
+        draws exact noise; more than one is an accuracy study and draws
+        the float rep-axis block (see :class:`~repro.streams.bank.CounterBank`).
+        Values above 1 require a native bank (the fallback has no batched
+        noise path and rejects them).
     counter_kwargs:
         Counter-specific constructor knobs; forces the fallback path.
 
@@ -254,15 +243,11 @@ def make_bank(
         )
     cls = _BANK_REGISTRY.get(name)
     if cls is not None and not counter_kwargs:
-        return cls(
-            horizon, rho_per_threshold, seeds=seeds, noise_method=noise_method,
-            n_reps=n_reps,
-        )
+        return cls(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
     return FallbackBank(
         horizon,
         rho_per_threshold,
         seeds=seeds,
-        noise_method=noise_method,
         n_reps=n_reps,
         counter=name,
         counter_kwargs=counter_kwargs,

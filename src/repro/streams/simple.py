@@ -22,15 +22,13 @@ __all__ = ["SimpleCounter"]
 class SimpleCounter(StreamCounter):
     """Independent discrete Gaussian noise on each prefix sum."""
 
-    def __init__(self, horizon, rho, seed=None, noise_method="exact"):
-        super().__init__(horizon, rho, seed=seed, noise_method=noise_method)
+    def __init__(self, horizon, rho, seed=None):
+        super().__init__(horizon, rho, seed=seed)
         if self.noiseless:
             self._sigma_sq = Fraction(0)
         else:
             self._sigma_sq = calibrate_sigma_sq(self.horizon, self.rho)
-        self._sampler = DiscreteGaussianSampler(
-            self._sigma_sq, seed=self._generator, method=self.noise_method
-        )
+        self._sampler = DiscreteGaussianSampler(self._sigma_sq, seed=self._generator)
 
     @property
     def sigma_sq(self) -> Fraction:

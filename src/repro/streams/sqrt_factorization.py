@@ -52,8 +52,8 @@ def sqrt_factorization_coefficients(length: int) -> np.ndarray:
 class SqrtFactorizationCounter(StreamCounter):
     """Continual counter using the ``A^(1/2) A^(1/2)`` factorization."""
 
-    def __init__(self, horizon, rho, seed=None, noise_method="exact"):
-        super().__init__(horizon, rho, seed=seed, noise_method=noise_method)
+    def __init__(self, horizon, rho, seed=None):
+        super().__init__(horizon, rho, seed=seed)
         self._coeffs = sqrt_factorization_coefficients(self.horizon)
         col_norm_sq = float(np.sum(self._coeffs**2))
         if self.noiseless:

@@ -47,7 +47,7 @@ def panel():
 class TestWindowCI:
     def test_interval_contains_estimate(self, panel):
         synth = FixedWindowSynthesizer(
-            horizon=12, window=3, rho=0.05, seed=1, noise_method="vectorized"
+            horizon=12, window=3, rho=0.05, seed=1
         )
         release = synth.run(panel)
         query = AtLeastMOnes(3, 1)
@@ -60,7 +60,7 @@ class TestWindowCI:
 
         def width(rho):
             synth = FixedWindowSynthesizer(
-                horizon=12, window=3, rho=rho, seed=2, noise_method="vectorized"
+                horizon=12, window=3, rho=rho, seed=2
             )
             release = synth.run(panel)
             lower, upper = window_answer_ci(release, query, 9)
@@ -70,7 +70,7 @@ class TestWindowCI:
 
     def test_width_grows_with_level(self, panel):
         synth = FixedWindowSynthesizer(
-            horizon=12, window=3, rho=0.05, seed=3, noise_method="vectorized"
+            horizon=12, window=3, rho=0.05, seed=3
         )
         release = synth.run(panel)
         query = AllOnes(3)
@@ -80,7 +80,7 @@ class TestWindowCI:
 
     def test_unsupported_width_rejected(self, panel):
         synth = FixedWindowSynthesizer(
-            horizon=12, window=3, rho=0.05, seed=4, noise_method="vectorized"
+            horizon=12, window=3, rho=0.05, seed=4
         )
         release = synth.run(panel)
         with pytest.raises(ConfigurationError):
@@ -97,7 +97,6 @@ class TestWindowCI:
         for generator in spawn(5, runs):
             synth = FixedWindowSynthesizer(
                 horizon=12, window=3, rho=0.02, seed=generator,
-                noise_method="vectorized",
             )
             release = synth.run(panel)
             lower, upper = window_answer_ci(release, query, t, level=0.95)
@@ -108,7 +107,7 @@ class TestWindowCI:
 class TestCumulativeCI:
     def test_interval_contains_estimate(self, panel):
         synth = CumulativeSynthesizer(
-            horizon=12, rho=0.05, seed=6, noise_method="vectorized"
+            horizon=12, rho=0.05, seed=6
         )
         release = synth.run(panel)
         query = HammingAtLeast(3)
@@ -117,7 +116,7 @@ class TestCumulativeCI:
 
     def test_inactive_threshold_degenerate_interval(self, panel):
         synth = CumulativeSynthesizer(
-            horizon=12, rho=0.05, seed=7, noise_method="vectorized"
+            horizon=12, rho=0.05, seed=7
         )
         # Observe only 2 rounds: counter b=5 not created yet.
         columns = panel.columns()
@@ -129,7 +128,7 @@ class TestCumulativeCI:
 
     def test_non_threshold_query_rejected(self, panel):
         synth = CumulativeSynthesizer(
-            horizon=12, rho=0.05, seed=8, noise_method="vectorized"
+            horizon=12, rho=0.05, seed=8
         )
         release = synth.run(panel)
         with pytest.raises(ConfigurationError):
@@ -143,7 +142,7 @@ class TestCumulativeCI:
         runs = 40
         for generator in spawn(9, runs):
             synth = CumulativeSynthesizer(
-                horizon=12, rho=0.02, seed=generator, noise_method="vectorized"
+                horizon=12, rho=0.02, seed=generator
             )
             release = synth.run(panel)
             lower, upper = cumulative_answer_ci(release, query, t, level=0.95)

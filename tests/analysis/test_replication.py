@@ -23,7 +23,6 @@ def window_factory(panel, rho=math.inf):
     def factory(generator):
         return FixedWindowSynthesizer(
             horizon=panel.horizon, window=3, rho=rho, seed=generator,
-            noise_method="vectorized",
         )
 
     return factory
@@ -169,7 +168,6 @@ def cumulative_factory(panel, rho=math.inf, counter="binary_tree"):
     def factory(generator):
         return CumulativeSynthesizer(
             horizon=panel.horizon, rho=rho, counter=counter, seed=generator,
-            noise_method="vectorized",
         )
 
     return factory
@@ -313,9 +311,7 @@ class TestStrategySoftening:
         from repro.experiments.sweeps import _mean_abs_error
 
         monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "batched")
-        error = _mean_abs_error(
-            small_markov_panel, 0.1, n_reps=2, seed=0, noise_method="vectorized"
-        )
+        error = _mean_abs_error(small_markov_panel, 0.1, n_reps=2, seed=0)
         assert error >= 0.0
 
 
@@ -356,7 +352,7 @@ def _property_factory(kind, counter, with_kwargs, rho):
     def factory(generator):
         synth = CumulativeSynthesizer(
             horizon=PROPERTY_PANEL.horizon, rho=rho, counter=counter, seed=generator,
-            noise_method="vectorized", counter_kwargs=counter_kwargs,
+            counter_kwargs=counter_kwargs,
         )
         return fallback_reference(synth) if kind == "fallback" else synth
 

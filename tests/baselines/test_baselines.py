@@ -58,7 +58,6 @@ class TestRecomputeBaseline:
     def test_budget_split_across_rounds(self, small_markov_panel):
         baseline = RecomputeBaseline(
             horizon=small_markov_panel.horizon, window=3, rho=0.06, seed=0,
-            noise_method="vectorized",
         )
         baseline.run(small_markov_panel)
         rounds = small_markov_panel.horizon - 3 + 1
@@ -68,7 +67,6 @@ class TestRecomputeBaseline:
     def test_fresh_panel_every_round(self, small_markov_panel):
         baseline = RecomputeBaseline(
             horizon=small_markov_panel.horizon, window=2, rho=0.5, seed=1,
-            noise_method="vectorized",
         )
         release = baseline.run(small_markov_panel)
         # Panels at different rounds have (generically) different sizes:
@@ -79,7 +77,6 @@ class TestRecomputeBaseline:
     def test_panel_covers_prefix(self, small_markov_panel):
         baseline = RecomputeBaseline(
             horizon=small_markov_panel.horizon, window=2, rho=0.5, seed=2,
-            noise_method="vectorized",
         )
         release = baseline.run(small_markov_panel)
         for t in (2, 5, 8):
@@ -96,7 +93,6 @@ class TestRecomputeBaseline:
     def test_answers_available_per_round(self, small_markov_panel):
         baseline = RecomputeBaseline(
             horizon=small_markov_panel.horizon, window=3, rho=0.5, seed=3,
-            noise_method="vectorized",
         )
         release = baseline.run(small_markov_panel)
         value = release.answer(AtLeastMOnes(3, 1), 5)
@@ -129,7 +125,7 @@ class TestRecomputeBaseline:
         total = 0
         for seed in range(6):
             baseline = RecomputeBaseline(
-                horizon=12, window=3, rho=0.05, seed=seed, noise_method="vectorized"
+                horizon=12, window=3, rho=0.05, seed=seed
             )
             release = baseline.run(panel)
             total += release.spell_violations((5, 6))
@@ -144,7 +140,7 @@ class TestClampingBaseline:
     def test_events_recorded(self):
         panel = iid_bernoulli(50, 12, 0.3, seed=1)
         baseline = ClampingBaseline(
-            horizon=12, window=3, rho=0.001, seed=2, noise_method="vectorized"
+            horizon=12, window=3, rho=0.001, seed=2
         )
         release = baseline.run(panel)
         assert release.negative_count_events > 0
@@ -152,7 +148,7 @@ class TestClampingBaseline:
     def test_consistency_survives_clamping(self):
         panel = iid_bernoulli(50, 12, 0.3, seed=3)
         baseline = ClampingBaseline(
-            horizon=12, window=3, rho=0.001, seed=4, noise_method="vectorized"
+            horizon=12, window=3, rho=0.001, seed=4
         )
         release = baseline.run(panel)
         for t in range(4, 13):

@@ -154,7 +154,7 @@ class TestCategoricalSynthesizer:
     def test_consistency_and_census(self, employment_panel):
         synth = CategoricalWindowSynthesizer(
             horizon=employment_panel.horizon, window=2, alphabet=3, rho=0.1,
-            seed=2, noise_method="vectorized",
+            seed=2,
         )
         release = synth.run(employment_panel)
         q = 3
@@ -170,7 +170,7 @@ class TestCategoricalSynthesizer:
     def test_population_constant(self, employment_panel):
         synth = CategoricalWindowSynthesizer(
             horizon=employment_panel.horizon, window=2, alphabet=3, rho=0.1,
-            seed=3, noise_method="vectorized",
+            seed=3,
         )
         release = synth.run(employment_panel)
         sizes = {int(release.histogram(t).sum()) for t in release.released_times()}
@@ -179,7 +179,7 @@ class TestCategoricalSynthesizer:
     def test_debiasing_identity(self, employment_panel):
         synth = CategoricalWindowSynthesizer(
             horizon=employment_panel.horizon, window=2, alphabet=3, rho=0.1,
-            seed=4, noise_method="vectorized",
+            seed=4,
         )
         release = synth.run(employment_panel)
         query = CategoryAtLeastM(2, 3, category=1, m=1)
@@ -194,7 +194,7 @@ class TestCategoricalSynthesizer:
     def test_debiased_accuracy(self, employment_panel):
         synth = CategoricalWindowSynthesizer(
             horizon=employment_panel.horizon, window=2, alphabet=3, rho=0.2,
-            seed=5, noise_method="vectorized",
+            seed=5,
         )
         release = synth.run(employment_panel)
         query = CategoryAtLeastM(2, 3, category=0, m=2)
@@ -206,7 +206,7 @@ class TestCategoricalSynthesizer:
     def test_privacy_accounting(self, employment_panel):
         synth = CategoricalWindowSynthesizer(
             horizon=employment_panel.horizon, window=2, alphabet=3, rho=0.05,
-            seed=6, noise_method="vectorized",
+            seed=6,
         )
         synth.run(employment_panel)
         assert synth.accountant.spent == pytest.approx(0.05)
@@ -238,7 +238,7 @@ class TestCategoricalSynthesizer:
         # synthetic records (no accuracy guarantee — the Figure 3 caveat).
         synth = CategoricalWindowSynthesizer(
             horizon=employment_panel.horizon, window=2, alphabet=3, rho=0.1,
-            seed=10, noise_method="vectorized",
+            seed=10,
         )
         release = synth.run(employment_panel)
         query = CategoryAtLeastM(3, 3, category=0, m=1)
@@ -254,7 +254,7 @@ class TestCategoricalSynthesizer:
 
         synth = CategoricalWindowSynthesizer(
             horizon=employment_panel.horizon, window=3, alphabet=3, rho=0.1,
-            seed=11, noise_method="vectorized",
+            seed=11,
         )
         release = synth.run(employment_panel)
         narrow = CategoryAtLeastM(2, 3, category=1, m=1)
@@ -290,7 +290,6 @@ class TestCategoricalSynthesizer:
         panel = categorical_iid(100, 6, [0.3, 0.4, 0.3], seed=seed)
         synth = CategoricalWindowSynthesizer(
             horizon=6, window=2, alphabet=3, rho=0.2, seed=seed,
-            noise_method="vectorized",
         )
         release = synth.run(panel)
         for t in range(3, 7):

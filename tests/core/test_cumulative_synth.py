@@ -74,7 +74,6 @@ class TestInvariants:
             rho=0.05,
             counter=counter,
             seed=2,
-            noise_method="vectorized",
         )
         synth.run(small_markov_panel)
         assert synth.check_invariants()
@@ -82,7 +81,6 @@ class TestInvariants:
     def test_table_monotone(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=3,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         table = release.threshold_table()
@@ -91,7 +89,6 @@ class TestInvariants:
     def test_synthetic_census_equals_table(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=4,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         panel = release.synthetic_data()
@@ -103,7 +100,6 @@ class TestInvariants:
     def test_records_never_rewritten(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=5,
-            noise_method="vectorized",
         )
         snapshots = {}
         for t, column in enumerate(small_markov_panel.columns(), start=1):
@@ -116,7 +112,6 @@ class TestInvariants:
     def test_m_equals_n(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=6,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         assert release.m == small_markov_panel.n_individuals
@@ -126,7 +121,6 @@ class TestAnswers:
     def test_hamming_exactly_difference(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=7,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         t = 6
@@ -139,7 +133,6 @@ class TestAnswers:
     def test_unsupported_query_rejected(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=8,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         with pytest.raises(ConfigurationError):
@@ -148,7 +141,6 @@ class TestAnswers:
     def test_threshold_count_bounds(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=9,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         with pytest.raises(ConfigurationError):
@@ -159,7 +151,6 @@ class TestAnswers:
     def test_answer_beyond_horizon_threshold_is_zero(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=10,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         assert release.answer(HammingAtLeast(100), 5) == 0.0
@@ -169,7 +160,6 @@ class TestPrivacyAccounting:
     def test_budget_spent_matches_active_counters(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.02, seed=11,
-            noise_method="vectorized",
         )
         synth.run(small_markov_panel)
         # All T counters activate (one per round).
@@ -179,7 +169,6 @@ class TestPrivacyAccounting:
     def test_uniform_budget_option(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.02, budget="uniform", seed=12,
-            noise_method="vectorized",
         )
         assert np.allclose(
             synth.rho_per_threshold, 0.02 / small_markov_panel.horizon
@@ -190,7 +179,6 @@ class TestPrivacyAccounting:
         budget = np.full(horizon, 0.02 / horizon)
         synth = CumulativeSynthesizer(
             horizon=horizon, rho=0.02, budget=budget, seed=13,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         assert synth.check_invariants()
@@ -239,7 +227,7 @@ class TestLazyMaterialization:
 
     def _run(self, panel, materialize, seed=21, rho=0.05):
         synth = CumulativeSynthesizer(
-            horizon=panel.horizon, rho=rho, seed=seed, noise_method="vectorized"
+            horizon=panel.horizon, rho=rho, seed=seed
         )
         for column in panel.columns():
             synth.observe(column)
@@ -279,7 +267,6 @@ class TestLazyMaterialization:
         # generator order: draws happen in release order either way.
         lazy = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=rho, seed=5,
-            noise_method="vectorized",
         )
         for i, column in enumerate(small_markov_panel.columns()):
             lazy.observe(column)

@@ -137,7 +137,6 @@ class TestConsistencyInvariants:
     def test_histograms_satisfy_overlap_constraint(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.2, seed=5,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         half = 4
@@ -151,7 +150,6 @@ class TestConsistencyInvariants:
     def test_release_histogram_equals_record_census(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.2, seed=6,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         for t in range(3, small_markov_panel.horizon + 1):
@@ -162,7 +160,6 @@ class TestConsistencyInvariants:
     def test_population_size_constant_over_time(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.2, seed=7,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         sizes = {int(release.histogram(t).sum()) for t in release.released_times()}
@@ -171,7 +168,6 @@ class TestConsistencyInvariants:
     def test_records_never_rewritten(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.2, seed=8,
-            noise_method="vectorized",
         )
         snapshots = {}
         for t, column in enumerate(small_markov_panel.columns(), start=1):
@@ -185,7 +181,6 @@ class TestConsistencyInvariants:
     def test_window_one_supported(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=1, rho=0.5, seed=9,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         assert release.histogram(small_markov_panel.horizon).shape == (2,)
@@ -201,7 +196,6 @@ class TestPrivacyAccounting:
     def test_budget_fully_spent(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.01, seed=12,
-            noise_method="vectorized",
         )
         synth.run(small_markov_panel)
         assert synth.accountant.spent == pytest.approx(0.01)
@@ -209,7 +203,6 @@ class TestPrivacyAccounting:
     def test_one_charge_per_update_step(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.01, seed=13,
-            noise_method="vectorized",
         )
         synth.run(small_markov_panel)
         assert len(synth.accountant.charges) == small_markov_panel.horizon - 3 + 1
@@ -232,7 +225,6 @@ class TestAnswers:
     def test_biased_vs_debiased_relationship(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.05, seed=14,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         query = AtLeastMOnes(3, 1)
@@ -247,7 +239,6 @@ class TestAnswers:
     def test_invalid_padding_convention(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.05, seed=15,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         with pytest.raises(ConfigurationError):
@@ -256,7 +247,6 @@ class TestAnswers:
     def test_larger_width_query_answered_from_records(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=2, rho=0.05, seed=16,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         value = release.answer(AllOnes(3), 6, debias=False)
@@ -266,7 +256,6 @@ class TestAnswers:
     def test_query_time_guard(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.05, seed=17,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         with pytest.raises(ConfigurationError):
@@ -280,7 +269,7 @@ class TestNegativeCountHandling:
         with pytest.raises(Exception) as info:
             FixedWindowSynthesizer(
                 horizon=12, window=3, rho=0.0001, n_pad=0, on_negative="raise",
-                seed=19, noise_method="vectorized",
+                seed=19,
             ).run(panel)
         assert "n_pad" in str(info.value)
 
@@ -288,7 +277,6 @@ class TestNegativeCountHandling:
         panel = iid_bernoulli(10, 12, 0.5, seed=20)
         synth = FixedWindowSynthesizer(
             horizon=12, window=3, rho=0.0001, n_pad=0, seed=21,
-            noise_method="vectorized",
         )
         release = synth.run(panel)
         assert release.negative_count_events > 0
@@ -302,7 +290,6 @@ class TestNegativeCountHandling:
         panel = two_state_markov(400, 12, 0.8, 0.05, seed=22)
         synth = FixedWindowSynthesizer(
             horizon=12, window=3, rho=0.01, beta=0.01, seed=23,
-            noise_method="vectorized",
         )
         release = synth.run(panel)
         assert release.negative_count_events == 0

@@ -20,7 +20,6 @@ class TestDefensiveCopies:
     def test_window_histogram_is_a_copy(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.1, seed=0,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         histogram = release.histogram(5)
@@ -30,7 +29,6 @@ class TestDefensiveCopies:
     def test_threshold_table_is_a_copy(self, small_markov_panel):
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.1, seed=1,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         table = release.threshold_table()
@@ -40,7 +38,6 @@ class TestDefensiveCopies:
     def test_synthetic_panels_are_immutable(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.1, seed=2,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         with pytest.raises(ValueError):
@@ -57,7 +54,6 @@ class TestCounterKwargsPlumbing:
             counter="block",
             counter_kwargs={"block_size": 2},
             seed=3,
-            noise_method="vectorized",
         )
         columns = list(small_markov_panel.columns())
         for column in columns[:4]:
@@ -78,7 +74,6 @@ class TestCounterKwargsPlumbing:
             counter="block",
             counter_kwargs={"block_size": 2},
             seed=3,
-            noise_method="vectorized",
         )
         synth.run(small_markov_panel)
         assert synth.bank.counters
@@ -102,7 +97,6 @@ class TestAccessors:
     def test_released_times_ascending(self, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.1, seed=6,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         times = release.released_times()
@@ -113,7 +107,6 @@ class TestAccessors:
         # Times coming out of numpy arrays must work as indices.
         synth = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.1, seed=7,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         t = np.int64(5)

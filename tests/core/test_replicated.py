@@ -45,7 +45,6 @@ class TestReplicateCumulative:
         replicated = replicate_cumulative(small_markov_panel, 5, rho=0.05, seed=5)
         serial = CumulativeSynthesizer(
             horizon=small_markov_panel.horizon, rho=0.05, seed=6,
-            noise_method="vectorized",
         )
         serial.run(small_markov_panel)
         assert replicated.accountant.charges == serial.accountant.charges

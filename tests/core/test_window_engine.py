@@ -141,7 +141,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_census_matches_histograms_under_noise(self, q3_panel, engine):
         synth = CategoricalWindowSynthesizer(
-            q3_panel.horizon, 2, 3, 0.2, seed=8, noise_method="vectorized"
+            q3_panel.horizon, 2, 3, 0.2, seed=8
         )
         with scalar_loops() if engine == "scalar" else contextlib.nullcontext():
             release = synth.run(q3_panel)

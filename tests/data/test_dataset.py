@@ -25,6 +25,30 @@ class TestConstruction:
         with pytest.raises(DataValidationError):
             LongitudinalDataset([[0, 2], [1, 0]])
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[0.5, 1.0]], [[np.nan, 0.0]], [[2, 0]], [[0, -1]], [[1.0, 2.0]]],
+        ids=["half", "nan", "two", "minus-one", "float-two"],
+    )
+    def test_rejects_non_binary_entries_of_every_dtype(self, matrix):
+        with pytest.raises(DataValidationError, match="panel entries must be 0 or 1"):
+            LongitudinalDataset(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[True, False], [False, True]]),
+            np.array([[0, 1], [1, 0]], dtype=np.int64),
+            np.array([[0, 1], [1, 1]], dtype=np.uint8),
+            np.array([[0.0, 1.0], [1.0, -0.0]]),
+        ],
+        ids=["bool", "int64", "uint8", "float"],
+    )
+    def test_accepts_binary_entries_of_every_dtype(self, matrix):
+        panel = LongitudinalDataset(matrix)
+        assert panel.matrix.dtype == np.uint8
+        assert (panel.matrix == np.asarray(matrix, dtype=np.uint8)).all()
+
     def test_rejects_wrong_ndim(self):
         with pytest.raises(DataValidationError):
             LongitudinalDataset([1, 0, 1])

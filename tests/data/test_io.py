@@ -78,7 +78,6 @@ class TestReleaseExport:
     def test_fixed_window_release_export(self, tmp_path, small_markov_panel):
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.05, seed=3,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         csv_path, json_path = save_release_csv(release, tmp_path / "out")
@@ -96,7 +95,6 @@ class TestReleaseExport:
 
         synth = FixedWindowSynthesizer(
             horizon=small_markov_panel.horizon, window=3, rho=0.05, seed=4,
-            noise_method="vectorized",
         )
         release = synth.run(small_markov_panel)
         csv_path, json_path = save_release_csv(release, tmp_path / "out")
@@ -118,7 +116,6 @@ class TestReleaseExport:
         panel = categorical_iid(100, 6, [0.3, 0.4, 0.3], seed=5)
         synth = CategoricalWindowSynthesizer(
             horizon=6, window=2, alphabet=3, rho=0.1, seed=6,
-            noise_method="vectorized",
         )
         release = synth.run(panel)
         csv_path, json_path = save_release_csv(release, tmp_path / "cat")
@@ -136,7 +133,6 @@ class TestReleaseExport:
         panel = categorical_iid(80, 5, [0.6, 0.4], seed=7)
         synth = CategoricalWindowSynthesizer(
             horizon=5, window=2, alphabet=2, rho=0.2, seed=8,
-            noise_method="vectorized",
         )
         release = synth.run(panel)
         _, json_path = save_release_csv(release, tmp_path / "cat2")

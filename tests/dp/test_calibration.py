@@ -69,7 +69,7 @@ def test_upper_sigma_sq_keeps_doubles_and_rounds_the_rest_up():
 def test_every_bank_row_realizes_at_most_its_budget(bank_cls, rho):
     horizon = 64
     rho_rows = allocate_budget(horizon, rho, "corollary_b1")
-    bank = bank_cls(horizon, rho_rows, seeds=0, noise_method="exact")
+    bank = bank_cls(horizon, rho_rows, seeds=0)
     if bank_cls is BinaryTreeBank:
         numerators = bank.levels
     else:
@@ -107,7 +107,7 @@ def test_laplace_helper_never_realizes_more_than_the_budget(levels, rho):
 @pytest.mark.parametrize("horizon", [12, 64, 512])
 def test_every_laplace_bank_row_realizes_at_most_its_budget(horizon, rho):
     rho_rows = allocate_budget(horizon, rho, "corollary_b1")
-    bank = LaplaceTreeBank(horizon, rho_rows, seeds=0, noise_method="exact")
+    bank = LaplaceTreeBank(horizon, rho_rows, seeds=0)
     for levels, scale, rho_b in zip(bank.levels, bank.scale_rows, rho_rows):
         assert _realized_laplace(levels, scale) <= Fraction(float(rho_b))
     # Rows appended by extend_rows are calibrated by the same rule.
@@ -119,11 +119,10 @@ def test_every_laplace_bank_row_realizes_at_most_its_budget(horizon, rho):
 
 @given(st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False))
 def test_laplace_sampler_never_rounds_a_scale_down(scale):
-    for method in ("exact", "vectorized"):
-        rounded = DiscreteLaplaceSampler(scale, seed=0, method=method).scale
-        assert rounded >= Fraction(scale)
-        assert rounded.denominator <= 10**12
-        assert rounded - Fraction(scale) <= Fraction(1, 10**12)
+    rounded = DiscreteLaplaceSampler(scale, seed=0).scale
+    assert rounded >= Fraction(scale)
+    assert rounded.denominator <= 10**12
+    assert rounded - Fraction(scale) <= Fraction(1, 10**12)
 
 
 @pytest.mark.parametrize("rho", [0.005, 1e-9, 1e-12])

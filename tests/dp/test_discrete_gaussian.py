@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.dp import discrete_gaussian as dg
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler, sample_discrete_gaussian
+from repro.dp.discrete_laplace import DiscreteLaplaceSampler
 from repro.rng import ExactRandom, as_generator, generator_state, restore_generator_state
 
 
@@ -58,9 +59,12 @@ class TestExactSampler:
 
 
 class TestDiscreteGaussianSampler:
+    """The exact draws, and the float rep-axis block (``vectorized`` cases)."""
+
     def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            DiscreteGaussianSampler(1, method="approximate")
+        # No setting chooses the noise: every release draw is exact.
+        with pytest.raises(TypeError):
+            DiscreteGaussianSampler(1, method="vectorized")
 
     def test_negative_variance(self):
         with pytest.raises(ValueError):
@@ -75,36 +79,37 @@ class TestDiscreteGaussianSampler:
         assert DiscreteGaussianSampler(25, seed=0).sigma == pytest.approx(5.0)
 
     def test_vectorized_shape(self):
-        sampler = DiscreteGaussianSampler(10, seed=0, method="vectorized")
+        sampler = DiscreteGaussianSampler(10, seed=0)
         assert sampler.sample_array((3, 4)).shape == (3, 4)
         assert sampler.sample_array(11).shape == (11,)
+        assert sampler.sample_array_2d([10] * 4, 3).shape == (3, 4)
+        assert sampler.sample_columns([10] * 11, size=1).shape == (1, 11)
 
     def test_vectorized_moments(self):
-        sampler = DiscreteGaussianSampler(100, seed=1, method="vectorized")
-        draws = sampler.sample_array(100000)
+        sampler = DiscreteGaussianSampler(0, seed=1)
+        draws = sampler.sample_array_2d([100], 100000)
         assert abs(draws.mean()) < 0.2
         assert abs(draws.var() / 100.0 - 1.0) < 0.03
 
     def test_exact_vs_vectorized_variance_agreement(self):
-        exact = DiscreteGaussianSampler(36, seed=2, method="exact").sample_array(2500)
-        vec = DiscreteGaussianSampler(36, seed=3, method="vectorized").sample_array(50000)
+        exact = DiscreteGaussianSampler(36, seed=2).sample_array(2500)
+        vec = DiscreteGaussianSampler(0, seed=3).sample_array_2d([36], 50000)
         assert abs(exact.var() / vec.var() - 1.0) < 0.20
 
     def test_symmetry_vectorized(self):
-        draws = DiscreteGaussianSampler(50, seed=4, method="vectorized").sample_array(
-            100000
-        )
+        draws = DiscreteGaussianSampler(0, seed=4).sample_array_2d([50], 100000)
         positive = (draws > 0).mean()
         negative = (draws < 0).mean()
         assert abs(positive - negative) < 0.01
 
     def test_integer_dtype(self):
-        draws = DiscreteGaussianSampler(5, seed=5, method="vectorized").sample_array(100)
-        assert np.issubdtype(draws.dtype, np.integer)
+        sampler = DiscreteGaussianSampler(5, seed=5)
+        assert np.issubdtype(sampler.sample_array(100).dtype, np.integer)
+        assert np.issubdtype(sampler.sample_array_2d([5], 100).dtype, np.integer)
 
     def test_reproducible_with_seed(self):
-        a = DiscreteGaussianSampler(9, seed=6, method="vectorized").sample_array(25)
-        b = DiscreteGaussianSampler(9, seed=6, method="vectorized").sample_array(25)
+        a = DiscreteGaussianSampler(9, seed=6).sample_array(25)
+        b = DiscreteGaussianSampler(9, seed=6).sample_array(25)
         assert (a == b).all()
 
     def test_fractional_variance_accepted(self):
@@ -113,8 +118,8 @@ class TestDiscreteGaussianSampler:
 
     def test_large_variance_tail_behaviour(self):
         # P(|X| > 5 sigma) should be negligible.
-        sampler = DiscreteGaussianSampler(400, seed=8, method="vectorized")
-        draws = sampler.sample_array(20000)
+        sampler = DiscreteGaussianSampler(0, seed=8)
+        draws = sampler.sample_array_2d([400], 20000)
         assert (np.abs(draws) > 5 * 20).mean() < 1e-3
 
 
@@ -182,19 +187,36 @@ class TestBatchedExactSampler:
         replayed = stream(DiscreteGaussianSampler(4, seed=replay_generator))
         assert replayed.tobytes() == expected.tobytes()
 
-    def test_batched_arm_never_draws_a_float(self, monkeypatch):
-        sampler = DiscreteGaussianSampler(0, seed=32)
+    @staticmethod
+    def _integers_only(sampler) -> _IntegersOnly:
         proxy = _IntegersOnly(sampler._generator)
         sampler._generator = proxy
         sampler._exact = ExactRandom(proxy)
+        return proxy
+
+    def test_batched_arm_never_draws_a_float(self, monkeypatch):
+        # Every 1-D draw of both samplers is integers only ...
+        sampler = DiscreteGaussianSampler(Fraction(9), seed=32)
+        proxy = self._integers_only(sampler)
         sampler.sample_columns(self.ROWS * 20)
-        sampler.sample_columns(self.ROWS, size=20)
+        sampler.sample_array(50)
+        sampler.sample()
+        laplace = DiscreteLaplaceSampler(Fraction(7, 2), seed=36)
+        laplace_proxy = self._integers_only(laplace)
+        laplace.sample_columns([Fraction(3), 0, Fraction(1, 2)] * 10)
+        laplace.sample_array(20)
+        laplace.sample()
         # ... nor on the Python-integer path (fresh calibrations under a
         # tiny product limit).
         monkeypatch.setattr(dg, "_INT64_LIMIT", 1 << 40)
         sampler._rows = dg._Calibration()
         sampler.sample_columns(self.ROWS * 5)
-        assert proxy.calls > 0
+        assert proxy.calls > 0 and laplace_proxy.calls > 0
+        # ... and size=R is the float draw, of both samplers.
+        with pytest.raises(AssertionError, match="Generator"):
+            sampler.sample_columns(self.ROWS, size=20)
+        with pytest.raises(AssertionError, match="Generator"):
+            laplace.sample_columns([Fraction(3)], size=2)
 
     def test_one_draw_keeps_the_scalar_sampler(self, monkeypatch):
         calls = []
@@ -206,11 +228,12 @@ class TestBatchedExactSampler:
         sampler.sample()
         sampler.sample_array(1)
         sampler.sample_columns([0, Fraction(25), 0])
+        assert len(calls) == 3
+        # More draws take the batched arm, and size=R the float block.
         sampler.sample_columns([Fraction(25)], size=1)
-        assert len(calls) == 4
         sampler.sample_columns([Fraction(25), Fraction(9)])
         sampler.sample_array(5)
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_rows_calibrate_once_per_sampler(self, monkeypatch):
         calibrated = []

@@ -34,20 +34,24 @@ class TestSampleDiscreteLaplace:
 
 
 class TestDiscreteLaplaceSampler:
+    """The exact draws, and the float rep-axis block (``vectorized`` cases)."""
+
     def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            DiscreteLaplaceSampler(2, method="fast")
+        # No setting chooses the noise: every release draw is exact.
+        with pytest.raises(TypeError):
+            DiscreteLaplaceSampler(2, method="vectorized")
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             DiscreteLaplaceSampler(0)
 
     def test_sample_array_shape(self):
-        sampler = DiscreteLaplaceSampler(3, seed=0, method="vectorized")
+        sampler = DiscreteLaplaceSampler(3, seed=0)
         assert sampler.sample_array((4, 5)).shape == (4, 5)
+        assert sampler.sample_array_2d([3] * 5, 4).shape == (4, 5)
 
     def test_exact_array_shape(self):
-        sampler = DiscreteLaplaceSampler(3, seed=0, method="exact")
+        sampler = DiscreteLaplaceSampler(3, seed=0)
         assert sampler.sample_array(7).shape == (7,)
 
     def test_variance_property_positive(self):
@@ -55,22 +59,22 @@ class TestDiscreteLaplaceSampler:
         assert sampler.variance > 0
 
     def test_exact_and_vectorized_agree_in_distribution(self):
-        exact = DiscreteLaplaceSampler(3, seed=1, method="exact").sample_array(2500)
-        vec = DiscreteLaplaceSampler(3, seed=2, method="vectorized").sample_array(20000)
+        exact = DiscreteLaplaceSampler(3, seed=1).sample_array(2500)
+        vec = DiscreteLaplaceSampler(3, seed=2).sample_array_2d([3], 20000)
         # Means near zero and variances within sampling tolerance of each other.
         assert abs(exact.mean()) < 0.5
         assert abs(vec.mean()) < 0.2
         assert abs(exact.var() / vec.var() - 1.0) < 0.30
 
     def test_vectorized_variance_matches_theory(self):
-        sampler = DiscreteLaplaceSampler(4, seed=3, method="vectorized")
-        draws = sampler.sample_array(50000)
+        sampler = DiscreteLaplaceSampler(4, seed=3)
+        draws = sampler.sample_array_2d([4], 50000)
         assert abs(draws.var() / sampler.variance - 1.0) < 0.08
 
     def test_sample_returns_int(self):
         assert isinstance(DiscreteLaplaceSampler(2, seed=0).sample(), int)
 
     def test_reproducible_with_seed(self):
-        a = DiscreteLaplaceSampler(2, seed=11, method="vectorized").sample_array(20)
-        b = DiscreteLaplaceSampler(2, seed=11, method="vectorized").sample_array(20)
+        a = DiscreteLaplaceSampler(2, seed=11).sample_array(20)
+        b = DiscreteLaplaceSampler(2, seed=11).sample_array(20)
         assert (a == b).all()

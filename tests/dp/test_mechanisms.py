@@ -15,7 +15,7 @@ class TestNoisyCount:
         assert isinstance(noisy_count(10, 25, seed=1), int)
 
     def test_noise_actually_added(self):
-        draws = {noisy_count(0, 1000, seed=s, method="vectorized") for s in range(10)}
+        draws = {noisy_count(0, 1000, seed=s) for s in range(10)}
         assert len(draws) > 1
 
 
@@ -56,16 +56,16 @@ class TestGaussianHistogramMechanism:
         assert subst.rho_per_release == pytest.approx(2 * base.rho_per_release)
 
     def test_noise_is_integer_valued(self):
-        mechanism = GaussianHistogramMechanism(16, 50, seed=1, method="vectorized")
+        mechanism = GaussianHistogramMechanism(16, 50, seed=1)
         released = mechanism.release(np.zeros(16, dtype=np.int64))
         assert np.issubdtype(released.dtype, np.integer)
 
     def test_noise_roughly_centered(self):
-        mechanism = GaussianHistogramMechanism(512, 100, seed=2, method="vectorized")
+        mechanism = GaussianHistogramMechanism(512, 100, seed=2)
         released = mechanism.release(np.zeros(512, dtype=np.int64))
         assert abs(released.mean()) < 3.0
 
     def test_negative_outputs_possible(self):
-        mechanism = GaussianHistogramMechanism(256, 10000, seed=3, method="vectorized")
+        mechanism = GaussianHistogramMechanism(256, 10000, seed=3)
         released = mechanism.release(np.zeros(256, dtype=np.int64))
         assert (released < 0).any()

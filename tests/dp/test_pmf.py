@@ -88,24 +88,24 @@ class TestSamplersMatchPmf:
         return pvalue
 
     def test_exact_sampler_distribution(self):
-        sampler = DiscreteGaussianSampler(9, seed=1, method="exact")
+        sampler = DiscreteGaussianSampler(9, seed=1)
         samples = sampler.sample_array(4000)
         assert self._chi_square_pvalue(samples, 9.0) > 1e-3
 
     def test_vectorized_sampler_distribution(self):
-        sampler = DiscreteGaussianSampler(9, seed=2, method="vectorized")
-        samples = sampler.sample_array(60000)
+        sampler = DiscreteGaussianSampler(0, seed=2)
+        samples = sampler.sample_array_2d([9], 60000)
         assert self._chi_square_pvalue(samples, 9.0) > 1e-3
 
     def test_vectorized_sampler_small_sigma(self):
-        sampler = DiscreteGaussianSampler(1, seed=3, method="vectorized")
-        samples = sampler.sample_array(60000)
+        sampler = DiscreteGaussianSampler(0, seed=3)
+        samples = sampler.sample_array_2d([1], 60000)
         assert self._chi_square_pvalue(samples, 1.0) > 1e-3
 
     def test_empirical_variance_matches_exact(self):
         sigma_sq = 2.0
-        sampler = DiscreteGaussianSampler(sigma_sq, seed=4, method="vectorized")
-        samples = sampler.sample_array(100000)
+        sampler = DiscreteGaussianSampler(0, seed=4)
+        samples = sampler.sample_array_2d([sigma_sq], 100000)
         assert samples.var() == pytest.approx(
             discrete_gaussian_variance(sigma_sq), rel=0.03
         )

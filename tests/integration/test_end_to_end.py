@@ -27,7 +27,6 @@ class TestFullPipelineWindow:
     def test_paper_workflow_runs(self, sipp):
         synth = FixedWindowSynthesizer(
             horizon=sipp.horizon, window=3, rho=0.05, seed=0,
-            noise_method="vectorized",
         )
         release = synth.run(sipp)
         for query in quarterly_poverty_workload(3):
@@ -39,7 +38,6 @@ class TestFullPipelineWindow:
     def test_release_metadata(self, sipp):
         synth = FixedWindowSynthesizer(
             horizon=sipp.horizon, window=3, rho=0.05, seed=1,
-            noise_method="vectorized",
         )
         release = synth.run(sipp)
         assert release.n_original == 3000
@@ -51,7 +49,6 @@ class TestFullPipelineWindow:
     def test_epsilon_delta_reporting(self, sipp):
         synth = FixedWindowSynthesizer(
             horizon=sipp.horizon, window=3, rho=0.05, seed=2,
-            noise_method="vectorized",
         )
         synth.run(sipp)
         epsilon = synth.accountant.epsilon(delta=1e-6)
@@ -62,7 +59,7 @@ class TestFullPipelineWindow:
 class TestFullPipelineCumulative:
     def test_paper_workflow_runs(self, sipp):
         synth = CumulativeSynthesizer(
-            horizon=sipp.horizon, rho=0.05, seed=3, noise_method="vectorized"
+            horizon=sipp.horizon, rho=0.05, seed=3
         )
         release = synth.run(sipp)
         for b in (1, 3, 6):
@@ -72,7 +69,7 @@ class TestFullPipelineCumulative:
 
     def test_repr(self, sipp):
         synth = CumulativeSynthesizer(
-            horizon=sipp.horizon, rho=0.05, seed=4, noise_method="vectorized"
+            horizon=sipp.horizon, rho=0.05, seed=4
         )
         release = synth.run(sipp)
         assert "CumulativeRelease" in repr(release)
@@ -85,7 +82,6 @@ class TestCrossAlgorithmComparisons:
         oracle = NonPrivateSynthesizer(sipp.horizon).run(sipp)
         private = FixedWindowSynthesizer(
             horizon=sipp.horizon, window=3, rho=0.01, seed=5,
-            noise_method="vectorized",
         ).run(sipp)
         truth = query.evaluate(sipp, t)
         assert abs(oracle.answer(query, t) - truth) == 0.0
@@ -94,10 +90,9 @@ class TestCrossAlgorithmComparisons:
     def test_both_synthesizers_consume_the_same_stream(self, sipp):
         window_synth = FixedWindowSynthesizer(
             horizon=sipp.horizon, window=3, rho=0.05, seed=6,
-            noise_method="vectorized",
         )
         cumulative_synth = CumulativeSynthesizer(
-            horizon=sipp.horizon, rho=0.05, seed=7, noise_method="vectorized"
+            horizon=sipp.horizon, rho=0.05, seed=7
         )
         for column in sipp.columns():
             window_synth.observe(column)

@@ -103,7 +103,6 @@ class TestExtremeNoiseWindow:
         panel = iid_bernoulli(5, 8, 0.5, seed=4)
         synthesizer = FixedWindowSynthesizer(
             horizon=8, window=2, rho=1e-6, n_pad=0, seed=5,
-            noise_method="vectorized",
         )
         release = synthesizer.run(panel)
         for t in range(3, 9):
@@ -122,7 +121,7 @@ class TestExtremeNoiseWindow:
     def test_all_zero_panel_with_noise(self):
         panel = iid_bernoulli(50, 8, 0.0, seed=7)
         synthesizer = CumulativeSynthesizer(
-            horizon=8, rho=0.01, seed=8, noise_method="vectorized"
+            horizon=8, rho=0.01, seed=8
         )
         release = synthesizer.run(panel)
         assert synthesizer.check_invariants()

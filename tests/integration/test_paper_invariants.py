@@ -34,7 +34,6 @@ class TestAlgorithm1Invariants:
             window=window,
             rho=0.1,
             seed=seed,
-            noise_method="vectorized",
         )
         release = synth.run(panel)
         half = 1 << (window - 1)
@@ -74,7 +73,7 @@ class TestAlgorithm2Invariants:
     def test_monotone_table_and_census_for_any_panel(self, matrix, seed):
         panel = LongitudinalDataset(matrix)
         synth = CumulativeSynthesizer(
-            horizon=panel.horizon, rho=0.1, seed=seed, noise_method="vectorized"
+            horizon=panel.horizon, rho=0.1, seed=seed
         )
         release = synth.run(panel)
         assert synth.check_invariants()
@@ -110,7 +109,6 @@ class TestAlgorithm2Invariants:
             rho=0.2,
             counter=counter,
             seed=seed,
-            noise_method="vectorized",
         )
         synth.run(panel)
         assert synth.check_invariants()
@@ -122,11 +120,11 @@ class TestExtremePanels:
         matrix = np.full((30, 8), fill, dtype=np.uint8)
         panel = LongitudinalDataset(matrix)
         window_synth = FixedWindowSynthesizer(
-            horizon=8, window=3, rho=0.1, seed=0, noise_method="vectorized"
+            horizon=8, window=3, rho=0.1, seed=0
         )
         window_synth.run(panel)
         cumulative_synth = CumulativeSynthesizer(
-            horizon=8, rho=0.1, seed=0, noise_method="vectorized"
+            horizon=8, rho=0.1, seed=0
         )
         cumulative_synth.run(panel)
         assert cumulative_synth.check_invariants()
@@ -134,7 +132,7 @@ class TestExtremePanels:
     def test_single_individual(self):
         panel = LongitudinalDataset(np.array([[1, 0, 1, 1, 0, 1]], dtype=np.uint8))
         synth = CumulativeSynthesizer(
-            horizon=6, rho=0.5, seed=1, noise_method="vectorized"
+            horizon=6, rho=0.5, seed=1
         )
         synth.run(panel)
         assert synth.check_invariants()
@@ -142,12 +140,12 @@ class TestExtremePanels:
     def test_single_round(self):
         panel = LongitudinalDataset(np.ones((20, 1), dtype=np.uint8))
         window_synth = FixedWindowSynthesizer(
-            horizon=1, window=1, rho=0.5, seed=2, noise_method="vectorized"
+            horizon=1, window=1, rho=0.5, seed=2
         )
         release = window_synth.run(panel)
         assert release.released_times() == [1]
         cumulative_synth = CumulativeSynthesizer(
-            horizon=1, rho=0.5, seed=2, noise_method="vectorized"
+            horizon=1, rho=0.5, seed=2
         )
         cumulative_synth.run(panel)
         assert cumulative_synth.check_invariants()

@@ -32,7 +32,6 @@ def window_answers(panel):
     def factory(generator):
         return FixedWindowSynthesizer(
             horizon=HORIZON, window=3, rho=RHO, seed=generator,
-            noise_method="vectorized",
         )
 
     return replicate_synthesizer(
@@ -49,7 +48,7 @@ def window_answers(panel):
 def cumulative_answers(panel):
     def factory(generator):
         return CumulativeSynthesizer(
-            horizon=HORIZON, rho=RHO, seed=generator, noise_method="vectorized"
+            horizon=HORIZON, rho=RHO, seed=generator
         )
 
     return replicate_synthesizer(
@@ -112,7 +111,6 @@ class TestErrorScaling:
             def factory(generator):
                 return FixedWindowSynthesizer(
                     horizon=HORIZON, window=3, rho=rho, seed=generator,
-                    noise_method="vectorized",
                 )
 
             result = replicate_synthesizer(

@@ -36,8 +36,7 @@ from repro.streams.registry import make_counter
 
 
 def scalar_counter_table(
-    name, horizon, rho_per_threshold, increments, seeds, *,
-    noise_method="vectorized", counter_kwargs=None,
+    name, horizon, rho_per_threshold, increments, seeds, *, counter_kwargs=None
 ):
     """Feed a ``(T, T)`` increment table through one counter per threshold.
 
@@ -56,7 +55,6 @@ def scalar_counter_table(
                 horizon=horizon - t + 1,
                 rho=float(rho_per_threshold[t - 1]),
                 seed=seeds[t - 1],
-                noise_method=noise_method,
                 **(counter_kwargs or {}),
             )
         )
@@ -78,7 +76,6 @@ def fallback_reference(synth):
         synth.horizon,
         synth.rho_per_threshold,
         seeds=synth._counter_seeds,
-        noise_method=synth.noise_method,
         counter=synth.counter_name,
         counter_kwargs=synth._counter_kwargs,
     )

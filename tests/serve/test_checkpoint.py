@@ -385,6 +385,8 @@ def test_legacy_window_bundle_with_vectorized_engine_restores(algorithm):
     "algorithm", ["cumulative", "categorical_window", "fixed_window", "multi_attribute"]
 )
 def test_scalar_engine_bundle_fails_closed(algorithm):
+    # Neither the scalar engine's nor a float-noise run's continuation can
+    # be reproduced.
     build, columns = _legacy_services()[algorithm]
     service = build()
     for column in columns[:4]:
@@ -393,6 +395,10 @@ def test_scalar_engine_bundle_fails_closed(algorithm):
     service.checkpoint(buffer)
     with pytest.raises(SerializationError, match="engine 'scalar'"):
         StreamingSynthesizer.restore(_with_config_keys(buffer.getvalue(), engine="scalar"))
+    with pytest.raises(SerializationError, match="noise_method 'vectorized'"):
+        StreamingSynthesizer.restore(
+            _with_config_keys(buffer.getvalue(), noise_method="vectorized")
+        )
 
 
 def test_not_a_zip_rejected(tmp_path):
@@ -716,22 +722,6 @@ def test_load_state_requires_fresh_synthesizer(columns):
     snapshot = service.synthesizer.state_dict()
     with pytest.raises(SerializationError, match="fresh synthesizer"):
         service.synthesizer.load_state(snapshot)
-
-
-def test_monotone_counter_state_roundtrip():
-    """The wrapper serializes its running max and the wrapped counter."""
-    from repro.streams.binary_tree import BinaryTreeCounter
-    from repro.streams.monotone import MonotoneCounter
-
-    original = MonotoneCounter(BinaryTreeCounter(8, 0.1, seed=1))
-    for z in (3, 0, 2, 1):
-        original.feed(z)
-    snapshot = original.state_dict()
-
-    restored = MonotoneCounter(BinaryTreeCounter(8, 0.1, seed=99))
-    restored.load_state(snapshot)
-    for z in (2, 0, 1, 4):
-        assert original.feed(z) == restored.feed(z)
 
 
 def test_sharded_restore_rejects_structurally_invalid_bundles(columns):

@@ -9,9 +9,13 @@ Pins down the three contracts the refactor relies on:
    with noise (same per-row seeds drive the same scalar counters).
 2. **Staggered activation** — bank row ``b`` sees exactly the stream
    ``z_b^t`` for ``t = b..T``, nothing earlier.
-3. **Heterogeneous-scale sampling** — the new ``sample_columns`` /
+3. **Heterogeneous-scale sampling** — the ``sample_columns`` /
    ``sample_array_2d`` APIs honor per-column scales, including exact
    zeros for noiseless columns.
+
+A bank takes one of two draws, chosen by ``n_reps`` alone: the exact
+draw with one replica, the float rep-axis block with several.  Cases
+labelled ``exact`` and ``vectorized`` exercise the one and the other.
 """
 
 import math
@@ -26,6 +30,7 @@ from repro.core.cumulative import CumulativeSynthesizer
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler
 from repro.dp.discrete_laplace import DiscreteLaplaceSampler
 from repro.exceptions import ConfigurationError, SerializationError, StreamLengthError
+from repro.rng import spawn
 from repro.streams.bank import (
     BinaryTreeBank,
     CounterBank,
@@ -89,12 +94,11 @@ class TestNoiselessEquivalence:
         for name, kwargs in (("honaker", {}), ("block", {"block_size": 3})):
             bank = make_bank(
                 name, horizon=HORIZON, rho_per_threshold=rho_vec, seeds=seeds,
-                noise_method="vectorized", counter_kwargs=kwargs,
+                counter_kwargs=kwargs,
             )
             assert isinstance(bank, FallbackBank)
             reference = scalar_counter_table(
-                name, HORIZON, rho_vec, increments, seeds,
-                noise_method="vectorized", counter_kwargs=kwargs,
+                name, HORIZON, rho_vec, increments, seeds, counter_kwargs=kwargs
             )
             assert (bank.run(increments) == reference).all()
 
@@ -164,10 +168,14 @@ class TestBankValidation:
                 CumulativeSynthesizer.from_config({**config, "engine": engine})
 
 
+#: Replicas per draw: the exact draw runs one, the float rep-axis block several.
+N_REPS = {"exact": 1, "vectorized": 3}
+
+
 class TestBankNoise:
     @pytest.mark.parametrize("name", sorted(available_banks()))
-    @pytest.mark.parametrize("noise_method", ["exact", "vectorized"])
-    def test_native_banks_run_noisy(self, name, noise_method):
+    @pytest.mark.parametrize("draw", ["exact", "vectorized"])
+    def test_native_banks_run_noisy(self, name, draw):
         horizon = 9
         rho_vec = allocate_budget(horizon, 0.5, "corollary_b1")
         bank = make_bank(
@@ -175,17 +183,18 @@ class TestBankNoise:
             horizon=horizon,
             rho_per_threshold=rho_vec,
             seeds=5,
-            noise_method=noise_method,
+            n_reps=N_REPS[draw],
         )
         estimates = bank.run(_increment_table(horizon, seed=4))
         assert np.isfinite(estimates).all()
         # Noisy estimates track the truth to within a loose multiple of
-        # the per-row analytic scale (sanity, not a tail bound).
-        final = estimates[-1]
+        # the per-row analytic scale (sanity, not a tail bound), in every
+        # replica.
         truth = bank.true_sums
-        for b in range(1, horizon + 1):
-            scale = bank.error_stddev(b, horizon - b + 1)
-            assert abs(final[b - 1] - truth[b - 1]) <= max(8 * scale, 1e-9)
+        for final in estimates.reshape(-1, horizon, horizon)[:, -1]:
+            for b in range(1, horizon + 1):
+                scale = bank.error_stddev(b, horizon - b + 1)
+                assert abs(final[b - 1] - truth[b - 1]) <= max(8 * scale, 1e-9)
 
     def test_error_stddev_matches_scalar_counters(self):
         horizon = 12
@@ -205,10 +214,7 @@ class TestBankNoise:
         # Explicitly mixed budgets: inf rows stay exact, finite rows jitter.
         horizon = 6
         rho_vec = np.array([math.inf, 1e-4, math.inf, 1e-4, math.inf, 1e-4])
-        bank = make_bank(
-            "simple", horizon=horizon, rho_per_threshold=rho_vec, seeds=6,
-            noise_method="vectorized",
-        )
+        bank = make_bank("simple", horizon=horizon, rho_per_threshold=rho_vec, seeds=6)
         increments = _increment_table(horizon, seed=5)
         estimates = bank.run(increments)
         final = estimates[-1]
@@ -253,51 +259,54 @@ class TestBankRegistry:
         )
 
 
+def _column_draws(sampler, scales, n: int, draw: str) -> np.ndarray:
+    """``(n, len(scales))`` draws: ``n`` exact 1-D calls, or one float block."""
+    if draw == "exact":
+        return np.stack([sampler.sample_columns(scales) for _ in range(n)])
+    return sampler.sample_array_2d(scales, n)
+
+
 class TestHeterogeneousSamplers:
     def test_gaussian_columns_zero_variance_is_zero(self):
-        sampler = DiscreteGaussianSampler(0, seed=0, method="vectorized")
+        sampler = DiscreteGaussianSampler(0, seed=0)
         draws = sampler.sample_columns([0.0, 4.0, 0.0, 9.0])
         assert draws.shape == (4,)
         assert draws[0] == 0 and draws[2] == 0
 
-    @pytest.mark.parametrize("method", ["exact", "vectorized"])
-    def test_gaussian_columns_scale_tracks_sigma(self, method):
-        sampler = DiscreteGaussianSampler(0, seed=1, method=method)
-        sigma_sqs = [Fraction(1), Fraction(400)] if method == "exact" else [1.0, 400.0]
-        n = 400 if method == "exact" else 3000
-        draws = sampler.sample_array_2d(sigma_sqs, n)
+    @pytest.mark.parametrize("draw", ["exact", "vectorized"])
+    def test_gaussian_columns_scale_tracks_sigma(self, draw):
+        sampler = DiscreteGaussianSampler(0, seed=1)
+        n = 400 if draw == "exact" else 3000
+        draws = _column_draws(sampler, [Fraction(1), Fraction(400)], n, draw)
         assert draws.shape == (n, 2)
         small, big = draws[:, 0].std(), draws[:, 1].std()
         assert small < 3.0  # sigma 1
         assert 12.0 < big < 30.0  # sigma 20
 
     def test_gaussian_columns_negative_rejected(self):
-        sampler = DiscreteGaussianSampler(0, seed=2, method="vectorized")
+        sampler = DiscreteGaussianSampler(0, seed=2)
         with pytest.raises(ValueError):
             sampler.sample_columns([1.0, -1.0])
+        with pytest.raises(ValueError):
+            sampler.sample_columns([1.0, -1.0], size=2)
 
     def test_laplace_columns_zero_scale_is_zero(self):
-        sampler = DiscreteLaplaceSampler(1, seed=3, method="vectorized")
+        sampler = DiscreteLaplaceSampler(1, seed=3)
         draws = sampler.sample_columns([0.0, 5.0, 0.0])
         assert draws.shape == (3,)
         assert draws[0] == 0 and draws[2] == 0
 
-    @pytest.mark.parametrize("method", ["exact", "vectorized"])
-    def test_laplace_columns_scale_tracks_scale(self, method):
-        sampler = DiscreteLaplaceSampler(1, seed=4, method=method)
-        scales = [Fraction(1, 2), Fraction(20)] if method == "exact" else [0.5, 20.0]
-        n = 300 if method == "exact" else 3000
-        draws = sampler.sample_array_2d(scales, n)
+    @pytest.mark.parametrize("draw", ["exact", "vectorized"])
+    def test_laplace_columns_scale_tracks_scale(self, draw):
+        sampler = DiscreteLaplaceSampler(1, seed=4)
+        n = 300 if draw == "exact" else 3000
+        draws = _column_draws(sampler, [Fraction(1, 2), Fraction(20)], n, draw)
         assert draws.shape == (n, 2)
         assert draws[:, 0].std() < draws[:, 1].std()
 
     def test_reproducible_from_seed(self):
-        a = DiscreteGaussianSampler(0, seed=9, method="vectorized").sample_columns(
-            [4.0, 100.0, 0.0]
-        )
-        b = DiscreteGaussianSampler(0, seed=9, method="vectorized").sample_columns(
-            [4.0, 100.0, 0.0]
-        )
+        a = DiscreteGaussianSampler(0, seed=9).sample_columns([4.0, 100.0, 0.0])
+        b = DiscreteGaussianSampler(0, seed=9).sample_columns([4.0, 100.0, 0.0])
         assert (a == b).all()
 
 
@@ -317,12 +326,7 @@ class TestSynthesizerEngineSurface:
         charges = []
         for wrap in (lambda synth: synth, fallback_reference):
             synth = wrap(
-                CumulativeSynthesizer(
-                    horizon=small_markov_panel.horizon,
-                    rho=0.02,
-                    seed=1,
-                    noise_method="vectorized",
-                )
+                CumulativeSynthesizer(horizon=small_markov_panel.horizon, rho=0.02, seed=1)
             )
             synth.run(small_markov_panel)
             charges.append(synth.accountant.charges)
@@ -342,7 +346,7 @@ class TestSynthesizerEngineSurface:
         from repro.analysis.confidence import cumulative_answer_ci
         from repro.queries.cumulative import HammingAtLeast
 
-        synth = CumulativeSynthesizer(horizon=5, rho=0.5, seed=3, noise_method="vectorized")
+        synth = CumulativeSynthesizer(horizon=5, rho=0.5, seed=3)
         if engine == "scalar":
             fallback_reference(synth)
         for _ in range(3):
@@ -386,18 +390,23 @@ class TestRepAxis:
         assert (replicated == single[None, :, :]).all()
 
     @pytest.mark.parametrize("name", NATIVE)
-    @pytest.mark.parametrize("noise_method", ["exact", "vectorized"])
-    def test_noisy_reps_differ(self, name, noise_method):
+    @pytest.mark.parametrize("draw", ["exact", "vectorized"])
+    def test_noisy_reps_differ(self, name, draw):
+        # Exact replicas are one-replica banks on spawned seeds (the
+        # one-run-at-a-time path); float replicas share one bank.
         increments = _increment_table(6, seed=6)
-        bank = make_bank(
-            name,
-            horizon=6,
-            rho_per_threshold=allocate_budget(6, 0.2, "corollary_b1"),
-            seeds=3,
-            noise_method=noise_method,
-            n_reps=3,
-        )
-        out = bank.run(increments)
+        rho_vec = allocate_budget(6, 0.2, "corollary_b1")
+        if draw == "exact":
+            out = [
+                make_bank(name, horizon=6, rho_per_threshold=rho_vec, seeds=seed).run(
+                    increments
+                )
+                for seed in spawn(3, 3)
+            ]
+        else:
+            out = make_bank(
+                name, horizon=6, rho_per_threshold=rho_vec, seeds=3, n_reps=3
+            ).run(increments)
         assert not (out[0] == out[1]).all()
         assert not (out[1] == out[2]).all()
 
@@ -453,35 +462,50 @@ class TestRepAxis:
 
 
 class TestSizeAwareSamplers:
-    """sample_columns(..., size=R) — the (R, rows) rep-axis draw."""
+    """sample_columns(..., size=R) — the (R, rows) rep-axis draw.
 
-    @pytest.mark.parametrize("method", ["exact", "vectorized"])
-    def test_gaussian_size_shape_and_zero_columns(self, method):
-        sampler = DiscreteGaussianSampler(0, seed=11, method=method)
-        draws = sampler.sample_columns([0, 4.0, 25.0], size=6)
+    ``exact`` cases pass the banks' ``Fraction`` rows, ``vectorized``
+    cases float rows; either way ``size=R`` is the float block.
+    """
+
+    ROWS = {"exact": [Fraction(0), Fraction(4), Fraction(25)], "vectorized": [0, 4.0, 25.0]}
+
+    @pytest.mark.parametrize("rows", ["exact", "vectorized"])
+    def test_gaussian_size_shape_and_zero_columns(self, rows):
+        sampler = DiscreteGaussianSampler(0, seed=11)
+        draws = sampler.sample_columns(self.ROWS[rows], size=6)
         assert draws.shape == (6, 3)
         assert (draws[:, 0] == 0).all()
 
-    @pytest.mark.parametrize("method", ["exact", "vectorized"])
-    def test_laplace_size_shape_and_zero_columns(self, method):
-        sampler = DiscreteLaplaceSampler(1, seed=12, method=method)
-        draws = sampler.sample_columns([0, 2.0, 9.0], size=6)
+    @pytest.mark.parametrize("rows", ["exact", "vectorized"])
+    def test_laplace_size_shape_and_zero_columns(self, rows):
+        sampler = DiscreteLaplaceSampler(1, seed=12)
+        draws = sampler.sample_columns(self.ROWS[rows], size=6)
         assert draws.shape == (6, 3)
         assert (draws[:, 0] == 0).all()
 
     def test_size_zero_and_negative(self):
-        sampler = DiscreteGaussianSampler(0, seed=13, method="vectorized")
+        sampler = DiscreteGaussianSampler(0, seed=13)
         assert sampler.sample_columns([1.0, 2.0], size=0).shape == (0, 2)
         with pytest.raises(ValueError):
             sampler.sample_columns([1.0], size=-1)
 
     def test_size_none_keeps_legacy_bit_stream(self):
-        a = DiscreteGaussianSampler(0, seed=14, method="vectorized")
-        b = DiscreteGaussianSampler(0, seed=14, method="vectorized")
+        a = DiscreteGaussianSampler(0, seed=14)
+        b = DiscreteGaussianSampler(0, seed=14)
         scales = [3.0, 7.0, 11.0]
         assert (a.sample_columns(scales) == b.sample_columns(scales, size=None)).all()
 
+    def test_fraction_and_float_rows_draw_the_same_block(self):
+        # The banks pass Fraction rows; the block converts them with float().
+        fractions = [Fraction(0), Fraction(7, 3), Fraction(400)]
+        a = DiscreteGaussianSampler(0, seed=16).sample_columns(fractions, size=5)
+        b = DiscreteGaussianSampler(0, seed=16).sample_columns(
+            np.array([float(f) for f in fractions]), size=5
+        )
+        assert (a == b).all()
+
     def test_rows_are_independent(self):
-        sampler = DiscreteGaussianSampler(0, seed=15, method="vectorized")
+        sampler = DiscreteGaussianSampler(0, seed=15)
         draws = sampler.sample_columns(np.full(64, 1000.0), size=2)
         assert not (draws[0] == draws[1]).all()

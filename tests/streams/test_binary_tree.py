@@ -65,7 +65,7 @@ class TestBinaryTreeCounter:
         stream = [1] * 12
         errors = []
         for seed in range(400):
-            counter = BinaryTreeCounter(12, 1.0, seed=seed, noise_method="vectorized")
+            counter = BinaryTreeCounter(12, 1.0, seed=seed)
             errors.append(counter.run(stream)[-1] - 12)
         predicted = BinaryTreeCounter(12, 1.0).error_stddev(12)
         assert abs(np.std(errors) / predicted - 1.0) < 0.20
@@ -91,5 +91,5 @@ class TestBinaryTreeCounter:
             BinaryTreeCounter(0, 1.0)
         with pytest.raises(ConfigurationError):
             BinaryTreeCounter(4, 0.0)
-        with pytest.raises(ConfigurationError):
-            BinaryTreeCounter(4, 1.0, noise_method="bogus")
+        with pytest.raises(TypeError):
+            BinaryTreeCounter(4, 1.0, noise_method="vectorized")

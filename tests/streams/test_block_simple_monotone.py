@@ -1,14 +1,12 @@
-"""Tests for the block counter, naive counter, and monotone wrapper."""
+"""Tests for the block counter and the naive counter."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.exceptions import StreamLengthError
 from repro.streams.binary_tree import BinaryTreeCounter
 from repro.streams.block import BlockCounter
-from repro.streams.monotone import MonotoneCounter
 from repro.streams.simple import SimpleCounter
 
 
@@ -56,41 +54,3 @@ class TestSimpleCounter:
         simple = SimpleCounter(1024, 0.5)
         tree = BinaryTreeCounter(1024, 0.5)
         assert tree.error_stddev(1023) < simple.error_stddev(1023)
-
-
-class TestMonotoneCounter:
-    def test_outputs_non_decreasing(self):
-        inner = BinaryTreeCounter(12, 0.05, seed=3)
-        counter = MonotoneCounter(inner)
-        outputs = counter.run([1, 0, 2, 1, 1, 0, 3, 1, 0, 2, 1, 1])
-        assert (np.diff(outputs) >= 0).all()
-
-    def test_noiseless_passthrough(self):
-        inner = BinaryTreeCounter(6, math.inf, seed=0)
-        counter = MonotoneCounter(inner)
-        assert np.allclose(counter.run([1, 0, 2, 0, 1, 1]), [1, 1, 3, 3, 4, 5])
-
-    def test_error_never_worse_than_inner_lemma_42(self):
-        # Run the same noise stream through a plain and a wrapped counter
-        # and verify the clamped error is pointwise <= the running max of
-        # the raw errors (the single-stream Lemma 4.2 statement).
-        stream = [1] * 12
-        truth = np.cumsum(stream)
-        for seed in range(50):
-            raw = BinaryTreeCounter(12, 0.1, seed=seed, noise_method="vectorized").run(
-                stream
-            )
-            clamped = np.maximum.accumulate(raw)
-            raw_errors = np.abs(raw - truth)
-            clamped_errors = np.abs(clamped - truth)
-            assert (clamped_errors <= np.maximum.accumulate(raw_errors) + 1e-9).all()
-
-    def test_horizon_enforced_through_wrapper(self):
-        counter = MonotoneCounter(BinaryTreeCounter(2, 1.0, seed=0))
-        counter.run([1, 1])
-        with pytest.raises(StreamLengthError):
-            counter.feed(1)
-
-    def test_error_stddev_delegates(self):
-        inner = BinaryTreeCounter(12, 0.5)
-        assert MonotoneCounter(inner).error_stddev(7) == inner.error_stddev(7)

@@ -48,7 +48,7 @@ class TestCounterContract:
         errors = []
         for seed in range(150):
             counter = make_counter(
-                name, horizon=12, rho=0.5, seed=seed, noise_method="vectorized"
+                name, horizon=12, rho=0.5, seed=seed
             )
             errors.append(counter.run(stream)[-1] - 24)
         predicted = make_counter(name, horizon=12, rho=0.5).error_stddev(12)
@@ -60,7 +60,7 @@ class TestCounterContract:
         finals = []
         for seed in range(200):
             counter = make_counter(
-                name, horizon=8, rho=0.5, seed=seed, noise_method="vectorized"
+                name, horizon=8, rho=0.5, seed=seed
             )
             finals.append(counter.run(stream)[-1])
         standard_error = np.std(finals) / math.sqrt(len(finals))

@@ -38,8 +38,8 @@ class TestHonakerCounter:
         stream = [1] * 15  # popcount(15)=4: worst case for the plain tree
         honaker_errors, tree_errors = [], []
         for seed in range(300):
-            honaker = HonakerCounter(15, 0.5, seed=seed, noise_method="vectorized")
-            tree = BinaryTreeCounter(15, 0.5, seed=seed, noise_method="vectorized")
+            honaker = HonakerCounter(15, 0.5, seed=seed)
+            tree = BinaryTreeCounter(15, 0.5, seed=seed)
             honaker_errors.append(honaker.run(stream)[-1] - 15)
             tree_errors.append(tree.run(stream)[-1] - 15)
         assert np.std(honaker_errors) < np.std(tree_errors)
@@ -59,7 +59,7 @@ class TestHonakerCounter:
         stream = [1] * 12
         errors = []
         for seed in range(300):
-            counter = HonakerCounter(12, 0.5, seed=seed, noise_method="vectorized")
+            counter = HonakerCounter(12, 0.5, seed=seed)
             errors.append(counter.run(stream)[-1] - 12)
         predicted = HonakerCounter(12, 0.5).error_stddev(12)
         assert abs(np.std(errors) / predicted - 1.0) < 0.25

@@ -43,7 +43,7 @@ class TestLaplaceTreeCounter:
         errors = []
         for seed in range(300):
             counter = LaplaceTreeCounter(
-                12, 0.5, seed=seed, noise_method="vectorized"
+                12, 0.5, seed=seed
             )
             errors.append(counter.run(stream)[-1] - 12)
         predicted = LaplaceTreeCounter(12, 0.5).error_stddev(12)
@@ -70,7 +70,6 @@ class TestLaplaceTreeCounter:
             rho=0.05,
             counter="laplace_tree",
             seed=3,
-            noise_method="vectorized",
         )
         synth.run(small_markov_panel)
         assert synth.check_invariants()

@@ -70,7 +70,7 @@ class TestSqrtFactorizationCounter:
         errors = []
         for seed in range(300):
             counter = SqrtFactorizationCounter(
-                12, 0.5, seed=seed, noise_method="vectorized"
+                12, 0.5, seed=seed
             )
             errors.append(counter.run(stream)[-1] - 12)
         predicted = SqrtFactorizationCounter(12, 0.5).error_stddev(12)

@@ -126,10 +126,8 @@ class TestProtocols:
 
     def test_builtin_counters_satisfy_protocol(self):
         from repro.streams.registry import available_counters, make_counter
-        from repro.streams.unbounded import UnknownHorizonCounter
 
         for name in available_counters():
             assert isinstance(
                 make_counter(name, horizon=4, rho=1.0), StreamCounterProtocol
             )
-        assert isinstance(UnknownHorizonCounter(1.0), StreamCounterProtocol)
