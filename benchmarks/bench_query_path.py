@@ -16,8 +16,14 @@ asserts both as an enforced contract (gated by the committed baseline in
 
 Both are ratio-of-timings measured in the same process, so they stay
 meaningful across differently-sized CI runners.  Bit-identity of the
-fast path is asserted *before* any timing: a speedup over wrong answers
-is worthless.
+batched grid is asserted *before* any timing, against a reference read
+straight off the threshold tables (``table[t, b] / table[t, 0]``, and
+the difference of two thresholds for ``HammingExactly``), merged over
+the shards with the population weights for the sharded leg: a speedup
+over wrong answers is worthless, and ``answer(query, t)`` is itself a
+cell of the grid, so it cannot be the reference.  The per-cell loop
+empties the answer cache before each timed pass, as the batched leg
+does, so it always makes ``Q x T`` fresh ``answer`` calls.
 
 Scale knobs: ``REPRO_BENCH_ROWS`` (default ``20_000``) and
 ``REPRO_BENCH_REPS`` (default 5 timing repetitions, best-of).
@@ -74,6 +80,46 @@ def _scalar_grid(answer, queries, times):
     return grid
 
 
+def _table_answer(table, query, t):
+    """One cumulative answer read straight off a threshold table."""
+    horizon = table.shape[1] - 1
+
+    def count(b):
+        return int(table[t, b]) if b <= horizon else 0
+
+    above = count(query.b + 1) if isinstance(query, HammingExactly) else 0
+    return (count(query.b) - above) / int(table[t, 0])
+
+
+def _table_reference(tables, queries, times):
+    """The shard-order, population-weighted merge of per-table answers."""
+    grid = np.full((len(queries), len(times)), np.nan, dtype=np.float64)
+    for qi, query in enumerate(queries):
+        for ti, t in enumerate(times):
+            weighted = total = 0.0
+            for table in tables:
+                weight = int(table[t, 0])
+                weighted += weight * _table_answer(table, query, t)
+                total += weight
+            grid[qi, ti] = weighted / total
+    return grid
+
+
+def _service(executor):
+    """The sharded leg's service, fed every round."""
+    service = ShardedService(
+        K,
+        algorithm="cumulative",
+        horizon=SERVICE_HORIZON,
+        rho=0.5,
+        seed=11,
+        executor=executor,
+    )
+    for column in _columns(SERVICE_HORIZON, seed=5):
+        service.observe(column)
+    return service
+
+
 def test_query_path(figure_report):
     # --- leg 1: single-release workload throughput ---------------------
     synth = CumulativeSynthesizer(HORIZON, 0.5, seed=7)
@@ -83,45 +129,46 @@ def test_query_path(figure_report):
     queries, times = _workload(HORIZON)
 
     batched = release.answer_batch(queries, times)
-    reference = _scalar_grid(release.answer, queries, times)
+    reference = _table_reference([release.threshold_table()], queries, times)
     assert np.array_equal(batched, reference, equal_nan=True), (
         "batched answers must be bit-identical before timing means anything"
     )
+
+    def scalar_cold():
+        synth._answer_cache = AnswerCache()  # every cell a fresh answer call
+        _scalar_grid(release.answer, queries, times)
 
     def batch_cold():
         synth._answer_cache = AnswerCache()  # defeat the memo: time the plan
         release.answer_batch(queries, times)
 
-    scalar_s = _best_of(lambda: _scalar_grid(release.answer, queries, times))
+    scalar_s = _best_of(scalar_cold)
     batch_s = _best_of(batch_cold)
     workload_speedup = scalar_s / batch_s
 
     # --- leg 2: process-executor fan-out amortization ------------------
     process_speedup = float("nan")
     if HAS_FORK:
-        service = ShardedService(
-            K,
-            algorithm="cumulative",
-            horizon=SERVICE_HORIZON,
-            rho=0.5,
-            seed=11,
-            executor="process",
-        )
+        svc_queries, svc_times = _workload(SERVICE_HORIZON)
+        # The per-shard tables come from a serial twin: the executors
+        # produce byte-identical shards (the test below checks the grids).
+        with _service("serial") as twin:
+            tables = [shard.release.threshold_table() for shard in twin.shards]
+        svc_reference = _table_reference(tables, svc_queries, svc_times)
+        service = _service("process")
         try:
-            for column in _columns(SERVICE_HORIZON, seed=5):
-                service.observe(column)
-            svc_queries, svc_times = _workload(SERVICE_HORIZON)
             merged = service.answer_batch(svc_queries, svc_times)
-            svc_reference = _scalar_grid(service.answer, svc_queries, svc_times)
             assert np.array_equal(merged, svc_reference, equal_nan=True)
+
+            def service_scalar_cold():
+                service._answer_cache = AnswerCache()
+                _scalar_grid(service.answer, svc_queries, svc_times)
 
             def service_batch_cold():
                 service._answer_cache = AnswerCache()
                 service.answer_batch(svc_queries, svc_times)
 
-            svc_scalar_s = _best_of(
-                lambda: _scalar_grid(service.answer, svc_queries, svc_times)
-            )
+            svc_scalar_s = _best_of(service_scalar_cold)
             svc_batch_s = _best_of(service_batch_cold)
             process_speedup = svc_scalar_s / svc_batch_s
         finally:
@@ -160,20 +207,7 @@ def test_batched_answers_match_across_executors():
     """Same workload, same grid, byte-for-byte, on every executor."""
     grids = {}
     queries, times = _workload(SERVICE_HORIZON)
-    columns = _columns(SERVICE_HORIZON, seed=5)
     for executor in ("serial", "process"):
-        service = ShardedService(
-            K,
-            algorithm="cumulative",
-            horizon=SERVICE_HORIZON,
-            rho=0.5,
-            seed=11,
-            executor=executor,
-        )
-        try:
-            for column in columns:
-                service.observe(column)
+        with _service(executor) as service:
             grids[executor] = service.answer_batch(queries, times)
-        finally:
-            service.close()
     assert np.array_equal(grids["serial"], grids["process"], equal_nan=True)

@@ -72,7 +72,7 @@ def main() -> None:
             )
 
     # A workload-style query: unemployed in at least 1 of the last 2 months.
-    # answer_series batch-evaluates the whole release table in one matmul.
+    # answer_series is the query's row of the release's answer grid.
     query = CategoryAtLeastM(WINDOW, ALPHABET, category=1, m=1)
     times = list(range(WINDOW, HORIZON + 1, 2))
     estimates = release.answer_series(query, times)

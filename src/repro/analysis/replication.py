@@ -93,20 +93,6 @@ class ReplicatedAnswers:
         return [self.summary(i, band=band) for i in range(len(self.query_names))]
 
 
-def _default_answer(release, query: Query, t: int, debias: bool) -> float:
-    """Answer dispatch on the release's declared capability.
-
-    Releases that accept the ``debias`` flag advertise it with a truthy
-    ``debias_aware`` attribute (see
-    :class:`~repro.core.window_engine.WindowRelease`); everything else —
-    cumulative releases, third-party :class:`~repro.types.Release`
-    implementations — is called with the bare protocol signature.
-    """
-    if getattr(release, "debias_aware", False):
-        return release.answer(query, t, debias=debias)
-    return release.answer(query, t)
-
-
 def replicate_synthesizer(
     factory: Callable[[np.random.Generator], object],
     dataset: LongitudinalDataset,
@@ -115,7 +101,7 @@ def replicate_synthesizer(
     n_reps: int,
     seed: SeedLike = None,
     debias: bool = True,
-    answer_fn: Callable[[object, Query, int, bool], float] | None = None,
+    answer_fn: Callable[..., np.ndarray] | None = None,
 ) -> ReplicatedAnswers:
     """Run ``n_reps`` independent synthesizer runs and collect answers.
 
@@ -130,9 +116,12 @@ def replicate_synthesizer(
     debias:
         Passed through to window releases (ignored by cumulative ones).
     answer_fn:
-        Override for custom release types; receives
-        ``(release, query, t, debias)``.  Giving one keeps the run on the
-        one-repetition-at-a-time loop.
+        Override for custom release types: a grid callable
+        ``(release, queries, times, debias) -> grid`` returning the
+        ``(len(queries), len(times))`` answers of one repetition, ``NaN``
+        where a query is not yet defined.  The default is
+        :func:`repro.queries.plan.release_answer_grid`.  Giving one keeps
+        the run on the one-repetition-at-a-time loop.
     """
     if n_reps <= 0:
         raise ConfigurationError(f"n_reps must be positive, got {n_reps}")
@@ -169,42 +158,15 @@ def replicate_synthesizer(
 # ----------------------------------------------------------------------
 
 
-def _answers_for_rep(
-    factory, generator, dataset, queries, times, debias, answer_fn, out_row
-) -> None:
-    """One repetition: build, run, record the (query, time) grid in place.
-
-    The default dispatch routes the whole grid through
-    :func:`repro.queries.plan.release_answer_grid` (one compiled batch per
-    release, bit-identical with the scalar loop).  A custom ``answer_fn``
-    runs per cell unless it carries an ``answer_grid`` attribute — a
-    callable ``(release, queries, times, debias) -> grid`` — in which case
-    the whole workload is handed over at once (see
-    :func:`repro.analysis.utility.utility_answer`).
-    """
-    synthesizer = factory(generator)
-    release = synthesizer.run(dataset)
-    if answer_fn is None:
-        out_row[...] = release_answer_grid(release, queries, times, debias=debias)
-        return
-    grid_fn = getattr(answer_fn, "answer_grid", None)
-    if grid_fn is not None:
-        out_row[...] = grid_fn(release, queries, times, debias)
-        return
-    for qi, query in enumerate(queries):
-        for ti, t in enumerate(times):
-            if t >= query.min_time():
-                out_row[qi, ti] = answer_fn(release, query, t, debias)
-
-
 def _answers_serial(
     factory, dataset, queries, times, n_reps, seed, debias, answer_fn
 ) -> np.ndarray:
+    """One repetition at a time: build, run, record each rep's answer grid."""
+    answer_fn = release_answer_grid if answer_fn is None else answer_fn
     answers = np.full((n_reps, len(queries), len(times)), np.nan)
     for rep, generator in enumerate(spawn(seed, n_reps)):
-        _answers_for_rep(
-            factory, generator, dataset, queries, times, debias, answer_fn, answers[rep]
-        )
+        release = factory(generator).run(dataset)
+        answers[rep] = answer_fn(release, queries, times, debias)
     return answers
 
 

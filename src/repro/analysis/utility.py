@@ -532,38 +532,31 @@ class PMSEProbe(Query):
         ).ratio
 
 
-def utility_answer(release, query, t: int, debias: bool) -> float:
-    """Answer dispatch for :func:`replicate_synthesizer` utility runs.
-
-    :class:`PMSEProbe` rows are scored against the release's synthetic
-    panel; every other query goes through the default release dispatch.
-
-    Parameters
-    ----------
-    release:
-        The per-repetition release object.
-    query:
-        The grid row being answered (a probe or a regular query).
-    t:
-        Evaluation round.
-    debias:
-        Passed through to window releases for regular queries.
-    """
-    if isinstance(query, PMSEProbe):
-        return query.score(release, t)
-    from repro.analysis.replication import _default_answer
-
-    return _default_answer(release, query, t, debias)
-
-
-def _utility_answer_grid(release, queries, times, debias) -> np.ndarray:
-    """Whole-grid dispatch for utility runs (``utility_answer.answer_grid``).
+def utility_answer(release, queries, times, debias: bool) -> np.ndarray:
+    """Grid answer dispatch for :func:`replicate_synthesizer` utility runs.
 
     Regular query rows compile through
     :func:`repro.queries.plan.release_answer_grid` as one batch;
     :class:`PMSEProbe` rows are scored per round on the synthetic panel
     (the scorer reads records, not histograms, so there is nothing to
-    compile).  Bit-identical with looping :func:`utility_answer`.
+    compile).
+
+    Parameters
+    ----------
+    release:
+        The per-repetition release object.
+    queries:
+        The grid rows: probes and regular queries, in any order.
+    times:
+        Evaluation rounds.
+    debias:
+        Passed through to window releases for regular queries.
+
+    Returns
+    -------
+    numpy.ndarray
+        The ``(len(queries), len(times))`` grid, ``NaN`` where a query
+        is not yet defined.
     """
     out = np.full((len(queries), len(times)), np.nan, dtype=np.float64)
     regular = [qi for qi, q in enumerate(queries) if not isinstance(q, PMSEProbe)]
@@ -577,9 +570,6 @@ def _utility_answer_grid(release, queries, times, debias) -> np.ndarray:
                 if t >= query.min_time():
                     out[qi, ti] = query.score(release, t)
     return out
-
-
-utility_answer.answer_grid = _utility_answer_grid
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,7 @@ class CategoricalWindowRelease(WindowRelease):
     ----------
     synthesizer:
         The owning :class:`CategoricalWindowSynthesizer`; the release is
-        a live view of its state (one cached instance per synthesizer),
-        not a frozen copy.
+        a live view of its state, not a frozen copy.
     """
 
     _query_types = (CategoricalWindowQuery,)

@@ -101,8 +101,7 @@ class CumulativeRelease:
     ----------
     synthesizer:
         The owning :class:`CumulativeSynthesizer`; the release is a live
-        view of its state (one cached instance per synthesizer), not a
-        frozen copy.
+        view of its state, not a frozen copy.
     """
 
     def __init__(self, synthesizer: "CumulativeSynthesizer"):
@@ -148,7 +147,7 @@ class CumulativeRelease:
         return int(self._synth._table[t, b])
 
     def answer(self, query, t: int) -> float:
-        """Answer a cumulative query at round ``t``.
+        """Answer a cumulative query at round ``t``: one cell of :meth:`answer_batch`.
 
         Answers are fractions of the population *as of round* ``t`` — the
         ever-admitted count ``S^_0^t``, which equals ``m`` (and ``n``)
@@ -156,31 +155,8 @@ class CumulativeRelease:
         individuals keep counting with their frozen weights (the
         zero-fill convention).
         """
-        population = self.threshold_count(0, t)
-        if isinstance(query, HammingAtLeast):
-            return (
-                self.threshold_count(query.b, t) / population
-                if query.b <= self._synth.horizon
-                else 0.0
-            )
-        if isinstance(query, HammingExactly):
-            # Thresholds above the horizon are structurally empty (nobody
-            # can have more ones than rounds) — same convention as the
-            # at-least query and the batched replicated release.
-            at_least_b = (
-                self.threshold_count(query.b, t)
-                if query.b <= self._synth.horizon
-                else 0
-            )
-            above = (
-                self.threshold_count(query.b + 1, t)
-                if query.b + 1 <= self._synth.horizon
-                else 0
-            )
-            return (at_least_b - above) / population
-        raise ConfigurationError(
-            f"cumulative release answers HammingAtLeast/HammingExactly, got {query!r}"
-        )
+        query.check_time(t)
+        return float(self.answer_batch([query], [t])[0, 0])
 
     @property
     def version(self) -> int:
@@ -195,15 +171,16 @@ class CumulativeRelease:
     def answer_batch(self, queries, times) -> np.ndarray:
         """Answer a Hamming-threshold workload as one table gather.
 
-        Compiles the workload through
+        The one place the release computes an answer (:meth:`answer` is
+        one cell of this grid).  Compiles the workload through
         :func:`repro.queries.plan.compile_cumulative` and evaluates the
         whole ``(len(queries), len(times))`` grid with a single NumPy
-        gather over the threshold table plus one elementwise division —
-        **bit-identical** with looping :meth:`answer` over every cell
-        (integer counts divide exactly the same either way).  Cells with
-        ``t < 1`` are ``NaN``; any other out-of-range ``t`` raises like
-        the scalar call.  Results are memoized per release version, so
-        repeating a workload after a round costs one dictionary lookup.
+        gather over the threshold table plus one elementwise division.
+        Thresholds above the horizon are structurally empty (nobody can
+        have more ones than rounds) and answer 0.  Cells with ``t < 1``
+        are ``NaN``; a ``t`` past the last released round raises.
+        Results are memoized per release version, so repeating a
+        workload after a round costs one dictionary lookup.
         """
         queries = list(queries)
         times = [int(t) for t in times]
@@ -322,7 +299,6 @@ class CumulativeSynthesizer:
             seeds=self._counter_seeds,
             counter_kwargs=self._counter_kwargs,
         )
-        self._release_view = CumulativeRelease(self)
         self._version = 0
         self._answer_cache = AnswerCache()
 
@@ -346,8 +322,8 @@ class CumulativeSynthesizer:
 
     @property
     def release(self) -> CumulativeRelease:
-        """View of everything released so far (one cached instance)."""
-        return self._release_view
+        """View of everything released so far (a new view per access)."""
+        return CumulativeRelease(self)
 
     @property
     def bank(self):

@@ -65,8 +65,7 @@ class FixedWindowRelease(WindowRelease):
     ----------
     synthesizer:
         The owning :class:`FixedWindowSynthesizer`; the release is a
-        live view of its state (one cached instance per synthesizer),
-        not a frozen copy.
+        live view of its state, not a frozen copy.
     """
 
     _query_types = (WindowQuery, CategoricalWindowQuery)

@@ -219,8 +219,7 @@ class MultiAttributeRelease:
     ----------
     synthesizer:
         The owning :class:`MultiAttributeSynthesizer`; the release is a
-        live view of its state (one cached instance per synthesizer),
-        not a frozen copy.
+        live view of its state, not a frozen copy.
     """
 
     #: Release-protocol capability flag: ``answer`` accepts ``debias=``.
@@ -278,33 +277,29 @@ class MultiAttributeRelease:
             Which attribute to answer on (name or column index).
             ``None`` is allowed only for single-attribute synthesizers.
         """
-        if attribute is None:
-            if self._synth.width != 1:
-                raise ConfigurationError(
-                    "answer() needs attribute= when the synthesizer holds "
-                    f"{self._synth.width} attributes {self.attribute_names}"
-                )
-            attribute = 0
-        return self.attribute(attribute).answer(query, t, debias=debias)
+        return self._target(attribute).answer(query, t, debias=debias)
 
     def answer_batch(
         self, queries, times, debias: bool = True, *, attribute=None
     ) -> np.ndarray:
         """Answer a workload on one attribute's release as a grid.
 
-        Same attribute resolution as :meth:`answer`; the per-attribute
-        release runs the compiled batch path (and owns the
-        release-versioned answer cache), so the grid is bit-identical
-        with looping :meth:`answer` over the workload.
+        Same attribute resolution as :meth:`answer`; the attribute
+        release computes the grid (and owns the release-versioned answer
+        cache), and its single answers are cells of that grid.
         """
+        return self._target(attribute).answer_batch(queries, times, debias=debias)
+
+    def _target(self, attribute):
+        """The release of ``attribute``; ``None`` names the only attribute."""
         if attribute is None:
             if self._synth.width != 1:
                 raise ConfigurationError(
-                    "answer_batch() needs attribute= when the synthesizer holds "
+                    "attribute= is required when the synthesizer holds "
                     f"{self._synth.width} attributes {self.attribute_names}"
                 )
             attribute = 0
-        return self.attribute(attribute).answer_batch(queries, times, debias=debias)
+        return self.attribute(attribute)
 
     # -- cross-attribute marginals -------------------------------------
 
@@ -579,7 +574,6 @@ class MultiAttributeSynthesizer:
             self._cross_counts[pair] = {}
 
         self._t = 0
-        self._release_view = MultiAttributeRelease(self)
 
     # -- declaration helpers -------------------------------------------
 
@@ -696,8 +690,8 @@ class MultiAttributeSynthesizer:
 
     @property
     def release(self) -> MultiAttributeRelease:
-        """View of everything released so far."""
-        return self._release_view
+        """View of everything released so far (a new view per access)."""
+        return MultiAttributeRelease(self)
 
     @property
     def accountant(self):
@@ -774,7 +768,7 @@ class MultiAttributeSynthesizer:
             self._cross_counts[pair][self._t] = self._cross_mechanisms[pair].release(
                 counts
             )
-        return self._release_view
+        return self.release
 
     def run(self, dataset) -> MultiAttributeRelease:
         """Batch driver over per-attribute panels.
@@ -829,7 +823,7 @@ class MultiAttributeSynthesizer:
                     {name: matrices[name][:, t] for name in self._names}
                 )
             )
-        return self._release_view
+        return self.release
 
     # -- checkpointing -------------------------------------------------
 

@@ -45,7 +45,6 @@ from repro.core.monotonize import is_monotone_table, monotonize_rows
 from repro.data.dataset import LongitudinalDataset
 from repro.dp.accountant import ZCDPAccountant
 from repro.exceptions import ConfigurationError, DataValidationError
-from repro.queries.cumulative import HammingAtLeast, HammingExactly
 from repro.queries.plan import compile_cumulative
 from repro.rng import SeedLike, as_generator
 from repro.streams.registry import available_counters, make_bank
@@ -94,27 +93,12 @@ class ReplicatedCumulativeRelease:
         return self.tables[:, t, b].copy()
 
     def answer(self, query, t: int) -> np.ndarray:
-        """Every replica's answer to a cumulative query at round ``t``."""
-        if isinstance(query, HammingAtLeast):
-            if query.b > self.horizon:
-                return np.zeros(self.n_reps, dtype=np.float64)
-            return self.threshold_counts(query.b, t) / self.n
-        if isinstance(query, HammingExactly):
-            at_least_b = (
-                self.threshold_counts(query.b, t)
-                if query.b <= self.horizon
-                else np.zeros(self.n_reps, dtype=np.int64)
-            )
-            above = (
-                self.threshold_counts(query.b + 1, t)
-                if query.b + 1 <= self.horizon
-                else np.zeros(self.n_reps, dtype=np.int64)
-            )
-            return (at_least_b - above) / self.n
-        raise ConfigurationError(
-            f"batched cumulative release answers HammingAtLeast/HammingExactly, "
-            f"got {query!r}"
-        )
+        """Every replica's answer to a cumulative query at round ``t``.
+
+        One ``(query, t)`` slice of :meth:`answer_grid`.
+        """
+        query.check_time(t)
+        return self.answer_grid([query], [t])[:, 0, 0]
 
     def answer_grid(self, queries, times) -> np.ndarray:
         """The full ``(R, n_queries, n_times)`` answer cube.
@@ -123,8 +107,8 @@ class ReplicatedCumulativeRelease:
         serial replication harness.  The workload compiles through
         :func:`repro.queries.plan.compile_cumulative` into one fancy-index
         gather over the table stack — integer arithmetic followed by one
-        correctly-rounded division per cell, bit-identical with looping
-        :meth:`answer`.
+        correctly-rounded division per cell, the arithmetic of a single
+        :class:`~repro.core.cumulative.CumulativeRelease`.
         """
         queries = list(queries)
         times = [int(t) for t in times]

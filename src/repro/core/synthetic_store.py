@@ -40,6 +40,7 @@ privacy gain.
 from __future__ import annotations
 
 import hashlib
+import mmap
 
 import numpy as np
 
@@ -56,6 +57,20 @@ def _digit_dtype(alphabet: int) -> np.dtype:
     case keeps its historical ``uint8`` record matrix bit-for-bit.
     """
     return np.min_scalar_type(alphabet - 1)
+
+
+def _record_buffer(horizon: int, capacity: int, dtype: np.dtype) -> np.ndarray:
+    """A zero ``(horizon, capacity)`` array in its own anonymous private mapping.
+
+    Its pages stay non-resident until written and return to the system
+    when it is dropped; glibc serves a ``calloc`` this size from its heap
+    once a larger block was freed, zeroing all of it and fragmenting it.
+    """
+    nbytes = horizon * capacity * dtype.itemsize
+    if nbytes == 0 or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros((horizon, capacity), dtype=dtype)
+    mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(mapping, dtype=dtype).reshape(horizon, capacity)
 
 
 def _code_dtype(alphabet: int, window: int) -> np.dtype:
@@ -433,15 +448,15 @@ class WindowSyntheticStore:
     The records are held round-major, as a ``(T, m)`` array with one row
     per round, because Algorithm 1 appends one symbol to every record
     per round and never rewrites a published one: :meth:`extend` writes
-    one contiguous row, :meth:`admit` copies only the rounds already
-    written, and each round's fingerprint digest reads one row.  The
-    record axis grows to exactly the admitted count, and rounds not yet
-    written stay untouched zero pages.  Window codes, and the suffix
-    groups cut from them, are held in the smallest unsigned dtype that
-    holds ``q**k - 1`` (``uint8`` up to 256 bins).  Neither choice shows
-    outside: :meth:`state_dict` presents the records as the
-    ``(records, rounds)`` matrix and the codes as ``int64``, so
-    checkpoint bundles and fingerprints are unchanged.
+    one contiguous row and each round's fingerprint digest reads one
+    row.  They are the first ``m`` columns of a :func:`_record_buffer`
+    whose capacity doubles when :meth:`admit` outgrows it; spare capacity
+    and rounds not yet written stay untouched zero pages.  Window codes,
+    and the suffix groups cut from them, are held in the smallest
+    unsigned dtype that holds ``q**k - 1`` (``uint8`` up to 256 bins).
+    Neither choice shows outside: :meth:`state_dict` presents the
+    records as the ``(records, rounds)`` matrix and the codes as
+    ``int64``, so checkpoint bundles and fingerprints are unchanged.
 
     Parameters
     ----------
@@ -495,7 +510,7 @@ class WindowSyntheticStore:
         codes = np.repeat(np.arange(alphabet**window, dtype=code_dtype), counts)
         generator.shuffle(codes)
         self._codes = codes  # current base-q window code per record
-        self._records = np.zeros((horizon, self.m), dtype=_digit_dtype(alphabet))
+        self._buffer = _record_buffer(horizon, self.m, _digit_dtype(alphabet))
         self._active = np.ones(self.m, dtype=bool)
         digits = codes
         radix = code_dtype.type(alphabet)
@@ -504,6 +519,11 @@ class WindowSyntheticStore:
             self._records[j] = digits - high * radix
             digits = high
         self._reset_digests()
+
+    @property
+    def _records(self) -> np.ndarray:
+        """The ``(T, m)`` records: a view of the buffer's first ``m`` columns."""
+        return self._buffer[:, : self.m]
 
     def _reset_digests(self) -> None:
         """Empty the records' per-round digest cache."""
@@ -529,8 +549,8 @@ class WindowSyntheticStore:
         (they are treated as having reported 0 since round 1), so the
         admitted records land in histogram bin 0 and the caller must
         credit the previous target histogram accordingly before the next
-        :meth:`extend`.  No randomness is consumed.  Only the rounds
-        already written are copied into the wider record array.
+        :meth:`extend`.  No randomness is consumed.  The rounds already
+        written are copied only when the record capacity is outgrown.
         """
         if count < 0:
             raise ConfigurationError(f"count must be non-negative, got {count}")
@@ -539,9 +559,10 @@ class WindowSyntheticStore:
         self._codes = np.concatenate(
             [self._codes, np.zeros(count, dtype=self._codes.dtype)]
         )
-        records = np.zeros((self.horizon, self.m + count), dtype=self._records.dtype)
-        records[: self._t, : self.m] = self._records[: self._t]
-        self._records = records
+        if self.m + count > self._buffer.shape[1]:
+            buffer = _record_buffer(self.horizon, 2 * (self.m + count), self._buffer.dtype)
+            buffer[: self._t, : self.m] = self._records[: self._t]
+            self._buffer = buffer
         self._active = np.concatenate([self._active, np.ones(count, dtype=bool)])
         self.m += count
 
@@ -689,8 +710,8 @@ class WindowSyntheticStore:
             Copy the record matrix and active mask (default).
             ``copy=False`` returns live views for the streaming
             checkpoint writer — the matrix as the transposed view of the
-            round-major records, which is F-contiguous, not a C-order
-            array — so consume them before the store extends again.
+            round-major records, which is not a C-order array — so
+            consume them before the store extends again.
 
         Returns
         -------
@@ -784,9 +805,7 @@ class WindowSyntheticStore:
             )
         _check_window_records(matrix, codes, store.window, store._t, store.alphabet)
         store._codes = codes.astype(_code_dtype(store.alphabet, store.window))
-        store._records = np.zeros(
-            (store.horizon, store.m), dtype=_digit_dtype(store.alphabet)
-        )
+        store._buffer = _record_buffer(store.horizon, store.m, _digit_dtype(store.alphabet))
         store._records[: store._t] = matrix[:, : store._t].T
         store._reset_digests()
         return store

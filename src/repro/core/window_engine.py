@@ -20,8 +20,10 @@ the fixed-window synthesizer for any alphabet size ``q >= 2``:
 
 :class:`WindowRelease` answers queries for every alphabet: one query
 (``answer``), one query over many rounds (``answer_series``) or a whole
-workload (``answer_batch``), each from the histograms for widths up to
-``k`` and from the synthetic records above it.
+workload (``answer_batch``), from the histograms for widths up to ``k``
+and from the synthetic records above it.  The workload grid is the one
+place an answer is computed; a single answer is one of its cells and a
+series one of its rows.
 
 :class:`~repro.core.fixed_window.FixedWindowSynthesizer` is the ``q = 2``
 specialization: the projection below runs the paper's fair ``+-1/2`` pair
@@ -50,7 +52,7 @@ from repro.core.consistency import (
     check_group_consistency,
     check_window_consistency,
 )
-from repro.core.debias import debias_count_answer, lift_window_weights
+from repro.core.debias import lift_window_weights
 from repro.core.legacy import check_legacy_config
 from repro.core.padding import PaddingSpec
 from repro.core.population import (
@@ -86,12 +88,12 @@ class WindowRelease:
     """The release of a fixed-window run, for any alphabet.
 
     Answers window queries of width at most ``k`` from the maintained
-    histograms and wider ones from the synthetic records — one query at
-    a time, one query over many rounds, or a whole workload — and
-    exposes the public metadata and the churn-aware population
-    accounting.  Every answer path first checks that the query is an
-    accepted type over the release's alphabet, so all of them reject
-    the same queries.  The binary
+    histograms and wider ones from the synthetic records, and exposes
+    the public metadata and the churn-aware population accounting.
+    Answers are computed in one place, the workload grid of
+    :meth:`answer_batch`: :meth:`answer` is one cell of it and
+    :meth:`answer_series` one row, so all three return the same floats
+    and reject the same queries.  The binary
     :class:`~repro.core.fixed_window.FixedWindowRelease` and the
     categorical
     :class:`~repro.core.categorical_window.CategoricalWindowRelease`
@@ -102,8 +104,7 @@ class WindowRelease:
     ----------
     synthesizer:
         The owning :class:`WindowEngine` subclass; the release is a live
-        view of its state (one cached instance per synthesizer), not a
-        frozen copy.
+        view of its state, not a frozen copy.
     """
 
     #: Release-protocol capability flag: ``answer`` accepts ``debias=``.
@@ -248,7 +249,7 @@ class WindowRelease:
     def answer(
         self, query, t: int, debias: bool = True, padding_convention: str = "uniform"
     ) -> float:
-        """Answer a window query at round ``t``.
+        """Answer a window query at round ``t``: one cell of :meth:`answer_batch`.
 
         Queries of width ``k' <= k`` are answered from the maintained
         width-``k`` histogram (exactly equal to evaluating on the
@@ -284,45 +285,18 @@ class WindowRelease:
         """
         self._check_query(query)
         query.check_time(t)
-        if padding_convention not in ("uniform", "panel"):
-            raise ConfigurationError(
-                f"padding_convention must be 'uniform' or 'panel', got "
-                f"{padding_convention!r}"
-            )
-        if query.k <= self.window:
-            count_answer = float(self._lifted(query) @ self.histogram(t))
-        else:
-            panel = self.synthetic_data(t)
-            # Entrants admitted after round t sit at the end of the record
-            # matrix; exclude them so record-level answers describe the
-            # round-t population (a no-op for static populations).
-            m_t = self.synthetic_population(t)
-            if m_t < panel.n_individuals:
-                panel = self._panel(panel.matrix[:m_t])
-            count_answer = query.evaluate(panel, t) * panel.n_individuals
-        if not debias:
-            return count_answer / self.synthetic_population(t)
-        if padding_convention == "uniform":
-            padding_count = self.padding.count_contribution(query)
-        else:
-            padding_count = self.padding.panel_count_answer(query, t)
-        return debias_count_answer(count_answer, padding_count, self.population(t))
+        grid = self.answer_batch(
+            [query], [t], debias=debias, padding_convention=padding_convention
+        )
+        return float(grid[0, 0])
 
     def answer_series(self, query, times=None, debias: bool = True) -> np.ndarray:
-        """Batch-answer one query over many released rounds at once.
-
-        One weight lift and one matrix product replace the per-round
-        :meth:`answer` loop: the released histograms are stacked into a
-        ``(len(times), q**k)`` table and multiplied by the lifted weight
-        vector, with the padding/debias arithmetic applied vectorized.
-        Agrees exactly with calling :meth:`answer` per round for 0/1
-        weights (every count is an integer sum).
+        """Answer one query over many rounds: one row of :meth:`answer_batch`.
 
         Parameters
         ----------
         query:
-            A width-``k' <= k`` query the release accepts (record-level
-            wide queries have no batched path).
+            A window query the release accepts, of any width.
         times:
             Rounds to answer at (default: every released round at which
             the query is defined).
@@ -332,46 +306,21 @@ class WindowRelease:
         Returns
         -------
         numpy.ndarray
-            One answer per requested round, in order.
+            One answer per requested round, in order, each the float
+            :meth:`answer` returns.
+
+        Raises
+        ------
+        repro.exceptions.NotFittedError
+            For a requested round with no released histogram.
         """
         self._check_query(query)
-        if query.k > self.window:
-            raise ConfigurationError(
-                f"answer_series answers histogram queries (width <= "
-                f"{self.window}); width-{query.k} queries need per-round "
-                "record evaluation via answer()"
-            )
         if times is None:
             times = [t for t in self.released_times() if t >= query.min_time()]
         times = [int(t) for t in times]
         for t in times:
             query.check_time(t)
-        if not times:
-            return np.zeros(0, dtype=np.float64)
-        # histogram() raises NotFittedError for unreleased rounds, exactly
-        # like the per-round answer() path.
-        table = np.stack([self.histogram(t) for t in times])
-        counts = table @ self._lifted(query)
-        if not debias:
-            denominators = np.array(
-                [self.synthetic_population(t) for t in times], dtype=np.float64
-            )
-            self._check_denominators(denominators, times, "synthetic population")
-            return counts / denominators
-        padding_count = self.padding.count_contribution(query)
-        populations = np.array([self.population(t) for t in times], dtype=np.float64)
-        self._check_denominators(populations, times, "n_original")
-        return (counts - padding_count) / populations
-
-    @staticmethod
-    def _check_denominators(values: np.ndarray, times, label: str) -> None:
-        """Raise like :func:`debias_count_answer` instead of emitting inf."""
-        bad = np.flatnonzero(values <= 0)
-        if bad.size:
-            t = times[int(bad[0])]
-            raise ConfigurationError(
-                f"{label} must be positive, got {int(values[bad[0]])} at t={t}"
-            )
+        return self.answer_batch([query], times, debias=debias)[0]
 
     def _lifted(self, query) -> np.ndarray:
         """``query``'s weights lifted to width ``k``, memoized per signature."""
@@ -383,8 +332,6 @@ class WindowRelease:
             plans[signature] = lifted
         return lifted
 
-    # -- batched query answering ---------------------------------------
-
     @property
     def version(self) -> int:
         """Monotone state version: bumped by every mutation of the owner.
@@ -395,84 +342,106 @@ class WindowRelease:
         """
         return self._synth._version
 
-    def answer_batch(self, queries, times, debias: bool = True, **kwargs) -> np.ndarray:
+    def answer_batch(
+        self, queries, times, debias: bool = True, padding_convention: str = "uniform"
+    ) -> np.ndarray:
         """Answer a whole window-query workload as one grid.
 
-        Each histogram query is lifted to width ``k`` once (compiled
-        plans are memoized per query signature) and answered over all
-        requested rounds with the histogram fetch, padding lookup, and
-        population denominators hoisted out of the per-cell loop; the
-        count itself stays the scalar path's dot product per cell, so
-        every entry is **bit-identical** with :meth:`answer`.  Cells
-        with ``t < query.min_time()`` are ``NaN``; record-level wide
-        queries, the time-dependent ``padding_convention="panel"`` and
-        any other keyword fall back to the scalar call per cell.
-        Results are memoized per release version.  A query the release
-        does not accept raises
-        :class:`~repro.exceptions.ConfigurationError`, as :meth:`answer`
-        does.
+        The one place the release computes an answer: :meth:`answer` is
+        one cell of this grid and :meth:`answer_series` one row.  A query
+        of width ``k' <= k`` is lifted to width ``k`` once (compiled
+        plans are memoized per query signature) and read off each
+        round's histogram; a wider one is evaluated on the round's
+        synthetic records, which are built once per round and shared by
+        every wide row.  Cells with ``t < query.min_time()`` are
+        ``NaN``.  Results are memoized per release version.
+
+        Parameters
+        ----------
+        queries, times:
+            Window queries the release accepts and the rounds to answer
+            them at.
+        debias, padding_convention:
+            As in :meth:`answer`.
+
+        Raises
+        ------
+        repro.exceptions.ConfigurationError
+            For a query the release does not accept or an unknown
+            padding convention.
+        repro.exceptions.NotFittedError
+            For an answerable cell at a round with no released histogram.
         """
         queries = list(queries)
         for query in queries:
             self._check_query(query)
+        if padding_convention not in ("uniform", "panel"):
+            raise ConfigurationError(
+                f"padding_convention must be 'uniform' or 'panel', got "
+                f"{padding_convention!r}"
+            )
         times = [int(t) for t in times]
-        key = workload_key(queries, times, debias=bool(debias), **kwargs)
+        key = workload_key(
+            queries, times, debias=bool(debias), padding_convention=padding_convention
+        )
         cache = self._synth._answer_cache
         version = self.version
         if key is not None:
             hit = cache.get(version, key)
             if hit is not None:
                 return hit
-        compiled = kwargs.keys() <= {"padding_convention"} and (
-            kwargs.get("padding_convention", "uniform") == "uniform"
-        )
+        panels: dict = {}
+        denominators: dict[int, int] = {}
+        denominator = self.population if debias else self.synthetic_population
+
+        def histogram_count(lifted: np.ndarray, t: int) -> float:
+            row = self._synth._histograms.get(t)
+            if row is None:
+                raise NotFittedError(f"no histogram released for t={t}")
+            # One dot product per cell: BLAS gemv is *not* bitwise equal
+            # to a per-row ddot.
+            return float(lifted @ row)
+
+        def record_count(query, t: int) -> float:
+            if t not in panels:
+                panel = self.synthetic_data(t)
+                # Entrants admitted after round t sit at the end of the
+                # record matrix; exclude them so record-level answers
+                # describe the round-t population (a no-op when static).
+                m_t = self.synthetic_population(t)
+                if m_t < panel.n_individuals:
+                    panel = self._panel(panel.matrix[:m_t])
+                panels[t] = panel
+            return query.evaluate(panels[t], t) * panels[t].n_individuals
+
         out = np.full((len(queries), len(times)), np.nan, dtype=np.float64)
-        histograms: dict[int, np.ndarray] = {}
-        populations: dict[int, int] = {}
-        synthetic: dict[int, int] = {}
         for qi, query in enumerate(queries):
-            floor = query.min_time()
-            cells = [i for i, t in enumerate(times) if t >= floor]
+            cells = [i for i, t in enumerate(times) if t >= query.min_time()]
             if not cells:
                 continue
-            if not compiled or query.k > self.window:
-                for i in cells:
-                    out[qi, i] = self.answer(query, times[i], debias=debias, **kwargs)
-                continue
-            lifted = self._lifted(query)
-            counts = np.empty(len(cells), dtype=np.float64)
-            for j, i in enumerate(cells):
-                t = times[i]
-                row = histograms.get(t)
-                if row is None:
-                    row = self._synth._histograms.get(t)
-                    if row is None:
-                        raise NotFittedError(f"no histogram released for t={t}")
-                    histograms[t] = row
-                # The same dot product the scalar path computes — BLAS
-                # gemv is *not* bitwise equal to per-row ddot, so the
-                # batch speedup comes from hoisting everything else.
-                counts[j] = float(lifted @ row)
-            denominators = np.empty(len(cells), dtype=np.float64)
-            if not debias:
-                for j, i in enumerate(cells):
-                    t = times[i]
-                    if t not in synthetic:
-                        synthetic[t] = self.synthetic_population(t)
-                    denominators[j] = synthetic[t]
-                out[qi, cells] = counts / denominators
-                continue
-            for j, i in enumerate(cells):
-                t = times[i]
-                if t not in populations:
-                    populations[t] = self.population(t)
-                denominators[j] = populations[t]
-            if denominators.min() <= 0:
+            cell_times = [times[i] for i in cells]
+            if query.k <= self.window:
+                lifted = self._lifted(query)
+                counts = [histogram_count(lifted, t) for t in cell_times]
+            else:
+                counts = [record_count(query, t) for t in cell_times]
+            for t in cell_times:
+                if t not in denominators:
+                    denominators[t] = denominator(t)
+            totals = np.array([denominators[t] for t in cell_times], dtype=np.float64)
+            if totals.min() <= 0:
+                label = "n_original" if debias else "synthetic population"
                 raise ConfigurationError(
-                    f"n_original must be positive, got {int(denominators.min())}"
+                    f"{label} must be positive, got {int(totals.min())}"
                 )
-            padding_count = self.padding.count_contribution(query)
-            out[qi, cells] = (counts - padding_count) / denominators
+            counts = np.asarray(counts, dtype=np.float64)
+            if debias and padding_convention == "uniform":
+                counts = counts - self.padding.count_contribution(query)
+            elif debias:
+                counts = counts - np.array(
+                    [self.padding.panel_count_answer(query, t) for t in cell_times]
+                )
+            out[qi, cells] = counts / totals
         if key is not None:
             cache.put(version, key, out)
         return out
@@ -614,7 +583,6 @@ class WindowEngine:
         )
         self._histograms: dict[int, np.ndarray] = {}
         self._negative_events = 0
-        self._release_view = self._release_type(self)
         self._version = 0
         self._answer_cache = AnswerCache()
         self._plan_cache: dict = {}
@@ -641,8 +609,8 @@ class WindowEngine:
 
     @property
     def release(self):
-        """View of everything released so far (one cached instance)."""
-        return self._release_view
+        """View of everything released so far (a new view per access)."""
+        return self._release_type(self)
 
     def padding_panel(self):
         """The materialized de Bruijn padding population (public).

@@ -1,26 +1,29 @@
-"""Batched query planning: one vectorized read path for whole workloads.
+"""Batched query planning: one read path for whole workloads.
 
 The paper's evaluation — and any serving deployment worth the name —
-answers *workloads* per round, not single queries.  This module is the
-planner behind ``Release.answer_batch(queries, times)``: it groups an
-arbitrary mix of queries by family (Hamming-threshold, binary window,
-categorical window), compiles each group into index/weight arrays that
-evaluate against a release's threshold table or window histograms in a
-handful of NumPy gathers, and provides the scalar fallback grid that
-keeps the protocol total for releases (or queries) the compiler does not
-know.
+answers *workloads* per round, not single queries.  Every evaluation is
+a grid of queries over rounds, and so is every answer:
+``Release.answer_batch(queries, times)`` is the one place a release,
+an executor or a sharded service computes one, ``answer(query, t)`` is
+one cell of that grid and ``answer_series`` one row.  This module holds
+what the grids share: the cumulative planner that compiles
+Hamming-threshold queries into gathers over a threshold table, the
+workload keys and the version-keyed cache behind every grid, and the
+per-cell grid that releases whose ``answer`` is their implementation
+(the baselines) use as their ``answer_batch``.
 
 Three guarantees shape every function here:
 
-* **Bit-identity** — a batched answer is the *same float* the scalar
-  ``answer(query, t)`` call returns, noise, debiasing, churn and all.
-  Cumulative answers vectorize exactly (integer gathers + elementwise
-  division); window answers keep the scalar path's dot product per
-  ``(query, time)`` cell and only hoist the per-call histogram fetch,
-  weight lifting, and population lookups out of the loop.
+* **One answer per cell** — a cell's float does not depend on the grid
+  it was asked in.  Cumulative answers vectorize exactly (integer
+  gathers + elementwise division); window answers take one dot product
+  per ``(query, time)`` cell (BLAS gemv is not bitwise equal to a
+  per-row dot product) and hoist the histogram fetch, weight lifting
+  and population lookups out of the loop.
 * **Grid semantics** — a cell with ``t < query.min_time()`` is ``NaN``
-  (the convention ``replicate_synthesizer`` already uses); any other
-  out-of-range ``t`` raises exactly like the scalar call would.
+  (the convention ``replicate_synthesizer`` already uses), and
+  ``answer(query, t)`` refuses such a ``t``; any other out-of-range
+  ``t`` raises.
 * **Cacheability** — :func:`workload_key` derives a hashable identity
   for a workload so releases can memoize answers per release version
   (see :class:`AnswerCache`).
@@ -53,8 +56,7 @@ def query_signature(query) -> tuple | None:
 
     Two queries with equal signatures are guaranteed to produce equal
     answers on every release, so signatures key the compiled-plan and
-    answer caches.  Unknown query types return ``None`` (uncacheable,
-    answered through the scalar fallback).
+    answer caches.  Unknown query types return ``None`` (uncacheable).
     """
     if isinstance(query, HammingAtLeast):
         return ("hamming_ge", query.b)
@@ -121,12 +123,12 @@ class AnswerCache:
 
 
 def scalar_answer_grid(release, queries, times, **kwargs) -> np.ndarray:
-    """The default ``answer_batch``: one scalar ``answer()`` per cell.
+    """A grid of one ``answer()`` call per cell.
 
     Returns a ``(len(queries), len(times))`` float64 grid with ``NaN``
-    where ``t < query.min_time()``.  Every release satisfies the
-    protocol through this fallback, so batched serving is total even
-    for query families the planner cannot compile.
+    where ``t < query.min_time()``.  The ``answer_batch`` of releases
+    whose ``answer`` is their implementation (the baselines), and the
+    fallback for a release without ``answer_batch``.
     """
     times = [int(t) for t in times]
     out = np.full((len(queries), len(times)), np.nan, dtype=np.float64)
@@ -139,12 +141,12 @@ def scalar_answer_grid(release, queries, times, **kwargs) -> np.ndarray:
 
 
 def release_answer_grid(release, queries, times, debias: bool = True) -> np.ndarray:
-    """Answer a workload on any release through its best available path.
+    """Answer a workload on any release through its ``answer_batch``.
 
-    Dispatches to ``release.answer_batch`` when present (every release
-    in the package), falling back to :func:`scalar_answer_grid`; the
-    ``debias=`` keyword is forwarded only to debias-aware releases,
-    mirroring the scalar dispatch the replication harness used.
+    Falls back to :func:`scalar_answer_grid` for a release without one;
+    the ``debias=`` keyword is forwarded only to releases that declare
+    ``debias_aware``.  The default ``answer_fn`` of
+    :func:`repro.analysis.replication.replicate_synthesizer`.
     """
     kwargs = {"debias": debias} if getattr(release, "debias_aware", False) else {}
     batch = getattr(release, "answer_batch", None)

@@ -42,7 +42,6 @@ import weakref
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConsistencyError
-from repro.queries.plan import scalar_answer_grid
 from repro.types import AttributeFrame
 
 __all__ = [
@@ -86,38 +85,13 @@ def _round_failure(
 EXECUTOR_STRATEGIES = ("serial", "process")
 
 
-def _kwargs_key(kwargs: dict):
-    """Hashable form of an answer-kwargs dict, or ``None`` if unhashable."""
-    try:
-        key = tuple(sorted(kwargs.items()))
-        hash(key)
-    except TypeError:
-        return None
-    return key
-
-
-def _release_grid(release, queries, times, kwargs: dict) -> np.ndarray:
-    """One release's ``(queries, times)`` answer grid, kwargs forwarded.
-
-    Uses the release's compiled ``answer_batch`` when it has one (every
-    built-in release does), falling back to the scalar loop — both are
-    bit-identical with per-cell ``answer`` calls by contract.
-    """
-    batch = getattr(release, "answer_batch", None)
-    if batch is None:
-        return scalar_answer_grid(release, queries, times, **kwargs)
-    return np.asarray(batch(list(queries), [int(t) for t in times], **kwargs))
-
-
 def merge_weight(algorithm: str, release, t: int, **kwargs) -> float:
     """Population weight of one shard's answers at round ``t``.
 
     Each weight equals the denominator of that shard's answer at ``t``,
     so the service's weighted average is exactly the fraction over the
     union of shard populations — also under churn, where the shard
-    populations move round by round.  Module-level (not a service
-    method) so process workers can compute their own ``(weight,
-    answer)`` pairs without shipping release objects to the parent.
+    populations move round by round.
     """
     if algorithm == "cumulative":
         return release.threshold_count(0, t)
@@ -126,6 +100,36 @@ def merge_weight(algorithm: str, release, t: int, **kwargs) -> float:
     if kwargs.get("debias", True):
         return release.population(t)
     return release.synthetic_population(t)
+
+
+def _shard_grid(
+    algorithm: str, release, queries, times, kwargs: dict, memo: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """One shard's ``(weights, grid)`` for a workload.
+
+    ``grid`` is the shard release's ``answer_batch`` grid and ``weights``
+    its merge weight per round (see :func:`merge_weight`).  The weights
+    are pure functions of shard state, so they are memoized in ``memo``
+    per ``(t, kwargs)``; the caller clears ``memo`` whenever the shard
+    ingests a round.  Module-level, not a method, so the serial executor
+    and the process workers share it without shipping release objects.
+    """
+    try:
+        options = tuple(sorted(kwargs.items()))
+        hash(options)
+    except TypeError:  # unhashable keywords: computed, never memoized
+        options = None
+    weights = np.empty(len(times), dtype=np.float64)
+    for i, t in enumerate(times):
+        key = (int(t), options)
+        weight = None if options is None else memo.get(key)
+        if weight is None:
+            weight = merge_weight(algorithm, release, t, **kwargs)
+            if options is not None:
+                memo[key] = weight
+        weights[i] = weight
+    grid = release.answer_batch(list(queries), [int(t) for t in times], **kwargs)
+    return weights, np.asarray(grid)
 
 
 class ShardExecutor:
@@ -158,9 +162,7 @@ class ShardExecutor:
         self._algorithm = str(algorithm)
         self._policy = policy
         self._disabled: set[int] = set()
-        # Merge-weight memo: population denominators are pure functions of
-        # shard state, so they are computed once per (shard, t, kwargs)
-        # between rounds instead of on every answer call.  Cleared whenever
+        # Per-shard merge-weight memos (see _shard_grid), cleared whenever
         # a round dispatches (shard state advances).
         self._weight_memo: dict = {}
 
@@ -178,8 +180,8 @@ class ShardExecutor:
         """Exclude shard ``index`` from all further operations.
 
         Used by degraded serving: the shard's jobs are dropped at
-        dispatch and its slots in ``answer``/``ledgers``/``fingerprints``
-        results become ``None``.  Idempotent.
+        dispatch and its slots in ``answer_batch``/``ledgers``/
+        ``fingerprints`` results become ``None``.  Idempotent.
         """
         if not 0 <= index < self.n_shards:
             raise ConfigurationError(
@@ -219,18 +221,15 @@ class ShardExecutor:
         """
         raise NotImplementedError
 
-    def answer(self, query, t: int, kwargs: dict) -> list[tuple[float, float]]:
-        """Per-shard ``(weight, answer)`` pairs at round ``t``, shard order."""
-        raise NotImplementedError
-
     def answer_batch(self, queries, times, kwargs: dict) -> list:
         """Per-shard ``(weights, grid)`` pairs for a whole workload.
 
         ``weights`` is the length-``len(times)`` merge-weight vector and
-        ``grid`` the shard's ``(len(queries), len(times))`` answer grid;
-        disabled shards contribute ``None``.  One call ships the entire
-        workload to every shard — under the process strategy that is one
-        RPC per worker instead of one per ``(query, time)`` cell.
+        ``grid`` the shard's ``(len(queries), len(times))`` answer grid
+        (see :func:`_shard_grid`); disabled shards contribute ``None``.
+        This is the only answer request: one call ships the entire
+        workload to every shard — under the process strategy, one RPC
+        per worker.
         """
         raise NotImplementedError
 
@@ -247,29 +246,9 @@ class ShardExecutor:
 
     # -- in-process implementations (serial strategy) -------------------
 
-    def _shard_weight(self, shard, t: int, kwargs: dict) -> float:
-        """Memoized merge weight of one shard at round ``t``."""
-        options = _kwargs_key(kwargs)
-        if options is None:
-            return merge_weight(self._algorithm, shard.release, t, **kwargs)
-        key = (id(shard), int(t), options)
-        weight = self._weight_memo.get(key)
-        if weight is None:
-            weight = merge_weight(self._algorithm, shard.release, t, **kwargs)
-            self._weight_memo[key] = weight
-        return weight
-
-    def _answer_one(self, shard, query, t: int, kwargs: dict) -> tuple[float, float]:
-        weight = self._shard_weight(shard, t, kwargs)
-        return weight, shard.release.answer(query, t, **kwargs)
-
     def _batch_one(self, shard, queries, times, kwargs: dict):
-        release = shard.release
-        weights = np.asarray(
-            [self._shard_weight(shard, t, kwargs) for t in times],
-            dtype=np.float64,
-        )
-        return weights, _release_grid(release, queries, times, kwargs)
+        memo = self._weight_memo.setdefault(id(shard), {})
+        return _shard_grid(self._algorithm, shard.release, queries, times, kwargs, memo)
 
     def _ledger_one(self, shard) -> tuple[float, float]:
         accountant = shard.synthesizer.accountant
@@ -319,9 +298,6 @@ class SerialShardExecutor(ShardExecutor):
             for index, shard in enumerate(self._shards)
         ]
 
-    def answer(self, query, t: int, kwargs: dict) -> list:
-        return self._map_live(self._answer_one, query, t, kwargs)
-
     def answer_batch(self, queries, times, kwargs: dict) -> list:
         return self._map_live(self._batch_one, queries, times, kwargs)
 
@@ -352,21 +328,7 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
     from multiprocessing import resource_tracker, shared_memory
 
     stage = None  # the parent's staging segment, attached on first use
-    # Worker-side merge-weight memo, mirroring the serial executor's
-    # (see ShardExecutor._shard_weight): cleared whenever the shard
-    # advances, so cached denominators never go stale.
-    weight_memo: dict = {}
-
-    def shard_weight(t: int, kwargs: dict) -> float:
-        options = _kwargs_key(kwargs)
-        if options is None:
-            return merge_weight(algorithm, shard.release, t, **kwargs)
-        key = (int(t), options)
-        weight = weight_memo.get(key)
-        if weight is None:
-            weight = merge_weight(algorithm, shard.release, t, **kwargs)
-            weight_memo[key] = weight
-        return weight
+    weight_memo: dict = {}  # cleared whenever the shard ingests a round
 
     def read_staged(name, offset: int, shape: tuple, dtype: str) -> np.ndarray:
         """A private copy of one staged array: the parent overwrites the
@@ -405,20 +367,12 @@ def _worker_loop(shard, algorithm: str, conn) -> None:
                     weight_memo.clear()
                     shard.observe(data, entrants=entrants, exits=exits)
                     conn.send(("ok", None))
-                elif tag == "answer":
-                    _, query, t, kwargs = message
-                    weight = shard_weight(t, kwargs)
-                    conn.send(
-                        ("ok", (weight, shard.release.answer(query, t, **kwargs)))
-                    )
                 elif tag == "answer_batch":
                     _, queries, times, kwargs = message
-                    weights = np.asarray(
-                        [shard_weight(t, kwargs) for t in times],
-                        dtype=np.float64,
+                    pair = _shard_grid(
+                        algorithm, shard.release, queries, times, kwargs, weight_memo
                     )
-                    grid = _release_grid(shard.release, queries, times, kwargs)
-                    conn.send(("ok", (weights, grid)))
+                    conn.send(("ok", pair))
                 elif tag == "ledger":
                     accountant = shard.synthesizer.accountant
                     if accountant is None:
@@ -687,9 +641,6 @@ class ProcessShardExecutor(ShardExecutor):
                     failure = exc
         if failure is not None:
             raise _round_failure(failure, dispatched=len(live), completed=completed)
-
-    def answer(self, query, t: int, kwargs: dict) -> list:
-        return self._request_all(("answer", query, t, kwargs))
 
     def answer_batch(self, queries, times, kwargs: dict) -> list:
         """Send the workload's query objects to every worker, one RPC each."""

@@ -628,7 +628,7 @@ class ShardedService:
         return shard_columns, shard_churn
 
     def answer(self, query, t: int, **kwargs) -> float:
-        """Merged query answer at round ``t``.
+        """Merged query answer at round ``t``: one cell of :meth:`answer_batch`.
 
         Parameters
         ----------
@@ -639,10 +639,10 @@ class ShardedService:
             queries for the fixed-window one, categorical window
             queries for the categorical one).
         t:
-            Round to answer at.
+            Round to answer at, no earlier than the query's first.
         **kwargs:
-            Forwarded to every shard release's ``answer`` (e.g.
-            ``debias=`` for window queries).
+            Forwarded to every shard release (e.g. ``debias=`` for
+            window queries).
 
         Returns
         -------
@@ -654,28 +654,25 @@ class ShardedService:
             On a :attr:`degraded` service the average runs over the
             *surviving* shards only and every call emits a
             :class:`~repro.exceptions.DegradedServiceWarning`.
+
+        Raises
+        ------
+        repro.exceptions.ConfigurationError
+            For a round before the query's first (where the grid holds
+            ``NaN``), or a query the shard releases do not accept.
         """
-        self._check_not_poisoned()
-        self._warn_if_degraded("answer")
-        weighted = 0.0
-        total = 0.0
-        for pair in self._executor.answer(query, t, dict(kwargs)):
-            if pair is None:  # disabled shard (degraded mode)
-                continue
-            weight, value = pair
-            weighted += weight * value
-            total += weight
-        return weighted / total
+        query.check_time(t)
+        return float(self.answer_batch([query], [t], **kwargs)[0, 0])
 
     def answer_batch(self, queries, times, **kwargs) -> np.ndarray:
         """Merged answers for a whole workload, as one grid.
 
-        Ships the compiled workload to every shard in a single executor
-        round-trip (one RPC per worker under the ``"process"`` strategy)
-        and merges the per-shard answer matrices with the same
-        shard-order weighted accumulation as :meth:`answer` — the
-        returned grid is bit-identical with calling :meth:`answer` per
-        ``(query, time)`` cell.
+        The one place the service merges answers (:meth:`answer` is one
+        cell of this grid).  Ships the workload to every shard in a
+        single executor round-trip (one RPC per worker under the
+        ``"process"`` strategy) and accumulates the per-shard grids in
+        shard order, each weighted by its shard's population at that
+        round.
 
         Parameters
         ----------
@@ -746,8 +743,8 @@ class ShardedService:
 
         This is the opt-in graceful-degradation escape hatch: the
         disabled shard's slice of every future column is dropped at
-        dispatch and :meth:`answer` merges the surviving shards (with a
-        :class:`~repro.exceptions.DegradedServiceWarning` per call).
+        dispatch and :meth:`answer_batch` merges the surviving shards (with
+        a :class:`~repro.exceptions.DegradedServiceWarning` per call).
         Entrant routing is *unchanged* — the disabled shard still
         virtually accepts its share (those entrants go unserved with
         it), so the surviving shards receive exactly the individuals

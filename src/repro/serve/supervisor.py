@@ -63,6 +63,7 @@ from repro.exceptions import (
     DataValidationError,
     DegradedServiceWarning,
     NoiseSamplerWarning,
+    NotFittedError,
     RecoveryError,
     SerializationError,
 )
@@ -427,7 +428,7 @@ class SupervisedService:
         t:
             Round to answer at (``1 <= t <= self.t``).
         **kwargs:
-            Forwarded to the per-shard ``answer`` calls.
+            Forwarded to the per-shard releases.
 
         Returns
         -------
@@ -519,16 +520,7 @@ class SupervisedService:
                     # durable; re-ingesting it would double-publish.
                     return self._journal.records()[-1]
                 self._heartbeat(round_number)
-                self._service.observe(column, entrants=entrants, exits=exits)
-                record = self._build_record(round_number, column, entrants, exits)
-                try:
-                    self._journal.append(record)
-                except Exception:
-                    # Applied in memory but not durable: the next attempt
-                    # must roll the un-journaled round back via recovery.
-                    self._needs_recovery = True
-                    raise
-                self._journaled_spent = max(self._journaled_spent, record.zcdp_spent)
+                record = self._publish(round_number, column, entrants, exits)
                 self._maybe_checkpoint(round_number)
                 return record
             except DataValidationError:
@@ -550,10 +542,7 @@ class SupervisedService:
                 disable=(culprit, f"failed {culprits[culprit]} recovery attempts"),
             )
             self._needs_recovery = False
-            self._service.observe(column, entrants=entrants, exits=exits)
-            record = self._build_record(round_number, column, entrants, exits)
-            self._journal.append(record)
-            self._journaled_spent = max(self._journaled_spent, record.zcdp_spent)
+            record = self._publish(round_number, column, entrants, exits)
             self.events.append(
                 f"round {round_number} published degraded (shard {culprit} disabled)"
             )
@@ -583,6 +572,23 @@ class SupervisedService:
                 error.shard_index = entry["shard"]
                 raise error
 
+    def _publish(
+        self, round_number: int, column: np.ndarray, entrants: int, exits
+    ) -> JournalRecord:
+        """Ingest the round on every shard, then journal it."""
+        self._service.observe(column, entrants=entrants, exits=exits)
+        try:
+            record = self._build_record(round_number, column, entrants, exits)
+            self._journal.append(record)
+        except BaseException:
+            # Applied in memory but not durable: the shards are a round
+            # ahead of the journal, so the next call must roll the
+            # un-journaled round back via recovery.
+            self._needs_recovery = True
+            raise
+        self._journaled_spent = max(self._journaled_spent, record.zcdp_spent)
+        return record
+
     def _build_record(
         self, round_number: int, column: np.ndarray, entrants: int, exits
     ) -> JournalRecord:
@@ -600,9 +606,11 @@ class SupervisedService:
             for label, query in self._probe_queries.items():
                 try:
                     answers[label] = float(self._service.answer(query, round_number))
-                except ConfigurationError:
-                    # A windowed probe is undefined before its first
-                    # answerable round; it joins the journal once live.
+                except (ConfigurationError, NotFittedError):
+                    # A probe is undefined before its first answerable
+                    # round (its width, or for one narrower than the
+                    # window, the first released histogram); it joins the
+                    # journal once live.
                     continue
         return JournalRecord(
             round=round_number,

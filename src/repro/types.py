@@ -248,13 +248,13 @@ def as_frame(data, names: Sequence[str] | None = None) -> AttributeFrame:
 class Release(Protocol):
     """A released artifact that answers queries at released rounds.
 
-    ``answer`` is the scalar path; ``answer_batch`` answers a whole
-    workload as a ``(len(queries), len(times))`` float64 grid with
-    ``NaN`` where ``t < query.min_time()``, **bit-identical** with the
-    scalar loop.  Implementations may vectorize through
-    :mod:`repro.queries.plan`; the scalar fallback
-    :func:`repro.queries.plan.scalar_answer_grid` satisfies the
-    contract for any release.
+    ``answer_batch`` answers a whole workload as a
+    ``(len(queries), len(times))`` float64 grid with ``NaN`` where
+    ``t < query.min_time()``; ``answer(query, t)`` returns one cell of
+    that grid, the same float.  The package's releases compute answers
+    only in the grid (vectorized through :mod:`repro.queries.plan`);
+    a release whose ``answer`` is its implementation builds the grid
+    with :func:`repro.queries.plan.scalar_answer_grid`.
     """
 
     def answer(self, query, t: int, *args, **kwargs) -> float:

@@ -124,22 +124,23 @@ class TestReplicateSynthesizer:
     def test_custom_answer_fn(self, small_markov_panel):
         calls = []
 
-        def spy(release, query, t, debias):
-            calls.append((query.name, t, debias))
-            return 0.5
+        def spy(release, queries, times, debias):
+            calls.append(([query.name for query in queries], tuple(times), debias))
+            return np.full((len(queries), len(times)), 0.5)
 
         result = replicate_synthesizer(
             window_factory(small_markov_panel),
             small_markov_panel,
-            [AtLeastMOnes(3, 1)],
-            times=[3],
-            n_reps=1,
+            [AtLeastMOnes(3, 1), AtLeastMOnes(2, 1)],
+            times=[3, 4],
+            n_reps=2,
             seed=10,
             debias=False,
             answer_fn=spy,
         )
-        assert calls == [("at_least_1_of_3", 3, False)]
-        assert result.answers[0, 0, 0] == 0.5
+        grid = (["at_least_1_of_3", "at_least_1_of_2"], (3, 4), False)
+        assert calls == [grid, grid]  # one whole grid per repetition
+        assert (result.answers == 0.5).all()
 
     def test_validation(self, small_markov_panel):
         with pytest.raises(ConfigurationError):
@@ -233,9 +234,9 @@ class TestStrategies:
     def test_custom_answer_fn_skips_batched(self, small_markov_panel):
         calls = []
 
-        def spy(release, query, t, debias):
-            calls.append(t)
-            return 0.0
+        def spy(release, queries, times, debias):
+            calls.append(tuple(times))
+            return np.zeros((len(queries), len(times)))
 
         replicate_synthesizer(
             cumulative_factory(small_markov_panel),
@@ -246,7 +247,7 @@ class TestStrategies:
             seed=5,
             answer_fn=spy,
         )
-        assert calls == [4]
+        assert calls == [(4,)]
 
     def test_unknown_strategy_rejected(self, small_markov_panel):
         # The path is not selectable: a caller still passing a strategy

@@ -235,10 +235,10 @@ class TestProbeAndHarness:
         release = NonPrivateSynthesizer(6).run(panel)
         probe = PMSEProbe(panel, 3)
         query = AtLeastMOnes(3, 1)
-        assert utility_answer(release, probe, 6, True) == 0.0
-        assert utility_answer(release, query, 6, True) == pytest.approx(
-            query.evaluate(panel, 6)
-        )
+        grid = utility_answer(release, [probe, query], [2, 6], True)
+        assert grid[0].tolist() == [0.0, 0.0]
+        assert np.isnan(grid[1, 0])  # the width-3 query is undefined at t=2
+        assert grid[1, 1] == pytest.approx(query.evaluate(panel, 6))
 
     def test_score_synthesizer_report(self, panel):
         report = score_synthesizer(

@@ -245,9 +245,13 @@ class TestCategoricalSynthesizer:
         biased = release.answer(query, 5, debias=False)
         direct = query.evaluate(release.synthetic_data(5), 5)
         assert biased == pytest.approx(direct)
-        # Batch answering has no record-level path for wide queries.
-        with pytest.raises(ConfigurationError):
-            release.answer_series(query)
+        # A wide series is the row of per-round record-level answers.
+        times = [t for t in release.released_times() if t >= query.k]
+        series = release.answer_series(query, debias=False)
+        assert series.tolist() == [release.answer(query, t, debias=False) for t in times]
+        assert series == pytest.approx(
+            [query.evaluate(release.synthetic_data(t), t) for t in times]
+        )
 
     def test_answer_series_unreleased_round_raises_not_fitted(self, employment_panel):
         from repro.exceptions import NotFittedError

@@ -4,7 +4,8 @@ Two pins, one on each side of the noise rule:
 
 * a noisy default cumulative service (one exact stream), streamed round
   by round with entrant and exit rounds: every round's state
-  fingerprint, and one digest of the final answer grid;
+  fingerprint, one digest of the final answer grid, and one digest of
+  every cell answered on its own (thresholds above the horizon too);
 * the batched replication engine at ``R = 8`` (the float rep-axis draw)
   for every counter with a native bank: one digest of each answer grid.
 
@@ -43,6 +44,12 @@ FINGERPRINTS = {
 #: SHA-256 of the final ``answer_batch`` grid (every Hamming query, every round).
 ANSWER_GRID = "c1712d2f53f2a18c910047efc02538d58080d4ad8516b00c898f82b942ce6e2e"
 
+#: SHA-256 of ``answer(query, t)`` over the grid's cells and the
+#: structurally empty thresholds above the horizon, query-major.
+ANSWER_CELLS = "c0ffd196f11a1f895da1ef8b3a327648bff52fb561790adaac974d9df718e3d4"
+
+ABOVE_HORIZON = [HammingAtLeast(HORIZON + 2), HammingExactly(HORIZON + 1)]
+
 #: Counter -> SHA-256 of the ``(R, queries, times)`` answer cube.
 REPLICATED = {
     "binary_tree": "5952c4c7178f6424d974f523c8ba85126f6040b3dc5d72680a30bab266c039bc",
@@ -72,18 +79,35 @@ def cumulative_run():
         column = (rng.random(int(present.sum())) < 0.3).astype(np.int8)
         service.observe(column, entrants=entrants, exits=exits)
         fingerprints[t] = service.fingerprint()
-    grid = service.release.answer_batch(_queries(HORIZON), list(range(1, HORIZON + 1)))
-    return fingerprints, hashlib.sha256(grid.tobytes()).hexdigest()
+    times = list(range(1, HORIZON + 1))
+    grid = service.release.answer_batch(_queries(HORIZON), times)
+    cells = np.array(
+        [
+            service.release.answer(query, t)
+            for query in _queries(HORIZON) + ABOVE_HORIZON
+            for t in times
+        ]
+    )
+    return (
+        fingerprints,
+        hashlib.sha256(grid.tobytes()).hexdigest(),
+        hashlib.sha256(cells.tobytes()).hexdigest(),
+    )
 
 
 def test_every_round_fingerprint_is_pinned(cumulative_run):
-    fingerprints, _ = cumulative_run
+    fingerprints, _, _ = cumulative_run
     assert fingerprints == FINGERPRINTS
 
 
 def test_answer_grid_is_pinned(cumulative_run):
-    _, digest = cumulative_run
+    _, digest, _ = cumulative_run
     assert digest == ANSWER_GRID
+
+
+def test_every_answer_cell_is_pinned(cumulative_run):
+    _, _, digest = cumulative_run
+    assert digest == ANSWER_CELLS
 
 
 @pytest.mark.parametrize("counter", sorted(REPLICATED))

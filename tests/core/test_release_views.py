@@ -1,12 +1,16 @@
 """Release-view robustness: defensive copies, kwargs plumbing, accessors."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
+from repro.core.multi_attribute import MultiAttributeSynthesizer
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.queries.categorical import CategoricalWindowQuery, CategoryAtLeastM
 from repro.queries.cumulative import HammingAtLeast, HammingExactly
@@ -42,6 +46,46 @@ class TestDefensiveCopies:
         release = synth.run(small_markov_panel)
         with pytest.raises(ValueError):
             release.synthetic_data().matrix[0, 0] = 1
+
+
+class TestReleaseViewLifetime:
+    """A release view holds its synthesizer, never the other way round."""
+
+    PANEL = np.random.default_rng(4).integers(0, 2, size=(40, 4))
+
+    BUILDERS = {
+        "cumulative": lambda: CumulativeSynthesizer(horizon=4, rho=0.5, seed=0),
+        "fixed_window": lambda: FixedWindowSynthesizer(horizon=4, window=2, rho=0.5, seed=0),
+        "categorical_window": lambda: CategoricalWindowSynthesizer(4, 2, 3, 0.5, seed=0),
+        "multi_attribute": lambda: MultiAttributeSynthesizer(
+            4, 2, 0.5, attributes=["a", "b"], seed=0
+        ),
+        "streaming_cumulative": lambda: StreamingSynthesizer.cumulative(4, 0.5, seed=0),
+        "streaming_fixed_window": lambda: StreamingSynthesizer.fixed_window(
+            4, 2, 0.5, seed=0
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_dropped_synthesizer_is_freed_without_the_cycle_collector(self, kind):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            synth = self.BUILDERS[kind]()
+            for column in self.PANEL.T:
+                if kind == "multi_attribute":
+                    synth.observe({"a": column, "b": 1 - column})
+                else:
+                    synth.observe(column)
+            release = synth.release
+            assert release.t == 4
+            # A streaming service's state lives in its wrapped synthesizer.
+            refs = [weakref.ref(synth), weakref.ref(getattr(synth, "synthesizer", synth))]
+            del synth, release
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestCounterKwargsPlumbing:
@@ -268,9 +312,11 @@ class TestOneWindowRelease:
     @pytest.mark.parametrize("debias", [True, False])
     def test_binary_answer_series_equals_the_answer_loop(self, debias):
         release = self._release("fixed_window")
-        for query in (AtLeastMOnes(2, 1), AtLeastMOnes(3, 2)):
+        # Widths below, at and above the window (the last from records).
+        for query in (AtLeastMOnes(2, 1), AtLeastMOnes(3, 2), AtLeastMOnes(5, 2)):
             series = release.answer_series(query, debias=debias)
-            looped = [release.answer(query, t, debias=debias) for t in self.TIMES]
+            times = [t for t in self.TIMES if t >= query.k]
+            looped = [release.answer(query, t, debias=debias) for t in times]
             assert series.tolist() == looped
 
     @pytest.mark.parametrize("algorithm", ["fixed_window", "categorical_window"])

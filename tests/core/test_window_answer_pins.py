@@ -9,7 +9,10 @@ padding conventions of the binary release.  Their synthetic panels and
 padding records are pinned too, with their types and dtypes.  The
 literals were computed by the implementation in which the binary and the
 categorical release each answered queries on their own; a change to one
-answer's bits, a panel's bytes or a panel's type moves one of them.
+answer's bits, a panel's bytes or a panel's type moves one of them.  The
+``answer_series`` literals are the digests of that implementation's
+per-round ``answer`` over the same cells: a series is the row of the
+answer grid, so each of its entries is the float ``answer`` returns.
 """
 
 import hashlib
@@ -44,14 +47,14 @@ PINS = {
     "q2": {
         "answer": "3dff3bf2e9df514186e10ab28784736ff4b9cbf0df7fe66d7fdc78f3bdf38f1a",
         "answer_batch": "02351be3bbb5aa069301eb2bbbb704aeebdf3a6cab5d572f66cf75058f1ae876",
-        "answer_series": "c536db10230cbe8ff4c0921d9d27626d95c9aacbb904ec692f972d2dedc8b6e5",
+        "answer_series": "5cc6d522b2d264c8ac140a892068a9d3f27d9204820eebfe248b7fe2455e2e61",
         "synthetic_data": "ad04bba98af75e7a44c50c755ea39e47a80d4c3816df7950b7b230ceb2748a21",
         "padding_panel": "6ede38905a3723f84e8ac355df42fef1d5d7e22335b41e32f2842ce8b397f590",
     },
     "q3": {
         "answer": "1bf4d7cc6a0a05b20b1faebc3eb3ab8ed9e2a40b600126094cda35e07745805b",
         "answer_batch": "3dcbfc32515b834ff5831401bf0f484888b19ccf1e22750038f8ca65419faf98",
-        "answer_series": "59df69cc5de737ab9955e335939b6713f2cd9aef3c71babb66743e5943ede1ac",
+        "answer_series": "50dd78f443e7d6f3a7f4312ad33a6c750c6cacf96054357dd11271e1213ccbe7",
         "synthetic_data": "104a1ba332bbb81e69c3e1b550196676435074cd5c00068785eeb2c510bf8d3f",
         "padding_panel": "2ba59ddbc0213b1636b8bafdec03eb93a9e3e6a6a0e41a5014c5596ac7e5bd60",
     },

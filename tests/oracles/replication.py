@@ -3,13 +3,6 @@
 from repro.queries.plan import release_answer_grid
 
 
-def grid_answer(release, query, t, debias):
-    """Answer as the default dispatch does; the harness calls ``answer_grid``."""
-    return release_answer_grid(release, [query], [t], debias=debias)[0, 0]
-
-
-def _answer_grid(release, queries, times, debias):
+def grid_answer(release, queries, times, debias):
+    """Answer each repetition's grid as the default dispatch does."""
     return release_answer_grid(release, queries, times, debias=debias)
-
-
-grid_answer.answer_grid = _answer_grid

@@ -282,6 +282,69 @@ def test_recovered_answers_equal_journaled_answers(churn_events, tmp_path):
         assert again.service.state_fingerprints() == final
 
 
+def test_probe_narrower_than_the_window_joins_the_journal_when_live(
+    churn_events, tmp_path
+):
+    """A width-1 probe has no released histogram before round ``k = 3``.
+
+    Until then it is not live: every round still publishes, the journal
+    keeps pace with the shards, and the probe is journaled from round 3.
+    """
+    kwargs = CONFIGS["fixed_window"][0]
+    probes = {"narrow": AtLeastMOnes(1, 1)}
+    directory = str(tmp_path / "service")
+    policy = _policy(checkpoint_every=100)  # recovery replays every round
+    with SupervisedService(
+        directory,
+        n_shards=K,
+        seed=SEED,
+        executor="serial",
+        policy=policy,
+        probe_queries=probes,
+        **kwargs,
+    ) as service:
+        records = [
+            service.observe(column, entrants=entrants, exits=exits)
+            for column, entrants, exits in churn_events[:6]
+        ]
+        assert service.t == service.service.t == 6
+    assert [record.round for record in records] == [1, 2, 3, 4, 5, 6]
+    assert [sorted(record.answers) for record in records] == [[]] * 2 + [["narrow"]] * 4
+    with SupervisedService.attach(
+        directory, executor="serial", policy=policy, probe_queries=probes
+    ) as resumed:
+        assert resumed.events[-1].endswith("checkpoint round 0 + 6 journal rounds replayed")
+        for record in records[2:]:
+            assert resumed.answer(probes["narrow"], record.round) == record.answers["narrow"]
+
+
+def test_a_failure_after_ingest_rolls_the_round_back(churn_events, tmp_path, monkeypatch):
+    """Shards that ingested an unjournaled round are recovered first."""
+    kwargs, query, _ = CONFIGS["fixed_window"]
+    with SupervisedService(
+        str(tmp_path / "service"),
+        n_shards=K,
+        seed=SEED,
+        executor="serial",
+        policy=_policy(checkpoint_every=100),
+        probe_queries={"probe": query},
+        **kwargs,
+    ) as service:
+        column, entrants, exits = churn_events[0]
+        build_record = service._build_record
+
+        def fail_once(*args):
+            monkeypatch.setattr(service, "_build_record", build_record)
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(service, "_build_record", fail_once)
+        with pytest.raises(RuntimeError, match="injected"):
+            service.observe(column, entrants=entrants, exits=exits)
+        assert service.t == 0
+        record = service.observe(column, entrants=entrants, exits=exits)
+        assert record.round == service.t == service.service.t == 1
+
+
 def test_replay_with_wrong_noise_fails_closed(churn_events, tmp_path):
     """A replay that would re-noise published rounds must be refused.
 

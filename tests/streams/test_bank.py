@@ -311,10 +311,6 @@ class TestHeterogeneousSamplers:
 
 
 class TestSynthesizerEngineSurface:
-    def test_release_view_is_cached(self):
-        synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
-        assert synth.release is synth.release
-
     def test_bank_property(self):
         native = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
         fallback = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, counter="honaker")
