@@ -127,17 +127,20 @@ def test_process_executor_speedup_and_bit_exactness(figure_report, rss_probe):
     )
 
 
-def _write_peak(write, path, state: dict) -> int:
+def _write_peak(write, path, state: dict, **options) -> int:
     """Transient allocation peak (bytes) of one bundle write to disk.
 
-    ``compress_arrays=False`` on both sides so the comparison isolates
-    buffering behaviour (monolithic in-RAM npz vs per-array spooling)
-    rather than DEFLATE ratios.  The version-2 writer is the test oracle
-    in ``tests/oracles/checkpoint_v2.py``.
+    The version-3 writer deflates every array member at zlib level 1
+    (its one compression rule), so its peak includes one compressor's
+    state.  The version-2 writer, the test oracle in
+    ``tests/oracles/checkpoint_v2.py``, is called with
+    ``compress_arrays=False``, so its peak is the monolithic in-RAM npz
+    buffer rather than DEFLATE work: the comparison isolates buffering
+    behaviour (monolithic npz vs per-array spooling).
     """
     tracemalloc.start()
     try:
-        write(path, "streaming", {"bench": True}, state, compress_arrays=False)
+        write(path, "streaming", {"bench": True}, state, **options)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,7 +164,9 @@ def test_streaming_checkpoint_memory_is_sublinear(figure_report, rss_probe, tmp_
     state_mb = _state_nbytes(state) / 1024**2
 
     streaming_peak = _write_peak(write_bundle, tmp_path / "v3.ckpt", state)
-    monolithic_peak = _write_peak(write_bundle_v2, tmp_path / "v2.ckpt", state)
+    monolithic_peak = _write_peak(
+        write_bundle_v2, tmp_path / "v2.ckpt", state, compress_arrays=False
+    )
     ratio = streaming_peak / monolithic_peak
     # The monolithic writer materializes the whole npz in RAM before the
     # zip sees a byte, so its peak tracks the total state size; the

@@ -179,6 +179,8 @@ class CumulativeRelease:
         Thresholds above the horizon are structurally empty (nobody can
         have more ones than rounds) and answer 0.  Cells with ``t < 1``
         are ``NaN``; a ``t`` past the last released round raises.
+        A query of another type raises ``ConfigurationError`` before
+        anything else is checked, even before the first round.
         Results are memoized per release version, so repeating a
         workload after a round costs one dictionary lookup.
         """
@@ -191,14 +193,14 @@ class CumulativeRelease:
             hit = cache.get(version, key)
             if hit is not None:
                 return hit
-        if self._synth._table is None:
-            raise NotFittedError("no data observed yet")
         for query in queries:
             if not isinstance(query, (HammingAtLeast, HammingExactly)):
                 raise ConfigurationError(
                     "cumulative release answers HammingAtLeast/HammingExactly, "
                     f"got {query!r}"
                 )
+        if self._synth._table is None:
+            raise NotFittedError("no data observed yet")
         for t in times:
             if t >= 1 and t > self._synth.t:
                 raise ConfigurationError(

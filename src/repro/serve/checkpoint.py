@@ -16,10 +16,14 @@ A version-3 checkpoint bundle is a single zip file holding:
     array's ``/``-joined path in the state tree.  Members are **spooled**
     into the zip chunk by chunk as they are written, so checkpointing a
     multi-gigabyte state never materializes a second in-RAM copy of it —
-    peak writer memory is one compression buffer, not the state size.
-    All member timestamps are pinned to the zip epoch, so two services
-    in the same state produce **byte-identical** bundles (the sharded
-    executor-equivalence tests rely on this).
+    peak writer memory is one block and one compressor, not the state
+    size.  The reader decompresses each member once, into the buffer
+    its array then views.
+    Every member is DEFLATEd at zlib level 1 except a nested bundle (a
+    leaf named ``bundle``), which is stored.  All member timestamps are
+    pinned to the zip epoch, so two services in the same state produce
+    **byte-identical** bundles (the sharded executor-equivalence tests
+    rely on this).
 
 Version-2 bundles (a single ``arrays.npz`` member with one whole-archive
 checksum) remain fully readable; :func:`write_bundle` writes version 3
@@ -100,6 +104,17 @@ _NONFINITE_MARKER = "__nonfinite__"
 #: Fixed member timestamp (the zip epoch): bundles are byte-deterministic
 #: functions of their content, never of the wall clock.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+
+#: zlib level of every deflated member.  Level 1 writes a checkpoint
+#: round's state several times faster than zlib's default level 6, and
+#: the members it deflates (mostly narrow codes and masks) still shrink
+#: severalfold.  Checksums are taken over uncompressed bytes, so the
+#: level never shows in a checksum or a fingerprint.
+_DEFLATE_LEVEL = zlib.Z_BEST_SPEED
+
+#: Leaf name of a nested bundle (the sharded service's per-shard blobs):
+#: already deflated inside, so it is stored, not deflated a second time.
+_NESTED_BUNDLE_LEAF = "bundle"
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
@@ -396,53 +411,65 @@ class _HashingWriter:
 
 
 def _member_info(name: str, compress_type: int) -> zipfile.ZipInfo:
-    """A deterministic member header: epoch timestamp, fixed mode bits."""
+    """A deterministic member header: epoch timestamp, fixed mode bits.
+
+    A deflated member carries :data:`_DEFLATE_LEVEL` on its own header,
+    because ``ZipFile.open`` and ``writestr`` compress a member handed
+    in as a ``ZipInfo`` at that header's level, never the archive's.
+    """
     info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
     info.compress_type = compress_type
+    if compress_type == zipfile.ZIP_DEFLATED:
+        # ``compress_level`` from Python 3.13 on; ``_compresslevel`` names
+        # it on every supported Python (an alias property since 3.13).
+        info._compresslevel = _DEFLATE_LEVEL
     info.external_attr = 0o644 << 16  # plain rw-r--r-- file
     return info
+
+
+def _member_compression(key: str) -> int:
+    """Stored for a nested bundle, DEFLATE for every other array leaf."""
+    if key.rsplit("/", 1)[-1] == _NESTED_BUNDLE_LEAF:
+        return zipfile.ZIP_STORED
+    return zipfile.ZIP_DEFLATED
 
 
 def _array_member(key: str) -> str:
     return f"{_ARRAY_DIR}{key}{_ARRAY_SUFFIX}"
 
 
-#: Bytes per block when a leaf that is not C-contiguous is written.
+#: Bytes per block in which a leaf is written.
 _WRITE_CHUNK_BYTES = 1 << 20
 
 
 def _write_array(fp, array: np.ndarray) -> None:
     """Write ``array`` as one ``.npy`` member, always in C order.
 
-    A C-contiguous leaf goes through NumPy's own writer.  Any other leaf
-    — such as the window store's record matrix, a transposed view of its
-    round-major records, which is F-contiguous when the record axis is
-    exactly full — gets the header NumPy would write for its C-order
-    copy (``fortran_order: False``), then its C-order bytes in blocks of
-    leading-axis slices of about :data:`_WRITE_CHUNK_BYTES`, so no copy
-    of the whole leaf is ever made.  Equal leaves therefore give equal
-    member bytes whatever their memory layout, which is what lets equal
-    fingerprints mean byte-identical bundles.
+    The member gets the version-1.0 header NumPy writes for the leaf's
+    C-order copy (``fortran_order: False``), then the leaf's C-order
+    bytes in blocks of leading-axis slices of about
+    :data:`_WRITE_CHUNK_BYTES`.  A block of a C-contiguous leaf is a view
+    of it; only a leaf in another layout — such as the window store's
+    record matrix, a transposed view of its round-major records — is
+    copied, one block at a time.  So no copy of a whole leaf is ever
+    made, and equal leaves give equal member bytes whatever their memory
+    layout, which is what lets equal fingerprints mean byte-identical
+    bundles.  An object array goes to NumPy's writer, which refuses it.
     """
-    if array.flags.c_contiguous or array.dtype.hasobject:
+    if array.dtype.hasobject:
         np.lib.format.write_array(fp, array, allow_pickle=False)
         return
     header = np.lib.format.header_data_from_array_1_0(array)
     header["fortran_order"] = False
     np.lib.format.write_array_header_1_0(fp, header)
-    step = max(1, _WRITE_CHUNK_BYTES // max(1, array[0].nbytes))
-    for start in range(0, array.shape[0], step):
-        fp.write(np.ascontiguousarray(array[start : start + step]))
+    rows = array.reshape(1) if array.ndim == 0 else array
+    row_bytes = rows.itemsize * math.prod(rows.shape[1:])
+    step = max(1, _WRITE_CHUNK_BYTES // max(1, row_bytes))
+    for start in range(0, rows.shape[0], step):
+        fp.write(np.ascontiguousarray(rows[start : start + step]))
 
 
-def write_bundle(
-    path,
-    kind: str,
-    config: dict,
-    state: dict,
-    *,
-    compress_arrays: bool = True,
-) -> None:
+def write_bundle(path, kind: str, config: dict, state: dict) -> None:
     """Write one checkpoint bundle.
 
     Parameters
@@ -458,12 +485,6 @@ def write_bundle(
     state:
         Nested state dict; NumPy array leaves become streamed
         ``arrays/<key>.npy`` members.
-    compress_arrays:
-        Deflate the array members (default).  Pass ``False`` when the
-        arrays are already-compressed byte blobs — the sharded service
-        does this for its nested shard bundles — so incompressible bytes
-        don't pay a useless second DEFLATE pass.  Readers handle both
-        forms transparently.
 
     Raises
     ------
@@ -472,11 +493,18 @@ def write_bundle(
 
     Notes
     -----
-    Array members are spooled chunk by chunk straight into the
-    zip (NumPy's ``.npy`` serializer writes buffered slabs, not one
-    monolithic ``tobytes()``), so the writer's peak memory does not scale
-    with the state size — pass ``state_dict(copy=False)`` snapshots to
-    keep the whole checkpoint path allocation-lean.  Every member is
+    Each member's compression follows from what it holds.  The manifest
+    and every array member are DEFLATEd at zlib level 1
+    (``Z_BEST_SPEED``); a leaf named ``bundle`` is a nested bundle whose
+    members are deflated already (the sharded service's shard blobs),
+    so it is stored.  Readers take any DEFLATE level and stored members
+    alike, and member checksums cover uncompressed bytes.
+
+    Array members are spooled block by block straight into the zip
+    (blocks of about 1 MiB, views of the leaf wherever its layout
+    allows), so the writer's peak memory does not scale with the state
+    size — pass ``state_dict(copy=False)`` snapshots to keep the whole
+    checkpoint path allocation-lean.  Every member is
     written in C order (``fortran_order: False``), whatever the layout
     of the array handed in, and member timestamps are pinned, so equal
     states produce byte-identical bundles.
@@ -504,13 +532,11 @@ def write_bundle(
         ).hexdigest(),
     }
 
-    member_type = zipfile.ZIP_DEFLATED if compress_arrays else zipfile.ZIP_STORED
-
     def _fill(target) -> None:
         checksums: dict[str, str] = {}
         with zipfile.ZipFile(target, "w", compression=zipfile.ZIP_DEFLATED) as bundle:
             for key in sorted(arrays):
-                info = _member_info(_array_member(key), member_type)
+                info = _member_info(_array_member(key), _member_compression(key))
                 with bundle.open(info, "w", force_zip64=True) as member:
                     writer = _HashingWriter(member)
                     _write_array(writer, np.asanyarray(arrays[key]))
@@ -773,18 +799,109 @@ def _read_arrays_v3(bundle: zipfile.ZipFile, manifest: dict) -> dict[str, np.nda
         )
     arrays: dict[str, np.ndarray] = {}
     for key in sorted(expected):
-        raw = bundle.read(_array_member(key))
-        if hashlib.sha256(raw).hexdigest() != checksums[key]:
+        buffer, digest = _read_member(bundle, _array_member(key))
+        if digest != checksums[key]:
             raise SerializationError(
                 f"bundle array checksum mismatch for {key!r} — the member "
                 "was modified after the checkpoint was written"
             )
         try:
-            arrays[key] = np.lib.format.read_array(
-                io.BytesIO(raw), allow_pickle=False
-            )
+            arrays[key] = _decode_array(buffer)
         except (OSError, ValueError) as exc:
             raise SerializationError(
                 f"cannot decode bundle array {key!r}: {exc}"
             ) from exc
     return arrays
+
+
+#: Bytes per read when a member is decompressed into its buffer.
+_READ_CHUNK_BYTES = 1 << 16
+
+#: The most uncompressed bytes one compressed byte can hold: one when
+#: stored, and DEFLATE's limit of 1032 when deflated.
+_MAX_EXPANSION = {zipfile.ZIP_STORED: 1, zipfile.ZIP_DEFLATED: 1032}
+
+
+def _read_member(bundle: zipfile.ZipFile, name: str) -> tuple[bytearray, str]:
+    """A member's uncompressed bytes and their SHA-256 hex digest.
+
+    The member is decompressed chunk by chunk straight into one buffer of
+    the size its zip header declares, hashing as it goes, so reading it
+    never holds a second copy of it.  A declared size its compressed
+    bytes cannot hold is corruption, refused before anything is
+    allocated; one they can hold but do not is refused once the data
+    runs out.
+    """
+    info = bundle.getinfo(name)
+    expansion = _MAX_EXPANSION.get(info.compress_type)
+    if expansion is not None and info.file_size > expansion * info.compress_size:
+        raise SerializationError(
+            f"bundle member {name!r} declares {info.file_size} bytes, more "
+            f"than its {info.compress_size} compressed bytes can hold"
+        )
+    buffer = bytearray(info.file_size)
+    view = memoryview(buffer)
+    digest = hashlib.sha256()
+    position = 0
+    with bundle.open(info) as member:
+        while position < len(buffer):
+            count = member.readinto(view[position: position + _READ_CHUNK_BYTES])
+            if not count:
+                raise SerializationError(
+                    f"bundle member {name!r} ends after {position} of the "
+                    f"{len(buffer)} bytes its zip header declares"
+                )
+            digest.update(view[position: position + count])
+            position += count
+    return buffer, digest.hexdigest()
+
+
+def _decode_array(buffer: bytearray) -> np.ndarray:
+    """The ``.npy`` array held in ``buffer``, as a view of its data bytes.
+
+    Only the header is parsed; the array shares ``buffer``'s memory, so a
+    member is held once between reading it and loading its state.  Every
+    writer of this format emits version-1.0 headers; any other version,
+    and an object dtype, raise ``ValueError``.
+    """
+    reader = _BufferReader(buffer)
+    version = np.lib.format.read_magic(reader)
+    if version != (1, 0):
+        raise ValueError(f".npy format version {version} is not 1.0")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(reader)
+    count = math.prod(shape)
+    array = np.frombuffer(buffer, dtype=dtype, count=count, offset=reader.tell())
+    if fortran_order:
+        return array.reshape(shape[::-1]).T
+    return array.reshape(shape)
+
+
+class _BufferReader:
+    """A seekable, read-only file over a bytes-like object, never copied whole.
+
+    ``io.BytesIO`` copies any buffer that is not a ``bytes`` object; this
+    reader copies only what each ``read`` returns.  Seeking before the
+    start clamps to 0, as ``io.BytesIO`` does.
+    """
+
+    def __init__(self, buffer):
+        self._view = memoryview(buffer).cast("B")
+        self._position = 0
+
+    def read(self, size: int | None = -1) -> bytes:
+        start = self._position
+        end = len(self._view) if size is None or size < 0 else start + size
+        data = bytes(self._view[start:end])
+        self._position += len(data)
+        return data
+
+    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
+        origin = (0, self._position, len(self._view))[whence]
+        self._position = max(0, origin + offset)
+        return self._position
+
+    def tell(self) -> int:
+        return self._position
+
+    def seekable(self) -> bool:
+        return True

@@ -81,6 +81,7 @@ JOURNAL_VERSION = 1
 _LENGTH = struct.Struct("<Q")
 _META_LENGTH = struct.Struct("<I")
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_FRAME_HEAD = len(JOURNAL_MAGIC) + _LENGTH.size
 
 def _encode_column(column: np.ndarray) -> tuple[str, np.ndarray]:
     """Pick the cheapest lossless on-disk encoding for a round column.
@@ -193,14 +194,22 @@ class JournalRecord:
     def from_payload(cls, payload: bytes) -> "JournalRecord":
         """Decode one frame payload back into a record."""
         try:
-            (meta_length,) = _META_LENGTH.unpack_from(payload)
-            meta = json.loads(
-                payload[_META_LENGTH.size: _META_LENGTH.size + meta_length]
-            )
-            dtype = np.dtype(meta["dtype"])
-            raw = payload[_META_LENGTH.size + meta_length:]
+            meta, body_start = _read_meta(payload, 0)
+        except (struct.error, ValueError) as exc:
+            raise SerializationError(
+                f"journal record payload is malformed: {exc}"
+            ) from exc
+        return cls._from_meta(meta, payload[body_start:])
+
+    @classmethod
+    def _from_meta(cls, meta: dict, raw) -> "JournalRecord":
+        """A record from its parsed frame meta and its encoded column bytes."""
+        try:
             column = _decode_column(
-                raw, dtype, int(meta["n"]), str(meta.get("encoding", "raw"))
+                raw,
+                np.dtype(meta["dtype"]),
+                int(meta["n"]),
+                str(meta.get("encoding", "raw")),
             )
             return cls(
                 round=int(meta["round"]),
@@ -216,8 +225,7 @@ class JournalRecord:
             )
         except SerializationError:
             raise
-        except (KeyError, TypeError, ValueError, struct.error,
-                json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(
                 f"journal record payload is malformed: {exc}"
             ) from exc
@@ -230,6 +238,13 @@ def _frame(payload: bytes) -> bytes:
         + payload
         + hashlib.sha256(payload).digest()
     )
+
+
+def _read_meta(data: bytes | memoryview, start: int) -> tuple[dict, int]:
+    """The meta JSON of the payload at ``data[start]``, and where its column starts."""
+    (meta_length,) = _META_LENGTH.unpack_from(data, start)
+    start += _META_LENGTH.size
+    return json.loads(bytes(data[start: start + meta_length])), start + meta_length
 
 
 class ReleaseJournal:
@@ -258,15 +273,15 @@ class ReleaseJournal:
         self._fsync = bool(fsync)
         self._handle = None
         if os.path.exists(self._path):
-            records, torn, base = self._scan(self._path)
+            frames, torn, base = self._scan(self._path)
             self.torn_tail = torn
             self._base_round = base
-            self._last_round = records[-1].round if records else base
+            self._last_round = frames[-1][0] if frames else base
             if torn:
                 # Drop the torn tail on disk too, so later appends don't
                 # bury unparseable bytes mid-file (which would read as
                 # fail-closed corruption instead of a clean tail).
-                self._rewrite(records, base)
+                self._rewrite(frames, base)
         else:
             self.torn_tail = False
             self._base_round = 0
@@ -352,7 +367,11 @@ class ReleaseJournal:
 
         Rewrites the journal atomically (tmp + fsync + rename), so the
         file only ever holds the *tail* recovery actually needs: the
-        rounds after the latest durable checkpoint.
+        rounds after the latest durable checkpoint.  The kept frames are
+        copied verbatim behind a new header frame, after the same checks
+        :meth:`records` runs (every frame's magic and SHA-256, round
+        contiguity), so corruption before the tail still fails closed and
+        a torn tail is dropped.
 
         Parameters
         ----------
@@ -361,21 +380,33 @@ class ReleaseJournal:
             including it are removed.  The journal remembers it as its
             :attr:`base_round`, so ``last_round`` and the contiguity
             check survive compaction.
+
+        Raises
+        ------
+        repro.exceptions.SerializationError
+            On non-tail corruption, a bad header, or out-of-order
+            rounds.
         """
         upto_round = int(upto_round)
-        kept = [record for record in self.records() if record.round > upto_round]
-        self._rewrite(kept, max(self._base_round, upto_round))
+        self.close()
+        frames, _, base = self._scan(self._path)
+        kept = [entry for entry in frames if entry[0] > upto_round]
+        self._rewrite(kept, max(base, upto_round))
 
-    def _rewrite(self, records: list[JournalRecord], base_round: int) -> None:
-        """Atomically replace the journal with a header + ``records``."""
+    def _rewrite(self, frames: list[tuple], base_round: int) -> None:
+        """Atomically replace the journal with a header + ``frames``.
+
+        ``frames`` holds ``(round, frame, ...)`` entries, as :meth:`_scan`
+        returns them; each verified frame is written verbatim.
+        """
         self.close()
         directory = os.path.dirname(self._path) or "."
         fd, temp_path = tempfile.mkstemp(prefix=".journal-", dir=directory)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(_frame(self._header_payload(base_round)))
-                for record in records:
-                    handle.write(_frame(record.payload()))
+                for entry in frames:
+                    handle.write(entry[1])
                 handle.flush()
                 if self._fsync:
                     os.fsync(handle.fileno())
@@ -387,7 +418,7 @@ class ReleaseJournal:
                 pass
             raise
         self._base_round = int(base_round)
-        self._last_round = records[-1].round if records else int(base_round)
+        self._last_round = frames[-1][0] if frames else int(base_round)
         self.torn_tail = False
 
     def close(self) -> None:
@@ -425,25 +456,34 @@ class ReleaseJournal:
             rounds.
         """
         self.close()
-        records, torn, base = self._scan(self._path)
+        frames, torn, base = self._scan(self._path)
+        records = [JournalRecord._from_meta(meta, column) for _, _, meta, column in frames]
         self.torn_tail = torn
         self._base_round = base
-        self._last_round = records[-1].round if records else base
+        self._last_round = frames[-1][0] if frames else base
         if torn:
             # Self-heal: drop the torn bytes on disk, otherwise a later
             # append would land *after* them and turn a harmless torn
             # tail into fail-closed mid-journal corruption.
-            self._rewrite(records, base)
+            self._rewrite(frames, base)
             self.torn_tail = True
         return records
 
-    @classmethod
-    def _scan(cls, path) -> tuple[list[JournalRecord], bool, int]:
-        """Parse a journal file into ``(records, torn_tail, base_round)``."""
+    @staticmethod
+    def _scan(path) -> tuple[list[tuple], bool, int]:
+        """Verify a journal file into ``(frames, torn_tail, base_round)``.
+
+        ``frames`` holds one ``(round, frame, meta, column)`` entry per
+        record frame: its round, a view of the whole frame, its parsed
+        meta, and a view of its encoded column bytes.  Every frame's magic
+        and SHA-256 and the rounds' contiguity are checked; no column is
+        decoded.
+        """
         with open(path, "rb") as handle:
             data = handle.read()
+        view = memoryview(data)
         offset = 0
-        payloads: list[bytes] = []
+        spans: list[tuple[int, int]] = []
         torn = False
         size = len(data)
         while offset < size:
@@ -472,9 +512,8 @@ class ReleaseJournal:
                 # cannot exist, so this is always the tail.
                 torn = True
                 break
-            payload = data[offset: offset + length]
             digest = data[offset + length: end]
-            if hashlib.sha256(payload).digest() != digest:
+            if hashlib.sha256(view[offset: offset + length]).digest() != digest:
                 if data.find(JOURNAL_MAGIC, end) != -1:
                     raise SerializationError(
                         f"journal frame at byte {frame_start} fails its "
@@ -483,20 +522,17 @@ class ReleaseJournal:
                     )
                 torn = True
                 break
-            payloads.append(payload)
+            spans.append((frame_start, end))
             offset = end
-        if not payloads:
+        if not spans:
             raise SerializationError(
                 f"{os.fspath(path)!r} is not a repro release journal "
                 "(missing header frame)"
             )
-        header = payloads[0]
+        payloads = [view[start + _FRAME_HEAD: end - _DIGEST_SIZE] for start, end in spans]
         try:
-            (meta_length,) = _META_LENGTH.unpack_from(header)
-            header_meta = json.loads(
-                header[_META_LENGTH.size: _META_LENGTH.size + meta_length]
-            )
-        except (struct.error, json.JSONDecodeError, ValueError) as exc:
+            header_meta, _ = _read_meta(payloads[0], 0)
+        except (struct.error, ValueError) as exc:
             raise SerializationError(f"journal header is malformed: {exc}") from exc
         if header_meta.get("format") != "repro-journal":
             raise SerializationError(
@@ -513,20 +549,30 @@ class ReleaseJournal:
             raise SerializationError(
                 f"journal header base_round is malformed: {exc}"
             ) from exc
-        records = [JournalRecord.from_payload(payload) for payload in payloads[1:]]
-        if records and records[0].round != base_round + 1:
-            raise SerializationError(
-                f"journal starts at round {records[0].round} but its header "
-                f"declares base_round={base_round}; rounds "
-                f"{base_round + 1}..{records[0].round - 1} are missing"
-            )
-        for previous, current in zip(records, records[1:]):
-            if current.round != previous.round + 1:
+        frames = []
+        for (start, end), payload in zip(spans[1:], payloads[1:]):
+            try:
+                meta, body_start = _read_meta(payload, 0)
+                round_number = int(meta["round"])
+            except (KeyError, TypeError, ValueError, struct.error) as exc:
                 raise SerializationError(
-                    f"journal rounds are not contiguous: {previous.round} "
-                    f"followed by {current.round}"
+                    f"journal record payload is malformed: {exc}"
+                ) from exc
+            frames.append((round_number, view[start:end], meta, payload[body_start:]))
+        rounds = [entry[0] for entry in frames]
+        if rounds and rounds[0] != base_round + 1:
+            raise SerializationError(
+                f"journal starts at round {rounds[0]} but its header "
+                f"declares base_round={base_round}; rounds "
+                f"{base_round + 1}..{rounds[0] - 1} are missing"
+            )
+        for previous, current in zip(rounds, rounds[1:]):
+            if current != previous + 1:
+                raise SerializationError(
+                    f"journal rounds are not contiguous: {previous} "
+                    f"followed by {current}"
                 )
-        return records, torn, base_round
+        return frames, torn, base_round
 
     def __repr__(self) -> str:
         return (

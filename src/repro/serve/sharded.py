@@ -45,7 +45,6 @@ columns.
 
 from __future__ import annotations
 
-import io
 import warnings
 
 import numpy as np
@@ -67,7 +66,7 @@ from repro.exceptions import (
 )
 from repro.queries.plan import AnswerCache, workload_key
 from repro.rng import SeedLike, spawn
-from repro.serve.checkpoint import read_bundle, write_bundle
+from repro.serve.checkpoint import _BufferReader, read_bundle, write_bundle
 from repro.serve.executor import make_executor
 from repro.serve.streaming import _ALGORITHMS, StreamingSynthesizer
 from repro.types import AttributeFrame, as_frame
@@ -874,8 +873,8 @@ class ShardedService:
         ----------
         path:
             Target file path or writable binary file object.  The bundle
-            nests one complete streaming bundle per shard (stored as
-            bytes inside the service's ``arrays.npz``), so shard state
+            nests one complete streaming bundle per shard (the stored
+            member ``arrays/shards/<i>/bundle.npy``), so shard state
             inherits the same integrity checks.
 
         Raises
@@ -910,9 +909,6 @@ class ShardedService:
             kind="sharded",
             config={"algorithm": self.algorithm, "n_shards": self.n_shards},
             state=state,
-            # The shard blobs are complete bundles (already compressed);
-            # deflating them again would only burn CPU.
-            compress_arrays=False,
         )
 
     @classmethod
@@ -965,7 +961,7 @@ class ShardedService:
         shards = []
         for index in range(n_shards):
             try:
-                blob = np.asarray(shard_blobs[str(index)]["bundle"], dtype=np.uint8)
+                blob = np.ascontiguousarray(shard_blobs[str(index)]["bundle"], dtype=np.uint8)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SerializationError(
                     f"invalid shard entry {index}: {exc}"
@@ -974,7 +970,7 @@ class ShardedService:
             # nested shard bundles were written alongside it.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NoiseSamplerWarning)
-                shards.append(StreamingSynthesizer.restore(io.BytesIO(blob.tobytes())))
+                shards.append(StreamingSynthesizer.restore(_BufferReader(blob)))
         # Cross-shard consistency: the nested bundles are individually
         # checksummed, but nothing stops a (buggy or foreign) writer from
         # combining shards that never belonged together — fail closed

@@ -168,6 +168,8 @@ class SupervisedService:
         on replay (pure post-processing of the release — no extra
         privacy cost).  Not persisted (query objects are code); pass
         them again on :meth:`attach` to re-arm answer verification.
+        A probe the service's releases can never answer (a query type
+        or alphabet they do not accept) is refused at construction.
     degraded_ok:
         Opt-in graceful degradation: when recovery keeps failing on one
         identifiable shard, disable it and serve from the survivors
@@ -183,8 +185,9 @@ class SupervisedService:
     ------
     repro.exceptions.ConfigurationError
         On a missing/non-``int`` seed for a fresh service, config
-        conflicting with a resumed directory's persisted config, or an
-        invalid policy.
+        conflicting with a resumed directory's persisted config, an
+        invalid policy, or a probe query the service can never answer
+        (the message names the probe's label).
     repro.exceptions.RecoveryError
         If resuming cannot reconstruct the journaled state exactly.
     repro.exceptions.SerializationError
@@ -260,6 +263,11 @@ class SupervisedService:
             self._journaled_spent = max(self._journaled_spent, record.zcdp_spent)
         self._service: ShardedService | None = None
         self._recover(reason="attach")
+        try:
+            self._check_probes()
+        except ConfigurationError:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Construction / config persistence
@@ -302,6 +310,9 @@ class SupervisedService:
 
         Raises
         ------
+        repro.exceptions.ConfigurationError
+            If ``directory`` holds no supervised service, or a probe
+            query can never be answered by it.
         repro.exceptions.RecoveryError
             If the journaled state cannot be reconstructed exactly.
         repro.exceptions.SerializationError
@@ -589,6 +600,24 @@ class SupervisedService:
         self._journaled_spent = max(self._journaled_spent, record.zcdp_spent)
         return record
 
+    def _check_probes(self) -> None:
+        """Refuse a probe that no round of this service could answer.
+
+        Each probe goes through the service's ``answer_batch`` with no
+        rounds, so every shard release runs its accepted-query check and
+        nothing else: a foreign query type or alphabet raises here, once,
+        instead of being skipped silently every round.
+        """
+        for label, query in self._probe_queries.items():
+            try:
+                self._service.answer_batch([query], [])
+            except NotFittedError:
+                continue  # an accepted query; nothing is released yet
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"probe {label!r} can never be answered by this service: {exc}"
+                ) from exc
+
     def _build_record(
         self, round_number: int, column: np.ndarray, entrants: int, exits
     ) -> JournalRecord:
@@ -607,10 +636,11 @@ class SupervisedService:
                 try:
                     answers[label] = float(self._service.answer(query, round_number))
                 except (ConfigurationError, NotFittedError):
-                    # A probe is undefined before its first answerable
-                    # round (its width, or for one narrower than the
-                    # window, the first released histogram); it joins the
-                    # journal once live.
+                    # Every probe passed _check_probes, so this one is
+                    # only not live yet: it is undefined before its first
+                    # answerable round (its width, or for one narrower
+                    # than the window, the first released histogram); it
+                    # joins the journal once live.
                     continue
         return JournalRecord(
             round=round_number,

@@ -19,7 +19,6 @@ import pytest
 from repro.core.synthetic_store import _bucket_width
 from repro.queries.categorical import CategoryAtLeastM
 from repro.serve import StreamingSynthesizer
-from repro.serve.checkpoint import write_bundle
 
 N, HORIZON, WINDOW, ALPHABET = 200_000, 6, 3, 3
 
@@ -59,17 +58,8 @@ def run():
         service.observe(column, entrants=entrants, exits=exits)
         if t >= WINDOW:
             fingerprints[t] = service.fingerprint()
-    # What StreamingSynthesizer.checkpoint writes, with the array members
-    # stored rather than deflated: the same member bytes, without the
-    # deflate pass over the 200,000-record state.
     buffer = io.BytesIO()
-    write_bundle(
-        buffer,
-        kind="streaming",
-        config=service.synthesizer.config_dict(),
-        state=service.synthesizer.state_dict(copy=False),
-        compress_arrays=False,
-    )
+    service.checkpoint(buffer)
     return fingerprints, service, buffer.getvalue()
 
 

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -529,31 +531,51 @@ def test_noiseless_manifest_is_strict_rfc_json(tmp_path, columns):
     )
 
 
-def test_array_member_compression_follows_compress_arrays(tmp_path, columns):
-    path = tmp_path / "deflated.ckpt"
-    service = StreamingSynthesizer.cumulative(horizon=HORIZON, rho=0.02, seed=3)
-    service.observe(columns[0])
-    service.checkpoint(path)
-    with zipfile.ZipFile(path) as bundle:
-        info = {i.filename: i.compress_type for i in bundle.infolist()}
-    assert info["manifest.json"] == zipfile.ZIP_DEFLATED
-    array_members = [name for name in info if name.startswith("arrays/")]
-    assert array_members
-    assert all(info[name] == zipfile.ZIP_DEFLATED for name in array_members)
+def _compression_by_member(blob: bytes) -> dict[str, int]:
+    with zipfile.ZipFile(io.BytesIO(blob)) as bundle:
+        return {info.filename: info.compress_type for info in bundle.infolist()}
 
-    # Pre-compressed payloads (the sharded service's nested shard blobs)
-    # opt out of the useless second DEFLATE pass.
-    stored = tmp_path / "stored.ckpt"
-    write_bundle(
-        stored,
-        kind="streaming",
-        config={},
-        state={"blob": np.frombuffer(b"\x1f\x8b already deflated", dtype=np.uint8)},
-        compress_arrays=False,
+
+def test_member_compression_follows_what_each_member_holds(columns, monkeypatch):
+    """Level-1 DEFLATE for the manifest and plain arrays; nested bundles stored.
+
+    The spy sees the level each deflated member's compressor is built
+    with, so a writer that silently fell back to zlib's default level on
+    some Python would fail here.
+    """
+    from repro.serve import ShardedService
+
+    levels = []
+    compressobj = zlib.compressobj
+
+    def spy(level=zlib.Z_DEFAULT_COMPRESSION, *args, **kwargs):
+        levels.append(level)
+        return compressobj(level, *args, **kwargs)
+
+    monkeypatch.setattr(zlib, "compressobj", spy)
+    service = ShardedService(
+        2, algorithm="fixed_window", horizon=HORIZON, window=3, rho=0.02, seed=3
     )
-    with zipfile.ZipFile(stored) as bundle:
-        info = {i.filename: i.compress_type for i in bundle.infolist()}
-    assert info["arrays/blob.npy"] == zipfile.ZIP_STORED
+    for column in columns[:4]:
+        service.observe(column)
+    buffer = io.BytesIO()
+    service.checkpoint(buffer)
+    service.close()
+
+    outer = _compression_by_member(buffer.getvalue())
+    nested = [f"arrays/shards/{index}/bundle.npy" for index in range(2)]
+    assert {name: outer[name] for name in nested} == dict.fromkeys(nested, zipfile.ZIP_STORED)
+    for name in ("manifest.json", "arrays/shard_of.npy", "arrays/active.npy",
+                 "arrays/boundaries.npy"):
+        assert outer[name] == zipfile.ZIP_DEFLATED, name
+    deflated = sum(kind == zipfile.ZIP_DEFLATED for kind in outer.values())
+    with zipfile.ZipFile(buffer) as bundle:
+        for name in nested:
+            blob = np.load(io.BytesIO(bundle.read(name))).tobytes()
+            inner = _compression_by_member(blob)
+            assert set(inner.values()) == {zipfile.ZIP_DEFLATED}, name
+            deflated += len(inner)
+    assert levels == [zlib.Z_BEST_SPEED] * deflated
 
 
 def test_bundles_are_byte_deterministic(tmp_path, columns):
@@ -759,6 +781,53 @@ def test_sharded_restore_rejects_structurally_invalid_bundles(columns):
         ShardedService.restore(buffer)
 
 
+def test_sharded_restore_holds_each_member_once():
+    """Restore's transient peak stays within the envelope plus one shard's arrays.
+
+    Above the restored state, ``ShardedService.restore`` needs the service
+    envelope (its plain arrays and nested shard bundles) and, one shard
+    at a time, that shard's decoded arrays, plus room for the loader's
+    checks.  Holding a member's raw bytes beside its decoded copy, or
+    copying a nested bundle before reading it, exceeds the bound by
+    about one shard's record matrix (the largest member here).
+    """
+    from repro.data.generators import churn_two_state_markov
+    from repro.serve import ShardedService
+
+    horizon = 200
+    panel = churn_two_state_markov(
+        8_000, horizon, 0.87, 0.02, entry_rate=0.5, exit_hazard=0.025, seed=3
+    )
+    service = ShardedService(
+        2, algorithm="fixed_window", horizon=horizon, window=3, rho=0.5, seed=4
+    )
+    for column, entrants, exits in panel.rounds():
+        service.observe(column, entrants=entrants, exits=exits)
+    buffer = io.BytesIO()
+    service.checkpoint(buffer)
+    service.close()
+    data = buffer.getvalue()
+
+    def array_bytes(state) -> int:
+        return sum(array.nbytes for array in split_arrays(state)[1].values())
+
+    _, state = read_bundle(io.BytesIO(data))
+    envelope = array_bytes(state)
+    largest_shard = max(
+        array_bytes(read_bundle(io.BytesIO(entry["bundle"].tobytes()))[1])
+        for entry in state["shards"].values()
+    )
+    del state
+    tracemalloc.start()
+    try:
+        restored = ShardedService.restore(io.BytesIO(data))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    restored.close()
+    assert peak - held <= envelope + 1.25 * largest_shard
+
+
 def test_load_state_copies_snapshot_arrays():
     """Advancing a restored bank must never mutate the snapshot in place."""
     rho = np.full(6, 0.1)
@@ -844,6 +913,35 @@ def test_corrupt_npy_member_raises_serialization_error(columns):
     members["manifest.json"] = json.dumps(manifest)
     with pytest.raises(SerializationError, match="cannot decode"):
         StreamingSynthesizer.restore(_repack(members))
+
+
+def _declare_size(blob: bytes, name: str, size) -> io.BytesIO:
+    """``blob`` with ``name``'s central-directory entry declaring ``size(actual)`` bytes."""
+    data = bytearray(blob)
+    with zipfile.ZipFile(io.BytesIO(blob)) as bundle:
+        actual = bundle.getinfo(name).file_size
+    entry = 0
+    while True:  # walk the central directory to the entry for ``name``
+        entry = data.find(b"PK\x01\x02", entry + 1)
+        length = int.from_bytes(data[entry + 28: entry + 30], "little")
+        if data[entry + 46: entry + 46 + length] == name.encode():
+            break
+    data[entry + 24: entry + 28] = size(actual).to_bytes(4, "little")
+    return io.BytesIO(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "size",
+    [lambda actual: actual + 1, lambda actual: 2**32 - 1],
+    ids=["one-byte-more", "more-than-deflate-can-hold"],
+)
+def test_member_declaring_more_bytes_than_it_holds_fails_closed(columns, size):
+    """A corrupt declared size fails closed, and a huge one allocates nothing first."""
+    blob = _checkpoint_bytes(columns)
+    members = _unpack(blob)
+    name = max((n for n in members if n.startswith("arrays/")), key=lambda n: len(members[n]))
+    with pytest.raises(SerializationError, match=name.replace(".", r"\.")):
+        StreamingSynthesizer.restore(_declare_size(blob, name, size))
 
 
 def test_extra_array_member_rejected(columns):

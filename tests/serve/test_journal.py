@@ -16,6 +16,8 @@ re-noising.  These tests pin the format contract directly:
   across reopen.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.serve.journal import (
     JOURNAL_MAGIC,
     JournalRecord,
     ReleaseJournal,
+    _frame,
 )
 
 
@@ -263,3 +266,47 @@ def test_compaction_is_idempotent(tmp_path):
         journal.compact(1)  # never un-compacts
         assert journal.base_round == 2
         assert [record.round for record in journal.records()] == [3, 4, 5]
+
+
+def _decode_and_rewrite(journal, upto_round):
+    """The bytes compaction wrote when it re-encoded every kept record."""
+    kept = [record for record in journal.records() if record.round > upto_round]
+    header = journal._header_payload(max(journal.base_round, upto_round))
+    return _frame(header) + b"".join(_frame(record.payload()) for record in kept)
+
+
+@pytest.mark.parametrize("upto_round", [0, 2, 5, 6, 9])
+@pytest.mark.parametrize("torn", [False, True])
+def test_compaction_copies_the_kept_frames_byte_for_byte(tmp_path, upto_round, torn):
+    path = tmp_path / "journal.log"
+    reference = tmp_path / "reference.log"
+    with ReleaseJournal(path) as journal:
+        _fill(journal, 4)
+        # Wide and non-finite fields: every byte of meta and column travels.
+        journal.append(_record(5, column=np.arange(300, dtype=np.int32) % 7,
+                               answers={"nan": float("nan"), "inf": float("inf")}))
+        journal.append(_record(6, column=np.ones(5, dtype=bool), exits=(1, 2, 3)))
+        journal.compact(1)
+        if torn:  # a crash cut the next append short
+            with open(path, "ab") as handle:
+                handle.write(JOURNAL_MAGIC + b"\x05")
+        shutil.copyfile(path, reference)
+        journal.compact(upto_round)
+        assert journal.base_round == max(1, upto_round)
+        assert journal.last_round == max(6, upto_round)
+        assert not journal.torn_tail
+    with ReleaseJournal(reference) as earlier:
+        assert path.read_bytes() == _decode_and_rewrite(earlier, upto_round)
+
+
+def test_compaction_fails_closed_on_a_corrupt_frame_it_would_drop(tmp_path):
+    path = tmp_path / "journal.log"
+    with ReleaseJournal(path) as journal:
+        _fill(journal, 6)
+        data = bytearray(path.read_bytes())
+        second_record = data.find(JOURNAL_MAGIC, data.find(JOURNAL_MAGIC, 1) + 1)
+        data[second_record + 20] ^= 0xFF  # a payload byte of round 2
+        path.write_bytes(bytes(data))
+        with pytest.raises(SerializationError, match="fails its checksum"):
+            journal.compact(4)
+    assert path.read_bytes() == bytes(data)

@@ -18,6 +18,7 @@ The fault-tolerance acceptance contract, enforced end to end:
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 import multiprocessing as mp
@@ -30,6 +31,7 @@ import pytest
 
 from repro.data.generators import churn_two_state_markov
 from repro.exceptions import (
+    ConfigurationError,
     ConsistencyError,
     DegradedServiceWarning,
     NegativeCountError,
@@ -39,7 +41,7 @@ from repro.exceptions import (
 from repro.queries import AtLeastMOnes, HammingAtLeast
 from repro.queries.categorical import CategoryAtLeastM
 from repro.serve import RetryPolicy, ShardedService, SupervisedService
-from repro.serve.journal import ReleaseJournal
+from repro.serve.journal import ReleaseJournal, _frame
 
 HORIZON = 8
 K = 3
@@ -318,6 +320,41 @@ def test_probe_narrower_than_the_window_joins_the_journal_when_live(
             assert resumed.answer(probes["narrow"], record.round) == record.answers["narrow"]
 
 
+@pytest.mark.parametrize(
+    "algorithm, probe",
+    [
+        ("fixed_window", HammingAtLeast(1)),
+        ("cumulative", AtLeastMOnes(1, 1)),
+        ("categorical_window", AtLeastMOnes(2, 1)),
+    ],
+    ids=["hamming-on-window", "window-on-cumulative", "binary-on-categorical"],
+)
+def test_a_probe_the_service_can_never_answer_is_refused(
+    churn_events, tmp_path, algorithm, probe
+):
+    """A foreign probe fails at construction and at attach, naming its label.
+
+    Skipped silently, it would publish every round with no answer for it.
+    """
+    kwargs, query, _ = CONFIGS[algorithm]
+    events = _events_for(algorithm, churn_events)
+    directory = str(tmp_path / "service")
+    with pytest.raises(ConfigurationError, match="probe 'typo' can never be answered"):
+        SupervisedService(
+            directory, n_shards=K, seed=SEED, executor="serial",
+            probe_queries={"typo": probe}, **kwargs,
+        )
+    with SupervisedService.attach(
+        directory, executor="serial", probe_queries={"probe": query}
+    ) as service:
+        for column, entrants, exits in events[:4]:
+            service.observe(column, entrants=entrants, exits=exits)
+    with pytest.raises(ConfigurationError, match="probe 'typo' can never be answered"):
+        SupervisedService.attach(
+            directory, executor="serial", probe_queries={"probe": query, "typo": probe}
+        )
+
+
 def test_a_failure_after_ingest_rolls_the_round_back(churn_events, tmp_path, monkeypatch):
     """Shards that ingested an unjournaled round are recovered first."""
     kwargs, query, _ = CONFIGS["fixed_window"]
@@ -442,6 +479,71 @@ def test_checkpoint_without_noise_sampler_is_one_recovery_event(churn_events, tm
         ]
 
 
+def _rezip(members: dict[str, bytes], stored) -> bytes:
+    """A zip of ``members``: ``stored(name)`` ones stored, the rest at zlib's default."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as bundle:
+        for name, data in members.items():
+            kind = zipfile.ZIP_STORED if stored(name) else zipfile.ZIP_DEFLATED
+            bundle.writestr(name, data, compress_type=kind)
+    return buffer.getvalue()
+
+
+def _rewrite_with_default_level(path) -> None:
+    """Rewrite a sharded bundle as builds before per-member compression wrote it.
+
+    Those builds deflated every member at zlib's default level and stored
+    every array of the sharded bundle, its plain ``shard_of``, ``active``
+    and ``boundaries`` as well as the nested shard bundles.  The nested
+    bundles are rewritten the same way and re-signed in the manifest.
+    """
+    with zipfile.ZipFile(path) as bundle:
+        members = {name: bundle.read(name) for name in bundle.namelist()}
+    manifest = json.loads(members["manifest.json"])
+    for name in [name for name in members if name.endswith("/bundle.npy")]:
+        blob = np.load(io.BytesIO(members[name])).tobytes()
+        with zipfile.ZipFile(io.BytesIO(blob)) as inner:
+            nested = {member: inner.read(member) for member in inner.namelist()}
+        npy = io.BytesIO()
+        np.save(npy, np.frombuffer(_rezip(nested, lambda _: False), dtype=np.uint8))
+        members[name] = npy.getvalue()
+        key = name[len("arrays/"):-len(".npy")]
+        manifest["array_checksums"][key] = hashlib.sha256(members[name]).hexdigest()
+    members["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True).encode()
+    with open(path, "wb") as handle:
+        handle.write(_rezip(members, lambda name: name.startswith("arrays/")))
+
+
+def test_bundle_with_default_level_members_restores_and_replays(churn_events, tmp_path):
+    """A bundle an earlier build wrote restores, replays its tail, and runs on identically."""
+    events = _events_for("fixed_window", churn_events)
+    kwargs, query, start = CONFIGS["fixed_window"]
+    directory = str(tmp_path / "service")
+    policy = _policy(checkpoint_every=3)
+    with SupervisedService(
+        directory, n_shards=K, seed=SEED, executor="serial", policy=policy,
+        probe_queries={"probe": query}, **kwargs,
+    ) as service:
+        for column, entrants, exits in events[:5]:
+            service.observe(column, entrants=entrants, exits=exits)
+    path = os.path.join(directory, "checkpoints", "ckpt-00000003.bundle")
+    _rewrite_with_default_level(path)
+    with zipfile.ZipFile(path) as bundle:
+        kinds = {info.filename: info.compress_type for info in bundle.infolist()}
+    assert kinds["arrays/shard_of.npy"] == zipfile.ZIP_STORED
+
+    with SupervisedService.attach(
+        directory, executor="serial", policy=policy, probe_queries={"probe": query}
+    ) as resumed:
+        assert resumed.events[-1].endswith("checkpoint round 3 + 2 journal rounds replayed")
+        for column, entrants, exits in events[5:]:
+            resumed.observe(column, entrants=entrants, exits=exits)
+        reference = _reference("fixed_window", events)
+        assert resumed.service.state_fingerprints() == reference["fingerprints"]
+        answers = [resumed.answer(query, t) for t in range(start, HORIZON + 1)]
+        assert answers == reference["answers"]
+
+
 # ---------------------------------------------------------------------------
 # Journals written under an earlier fingerprint scheme
 # ---------------------------------------------------------------------------
@@ -463,7 +565,9 @@ def _rewrite_fingerprints(directory, scheme_prefix):
         )
         for record in journal.records()
     ]
-    journal._rewrite(legacy, journal.base_round)
+    journal._rewrite(
+        [(record.round, _frame(record.payload())) for record in legacy], journal.base_round
+    )
     journal.close()
     return [record.round for record in legacy]
 
