@@ -84,10 +84,14 @@ def main() -> None:
     standalone_comparison()
     end_to_end_comparison()
     print(
-        "\nTakeaway: the binary tree (the paper's choice) already beats the "
-        "naive counter by a wide margin; the Honaker refinement and the "
-        "square-root factorization shave off further constants, exactly as "
-        "the paper's related-work discussion anticipates."
+        "\nTakeaway: on the long standalone stream (T=64) the binary tree (the "
+        "paper's choice) beats the naive counter by a wide margin, and the "
+        "Honaker refinement and the square-root factorization shave off "
+        "further constants, as the paper's related-work discussion "
+        "anticipates.  Inside Algorithm 2 at T=12 the horizon is too short "
+        "for the tree's log T advantage to show: every counter lands within "
+        "about 0.006 of the others, and the naive counter can come out ahead "
+        "of the tree."
     )
 
 

@@ -181,8 +181,7 @@ def _batched_config(factory, dataset, queries, answer_fn) -> dict | None:
     Eligibility: default answer dispatch, all-Hamming queries, and a fresh
     :class:`~repro.core.cumulative.CumulativeSynthesizer` with a *native*
     vectorized bank (a :class:`~repro.streams.bank.FallbackBank` means the
-    counter has no rep axis — counter_kwargs land there too) on the
-    dataset's horizon.  The probe instance is built with
+    counter has no rep axis) on the dataset's horizon.  The probe instance is built with
     a throwaway generator and discarded; it never observes data.
     """
     from repro.core.cumulative import CumulativeSynthesizer

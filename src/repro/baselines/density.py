@@ -34,6 +34,7 @@ import math
 
 import numpy as np
 
+from repro.core.population import validate_column
 from repro.data.categorical import CategoricalDataset
 from repro.data.dataset import LongitudinalDataset
 from repro.dp.accountant import ZCDPAccountant
@@ -272,17 +273,7 @@ class PrivateDensityBaseline:
             )
         if column.size == 0:
             raise DataValidationError("column must not be empty")
-        if not np.issubdtype(column.dtype, np.integer):
-            if not np.issubdtype(column.dtype, np.bool_):
-                raise DataValidationError(
-                    f"column values must be integers, got dtype {column.dtype}"
-                )
-            column = column.astype(np.int64)
-        if column.min() < 0 or column.max() >= self.alphabet:
-            raise DataValidationError(
-                f"column values must lie in [0, {self.alphabet}), got range "
-                f"[{column.min()}, {column.max()}]"
-            )
+        validate_column(column, self.alphabet)
         if self._columns and column.shape[0] != self._columns[0].shape[0]:
             raise DataValidationError(
                 f"column has {column.shape[0]} entries, expected "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.population import validate_column
 from repro.data.dataset import LongitudinalDataset
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
 from repro.queries.base import Query
@@ -97,6 +98,7 @@ class NonPrivateSynthesizer:
         column = np.asarray(data)
         if column.ndim != 1:
             raise DataValidationError(f"column must be 1-D, got shape {column.shape}")
+        validate_column(column, 2)
         if self._columns and column.shape[0] != self._columns[0].shape[0]:
             raise DataValidationError(
                 f"column has {column.shape[0]} entries, expected "

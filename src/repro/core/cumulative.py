@@ -243,15 +243,15 @@ class CumulativeSynthesizer:
     budget:
         ``"corollary_b1"`` (default), ``"uniform"``, or an explicit
         length-``T`` sequence of per-threshold budgets summing to ``rho``.
-    counter_kwargs:
-        Extra keyword arguments forwarded to every counter constructor.
 
     Notes
     -----
     All ``T`` per-threshold counters advance as one
     :class:`~repro.streams.bank.CounterBank` (counters without a native
-    bank, or with ``counter_kwargs``, run inside a
-    :class:`~repro.streams.bank.FallbackBank`), whose noise is exact.
+    bank run inside a :class:`~repro.streams.bank.FallbackBank`), whose
+    noise is exact for every counter but ``"sqrt_factorization"``: that
+    counter's noise is continuous Gaussian by design, so choosing it opts
+    into float noise, which the synthesizer rounds and releases.
 
     Synthetic records are drawn lazily: each round's prescribed
     increments are queued and replayed in release order the first time
@@ -272,7 +272,6 @@ class CumulativeSynthesizer:
         counter: str = "binary_tree",
         budget="corollary_b1",
         seed: SeedLike = None,
-        counter_kwargs: dict | None = None,
     ):
         if horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -285,7 +284,6 @@ class CumulativeSynthesizer:
         self.horizon = int(horizon)
         self.rho = float(rho)
         self.counter_name = counter
-        self._counter_kwargs = dict(counter_kwargs or {})
         self._generator = as_generator(seed)
         self.rho_per_threshold = allocate_budget(self.horizon, self.rho, budget)
         self.accountant = None if math.isinf(self.rho) else ZCDPAccountant(self.rho)
@@ -299,7 +297,6 @@ class CumulativeSynthesizer:
             horizon=self.horizon,
             rho_per_threshold=self.rho_per_threshold,
             seeds=self._counter_seeds,
-            counter_kwargs=self._counter_kwargs,
         )
         self._version = 0
         self._answer_cache = AnswerCache()
@@ -616,8 +613,9 @@ class CumulativeSynthesizer:
         dict
             JSON-safe mapping with ``algorithm: "cumulative"`` plus the
             horizon, budget (as the resolved explicit per-threshold
-            vector), counter name, counter kwargs, and the constant
-            exact-noise tag (kept because fingerprints hash the config).
+            vector), counter name, and the constant exact-noise tag and
+            empty counter kwargs (kept because fingerprints hash the
+            config).
             :meth:`from_config` consumes it;
             the seed is deliberately absent — a restored synthesizer gets
             its randomness from the serialized generator states, not from
@@ -630,7 +628,7 @@ class CumulativeSynthesizer:
             "counter": self.counter_name,
             "budget": [float(r) for r in self.rho_per_threshold],
             "noise_method": "exact",
-            "counter_kwargs": dict(self._counter_kwargs),
+            "counter_kwargs": {},
         }
 
     @classmethod
@@ -654,9 +652,11 @@ class CumulativeSynthesizer:
         Raises
         ------
         repro.exceptions.SerializationError
-            If required keys are missing or fail constructor validation,
-            or the config was written by the removed scalar engine or with
-            float noise, whose continuation cannot be reproduced.
+            If required keys are missing or fail constructor validation
+            (a counter name no longer registered among them), or
+            the config was written by the removed scalar engine, with
+            float noise or with counter keyword arguments, whose
+            continuation cannot be reproduced.
         """
         check_legacy_config(config, "cumulative")
         try:
@@ -665,7 +665,6 @@ class CumulativeSynthesizer:
                 float(config["rho"]),
                 counter=str(config["counter"]),
                 budget=config["budget"],
-                counter_kwargs=dict(config["counter_kwargs"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid cumulative config: {exc}") from exc

@@ -1,10 +1,12 @@
 """Retired checkpoint-config keys, read once for every config reader.
 
-Configs written while the engine, the synthetic-record materialization and
-the noise sampler were constructor settings still carry those keys.  A
-value that means today's behaviour is accepted; any other value names a
-run whose continuation cannot be reproduced (the removed scalar engine's
-random stream, or float noise), and the bundle fails closed.
+Configs written while the engine, the synthetic-record materialization,
+the noise sampler and the cumulative counters' keyword arguments were
+constructor settings still carry those keys.  A value that means today's
+behaviour is accepted; any other value names a run whose continuation
+cannot be reproduced (the removed scalar engine's random stream, float
+noise, or counters built with arguments such as a block size), and the
+bundle fails closed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ _TODAY = {
     "engine": ("vectorized",),
     "materialize": ("lazy", "eager"),
     "noise_method": ("exact",),
+    "counter_kwargs": ({},),
 }
 
 
@@ -36,7 +39,8 @@ def check_legacy_config(config, name: str) -> None:
     ------
     repro.exceptions.SerializationError
         If ``engine`` is not ``"vectorized"``, ``materialize`` is neither
-        ``"lazy"`` nor ``"eager"``, or ``noise_method`` is not ``"exact"``.
+        ``"lazy"`` nor ``"eager"``, ``noise_method`` is not ``"exact"``, or
+        ``counter_kwargs`` is not empty.
     """
     for key, accepted in _TODAY.items():
         value = config.get(key, accepted[0])

@@ -170,11 +170,12 @@ def replicate_cumulative(
     accepts an explicit per-threshold vector, which lets the replication
     harness reuse a probed synthesizer's allocation verbatim.  Requires a
     counter with a native vectorized bank (``binary_tree``, ``simple``,
-    ``sqrt_factorization``, ``laplace_tree``); counters that only exist as
-    scalar objects have no rep axis and replicate one repetition at a time.
-    The bank picks the noise by ``n_reps`` alone: a single run draws exact
-    noise, and ``n_reps > 1`` draws the float rep-axis block, which is for
-    accuracy studies only.
+    ``sqrt_factorization``); counters that only exist as scalar objects
+    have no rep axis and replicate one repetition at a time.  The bank
+    picks the noise by ``n_reps`` alone: a single run draws the noise a
+    synthesizer draws (exact, but for ``sqrt_factorization``'s continuous
+    Gaussian), and ``n_reps > 1`` draws the float rep-axis block, which is
+    for accuracy studies only.
     """
     if n_reps <= 0:
         raise ConfigurationError(f"n_reps must be positive, got {n_reps}")

@@ -419,7 +419,10 @@ def _check_window_records(
 
     Rounds ``1..t`` hold symbols in ``[0, alphabet)``, later rounds are
     still all zero, and each record's window code is its last ``window``
-    published symbols read as a base-``alphabet`` number.
+    published symbols read as a base-``alphabet`` number.  The expected
+    codes are built in place in the codes' narrow dtype, one column at a
+    time, so the check holds about one byte per record; the symbols are
+    range-checked first, so no step can wrap.
 
     Raises
     ------
@@ -429,9 +432,11 @@ def _check_window_records(
     _check_published_records(
         "window-store", {"matrix": matrix, "codes": codes}, matrix, t, alphabet
     )
-    expected = np.zeros(matrix.shape[0], dtype=np.int64)
-    for j in range(t - window, t):
-        expected = expected * alphabet + matrix[:, j]
+    dtype = _code_dtype(alphabet, window)
+    expected = matrix[:, t - window].astype(dtype)
+    for j in range(t - window + 1, t):
+        np.multiply(expected, dtype.type(alphabet), out=expected)
+        np.add(expected, matrix[:, j], out=expected, casting="unsafe")
     mismatched = np.flatnonzero(codes != expected)
     if mismatched.size:
         record = int(mismatched[0])

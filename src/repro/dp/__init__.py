@@ -5,7 +5,8 @@ synthesizers are built on:
 
 * :mod:`repro.dp.bernoulli_exp` — exact ``Bernoulli(exp(-gamma))`` sampling
   for rational ``gamma`` (the building block of the exact samplers).
-* :mod:`repro.dp.discrete_laplace` — exact discrete Laplace sampling.
+* :mod:`repro.dp.discrete_laplace` — exact discrete Laplace sampling, the
+  proposal step of the exact discrete Gaussian sampler.
 * :mod:`repro.dp.discrete_gaussian` — the discrete Gaussian ``N_Z(0, sigma^2)``
   of Canonne, Kamath & Steinke (2020), used by every mechanism in the paper:
   exact for every release (one draw in rational arithmetic, a batch in
@@ -25,11 +26,7 @@ from repro.dp.discrete_gaussian import (
     calibrate_sigma_sq,
     sample_discrete_gaussian,
 )
-from repro.dp.discrete_laplace import (
-    DiscreteLaplaceSampler,
-    calibrate_laplace_scale,
-    sample_discrete_laplace,
-)
+from repro.dp.discrete_laplace import sample_discrete_laplace
 from repro.dp.mechanisms import GaussianHistogramMechanism, noisy_count
 from repro.dp.pmf import (
     discrete_gaussian_normalizer,
@@ -50,8 +47,6 @@ __all__ = [
     "DiscreteGaussianSampler",
     "calibrate_sigma_sq",
     "sample_discrete_gaussian",
-    "DiscreteLaplaceSampler",
-    "calibrate_laplace_scale",
     "sample_discrete_laplace",
     "GaussianHistogramMechanism",
     "noisy_count",

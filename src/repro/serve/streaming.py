@@ -110,7 +110,7 @@ class StreamingSynthesizer:
             Seed for all randomness (noise and synthetic records).
         **kwargs:
             Forwarded to :class:`~repro.core.cumulative.CumulativeSynthesizer`
-            (``counter``, ``budget``, ``counter_kwargs``).
+            (``counter``, ``budget``).
 
         Returns
         -------

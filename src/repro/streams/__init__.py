@@ -20,20 +20,19 @@ Implementations:
   with continuous Gaussian noise.
 * :class:`BlockCounter` — two-level ``sqrt(T)`` decomposition; a simple
   middle ground with better constants than the tree for tiny ``T``.
-* :class:`LaplaceTreeCounter` — the pure-DP tree variant with discrete
-  Laplace noise (converted into zCDP accounting via ``eps^2 / 2``).
 
-Every discrete noise draw of a counter or of a one-replica bank is exact
-(:mod:`repro.dp.discrete_gaussian`), and no setting chooses otherwise; the
-square-root factorization's noise is continuous Gaussian by design.  A
-bank built with ``n_reps=R > 1`` is an accuracy study and draws its
-``(R, rows)`` rep-axis block in floating point.
+Every noise draw of a counter or of a one-replica bank is exact
+(:mod:`repro.dp.discrete_gaussian`) with one exception: the square-root
+factorization's noise is continuous Gaussian by design, so choosing
+``counter="sqrt_factorization"`` opts into float noise that Algorithm 2
+rounds and releases.  A bank built with ``n_reps=R > 1`` is an accuracy
+study and draws its ``(R, rows)`` rep-axis block in floating point.
 
 Counters exist in two execution forms.  The classes above are the
 *scalar* form — one Python object per stream.  The :mod:`~repro.streams.bank`
 module provides the *vectorized* form: a :class:`CounterBank` advances all
 ``T`` per-threshold counters of Algorithm 2 in lockstep as one batched
-NumPy state machine (native banks for the tree, Laplace-tree, simple, and
+NumPy state machine (native banks for the tree, simple, and
 square-root-factorization counters; :class:`FallbackBank` wraps everything
 else).  Both forms are selected by name through
 :mod:`~repro.streams.registry`, produce identical noiseless outputs under
@@ -45,7 +44,6 @@ from repro.streams.bank import (
     BinaryTreeBank,
     CounterBank,
     FallbackBank,
-    LaplaceTreeBank,
     SimpleBank,
     SqrtFactorizationBank,
 )
@@ -53,13 +51,11 @@ from repro.streams.base import CounterAccuracy, StreamCounter
 from repro.streams.binary_tree import BinaryTreeCounter
 from repro.streams.block import BlockCounter
 from repro.streams.honaker import HonakerCounter
-from repro.streams.laplace_tree import LaplaceTreeCounter
 from repro.streams.registry import (
     available_banks,
     available_counters,
     make_bank,
     make_counter,
-    register_bank,
     register_counter,
 )
 from repro.streams.simple import SimpleCounter
@@ -73,17 +69,14 @@ __all__ = [
     "HonakerCounter",
     "SqrtFactorizationCounter",
     "BlockCounter",
-    "LaplaceTreeCounter",
     "CounterBank",
     "BinaryTreeBank",
     "SimpleBank",
     "SqrtFactorizationBank",
-    "LaplaceTreeBank",
     "FallbackBank",
     "make_counter",
     "register_counter",
     "available_counters",
     "make_bank",
-    "register_bank",
     "available_banks",
 ]

@@ -17,18 +17,24 @@ with local clock ``t_b = t - r``.  :meth:`CounterBank.feed` consumes the
 length-``t`` increment vector ``z^t = (z_1^t, ..., z_t^t)`` at global round
 ``t`` and returns the noisy prefix-sum estimates for all active rows.
 
-Native vectorized banks are provided for the binary-tree (Gaussian and
-Laplace), simple, and square-root-factorization counters; every other
-registered counter keeps working through :class:`FallbackBank`, which wraps
-the scalar :class:`~repro.streams.base.StreamCounter` objects behind the
-same interface.  In noiseless mode (``rho_b = inf``) every native bank is
+Native vectorized banks are provided for the binary-tree, simple, and
+square-root-factorization counters, one fixed name each in
+:func:`~repro.streams.registry.make_bank`; every other registered counter
+keeps working through :class:`FallbackBank`, which wraps the scalar
+:class:`~repro.streams.base.StreamCounter` objects behind the same
+interface.  In noiseless mode (``rho_b = inf``) every native bank is
 bit-exact with its scalar counterpart — the equivalence tests in
 ``tests/streams/test_bank.py`` pin this down.
 
 **Noise.**  A bank with one replica (``n_reps=1``, the default, and every
-bank a synthesizer builds) draws exact noise: one 1-D
-``sample_columns`` call per round over the per-row ``Fraction``
-calibrations, the scalar counters' distribution.
+bank a synthesizer builds) draws exact noise: the tree and simple banks
+one 1-D ``sample_columns`` call per round over the per-row ``Fraction``
+calibrations, the scalar counters' distribution, and the fallback its
+scalar counters' exact draws.  The one exception is
+:class:`SqrtFactorizationBank`, whose noise is continuous Gaussian by
+design (``Generator.normal`` floats, as its scalar counter draws them):
+choosing ``counter="sqrt_factorization"`` opts into float noise, which
+Algorithm 2 rounds and releases.
 
 **Rep axis.**  Every native bank additionally accepts ``n_reps=R`` and then
 runs ``R`` statistically independent replicas of the whole counter family
@@ -65,7 +71,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler, calibrate_sigma_sq
-from repro.dp.discrete_laplace import DiscreteLaplaceSampler, calibrate_laplace_scale
 from repro.exceptions import ConfigurationError, SerializationError, StreamLengthError
 from repro.rng import (
     SeedLike,
@@ -79,7 +84,6 @@ from repro.streams.sqrt_factorization import sqrt_factorization_coefficients
 __all__ = [
     "CounterBank",
     "BinaryTreeBank",
-    "LaplaceTreeBank",
     "SimpleBank",
     "SqrtFactorizationBank",
     "FallbackBank",
@@ -464,8 +468,8 @@ class CounterBank(abc.ABC):
         ]
 
 
-class _TreeBankCore(CounterBank):
-    """Shared batched state machine for binary-tree-shaped banks.
+class BinaryTreeBank(CounterBank):
+    """Batched :class:`~repro.streams.binary_tree.BinaryTreeCounter` rows.
 
     Row ``r`` mirrors Algorithm 3's streaming form at its local clock
     ``t_r = t - r``: level-``j`` buffers ``alpha[rep, r, j]`` accumulate
@@ -474,7 +478,9 @@ class _TreeBankCore(CounterBank):
     All rows — and all replicas along the leading rep axis — fold, draw
     noise, and read out together; the fold pattern depends only on the
     clock, so it is shared across replicas and only the noise block is
-    per-rep.
+    per-rep.  Per-row noise variance is ``L_b / (2 rho_b)`` with ``L_b``
+    the row's own dyadic level count — exactly the scalar counter's
+    calibration.
     """
 
     def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
@@ -485,6 +491,8 @@ class _TreeBankCore(CounterBank):
         self._alpha = self._level_buffers(n_levels)
         self._alpha_noisy = self._level_buffers(n_levels)
         self._level_idx = np.arange(n_levels, dtype=np.int64)
+        self.sigma_sq_rows = self._gaussian_sigma_sq_rows(self.levels)
+        self._sampler = DiscreteGaussianSampler(0, seed=self._generator)
 
     def _level_buffers(self, n_levels: int) -> np.ndarray:
         """Zeroed ``(n_reps, horizon, n_levels)`` level buffers, column-major."""
@@ -511,7 +519,7 @@ class _TreeBankCore(CounterBank):
         alpha[:, clear] = 0
         alpha_noisy[:, clear] = 0
         alpha[:, rows, fold_level] = folded
-        noise = self._round_noise(t)
+        noise = self._rep_noise(self._sampler, self.sigma_sq_rows[:t])
         alpha_noisy[:, rows, fold_level] = folded + noise
         # Dyadic decomposition of [1, t_r] = the set bits of the local clock.
         bits = (local[:, None] >> self._level_idx[None, :]) & 1
@@ -535,19 +543,20 @@ class _TreeBankCore(CounterBank):
         grown_noisy[:, :old_horizon, : self._alpha_noisy.shape[2]] = self._alpha_noisy
         self._alpha, self._alpha_noisy = grown, grown_noisy
         self._level_idx = np.arange(n_levels, dtype=np.int64)
-        extra = self._extension_cost(old_levels, self.levels[:old_horizon])
-        self._append_rows_noise(k)
+        # sigma^2 = L / (2 rho) stays fixed, so a stream touching L' > L
+        # levels realizes rho' = rho L'/L; the difference is the charge.
+        new_levels = self.levels[:old_horizon]
+        rho_old = self.rho_per_threshold[:old_horizon]
+        extra = np.zeros(old_horizon, dtype=np.float64)
+        finite = np.isfinite(rho_old)
+        extra[finite] = (
+            rho_old[finite] * (new_levels[finite] - old_levels[finite]) / old_levels[finite]
+        )
+        appended = self._gaussian_sigma_sq_rows(
+            self.levels[-k:], self.rho_per_threshold[-k:]
+        )
+        self.sigma_sq_rows = list(self.sigma_sq_rows) + appended
         return extra
-
-    @abc.abstractmethod
-    def _extension_cost(
-        self, old_levels: np.ndarray, new_levels: np.ndarray
-    ) -> np.ndarray:
-        """Extra zCDP per existing row when its tree gains levels."""
-
-    @abc.abstractmethod
-    def _append_rows_noise(self, k: int) -> None:
-        """Append the noise calibration for the ``k`` new rows."""
 
     def _state_extra(self, copy: bool = True) -> dict:
         if not copy:
@@ -564,110 +573,12 @@ class _TreeBankCore(CounterBank):
             extra, "alpha_noisy", self._alpha_noisy
         )
 
-    @abc.abstractmethod
-    def _round_noise(self, t: int) -> np.ndarray:
-        """One fresh noise block per round: int64 ``(n_reps, t)``."""
-
-    @abc.abstractmethod
-    def _node_variance(self, b: int) -> float:
-        """Per-node noise variance of threshold ``b``'s tree."""
-
     def error_stddev(self, b: int, t: int) -> float:
-        """``sqrt(popcount(t) * node_variance)`` — one node per set bit."""
+        """``sqrt(popcount(t) * sigma_b^2)`` — one node per set bit."""
         self._check_row(b)
         if t <= 0:
             return 0.0
-        return math.sqrt(int(t).bit_count() * self._node_variance(b))
-
-
-class BinaryTreeBank(_TreeBankCore):
-    """Batched :class:`~repro.streams.binary_tree.BinaryTreeCounter` rows.
-
-    Per-row noise variance ``L_b / (2 rho_b)`` with ``L_b`` the row's own
-    dyadic level count — exactly the scalar counter's calibration.
-    """
-
-    def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
-        super().__init__(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
-        self.sigma_sq_rows = self._gaussian_sigma_sq_rows(self.levels)
-        self._sampler = DiscreteGaussianSampler(0, seed=self._generator)
-
-    def _round_noise(self, t: int) -> np.ndarray:
-        return self._rep_noise(self._sampler, self.sigma_sq_rows[:t])
-
-    def _node_variance(self, b: int) -> float:
-        return float(self.sigma_sq_rows[b - 1])
-
-    def _extension_cost(
-        self, old_levels: np.ndarray, new_levels: np.ndarray
-    ) -> np.ndarray:
-        # sigma^2 = L / (2 rho) stays fixed, so a stream touching L' > L
-        # levels realizes rho' = rho L'/L; the difference is the charge.
-        extra = np.zeros(old_levels.shape[0], dtype=np.float64)
-        finite = np.isfinite(self.rho_per_threshold[: old_levels.shape[0]])
-        extra[finite] = (
-            self.rho_per_threshold[: old_levels.shape[0]][finite]
-            * (new_levels[finite] - old_levels[finite])
-            / old_levels[finite]
-        )
-        return extra
-
-    def _append_rows_noise(self, k: int) -> None:
-        appended = self._gaussian_sigma_sq_rows(
-            self.levels[-k:], self.rho_per_threshold[-k:]
-        )
-        self.sigma_sq_rows = list(self.sigma_sq_rows) + appended
-
-
-class LaplaceTreeBank(_TreeBankCore):
-    """Batched :class:`~repro.streams.laplace_tree.LaplaceTreeCounter` rows.
-
-    Per-row discrete Laplace scale ``L_b / eps_b`` with
-    ``eps_b = sqrt(2 rho_b)``, rounded up by
-    :func:`~repro.dp.discrete_laplace.calibrate_laplace_scale` — the
-    pure-DP tree variant.
-    """
-
-    def __init__(self, horizon, rho_per_threshold, seeds=None, n_reps=1):
-        super().__init__(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
-        self.scale_rows = self._calibrate(self.levels, self.rho_per_threshold)
-        self._sampler = DiscreteLaplaceSampler(1, seed=self._generator)
-
-    @staticmethod
-    def _calibrate(levels, rho_rows) -> list[Fraction]:
-        """Per-row scales; noiseless (``rho = inf``) rows get 0."""
-        return [
-            Fraction(0) if math.isinf(rho_b) else calibrate_laplace_scale(int(levels_b), rho_b)
-            for levels_b, rho_b in zip(levels, rho_rows)
-        ]
-
-    def _round_noise(self, t: int) -> np.ndarray:
-        return self._rep_noise(self._sampler, self.scale_rows[:t])
-
-    def _node_variance(self, b: int) -> float:
-        scale = float(self.scale_rows[b - 1])
-        if scale == 0:
-            return 0.0
-        p = math.exp(-1.0 / scale)
-        return 2.0 * p / (1.0 - p) ** 2
-
-    def _extension_cost(
-        self, old_levels: np.ndarray, new_levels: np.ndarray
-    ) -> np.ndarray:
-        # The per-node scale L/eps stays fixed, so a stream touching
-        # L' > L nodes realizes eps' = eps L'/L (pure-DP composition) and
-        # rho' = eps'^2/2 = rho (L'/L)^2; the difference is the charge.
-        extra = np.zeros(old_levels.shape[0], dtype=np.float64)
-        finite = np.isfinite(self.rho_per_threshold[: old_levels.shape[0]])
-        ratio = new_levels[finite] / old_levels[finite]
-        extra[finite] = self.rho_per_threshold[: old_levels.shape[0]][finite] * (
-            ratio**2 - 1.0
-        )
-        return extra
-
-    def _append_rows_noise(self, k: int) -> None:
-        appended = self._calibrate(self.levels[-k:], self.rho_per_threshold[-k:])
-        self.scale_rows = list(self.scale_rows) + appended
+        return math.sqrt(int(t).bit_count() * float(self.sigma_sq_rows[b - 1]))
 
 
 class SimpleBank(CounterBank):
@@ -771,11 +682,12 @@ class SqrtFactorizationBank(CounterBank):
 class FallbackBank(CounterBank):
     """Adapter running any registered scalar counter behind the bank API.
 
-    Keeps every registered counter name (and any ``counter_kwargs``)
-    usable in :class:`~repro.core.cumulative.CumulativeSynthesizer`: row
-    ``b`` is a scalar :class:`~repro.streams.base.StreamCounter` created
-    at round ``b`` and seeded with the bank's row seed ``b - 1``, so each
-    row runs exactly the per-threshold counter Algorithm 2 describes.
+    Keeps every registered counter name usable in
+    :class:`~repro.core.cumulative.CumulativeSynthesizer`: row ``b`` is a
+    scalar :class:`~repro.streams.base.StreamCounter` created at round
+    ``b`` with the counter's default arguments and seeded with the bank's
+    row seed ``b - 1``, so each row runs exactly the per-threshold counter
+    Algorithm 2 describes.
     The per-round cost stays one Python call per active row, which is
     what the native banks above eliminate.
     """
@@ -787,7 +699,6 @@ class FallbackBank(CounterBank):
         seeds=None,
         n_reps: int = 1,
         counter: str = "binary_tree",
-        counter_kwargs: dict | None = None,
     ):
         if n_reps != 1:
             raise ConfigurationError(
@@ -797,7 +708,6 @@ class FallbackBank(CounterBank):
             )
         super().__init__(horizon, rho_per_threshold, seeds=seeds)
         self.counter_name = counter
-        self._counter_kwargs = dict(counter_kwargs or {})
         self._counters: list = []
 
     @property
@@ -815,7 +725,6 @@ class FallbackBank(CounterBank):
                 horizon=self.horizon - t + 1,
                 rho=float(self.rho_per_threshold[t - 1]),
                 seed=self._row_seeds[t - 1],
-                **self._counter_kwargs,
             )
         )
         return np.array(
@@ -879,7 +788,6 @@ class FallbackBank(CounterBank):
                 rho=float(self.rho_per_threshold[index]),
                 seed=self._row_seeds[index],
                 payload=payloads[str(index)],
-                counter_kwargs=self._counter_kwargs,
             )
             for index in range(len(payloads))
         ]
@@ -897,6 +805,5 @@ class FallbackBank(CounterBank):
             horizon=self.horizon - b + 1,
             rho=float(self.rho_per_threshold[b - 1]),
             seed=0,
-            **self._counter_kwargs,
         )
         return probe.error_stddev(t)

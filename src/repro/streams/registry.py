@@ -4,10 +4,10 @@ Algorithm 2 and the ablation benchmarks select counters by name so that
 experiment configuration stays declarative (`counter="binary_tree"`).
 Third-party counters can be plugged in with :func:`register_counter`.
 
-The *bank* registry maps the same names to vectorized
-:class:`~repro.streams.bank.CounterBank` implementations, which advance all
-``T`` per-threshold counters as one batched NumPy state machine.  Names
-without a native bank transparently fall back to
+Three of the built-in names have a native vectorized
+:class:`~repro.streams.bank.CounterBank`, which advances all ``T``
+per-threshold counters as one batched NumPy state machine; that mapping
+is fixed.  Every other name transparently falls back to
 :class:`~repro.streams.bank.FallbackBank`, so every registered counter —
 including third-party ones — works in
 :class:`~repro.core.cumulative.CumulativeSynthesizer`.
@@ -15,26 +15,35 @@ including third-party ones — works in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Type
+from typing import Callable, Type
 
 from repro.exceptions import ConfigurationError
+from repro.streams.bank import (
+    BinaryTreeBank,
+    CounterBank,
+    FallbackBank,
+    SimpleBank,
+    SqrtFactorizationBank,
+)
 from repro.streams.base import StreamCounter
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.streams.bank import CounterBank
 
 __all__ = [
     "register_counter",
     "make_counter",
     "restore_counter",
     "available_counters",
-    "register_bank",
     "make_bank",
     "available_banks",
 ]
 
 _REGISTRY: dict[str, Type[StreamCounter]] = {}
-_BANK_REGISTRY: dict[str, "Type[CounterBank]"] = {}
+
+#: Counter name -> its native vectorized bank.
+_NATIVE_BANKS: dict[str, Type[CounterBank]] = {
+    "binary_tree": BinaryTreeBank,
+    "simple": SimpleBank,
+    "sqrt_factorization": SqrtFactorizationBank,
+}
 
 
 def register_counter(name: str) -> Callable[[Type[StreamCounter]], Type[StreamCounter]]:
@@ -110,7 +119,6 @@ def restore_counter(
     rho: float,
     seed,
     payload: dict,
-    counter_kwargs: dict | None = None,
 ) -> StreamCounter:
     """Rebuild a counter from a checkpoint payload.
 
@@ -131,8 +139,6 @@ def restore_counter(
         the payload's recorded state).
     payload:
         A snapshot from :meth:`repro.streams.base.StreamCounter.state_dict`.
-    counter_kwargs:
-        Counter-specific constructor knobs.
 
     Returns
     -------
@@ -146,7 +152,7 @@ def restore_counter(
     repro.exceptions.SerializationError
         If the payload does not match the counter class.
     """
-    counter = make_counter(name, horizon=horizon, rho=rho, seed=seed, **(counter_kwargs or {}))
+    counter = make_counter(name, horizon=horizon, rho=rho, seed=seed)
     counter.load_state(payload)
     return counter
 
@@ -156,37 +162,6 @@ def available_counters() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def register_bank(name: str) -> "Callable[[Type[CounterBank]], Type[CounterBank]]":
-    """Class decorator registering a vectorized bank under a counter name.
-
-    Parameters
-    ----------
-    name:
-        The *counter* name the bank natively implements; ``make_bank``
-        prefers it over the scalar-wrapping fallback for that name.
-
-    Returns
-    -------
-    callable
-        The decorator; it returns the class unchanged after registering.
-
-    Raises
-    ------
-    repro.exceptions.ConfigurationError
-        If the decorated class is not a
-        :class:`~repro.streams.bank.CounterBank` subclass.
-    """
-    from repro.streams.bank import CounterBank
-
-    def decorator(cls: "Type[CounterBank]") -> "Type[CounterBank]":
-        if not issubclass(cls, CounterBank):
-            raise ConfigurationError(f"{cls!r} is not a CounterBank subclass")
-        _BANK_REGISTRY[name] = cls
-        return cls
-
-    return decorator
-
-
 def make_bank(
     name: str,
     horizon: int,
@@ -194,15 +169,12 @@ def make_bank(
     *,
     seeds=None,
     n_reps: int = 1,
-    counter_kwargs: dict | None = None,
-) -> "CounterBank":
+) -> CounterBank:
     """Instantiate the vectorized bank for counter ``name``.
 
-    Uses the native batched implementation when one is registered and no
-    counter-specific keyword arguments are requested; otherwise wraps the
-    scalar counter in a :class:`~repro.streams.bank.FallbackBank` (native
-    banks are calibrated from ``(horizon, rho_b)`` alone, so extra
-    constructor knobs route through the scalar counters that define them).
+    Uses the native batched implementation when ``name`` has one;
+    otherwise wraps the scalar counter in a
+    :class:`~repro.streams.bank.FallbackBank`.
 
     Parameters
     ----------
@@ -222,8 +194,6 @@ def make_bank(
         the float rep-axis block (see :class:`~repro.streams.bank.CounterBank`).
         Values above 1 require a native bank (the fallback has no batched
         noise path and rejects them).
-    counter_kwargs:
-        Counter-specific constructor knobs; forces the fallback path.
 
     Returns
     -------
@@ -235,28 +205,21 @@ def make_bank(
     repro.exceptions.ConfigurationError
         If ``name`` is unknown, or ``n_reps > 1`` without a native bank.
     """
-    from repro.streams.bank import FallbackBank
-
     if name not in _REGISTRY:
         raise ConfigurationError(
             f"unknown counter {name!r}; available: {sorted(_REGISTRY)}"
         )
-    cls = _BANK_REGISTRY.get(name)
-    if cls is not None and not counter_kwargs:
+    cls = _NATIVE_BANKS.get(name)
+    if cls is not None:
         return cls(horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps)
     return FallbackBank(
-        horizon,
-        rho_per_threshold,
-        seeds=seeds,
-        n_reps=n_reps,
-        counter=name,
-        counter_kwargs=counter_kwargs,
+        horizon, rho_per_threshold, seeds=seeds, n_reps=n_reps, counter=name
     )
 
 
 def available_banks() -> tuple[str, ...]:
     """Counter names with a *native* vectorized bank, sorted."""
-    return tuple(sorted(_BANK_REGISTRY))
+    return tuple(sorted(_NATIVE_BANKS))
 
 
 def _register_builtins() -> None:
@@ -264,7 +227,6 @@ def _register_builtins() -> None:
     from repro.streams.binary_tree import BinaryTreeCounter
     from repro.streams.block import BlockCounter
     from repro.streams.honaker import HonakerCounter
-    from repro.streams.laplace_tree import LaplaceTreeCounter
     from repro.streams.simple import SimpleCounter
     from repro.streams.sqrt_factorization import SqrtFactorizationCounter
 
@@ -273,23 +235,6 @@ def _register_builtins() -> None:
     _REGISTRY.setdefault("honaker", HonakerCounter)
     _REGISTRY.setdefault("sqrt_factorization", SqrtFactorizationCounter)
     _REGISTRY.setdefault("block", BlockCounter)
-    _REGISTRY.setdefault("laplace_tree", LaplaceTreeCounter)
-
-
-def _register_builtin_banks() -> None:
-    """Populate the bank registry with the native vectorized banks."""
-    from repro.streams.bank import (
-        BinaryTreeBank,
-        LaplaceTreeBank,
-        SimpleBank,
-        SqrtFactorizationBank,
-    )
-
-    _BANK_REGISTRY.setdefault("binary_tree", BinaryTreeBank)
-    _BANK_REGISTRY.setdefault("simple", SimpleBank)
-    _BANK_REGISTRY.setdefault("sqrt_factorization", SqrtFactorizationBank)
-    _BANK_REGISTRY.setdefault("laplace_tree", LaplaceTreeBank)
 
 
 _register_builtins()
-_register_builtin_banks()

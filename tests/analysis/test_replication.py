@@ -338,22 +338,21 @@ QUERY_LISTS = {
 }
 
 FACTORIES = st.one_of(
-    st.tuples(st.just("cumulative"), st.sampled_from(available_counters()), st.booleans()),
-    st.tuples(st.just("fallback"), st.sampled_from(available_counters()), st.just(False)),
-    st.just(("window", None, False)),
+    st.tuples(
+        st.sampled_from(["cumulative", "fallback"]), st.sampled_from(available_counters())
+    ),
+    st.just(("window", None)),
 )
 
 
-def _property_factory(kind, counter, with_kwargs, rho):
-    """A factory of the drawn kind; ``block`` is the counter with a kwarg."""
+def _property_factory(kind, counter, rho):
+    """A factory of the drawn kind."""
     if kind == "window":
         return window_factory(PROPERTY_PANEL, rho=rho)
-    counter_kwargs = ({"block_size": 2} if counter == "block" else {}) if with_kwargs else None
 
     def factory(generator):
         synth = CumulativeSynthesizer(
-            horizon=PROPERTY_PANEL.horizon, rho=rho, counter=counter, seed=generator,
-            counter_kwargs=counter_kwargs,
+            horizon=PROPERTY_PANEL.horizon, rho=rho, counter=counter, seed=generator
         )
         return fallback_reference(synth) if kind == "fallback" else synth
 
@@ -371,8 +370,8 @@ class TestAutomaticPath:
     )
     @settings(max_examples=25, deadline=None)
     def test_batched_exactly_when_qualifying(self, spec, query_list, use_grid_answer, noisy):
-        kind, counter, with_kwargs = spec
-        factory = _property_factory(kind, counter, with_kwargs, 0.5 if noisy else math.inf)
+        kind, counter = spec
+        factory = _property_factory(kind, counter, 0.5 if noisy else math.inf)
         queries = QUERY_LISTS[query_list]
         answer_fn = grid_answer if use_grid_answer else None
         qualifies = (

@@ -188,3 +188,20 @@ class TestNonPrivateSynthesizer:
     def test_invalid_horizon(self):
         with pytest.raises(ConfigurationError):
             NonPrivateSynthesizer(0)
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, math.nan, 2, -1], ids=["half", "nan", "two", "minus-one"]
+    )
+    def test_bad_report_is_refused_before_the_round_counts(self, bad):
+        oracle = NonPrivateSynthesizer(3)
+        column = np.array([bad, 1, 0])
+        with pytest.raises(DataValidationError, match="0 or 1"):
+            oracle.observe(column)
+        assert oracle.t == 0
+        oracle.observe(np.array([1, 1, 0]))
+        with pytest.raises(DataValidationError, match="0 or 1"):
+            oracle.observe(column)
+        assert oracle.t == 1
+        release = oracle.observe(np.array([0, 1, 1]))
+        assert oracle.t == 2
+        assert (release.synthetic_data().matrix == [[1, 0], [1, 1], [0, 1]]).all()

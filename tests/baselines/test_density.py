@@ -40,10 +40,28 @@ class TestValidation:
             baseline.observe(np.zeros((2, 2), dtype=int))
         with pytest.raises(DataValidationError, match="empty"):
             baseline.observe(np.array([], dtype=int))
-        with pytest.raises(DataValidationError, match="integers"):
-            baseline.observe(np.array([0.5, 0.5]))
-        with pytest.raises(DataValidationError, match="lie in"):
-            baseline.observe(np.array([0, 2]))
+        for bad in ([0.5, 0.5], [0, 2], [0.0, np.nan]):
+            with pytest.raises(DataValidationError, match="0 or 1"):
+                baseline.observe(np.array(bad))
+        with pytest.raises(DataValidationError, match=r"\[0, 3\)"):
+            PrivateDensityBaseline(4, 2, 1.0, alphabet=3, seed=0).observe(np.array([0, 3]))
+        assert baseline.t == 0
+
+    def test_integral_float_reports_release_what_integers_do(self):
+        panel = two_state_markov(200, 4, 0.85, 0.1, seed=2)
+        releases = []
+        for dtype in (np.int64, np.float64):
+            baseline = PrivateDensityBaseline(4, 2, 0.5, seed=7)
+            for column in panel.matrix.T:
+                release = baseline.observe(column.astype(dtype))
+            releases.append(release)
+        ints, floats = releases
+        for t in range(2, 5):
+            assert ints.density(t).tobytes() == floats.density(t).tobytes()
+            assert (
+                ints.synthetic_data(t).matrix.tobytes()
+                == floats.synthetic_data(t).matrix.tobytes()
+            )
 
     def test_population_size_locked_after_first_column(self):
         baseline = PrivateDensityBaseline(4, 2, 1.0, seed=0)

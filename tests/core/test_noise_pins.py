@@ -53,7 +53,6 @@ ABOVE_HORIZON = [HammingAtLeast(HORIZON + 2), HammingExactly(HORIZON + 1)]
 #: Counter -> SHA-256 of the ``(R, queries, times)`` answer cube.
 REPLICATED = {
     "binary_tree": "5952c4c7178f6424d974f523c8ba85126f6040b3dc5d72680a30bab266c039bc",
-    "laplace_tree": "52103c3dc91bc40b74ea821a6b4447175359cd70e56a9caa993d87b418f58d68",
     "simple": "5c1e5a145755d195d81669cc2c6519da061b0cf66b6969844d27a4abd805d58f",
     "sqrt_factorization": "5c6addd3a718b0b134e9d93c00909d45b74696a444efda33949ed64e5338c851",
 }

@@ -12,7 +12,7 @@ from repro.exceptions import ConfigurationError
 from repro.queries.cumulative import HammingAtLeast, HammingExactly
 from repro.queries.window import AllOnes
 
-NATIVE_COUNTERS = ("binary_tree", "simple", "sqrt_factorization", "laplace_tree")
+NATIVE_COUNTERS = ("binary_tree", "simple", "sqrt_factorization")
 
 
 class TestReplicateCumulative:

@@ -1,6 +1,7 @@
 """Tests for the synthetic record stores."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.consistency import apply_overlap_correction
-from repro.core.synthetic_store import CumulativeSyntheticStore, WindowSyntheticStore
+from repro.core.synthetic_store import (
+    CumulativeSyntheticStore,
+    WindowSyntheticStore,
+    _check_window_records,
+)
 from repro.exceptions import ConfigurationError, ConsistencyError, SerializationError
 from repro.rng import as_generator
 
@@ -189,6 +194,25 @@ class TestWindowStoreDigestAndRestore:
         state["codes"][1] = (state["codes"][1] + 1) % 9
         with pytest.raises(SerializationError, match="code .* of record 1 disagrees"):
             WindowSyntheticStore.from_state(state, as_generator(0))
+
+    def test_code_check_holds_about_two_bytes_per_record(self):
+        # The expected codes are built in the codes' narrow dtype, so the
+        # check holds them and the comparison mask (a byte per record
+        # each) plus NumPy's fixed-size cast buffers.
+        m, horizon, t = 100_000, 12, 9
+        matrix = np.zeros((m, horizon), dtype=np.uint8)
+        matrix[:, :t] = np.random.default_rng(5).integers(0, 3, size=(m, t))
+        codes = matrix[:, t - 3 : t].astype(np.int64) @ np.array([9, 3, 1])
+        tracemalloc.start()
+        try:
+            _check_window_records(matrix, codes, 3, t, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m + 128 * 1024
+        codes[-1] = (codes[-1] + 1) % 27
+        with pytest.raises(SerializationError, match=f"of record {m - 1} disagrees"):
+            _check_window_records(matrix.astype(np.int64), codes, 3, t, 3)
 
 
 class TestCumulativeSyntheticStore:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.dp import discrete_gaussian as dg
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler, sample_discrete_gaussian
-from repro.dp.discrete_laplace import DiscreteLaplaceSampler
 from repro.rng import ExactRandom, as_generator, generator_state, restore_generator_state
 
 
@@ -195,28 +194,21 @@ class TestBatchedExactSampler:
         return proxy
 
     def test_batched_arm_never_draws_a_float(self, monkeypatch):
-        # Every 1-D draw of both samplers is integers only ...
+        # Every 1-D draw is integers only ...
         sampler = DiscreteGaussianSampler(Fraction(9), seed=32)
         proxy = self._integers_only(sampler)
         sampler.sample_columns(self.ROWS * 20)
         sampler.sample_array(50)
         sampler.sample()
-        laplace = DiscreteLaplaceSampler(Fraction(7, 2), seed=36)
-        laplace_proxy = self._integers_only(laplace)
-        laplace.sample_columns([Fraction(3), 0, Fraction(1, 2)] * 10)
-        laplace.sample_array(20)
-        laplace.sample()
         # ... nor on the Python-integer path (fresh calibrations under a
         # tiny product limit).
         monkeypatch.setattr(dg, "_INT64_LIMIT", 1 << 40)
         sampler._rows = dg._Calibration()
         sampler.sample_columns(self.ROWS * 5)
-        assert proxy.calls > 0 and laplace_proxy.calls > 0
-        # ... and size=R is the float draw, of both samplers.
+        assert proxy.calls > 0
+        # ... and size=R is the float draw.
         with pytest.raises(AssertionError, match="Generator"):
             sampler.sample_columns(self.ROWS, size=20)
-        with pytest.raises(AssertionError, match="Generator"):
-            laplace.sample_columns([Fraction(3)], size=2)
 
     def test_one_draw_keeps_the_scalar_sampler(self, monkeypatch):
         calls = []

@@ -35,9 +35,7 @@ from repro.streams.bank import FallbackBank
 from repro.streams.registry import make_counter
 
 
-def scalar_counter_table(
-    name, horizon, rho_per_threshold, increments, seeds, *, counter_kwargs=None
-):
+def scalar_counter_table(name, horizon, rho_per_threshold, increments, seeds):
     """Feed a ``(T, T)`` increment table through one counter per threshold.
 
     Counter ``b`` (1-indexed) has horizon ``T - b + 1``, budget
@@ -55,7 +53,6 @@ def scalar_counter_table(
                 horizon=horizon - t + 1,
                 rho=float(rho_per_threshold[t - 1]),
                 seed=seeds[t - 1],
-                **(counter_kwargs or {}),
             )
         )
         for b in range(1, t + 1):
@@ -77,7 +74,6 @@ def fallback_reference(synth):
         synth.rho_per_threshold,
         seeds=synth._counter_seeds,
         counter=synth.counter_name,
-        counter_kwargs=synth._counter_kwargs,
     )
     return synth
 

@@ -81,7 +81,7 @@ def _compare_window(a, b):
 
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 @pytest.mark.parametrize(
-    "counter", ["binary_tree", "simple", "sqrt_factorization", "laplace_tree", "honaker"]
+    "counter", ["binary_tree", "simple", "sqrt_factorization", "honaker"]
 )
 def test_cumulative_checkpoint_byte_identity_under_noise(columns, engine, counter):
     """``"scalar"`` runs every threshold on the reference's per-threshold
@@ -401,6 +401,29 @@ def test_scalar_engine_bundle_fails_closed(algorithm):
         StreamingSynthesizer.restore(
             _with_config_keys(buffer.getvalue(), noise_method="vectorized")
         )
+
+
+def test_removed_counter_settings_fail_closed():
+    # The laplace_tree counter and counter keyword arguments are gone:
+    # restoring either kind of bundle would continue on other counters
+    # than the ones it was written with (a block counter of another size).
+    build, columns = _legacy_services()["cumulative"]
+    service = build()
+    for column in columns[:4]:
+        service.observe(column)
+    buffer = io.BytesIO()
+    service.checkpoint(buffer)
+    blob = buffer.getvalue()
+    with pytest.raises(SerializationError, match="unknown counter 'laplace_tree'"):
+        StreamingSynthesizer.restore(_with_config_keys(blob, counter="laplace_tree"))
+    with pytest.raises(SerializationError, match=r"counter_kwargs \{'block_size': 2\}"):
+        StreamingSynthesizer.restore(
+            _with_config_keys(blob, counter="block", counter_kwargs={"block_size": 2})
+        )
+    config, state = read_bundle(io.BytesIO(blob), kind="streaming")
+    state["engine_state"]["bank"]["type"] = "LaplaceTreeBank"
+    with pytest.raises(SerializationError, match="'LaplaceTreeBank' cannot be loaded"):
+        CumulativeSynthesizer.from_config(config).load_state(state)
 
 
 def test_not_a_zip_rejected(tmp_path):

@@ -28,7 +28,6 @@ from oracles.scalar import fallback_reference, scalar_counter_table
 from repro.core.budget import allocate_budget
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler
-from repro.dp.discrete_laplace import DiscreteLaplaceSampler
 from repro.exceptions import ConfigurationError, SerializationError, StreamLengthError
 from repro.rng import spawn
 from repro.streams.bank import (
@@ -85,21 +84,16 @@ class TestNoiselessEquivalence:
         assert (a.synthetic_data().matrix == b.synthetic_data().matrix).all()
 
     def test_fallback_engine_bit_identical_with_noise(self):
-        # No native bank for honaker, and counter_kwargs force the
-        # fallback for block: it wraps the reference's scalar counters
-        # with the same per-row seeds, so even noisy runs are identical.
+        # No native bank for honaker or block: the fallback wraps the
+        # reference's scalar counters with the same per-row seeds, so even
+        # noisy runs are identical.
         rho_vec = allocate_budget(HORIZON, 0.05, "corollary_b1")
         increments = _increment_table(HORIZON, seed=6)
         seeds = list(range(100, 100 + HORIZON))
-        for name, kwargs in (("honaker", {}), ("block", {"block_size": 3})):
-            bank = make_bank(
-                name, horizon=HORIZON, rho_per_threshold=rho_vec, seeds=seeds,
-                counter_kwargs=kwargs,
-            )
+        for name in ("honaker", "block"):
+            bank = make_bank(name, horizon=HORIZON, rho_per_threshold=rho_vec, seeds=seeds)
             assert isinstance(bank, FallbackBank)
-            reference = scalar_counter_table(
-                name, HORIZON, rho_vec, increments, seeds, counter_kwargs=kwargs
-            )
+            reference = scalar_counter_table(name, HORIZON, rho_vec, increments, seeds)
             assert (bank.run(increments) == reference).all()
 
 
@@ -196,6 +190,34 @@ class TestBankNoise:
                 scale = bank.error_stddev(b, horizon - b + 1)
                 assert abs(final[b - 1] - truth[b - 1]) <= max(8 * scale, 1e-9)
 
+    @pytest.mark.parametrize("name", sorted(available_counters()))
+    def test_one_replica_noise_is_exact_but_for_sqrt_factorization(self, name, monkeypatch):
+        # Every counter's one-replica bank draws through the exact sampler
+        # (native banks one sample_columns call a round, the fallback its
+        # scalar counters' sample()) except the square-root factorization,
+        # whose continuous Gaussian noise is Generator.normal floats.
+        calls = {"sample_columns": 0, "sample": 0}
+        for method in calls:
+            original = getattr(DiscreteGaussianSampler, method)
+
+            def spy(self, *args, _method=method, _original=original, **kwargs):
+                calls[_method] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(DiscreteGaussianSampler, method, spy)
+        horizon = 6
+        bank = make_bank(
+            name, horizon=horizon,
+            rho_per_threshold=allocate_budget(horizon, 0.5, "corollary_b1"), seeds=8,
+        )
+        bank.run(_increment_table(horizon, seed=8))
+        if name == "sqrt_factorization":
+            assert calls == {"sample_columns": 0, "sample": 0}
+        elif name in available_banks():
+            assert calls == {"sample_columns": horizon, "sample": 0}
+        else:
+            assert calls["sample_columns"] == 0 and calls["sample"] > 0
+
     def test_error_stddev_matches_scalar_counters(self):
         horizon = 12
         rho_vec = allocate_budget(horizon, 0.3, "corollary_b1")
@@ -224,9 +246,7 @@ class TestBankNoise:
 
 class TestBankRegistry:
     def test_native_banks_registered(self):
-        names = available_banks()
-        for expected in ("binary_tree", "simple", "sqrt_factorization", "laplace_tree"):
-            assert expected in names
+        assert available_banks() == ("binary_tree", "simple", "sqrt_factorization")
 
     def test_unknown_counter_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -235,17 +255,6 @@ class TestBankRegistry:
     def test_fallback_for_unbanked_counter(self):
         bank = make_bank("honaker", horizon=4, rho_per_threshold=np.full(4, 1.0))
         assert isinstance(bank, FallbackBank)
-
-    def test_counter_kwargs_route_to_fallback(self):
-        bank = make_bank(
-            "block",
-            horizon=6,
-            rho_per_threshold=np.full(6, 1.0),
-            counter_kwargs={"block_size": 2},
-        )
-        assert isinstance(bank, FallbackBank)
-        bank.feed([1])
-        assert bank.counters[0].block_size == 2
 
     def test_native_bank_types(self):
         rho_vec = np.full(4, 1.0)
@@ -289,20 +298,6 @@ class TestHeterogeneousSamplers:
             sampler.sample_columns([1.0, -1.0])
         with pytest.raises(ValueError):
             sampler.sample_columns([1.0, -1.0], size=2)
-
-    def test_laplace_columns_zero_scale_is_zero(self):
-        sampler = DiscreteLaplaceSampler(1, seed=3)
-        draws = sampler.sample_columns([0.0, 5.0, 0.0])
-        assert draws.shape == (3,)
-        assert draws[0] == 0 and draws[2] == 0
-
-    @pytest.mark.parametrize("draw", ["exact", "vectorized"])
-    def test_laplace_columns_scale_tracks_scale(self, draw):
-        sampler = DiscreteLaplaceSampler(1, seed=4)
-        n = 300 if draw == "exact" else 3000
-        draws = _column_draws(sampler, [Fraction(1, 2), Fraction(20)], n, draw)
-        assert draws.shape == (n, 2)
-        assert draws[:, 0].std() < draws[:, 1].std()
 
     def test_reproducible_from_seed(self):
         a = DiscreteGaussianSampler(0, seed=9).sample_columns([4.0, 100.0, 0.0])
@@ -357,7 +352,7 @@ class TestSynthesizerEngineSurface:
 class TestRepAxis:
     """Replicated banks: (R, t) shapes, noiseless equivalence, validation."""
 
-    NATIVE = ("binary_tree", "simple", "sqrt_factorization", "laplace_tree")
+    NATIVE = ("binary_tree", "simple", "sqrt_factorization")
 
     @pytest.mark.parametrize("name", NATIVE)
     def test_feed_shapes_with_rep_axis(self, name):
@@ -427,17 +422,6 @@ class TestRepAxis:
         with pytest.raises(ConfigurationError):
             FallbackBank(4, np.full(4, math.inf), n_reps=2)
 
-    def test_counter_kwargs_reject_rep_axis(self):
-        # counter_kwargs force the fallback, which has no rep axis.
-        with pytest.raises(ConfigurationError):
-            make_bank(
-                "block",
-                horizon=4,
-                rho_per_threshold=np.full(4, math.inf),
-                n_reps=2,
-                counter_kwargs={"block_size": 2},
-            )
-
     def test_n_reps_validated(self):
         with pytest.raises(ConfigurationError):
             make_bank(
@@ -469,13 +453,6 @@ class TestSizeAwareSamplers:
     @pytest.mark.parametrize("rows", ["exact", "vectorized"])
     def test_gaussian_size_shape_and_zero_columns(self, rows):
         sampler = DiscreteGaussianSampler(0, seed=11)
-        draws = sampler.sample_columns(self.ROWS[rows], size=6)
-        assert draws.shape == (6, 3)
-        assert (draws[:, 0] == 0).all()
-
-    @pytest.mark.parametrize("rows", ["exact", "vectorized"])
-    def test_laplace_size_shape_and_zero_columns(self, rows):
-        sampler = DiscreteLaplaceSampler(1, seed=12)
         draws = sampler.sample_columns(self.ROWS[rows], size=6)
         assert draws.shape == (6, 3)
         assert (draws[:, 0] == 0).all()

@@ -19,7 +19,7 @@ from repro.exceptions import ConfigurationError, SerializationError
 from repro.streams.bank import FallbackBank
 from repro.streams.registry import make_bank
 
-NATIVE_EXTENSIBLE = ("binary_tree", "laplace_tree", "simple")
+NATIVE_EXTENSIBLE = ("binary_tree", "simple")
 
 
 def _increment_stream(total_rounds: int, seed: int = 0):
@@ -78,19 +78,6 @@ class TestExtendRows:
         new_levels = [int(n).bit_length() for n in range(horizon + k, k, -1)]
         expected = [
             rho_b * (new - old) / old
-            for rho_b, old, new in zip(rho, old_levels, new_levels)
-        ]
-        np.testing.assert_allclose(extra, expected)
-
-    def test_laplace_tree_extension_cost_is_squared_level_ratio(self):
-        horizon, k = 12, 4
-        rho = allocate_budget(horizon, 1.0, "uniform")
-        bank = make_bank("laplace_tree", horizon=horizon, rho_per_threshold=rho, seeds=0)
-        extra = bank.extend_rows(k, np.full(k, 1.0 / horizon))
-        old_levels = [int(n).bit_length() for n in range(horizon, 0, -1)]
-        new_levels = [int(n).bit_length() for n in range(horizon + k, k, -1)]
-        expected = [
-            rho_b * ((new / old) ** 2 - 1.0)
             for rho_b, old, new in zip(rho, old_levels, new_levels)
         ]
         np.testing.assert_allclose(extra, expected)
