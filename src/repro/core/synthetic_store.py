@@ -40,6 +40,7 @@ privacy gain.
 from __future__ import annotations
 
 import hashlib
+import math
 import mmap
 
 import numpy as np
@@ -96,34 +97,61 @@ def _code_suffix(codes: np.ndarray, n_groups: int, out=None) -> np.ndarray:
     return np.subtract(codes, high, out=high if out is None else out)
 
 
-#: Records per bucket the bucketed selection aims for; see :func:`_bucket_width`.
-_RECORDS_PER_BUCKET = 16
+def _code_histogram(codes: np.ndarray, n_bins: int) -> np.ndarray:
+    """``np.bincount(codes, minlength=n_bins)`` as ``int64``, two ``uint8`` codes at a time.
+
+    ``bincount`` first widens its input to ``intp``, which dominates at
+    scale.  Read as ``uint16`` pairs, a million ``uint8`` codes widen
+    half as many values into a ``256 * 256`` table whose row and column
+    sums, added, count every code once whatever the byte order (1.3
+    against 2.1 ms on a 2-vCPU host).  Below ``2**16`` codes the
+    table costs more than it saves, and wider codes are counted as they
+    are.
+    """
+    if codes.dtype != np.uint8 or codes.shape[0] < 1 << 16:
+        return np.bincount(codes, minlength=n_bins).astype(np.int64)
+    even = codes.shape[0] & ~1
+    pairs = np.bincount(codes[:even].view(np.uint16), minlength=1 << 16).reshape(256, 256)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if even < codes.shape[0]:
+        counts[codes[-1]] += 1
+    return counts[:n_bins].astype(np.int64)
+
+
+#: Records below which one value sort beats the bucketed selection.
+_SORT_BELOW = 1 << 14
 
 
 def _bucket_width(sizes: np.ndarray, n_cuts: int) -> int:
     """Buckets per unit of ``group + key`` for :func:`_cut_by_buckets`, or 0.
 
-    A power of two, so scaling a composite key by it is exact.  It aims
-    for :data:`_RECORDS_PER_BUCKET` records per bucket in the largest
-    group, and keeps at least ``16 * (n_cuts + 1)`` buckets per group,
-    so the buckets a group compares exactly (one per cut, plus its
-    first) hold about a sixteenth of its records or fewer.
+    A power of two, so scaling a composite key by it is exact; the
+    bucketed path is exact at any such width, so the width decides only
+    its time.  It balances the path's two size-dependent costs: the
+    passes over the per-bucket tables grow with ``len(sizes) * width``,
+    and the records compared exactly (those of the ``n_cuts`` cut
+    buckets and of each group's first bucket) with
+    ``(n_cuts + 1) * group / width``.  Their sum is least near
+    ``width = sqrt((n_cuts + 1) * group)``, taken for the largest group,
+    rounded down to a power of two and kept at ``16 * (n_cuts + 1)``
+    buckets per group or more.  At a million employment-panel records
+    (``k = 3``, 2-vCPU host) that is 1,024 buckets in each of 9 groups
+    at ``q = 3`` and 512 in each of 16 or 64 at ``q = 4`` or 8, each
+    within 3% of the fastest power-of-two width.
 
     Returns 0 when one value sort of the keys is the cheaper way
-    (:func:`_cut_by_sorting`).  The bucketed path makes about forty
-    NumPy calls whatever the record count, plus a few passes over its
-    ``len(sizes) * width`` buckets, and then runs in linear time; the
-    sort makes a handful and runs in ``n log n``.  Measured against each
-    other on a shared 2-vCPU host, they break even between 2**14 and
-    2**15 records, and the buckets win clearly above that; the sort is
-    kept below 2**15 records, and wherever the buckets would average
-    fewer than four records (many small groups beside a large one, as in
-    the cumulative store's weight groups).
+    (:func:`_cut_by_sorting`): below :data:`_SORT_BELOW` records, where
+    the bucketed path's forty-odd NumPy calls outweigh the sort's
+    ``n log n`` (the two break even between 2**13 and 2**14 records on
+    the same host), and wherever the buckets would average fewer than
+    four records (many small groups beside a large one, as in the
+    cumulative store's weight groups).
     """
     n = int(sizes.sum())
-    if n < 1 << 15:
+    if n < _SORT_BELOW:
         return 0
-    width = 1 << max((int(sizes.max()) // _RECORDS_PER_BUCKET).bit_length() - 1, 0)
+    balance = math.isqrt((n_cuts + 1) * int(sizes.max()))
+    width = 1 << max(balance.bit_length() - 1, 0)
     width = max(width, 1 << (16 * (n_cuts + 1) - 1).bit_length())
     return width if n >= 4 * sizes.shape[0] * width else 0
 
@@ -242,11 +270,13 @@ def _count_ranks_below(
     order, so every cut stays exact.
 
     The order statistics come from one of two exact paths with the same
-    result and the same single draw: below about 2**15 records, a value
-    sort of every composite (:func:`_cut_by_sorting`); above it,
-    bucketed order statistics in linear time (:func:`_cut_by_buckets`,
-    :func:`_bucket_width` decides).  At a million records in nine
-    groups the bucketed path takes about a third of the sort's time.
+    result and the same single draw: below 2**14 records, a value sort
+    of every composite (:func:`_cut_by_sorting`); above it, bucketed
+    order statistics in linear time (:func:`_cut_by_buckets`, at the
+    width :func:`_bucket_width` works out from the group sizes, or the
+    sort when it returns 0).  The bucketed path is exact at any
+    power-of-two width, so the width changes only the time: at a
+    million records in nine groups it takes about a fifth of the sort's.
 
     Parameters
     ----------
@@ -515,6 +545,7 @@ class WindowSyntheticStore:
         codes = np.repeat(np.arange(alphabet**window, dtype=code_dtype), counts)
         generator.shuffle(codes)
         self._codes = codes  # current base-q window code per record
+        self._counts = counts.copy()  # their histogram, kept in step
         self._buffer = _record_buffer(horizon, self.m, _digit_dtype(alphabet))
         self._active = np.ones(self.m, dtype=bool)
         digits = codes
@@ -564,6 +595,7 @@ class WindowSyntheticStore:
         self._codes = np.concatenate(
             [self._codes, np.zeros(count, dtype=self._codes.dtype)]
         )
+        self._counts[0] += count
         if self.m + count > self._buffer.shape[1]:
             buffer = _record_buffer(self.horizon, 2 * (self.m + count), self._buffer.dtype)
             buffer[: self._t, : self.m] = self._records[: self._t]
@@ -602,10 +634,14 @@ class WindowSyntheticStore:
         return self._t
 
     def counts(self) -> np.ndarray:
-        """Current synthetic window histogram ``p^t`` (length ``q**k``)."""
-        return np.bincount(
-            self._codes, minlength=self.alphabet**self.window
-        ).astype(np.int64)
+        """Current synthetic window histogram ``p^t`` (length ``q**k``, a copy).
+
+        Kept in step with the window codes rather than counted from them:
+        it starts as the initial counts, :meth:`admit` credits bin 0 and
+        :meth:`extend` adopts its target, which the records then match
+        exactly.  :meth:`from_state` counts it once from the codes.
+        """
+        return self._counts.copy()
 
     def extend(self, target_counts: np.ndarray) -> None:
         """Advance one round so the window histogram becomes ``target_counts``.
@@ -628,14 +664,16 @@ class WindowSyntheticStore:
             raise ConsistencyError("target_counts must be non-negative")
 
         n_groups = self.alphabet ** (self.window - 1)
-        suffixes = _code_suffix(self._codes, n_groups)
         group_targets = target.reshape(n_groups, self.alphabet)
-        current_groups = np.bincount(suffixes, minlength=n_groups)
+        # Code c falls in suffix group c % n_groups, so the groups are the
+        # column sums of the histogram read as (alphabet, n_groups).
+        current_groups = self._counts.reshape(self.alphabet, n_groups).sum(axis=0)
         if not (group_targets.sum(axis=1) == current_groups).all():
             raise ConsistencyError(
                 "target histogram violates the overlap-consistency constraint"
             )
 
+        suffixes = _code_suffix(self._codes, n_groups)
         new_digit = _assign_within_groups(
             suffixes, n_groups, group_targets, self._generator, current_groups
         )
@@ -643,6 +681,7 @@ class WindowSyntheticStore:
         np.multiply(suffixes, suffixes.dtype.type(self.alphabet), out=suffixes)
         np.add(suffixes, new_digit.astype(suffixes.dtype, copy=False), out=suffixes)
         self._codes = suffixes
+        self._counts = target.copy()
         self._t += 1
 
     def matrix_digest(self) -> bytes:
@@ -810,6 +849,7 @@ class WindowSyntheticStore:
             )
         _check_window_records(matrix, codes, store.window, store._t, store.alphabet)
         store._codes = codes.astype(_code_dtype(store.alphabet, store.window))
+        store._counts = _code_histogram(store._codes, store.alphabet**store.window)
         store._buffer = _record_buffer(store.horizon, store.m, _digit_dtype(store.alphabet))
         store._records[: store._t] = matrix[:, : store._t].T
         store._reset_digests()

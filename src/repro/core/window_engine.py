@@ -60,7 +60,12 @@ from repro.core.population import (
     validate_column,
     validate_entrants,
 )
-from repro.core.synthetic_store import WindowSyntheticStore, _code_dtype, _code_suffix
+from repro.core.synthetic_store import (
+    WindowSyntheticStore,
+    _code_dtype,
+    _code_histogram,
+    _code_suffix,
+)
 from repro.data.dataset import DynamicPanel, LongitudinalDataset
 from repro.dp.accountant import ZCDPAccountant
 from repro.dp.discrete_gaussian import calibrate_sigma_sq
@@ -732,8 +737,7 @@ class WindowEngine:
             np.add(codes, full_column, out=codes)
         self._window_codes = codes
 
-        n_bins = self.alphabet**self.window
-        true_counts = np.bincount(codes, minlength=n_bins).astype(np.int64)
+        true_counts = _code_histogram(codes, self.alphabet**self.window)
         self._update_step(true_counts, entrants=entrants, exit_count=exit_count)
         return self.release
 

@@ -9,7 +9,7 @@ synthesizers are built on:
   proposal step of the exact discrete Gaussian sampler.
 * :mod:`repro.dp.discrete_gaussian` — the discrete Gaussian ``N_Z(0, sigma^2)``
   of Canonne, Kamath & Steinke (2020), used by every mechanism in the paper:
-  exact for every release (one draw in rational arithmetic, a batch in
+  exact for every release (one draw in Python integers, a batch in
   integer-only NumPy), plus the ``size=R`` float block that only the
   batched replication engine's accuracy studies draw; and the round-up
   variance calibration every mechanism shares.
@@ -19,7 +19,7 @@ synthesizers are built on:
   (stage 1 of Algorithm 1) and scalar noisy counts.
 """
 
-from repro.dp.accountant import ZCDPAccountant, zcdp_to_approx_dp, approx_dp_to_zcdp
+from repro.dp.accountant import ZCDPAccountant, zcdp_to_approx_dp
 from repro.dp.bernoulli_exp import bernoulli_exp
 from repro.dp.discrete_gaussian import (
     DiscreteGaussianSampler,
@@ -42,7 +42,6 @@ __all__ = [
     "discrete_gaussian_variance",
     "ZCDPAccountant",
     "zcdp_to_approx_dp",
-    "approx_dp_to_zcdp",
     "bernoulli_exp",
     "DiscreteGaussianSampler",
     "calibrate_sigma_sq",

@@ -8,8 +8,6 @@ The paper states all privacy guarantees in terms of ``rho``-zCDP
 * :func:`zcdp_to_approx_dp` — the standard conversion
   ``rho``-zCDP ⟹ ``(rho + 2 sqrt(rho ln(1/delta)), delta)``-DP, useful for
   reporting guarantees in the more familiar approximate-DP currency.
-* :func:`approx_dp_to_zcdp` — the reverse direction for pure DP:
-  ``eps``-DP ⟹ ``(eps^2 / 2)``-zCDP.
 * :func:`gaussian_rho` / :func:`gaussian_sigma_sq` — calibration helpers for
   the (discrete) Gaussian mechanism: a sensitivity-``Delta`` query answered
   with variance ``sigma^2`` noise costs ``Delta^2 / (2 sigma^2)`` zCDP.
@@ -25,7 +23,6 @@ from repro.exceptions import ConfigurationError, PrivacyBudgetError
 __all__ = [
     "ZCDPAccountant",
     "zcdp_to_approx_dp",
-    "approx_dp_to_zcdp",
     "gaussian_rho",
     "gaussian_sigma_sq",
 ]
@@ -64,13 +61,6 @@ def zcdp_to_approx_dp(rho: float, delta: float) -> float:
     if not 0 < delta < 1:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
-
-
-def approx_dp_to_zcdp(epsilon: float) -> float:
-    """zCDP parameter implied by pure ``eps``-DP: ``eps^2 / 2``."""
-    if epsilon < 0:
-        raise ConfigurationError(f"epsilon must be non-negative, got {epsilon}")
-    return epsilon**2 / 2.0
 
 
 @dataclass

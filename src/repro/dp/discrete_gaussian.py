@@ -10,8 +10,8 @@ Every draw a release makes is exact: the rejection sampler of Canonne,
 Kamath & Steinke (2020, Algorithm 3), a discrete Laplace proposal accepted
 with probability ``exp(-gamma)``, every decision an integer comparison of
 uniform integers, so no floating point touches the distribution.  A
-request for one draw runs :func:`sample_discrete_gaussian` (``Fraction``
-arithmetic, one proposal at a time; also the reference the tests hold the
+request for one draw runs :func:`sample_discrete_gaussian` (Python
+integers, one proposal at a time; also the reference the tests hold the
 batched form to).  A request for more draws runs the same scheme over the
 whole request at once in int64 NumPy: every pending draw gets a few
 proposals per pass, each proposal's uniforms come from one
@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro.dp.bernoulli_exp import bernoulli_exp
+from repro.dp.bernoulli_exp import _bernoulli_exp, bernoulli_exp
 from repro.dp.discrete_laplace import sample_discrete_laplace
 from repro.rng import ExactRandom, SeedLike, as_generator
 
@@ -122,18 +122,21 @@ def sample_discrete_gaussian(sigma_sq: Fraction, random: ExactRandom) -> int:
     ``t = floor(sigma) + 1`` and accepts ``Y`` with probability
     ``exp(-(|Y| - sigma_sq/t)^2 / (2 sigma_sq))``; the expected number of
     proposal rounds is a small constant (below ~1.6 for all ``sigma``).
+    With ``sigma_sq = a/b`` that exponent is
+    ``(|Y| b t - a)^2 / (2 a b t^2)``, decided in Python integers.
     """
     sigma_sq = Fraction(sigma_sq)
     if sigma_sq < 0:
         raise ValueError(f"sigma_sq must be non-negative, got {sigma_sq}")
     if sigma_sq == 0:
         return 0
-    t = math.isqrt(math.floor(sigma_sq)) + 1
-    t_frac = Fraction(t)
+    a, b = sigma_sq.numerator, sigma_sq.denominator
+    t = math.isqrt(a // b) + 1
+    scale = Fraction(t)
+    den = 2 * a * b * t * t
     while True:
-        y = sample_discrete_laplace(t_frac, random)
-        gamma = (abs(y) - sigma_sq / t) ** 2 / (2 * sigma_sq)
-        if bernoulli_exp(gamma, random):
+        y = sample_discrete_laplace(scale, random)
+        if _bernoulli_exp((abs(y) * b * t - a) ** 2, den, random):
             return y
 
 

@@ -3,8 +3,8 @@
 The discrete (two-sided geometric) Laplace distribution with scale ``s`` is
 supported on the integers with ``P[X = x]`` proportional to
 ``exp(-|x| / s)``.  The exact sampler is Algorithm 2 of Canonne, Kamath &
-Steinke (2020) and handles any positive rational scale.  Its one consumer
-is the exact discrete Gaussian sampler
+Steinke (2020) and handles any positive rational scale, in Python integers.
+Its one consumer is the exact discrete Gaussian sampler
 (:mod:`repro.dp.discrete_gaussian`), which uses it as its proposal
 distribution.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from repro.dp.bernoulli_exp import _bernoulli_exp_le1
 from repro.rng import ExactRandom
 
 __all__ = ["sample_discrete_laplace"]
@@ -20,11 +21,8 @@ __all__ = ["sample_discrete_laplace"]
 
 def _sample_geometric_exp1(random: ExactRandom) -> int:
     """Number of consecutive ``Bernoulli(exp(-1))`` successes (Geom support)."""
-    from repro.dp.bernoulli_exp import bernoulli_exp_le1
-
-    one = Fraction(1)
     count = 0
-    while bernoulli_exp_le1(one, random):
+    while _bernoulli_exp_le1(1, 1, random):
         count += 1
     return count
 
@@ -39,8 +37,6 @@ def sample_discrete_laplace(scale: Fraction, random: ExactRandom) -> int:
     and rejects the duplicated zero on the negative side so the result is
     exactly two-sided.
     """
-    from repro.dp.bernoulli_exp import bernoulli_exp_le1
-
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -49,8 +45,7 @@ def sample_discrete_laplace(scale: Fraction, random: ExactRandom) -> int:
     while True:
         u = random.randrange(s)
         # Accept the fractional offset u with probability exp(-u/s) ...
-        p = Fraction(u, s)
-        if not bernoulli_exp_le1(p, random):
+        if not _bernoulli_exp_le1(u, s, random):
             continue
         # ... then append exp(-1)-geometric whole units of s.
         v = _sample_geometric_exp1(random)

@@ -2,12 +2,12 @@
 
 ``_assign_within_groups`` and ``_choose_within_groups`` rank every group
 uniformly at random from one key per record and cut label blocks out of
-the ranks.  They read each cut's key off a value sort (below about 2**15
+the ranks.  They read each cut's key off a value sort (below 2**14
 records) or off bucketed order statistics (above it) instead of
 argsorting the records, and must select exactly what the argsort
 reference in ``tests/oracles/selection.py`` selects, from the same
-generator draws, on both paths — that is what keeps every window and
-cumulative checkpoint byte-identical.
+generator draws, on both paths and at any bucket width — that is what
+keeps every window and cumulative checkpoint byte-identical.
 """
 
 import numpy as np
@@ -21,8 +21,10 @@ from repro.core.synthetic_store import (
     _bucket_width,
     _choose_within_groups,
 )
+from repro.data.generators import two_state_markov
 from repro.exceptions import ConsistencyError
 from repro.rng import as_generator
+from repro.serve import StreamingSynthesizer
 
 
 @st.composite
@@ -116,15 +118,15 @@ class TestAgainstArgsortOracle:
 class TestSizeRule:
     """Which path runs is worked out from the group sizes, never set."""
 
-    def test_sort_below_two_to_the_fifteen_records(self):
-        assert _bucket_width(np.array([16_383, 16_384]), 1) == 0
-        assert _bucket_width(np.array([16_384, 16_384]), 1) == 1024
+    def test_sort_below_two_to_the_fourteen_records(self):
+        assert _bucket_width(np.array([8_191, 8_192]), 1) == 0
+        assert _bucket_width(np.array([8_192, 8_192]), 1) == 128
 
     def test_sort_when_buckets_would_average_under_four_records(self):
         # One large weight group beside a hundred small ones.
         sizes = np.concatenate([[60_000], np.full(100, 50)])
         assert _bucket_width(sizes, 1) == 0
-        assert _bucket_width(np.concatenate([[60_000], np.full(3, 50)]), 1) == 2048
+        assert _bucket_width(np.concatenate([[60_000], np.full(3, 50)]), 1) == 256
 
     def test_width_is_a_power_of_two_with_room_for_every_cut(self):
         for sizes, n_cuts in (([40_000], 1), ([30_000] * 9, 2), ([5_000] * 20, 4)):
@@ -132,17 +134,88 @@ class TestSizeRule:
             assert width & (width - 1) == 0
             assert width >= 16 * (n_cuts + 1)
 
-    @pytest.mark.parametrize("n", [(1 << 15) - 1, 1 << 15])
+    @pytest.mark.parametrize(
+        "largest, n_groups, n_cuts, width",
+        [
+            (478_185, 9, 2, 1024),  # q = 3, k = 3, a million employment records
+            (213_128, 16, 3, 512),  # q = 4
+            (107_315, 64, 7, 512),  # q = 8
+            (20_637, 4, 1, 128),  # Figure 1's store, q = 2
+            (1_100, 64, 7, 128),  # the 16 * (J + 1) floor
+        ],
+    )
+    def test_width_balances_tables_against_exact_compares(
+        self, largest, n_groups, n_cuts, width
+    ):
+        # About sqrt((J + 1) * largest group), rounded down to a power of two.
+        sizes = np.full(n_groups, largest // 2)
+        sizes[0] = largest
+        assert _bucket_width(sizes, n_cuts) == width
+
+    @pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14])
     def test_both_sides_of_the_rule_match_the_oracle(self, n):
         generator = np.random.default_rng(n)
         group_of = generator.integers(0, 9, size=n)
         sizes = np.bincount(group_of, minlength=9)
         quotas = np.stack([generator.multinomial(size, [1 / 3] * 3) for size in sizes])
-        assert (_bucket_width(sizes, 2) > 0) == (n >= 1 << 15)
+        assert (_bucket_width(sizes, 2) > 0) == (n >= 1 << 14)
         ours, theirs = as_generator(5), as_generator(5)
         labels = _assign_within_groups(group_of, 9, quotas, ours)
         assert (labels == oracle_assign(group_of, 9, quotas, theirs)).all()
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n, n_groups", [(40_000, 16), (70_000, 64)])
+    def test_many_groups_beside_a_large_one_bucket_and_match_the_oracle(self, n, n_groups):
+        # q = 4 and q = 8 suffix groups (k = 3), one of them 2**14 records:
+        # a records-per-bucket target would need more buckets than four
+        # records each can fill, and sort.
+        generator = np.random.default_rng(n_groups)
+        sizes = np.full(n_groups, (n - (1 << 14)) // (n_groups - 1))
+        sizes[0] = n - sizes[1:].sum()
+        group_of = generator.permutation(np.repeat(np.arange(n_groups), sizes))
+        alphabet = round(n_groups**0.5)
+        quotas = np.stack(
+            [generator.multinomial(size, [1 / alphabet] * alphabet) for size in sizes]
+        )
+        assert _bucket_width(sizes, alphabet - 1) > 0
+        ours, theirs = as_generator(8), as_generator(8)
+        labels = _assign_within_groups(group_of, n_groups, quotas, ours)
+        assert (labels == oracle_assign(group_of, n_groups, quotas, theirs)).all()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+#: Per-round state fingerprints of a binary fixed-window run at Figure 1's
+#: shape (23,374 records, k = 3, T = 12, rho = 0.005), whose store of about
+#: 24,000 records takes the bucketed selection; computed by the
+#: implementation that sorted every store below 2**15 records.
+FIGURE_ONE_FINGERPRINTS = {
+    3: "merkle-sha256-v1:9ab118f4d33db14576f08cc774ab12ec18fa52eb5a8b3b04a82c597699116daa",
+    4: "merkle-sha256-v1:e669df1cdfbbaa092e58792f324f90c04c6896af8f64f0781a68470ea52fb087",
+    5: "merkle-sha256-v1:2c5fd12aaaf686cbcf7dfea6dc7eccbed60790eef0b4e9ca0714af779b1ffc8d",
+    6: "merkle-sha256-v1:a092e63fb226a475e1c065d5e12392b418e3a13b6cf81dc77bb3992efa695d16",
+    7: "merkle-sha256-v1:bc3a37c3b3a000e8204846fa13dded9ab1557df89c605cdeb327529fe906fcb0",
+    8: "merkle-sha256-v1:57ebffc44540d8695d1c1fe320d28f76a39a3c1b0fc61e17329ee0f094d06fe9",
+    9: "merkle-sha256-v1:9375b425b65de8822061655aff538233470293157f9ba09a89aa8398768597aa",
+    10: "merkle-sha256-v1:e293b96d611199b827c23252a4e9fdbd8143abebb397d4adcee5bec36d8bbe36",
+    11: "merkle-sha256-v1:d05f661ca15fcdd9baf1ec290b52a2d7e9ee384151c823b4155e3a4716fccd20",
+    12: "merkle-sha256-v1:3b57e96b60d12fb9f833a00c1dfb8c8dbcbc76052429630e27d18c7d47f79f61",
+}
+
+
+def test_figure_one_shape_is_bucketed_and_pinned():
+    n, horizon, window = 23_374, 12, 3
+    panel = two_state_markov(n, horizon, p_stay=0.87, p_enter=0.017, seed=2026)
+    service = StreamingSynthesizer.fixed_window(horizon, window, 0.005, seed=23)
+    fingerprints = {}
+    for t, column in enumerate(panel.columns(), start=1):
+        service.observe(column)
+        if t >= window:
+            fingerprints[t] = service.fingerprint()
+    assert fingerprints == FIGURE_ONE_FINGERPRINTS
+    store = service.synthesizer._store
+    sizes = store.counts().reshape(2, 4).sum(axis=0)
+    assert 1 << 14 <= store.m < 1 << 15
+    assert _bucket_width(sizes, 1) > 0
 
 
 class _PresetKeys:

@@ -13,6 +13,7 @@ from repro.core.synthetic_store import (
     CumulativeSyntheticStore,
     WindowSyntheticStore,
     _check_window_records,
+    _code_histogram,
 )
 from repro.exceptions import ConfigurationError, ConsistencyError, SerializationError
 from repro.rng import as_generator
@@ -213,6 +214,93 @@ class TestWindowStoreDigestAndRestore:
         codes[-1] = (codes[-1] + 1) % 27
         with pytest.raises(SerializationError, match=f"of record {m - 1} disagrees"):
             _check_window_records(matrix.astype(np.int64), codes, 3, t, 3)
+
+
+class TestKeptHistogram:
+    """``counts()`` is kept in step with the codes; it must equal a recount."""
+
+    @given(
+        alphabet=st.integers(2, 4),
+        window=st.integers(1, 3),
+        initial=st.lists(st.integers(0, 6), min_size=64, max_size=64),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["admit", "retire", "extend", "restore"]), st.integers(0, 5)
+            ),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_a_recount_after_every_step(
+        self, alphabet, window, initial, steps, seed
+    ):
+        n_bins = alphabet**window
+        generator = as_generator(seed)
+        horizon = window + sum(step == "extend" for step, _ in steps)
+        store = WindowSyntheticStore(
+            np.asarray(initial[:n_bins]), window, horizon, generator, alphabet=alphabet
+        )
+
+        def assert_counts_match():
+            counts = store.counts()
+            assert counts.dtype == np.int64
+            recount = np.bincount(store.state_dict()["codes"], minlength=n_bins)
+            assert counts.tolist() == recount.tolist()
+
+        assert_counts_match()
+        for step, count in steps:
+            if step == "admit":
+                store.admit(count)
+            elif step == "retire":
+                store.retire(min(count, store.n_active))
+            elif step == "extend":
+                _extend_at_random(store, generator)
+            else:
+                store = WindowSyntheticStore.from_state(store.state_dict(), generator)
+            assert_counts_match()
+
+    def test_admitted_records_must_be_in_the_next_target(self):
+        store = _grown_store(rounds=1)
+        before = store.counts()
+        store.admit(2)
+        assert store.counts()[0] == before[0] + 2
+        # A target consistent with the pre-admission histogram misses them.
+        groups = before.reshape(3, 3).sum(axis=0)
+        stale = np.zeros((3, 3), dtype=np.int64)
+        stale[:, 0] = groups
+        with pytest.raises(ConsistencyError, match="overlap-consistency"):
+            store.extend(stale.ravel())
+        assert store.counts()[0] == before[0] + 2
+
+    def test_counts_is_a_copy(self):
+        store = _grown_store(rounds=1)
+        store.counts()[:] = 0
+        assert store.counts().sum() == store.m
+
+
+class TestCodeHistogram:
+    """The pair counter behind the engine's true histogram and restores."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 65_535, 65_536, 65_537, 100_003, 131_071]
+    )
+    @pytest.mark.parametrize("n_bins", [27, 256])
+    def test_pair_counter_matches_bincount(self, n, n_bins):
+        codes = np.random.default_rng(n).integers(0, n_bins, size=n).astype(np.uint8)
+        if n:
+            codes[0], codes[-1] = 0, n_bins - 1  # the odd code left over at odd n
+        if n > 2:
+            codes[1], codes[-2] = n_bins - 1, 0
+        counts = _code_histogram(codes, n_bins)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.bincount(codes, minlength=n_bins).tolist()
+
+    def test_wider_codes_are_counted_as_they_are(self):
+        codes = np.random.default_rng(4).integers(0, 729, size=70_001).astype(np.uint16)
+        counts = _code_histogram(codes, 729)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.bincount(codes, minlength=729).tolist()
 
 
 class TestCumulativeSyntheticStore:

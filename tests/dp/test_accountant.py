@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.dp.accountant import (
     ZCDPAccountant,
-    approx_dp_to_zcdp,
     gaussian_rho,
     gaussian_sigma_sq,
     zcdp_to_approx_dp,
@@ -35,15 +34,10 @@ class TestConversions:
         with pytest.raises(ConfigurationError):
             zcdp_to_approx_dp(-0.1, 1e-6)
 
-    def test_pure_dp_to_zcdp(self):
-        assert approx_dp_to_zcdp(2.0) == pytest.approx(2.0)
-        assert approx_dp_to_zcdp(0.0) == 0.0
-
     def test_roundtrip_ordering(self):
-        # eps-DP -> eps^2/2-zCDP -> back must not be larger than reasonable.
-        rho = approx_dp_to_zcdp(1.0)
-        eps = zcdp_to_approx_dp(rho, 1e-9)
-        assert eps > 1.0  # conversion through zCDP to approx DP is lossy upward
+        # 1-DP implies 1/2-zCDP (eps^2 / 2); converting back is lossy upward.
+        eps = zcdp_to_approx_dp(0.5, 1e-9)
+        assert eps > 1.0
 
     @given(st.floats(min_value=1e-4, max_value=10.0))
     @settings(max_examples=25, deadline=None)
