@@ -15,9 +15,10 @@ measurable on this class:
   ``(T-k+1)/sqrt(2 rho)`` — a ``sqrt(T-k+1)`` factor worse than
   Algorithm 1 (compare ``error_stddev_factor``).
 * **No consistency** — round ``t + 1`` materializes entirely new records,
-  so monotone longitudinal statistics such as "ever experienced pattern s"
-  (:meth:`RecomputeRelease.ever_pattern_series`) can *decrease* between
-  rounds, which is impossible under a consistent release.  The
+  so monotone longitudinal statistics such as "ever had a spell of at
+  least ``L`` consecutive 1s" (:meth:`RecomputeRelease.ever_spell_series`)
+  can *decrease* between rounds, which is impossible under a consistent
+  release.  The
   `abl-baseline` benchmark counts these violations.
 """
 
@@ -147,24 +148,6 @@ class RecomputeRelease:
             return self._baseline._releases[t].padding
         except KeyError:
             raise NotFittedError(f"no release for t={t}") from None
-
-    def ever_pattern_series(self, pattern_code: int) -> list[float]:
-        """"Ever matched pattern" fraction per round, each on its own panel.
-
-        Under a consistent release this series is non-decreasing; here each
-        point comes from an unrelated population, so decreases occur.
-        """
-        k = self._baseline.window
-        return [
-            ever_pattern_fraction(self._baseline._panels[t], k, pattern_code, t)
-            for t in sorted(self._baseline._panels)
-        ]
-
-    def consistency_violations(self, pattern_code: int) -> int:
-        """Number of rounds where the "ever matched" series decreased."""
-        series = self.ever_pattern_series(pattern_code)
-        tolerance = 1e-12
-        return int(sum(1 for a, b in zip(series, series[1:]) if b < a - tolerance))
 
     def ever_spell_series(self, length: int) -> list[float]:
         """"Ever had a >= length spell" fraction per round, fresh panels."""

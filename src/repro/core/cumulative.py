@@ -162,9 +162,9 @@ class CumulativeRelease:
     def version(self) -> int:
         """Monotone state version: bumped by every mutation of the owner.
 
-        ``observe()``, ``load_state()``, and ``extend_horizon()`` each
-        increment it, so equal versions guarantee equal answers — the
-        key invariant behind the batched answer cache.
+        ``observe()`` and ``load_state()`` each increment it, so equal
+        versions guarantee equal answers — the key invariant behind the
+        batched answer cache.
         """
         return self._synth._version
 
@@ -302,7 +302,6 @@ class CumulativeSynthesizer:
         self._answer_cache = AnswerCache()
 
         self._t = 0
-        self._horizon_extended = False
         self._n: int | None = None  # initial (round-1) population
         self._ledger: PopulationLedger | None = None
         self._orig_weights: np.ndarray | None = None
@@ -489,89 +488,6 @@ class CumulativeSynthesizer:
             raise NotFittedError("no data observed yet")
         return self._ledger.lifespans()
 
-    def extend_horizon(self, k: int, rho_new) -> None:
-        """Grow the release schedule by ``k`` rounds: ``T -> T + k``.
-
-        A dynamic population can outlive its planned horizon (a churning
-        panel that keeps adding waves); this appends ``k`` future rounds
-        — and the ``k`` new Hamming-weight thresholds they enable — to a
-        fresh *or mid-stream* synthesizer.  The counter bank appends rows via
-        :meth:`~repro.streams.bank.CounterBank.extend_rows` without
-        perturbing existing rows' RNG streams; the threshold table and
-        the synthetic store widen in place.
-
-        **Churn-aware accounting.**  Existing rows keep their original
-        noise calibration, so their longer streams realize strictly more
-        zCDP; that extra cost plus the new thresholds' budgets is added
-        to the accountant's total via
-        :meth:`~repro.dp.accountant.ZCDPAccountant.extend_budget` — the
-        privacy guarantee is *explicitly weakened* to the new total, and
-        each existing row's surcharge appears as a labeled ledger entry.
-
-        Parameters
-        ----------
-        k:
-            Number of appended rounds (positive).
-        rho_new:
-            Per-threshold zCDP budgets for the new thresholds
-            ``T+1 .. T+k``: a scalar (replicated ``k`` times) or a
-            length-``k`` sequence.  Must be ``math.inf`` exactly when
-            the synthesizer runs noiseless.
-
-        Raises
-        ------
-        repro.exceptions.ConfigurationError
-            On banks without native row growth (``sqrt_factorization``
-            and fallback-wrapped counters), or on malformed ``rho_new``.
-
-        Notes
-        -----
-        Checkpointing is not supported across an extension:
-        :meth:`state_dict` fails closed afterwards, because a restored
-        synthesizer rebuilt from the extended configuration would
-        recalibrate the appended levels differently than the live bank.
-        """
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        rho_vec = np.asarray(rho_new, dtype=np.float64)
-        if rho_vec.ndim == 0:
-            rho_vec = np.full(k, float(rho_vec))
-        if self.accountant is None and not np.isinf(rho_vec).all():
-            raise ConfigurationError(
-                "a noiseless synthesizer (rho=inf) extends with rho_new=math.inf"
-            )
-        if self.accountant is not None and not np.isfinite(rho_vec).all():
-            raise ConfigurationError(
-                "a noisy synthesizer extends with finite rho_new budgets"
-            )
-        extra = self._bank.extend_rows(k, rho_vec)  # validates k and rho_new
-        old_horizon = self.horizon
-        self.horizon += int(k)
-        self.rho_per_threshold = np.concatenate([self.rho_per_threshold, rho_vec])
-        # _counter_seeds stays at its original length: the extensible banks
-        # draw from their own generator, and serialization is unreachable
-        # after an extension — spawning seeds here would only perturb the
-        # shared record-draw generator.
-        if self.accountant is not None:
-            self.accountant.extend_budget(
-                float(rho_vec.sum() + extra.sum()),
-                reason=f"horizon extension +{k} rounds",
-            )
-            self.rho = self.accountant.total_rho
-            for b in range(1, old_horizon + 1):
-                if extra[b - 1] > 0:
-                    self.accountant.charge(
-                        float(extra[b - 1]),
-                        label=f"horizon extension surcharge, {counter_charge_label(b)}",
-                    )
-        if self._table is not None:
-            table = np.zeros((self.horizon + 1, self.horizon + 1), dtype=np.int64)
-            table[: old_horizon + 1, : old_horizon + 1] = self._table
-            self._table = table
-            self._store.extend_horizon(int(k))
-        self._horizon_extended = True
-        self._version += 1
-
     def counter_error_stddev(self, b: int, position: int) -> float | None:
         """Error stddev of threshold ``b``'s counter at local stream ``position``.
 
@@ -692,11 +608,6 @@ class CumulativeSynthesizer:
             :mod:`repro.serve` bundle layer; everything else is
             JSON-safe.
         """
-        if self._horizon_extended:
-            raise SerializationError(
-                "checkpointing across extend_horizon() is not supported: a "
-                "restored bank would recalibrate the appended rows differently"
-            )
         state = {
             "t": self._t,
             "n": self._n,

@@ -981,21 +981,6 @@ class CumulativeSyntheticStore:
             raise ConfigurationError(f"t must lie in [1, {self._t}], got {t}")
         return LongitudinalDataset(self._matrix[:, :t])
 
-    def extend_horizon(self, k: int) -> None:
-        """Widen the record matrix by ``k`` zero-filled future rounds.
-
-        The dynamic-population half of
-        :meth:`repro.core.cumulative.CumulativeSynthesizer.extend_horizon`:
-        existing records and weights are untouched and no randomness is
-        consumed.
-        """
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        self._matrix = np.hstack(
-            [self._matrix, np.zeros((self.m, k), dtype=np.uint8)]
-        )
-        self.horizon += int(k)
-
     def state_dict(self, *, copy: bool = True) -> dict:
         """Snapshot the store: record matrix, weights, and clocks.
 

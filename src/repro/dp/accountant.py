@@ -137,38 +137,6 @@ class ZCDPAccountant:
         """``(eps, delta)``-DP guarantee implied by the budget spent so far."""
         return zcdp_to_approx_dp(self.spent, delta)
 
-    def extend_budget(self, extra_rho: float, reason: str = "") -> None:
-        """Raise the total budget by ``extra_rho`` — an explicit weakening.
-
-        Dynamic workloads sometimes outgrow their planned release
-        schedule (a churning panel extended past its original horizon);
-        the honest accounting is to *declare* the weaker guarantee, not
-        to sneak charges past a stale ceiling.  The new total becomes the
-        advertised zCDP parameter of the whole composition.
-
-        Parameters
-        ----------
-        extra_rho:
-            Non-negative additional budget.
-        reason:
-            Optional annotation recorded as a zero-cost ledger entry so
-            the extension is visible in the charge history.
-
-        Raises
-        ------
-        repro.exceptions.ConfigurationError
-            If ``extra_rho`` is negative.
-        """
-        if extra_rho < 0:
-            raise ConfigurationError(
-                f"extra_rho must be non-negative, got {extra_rho}"
-            )
-        self.total_rho += float(extra_rho)
-        if reason:
-            self._charges.append(
-                _Charge(label=f"[budget extended by {extra_rho:.6g}: {reason}]", rho=0.0)
-            )
-
     def to_dict(self) -> dict:
         """Serialize the ledger as a JSON-safe dict.
 

@@ -44,11 +44,12 @@ __all__ = [
 
 _N = 4000
 _HORIZON = 12
+_TREE_VS_NAIVE_HORIZON = 64
 
 
-def ablation_panel(seed: int = 11, n: int = _N):
+def ablation_panel(seed: int = 11, n: int = _N, horizon: int = _HORIZON):
     """Markov panel shared by the ablations (poverty-like dynamics)."""
-    return two_state_markov(n, _HORIZON, p_stay=0.85, p_enter=0.02, seed=seed)
+    return two_state_markov(n, horizon, p_stay=0.85, p_enter=0.02, seed=seed)
 
 
 def _cumulative_max_errors(
@@ -88,7 +89,12 @@ def run_counter_ablation(
     n_reps: int = 10,
     seed: SeedLike = 0,
 ) -> FigureResult:
-    """Algorithm 2 with every registered counter, same data and budget."""
+    """Algorithm 2 with every registered counter, same data and budget.
+
+    The table compares every counter at T = 12.  The tree-vs-naive check
+    reruns those two counters on the same dynamics at T = 64: the tree's
+    edge is asymptotic, and at T = 12 their max errors tie in expectation.
+    """
     panel = ablation_panel()
     rows = []
     for name in available_counters():
@@ -108,6 +114,7 @@ def run_counter_ablation(
             "rho": rho,
             "n": panel.n_individuals,
             "T": _HORIZON,
+            "tree_vs_naive_T": _TREE_VS_NAIVE_HORIZON,
             "reps": n_reps,
         },
         paper_expectation=(
@@ -117,11 +124,16 @@ def run_counter_ablation(
         comparison_rows=rows,
         comparison_columns=["counter", "max_error_median", "max_error_p90"],
     )
-    by_name = {row["counter"]: row["max_error_median"] for row in rows}
-    result.check(
-        "tree counter beats the naive per-step counter",
-        by_name["binary_tree"] <= by_name["simple"],
+    long_panel = ablation_panel(horizon=_TREE_VS_NAIVE_HORIZON)
+    tree, naive = (
+        np.median(_cumulative_max_errors(long_panel, rho, n_reps, seed, counter=name))
+        for name in ("binary_tree", "simple")
     )
+    result.check(
+        f"tree counter beats the naive per-step counter (T={_TREE_VS_NAIVE_HORIZON})",
+        tree <= naive,
+    )
+    by_name = {row["counter"]: row["max_error_median"] for row in rows}
     result.check(
         "Honaker refinement does not hurt the tree counter",
         by_name["honaker"] <= by_name["binary_tree"] * 1.25,

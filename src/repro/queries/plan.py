@@ -95,8 +95,8 @@ class AnswerCache:
     """Release-version-keyed memo of batched workload answers.
 
     ``get``/``put`` take the owning release's current version; a version
-    change (every ``observe()``, state restore, or horizon extension
-    bumps it) atomically invalidates all cached grids.  Grids are copied
+    change (every ``observe()`` and state restore bumps it) atomically
+    invalidates all cached grids.  Grids are copied
     on the way in and out so callers can never mutate the cache.
     """
 

@@ -448,35 +448,40 @@ class _StageBuffer:
 def _cleanup_process_executor(processes, connections, stage) -> None:
     """Finalizer-safe teardown shared by close() and weakref.finalize.
 
-    Escalates per worker: graceful ``stop`` RPC → ``join`` → ``terminate``
-    (SIGTERM) → ``kill`` (SIGKILL).  The final escalation matters for
-    *stopped* (SIGSTOP'd) workers: SIGTERM stays pending while a process
-    is stopped, so ``terminate`` alone would hang the teardown forever,
-    while SIGKILL takes effect even on a stopped process.  The staging
-    segment is unlinked last, unconditionally, so no worker death mode
-    can leak a ``/dev/shm`` segment.
+    Escalates per worker: graceful ``stop`` RPC → ``join`` for a worker
+    that acknowledged it within the poll → ``kill`` (SIGKILL) for every
+    other worker and for any that outlives its join.  There is no SIGTERM
+    rung: a *stopped* (SIGSTOP'd) worker keeps SIGTERM pending, so waiting
+    on ``terminate`` only stalls the teardown, and SIGTERM's default
+    action skips the worker's ``finally`` just as SIGKILL does (the parent
+    owns the staging segment, the journal and the checkpoints).  SIGKILL
+    takes effect even on a stopped process.  The staging segment is
+    unlinked last, unconditionally, so no worker death mode can leak a
+    ``/dev/shm`` segment.
     """
     for conn in connections:
         try:
             conn.send(("stop",))
         except (OSError, ValueError, BrokenPipeError):
             pass
+    acknowledged = []
     for conn in connections:
+        stopped = False
         try:
             if conn.poll(1.0):
                 conn.recv()
+                stopped = True
         except (OSError, EOFError, ValueError):
             pass
+        acknowledged.append(stopped)
         try:
             conn.close()
         except OSError:
             pass
-    for process in processes:
-        process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - stuck worker
-            process.terminate()
-            process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM-immune worker
+    for process, stopped in zip(processes, acknowledged):
+        if stopped:
+            process.join(timeout=2.0)
+        if process.is_alive():
             process.kill()
             process.join(timeout=5.0)
     stage.release()
@@ -689,7 +694,7 @@ class ProcessShardExecutor(ShardExecutor):
         return alive
 
     def disable(self, index: int) -> None:
-        """Exclude shard ``index`` and reap its worker (kill-escalated)."""
+        """Exclude shard ``index`` and reap its worker with SIGKILL."""
         super().disable(index)
         try:
             self._connections[index].close()
@@ -697,9 +702,6 @@ class ProcessShardExecutor(ShardExecutor):
             pass
         process = self._processes[index]
         if process.is_alive():
-            process.terminate()
-            process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM-immune worker
             process.kill()
             process.join(timeout=5.0)
 

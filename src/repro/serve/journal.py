@@ -191,17 +191,6 @@ class JournalRecord:
         return _META_LENGTH.pack(len(meta_bytes)) + meta_bytes + body.tobytes()
 
     @classmethod
-    def from_payload(cls, payload: bytes) -> "JournalRecord":
-        """Decode one frame payload back into a record."""
-        try:
-            meta, body_start = _read_meta(payload, 0)
-        except (struct.error, ValueError) as exc:
-            raise SerializationError(
-                f"journal record payload is malformed: {exc}"
-            ) from exc
-        return cls._from_meta(meta, payload[body_start:])
-
-    @classmethod
     def _from_meta(cls, meta: dict, raw) -> "JournalRecord":
         """A record from its parsed frame meta and its encoded column bytes."""
         try:

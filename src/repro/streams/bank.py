@@ -50,15 +50,6 @@ which collapses the 1000-repetition Python loop of the paper's figures
 into one batched NumPy state machine, and nothing it computes is
 released.  :meth:`CounterBank._rep_noise` is the one place that picks
 between the two draws, by ``n_reps`` alone.
-
-**Row growth.**  :meth:`CounterBank.extend_rows` appends threshold rows
-mid-stream — the bank half of dynamic-population horizon extension
-(``CumulativeSynthesizer.extend_horizon``): existing rows' RNG streams
-and calibrations are untouched, and the method returns the exact extra
-zCDP each widened row realizes so the caller's accountant can charge it.
-Native tree and simple banks support it; the square-root-factorization
-bank and the scalar-wrapping fallback refuse (their noise state is
-horizon-specific).
 """
 
 from __future__ import annotations
@@ -224,78 +215,6 @@ class CounterBank(abc.ABC):
             out[:, t - 1, :t] = self.feed(increments[t - 1, :t])
         return out[0] if self.n_reps == 1 else out
 
-    def extend_rows(self, k: int, rho_new) -> np.ndarray:
-        """Grow the bank by ``k`` rows, extending the horizon to ``T + k``.
-
-        Appends counter state for thresholds ``T+1 .. T+k`` (each
-        calibrated for its activation-to-end stream) and widens every
-        existing row's capacity to the new horizon **without perturbing
-        existing rows' RNG streams**: no randomness is consumed, no
-        buffer is reseeded or repositioned, and the per-row noise
-        calibration already in force is kept.  Because a longer stream
-        touches more noisy state at that unchanged calibration, each
-        existing row's zCDP guarantee weakens; the exact additional cost
-        per row is returned so the caller's accountant can charge it —
-        this is the churn-aware half of dynamic-population accounting
-        (a panel that outlives its planned horizon as the population
-        churns).
-
-        Parameters
-        ----------
-        k:
-            Number of appended rows (and extra rounds); positive.
-        rho_new:
-            Length-``k`` per-row zCDP budgets for the new thresholds
-            (``math.inf`` entries yield noiseless rows).
-
-        Returns
-        -------
-        numpy.ndarray
-            Length-``T`` (old horizon) vector of *additional* zCDP each
-            existing row's extended stream costs under its unchanged
-            calibration; 0 for noiseless rows.
-
-        Raises
-        ------
-        repro.exceptions.ConfigurationError
-            If ``k`` is not positive, ``rho_new`` is malformed, or this
-            bank class does not support row growth
-            (:class:`SqrtFactorizationBank`'s noise factorization and
-            :class:`FallbackBank`'s wrapped scalar counters are
-            horizon-specific).
-        """
-        if not self._supports_extension:
-            raise ConfigurationError(
-                f"{type(self).__name__} does not support extend_rows: its noise "
-                "state is calibrated for a fixed horizon"
-            )
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        rho_new = np.asarray(rho_new, dtype=np.float64)
-        if rho_new.shape != (k,):
-            raise ConfigurationError(
-                f"rho_new must have length k={k}, got shape {rho_new.shape}"
-            )
-        if not (rho_new > 0).all():
-            raise ConfigurationError("every new rho_b must be positive (or math.inf)")
-        old_horizon = self.horizon
-        old_lengths = self.row_horizons()
-        self.horizon = old_horizon + int(k)
-        self.rho_per_threshold = np.concatenate([self.rho_per_threshold, rho_new])
-        self._true_sums = np.concatenate(
-            [self._true_sums, np.zeros(k, dtype=np.int64)]
-        )
-        return self._extend_rows_extra(int(k), old_horizon, old_lengths)
-
-    #: Subclasses with horizon-extensible noise state flip this on.
-    _supports_extension = False
-
-    def _extend_rows_extra(
-        self, k: int, old_horizon: int, old_lengths: np.ndarray
-    ) -> np.ndarray:
-        """Subclass hook: grow state arrays; return per-old-row extra rho."""
-        raise NotImplementedError  # pragma: no cover - guarded by extend_rows
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(horizon={self.horizon}, t={self._t}, "
@@ -451,20 +370,16 @@ class CounterBank(abc.ABC):
             return sampler.sample_columns(scales)[None, :]
         return sampler.sample_columns(scales, size=self.n_reps)
 
-    def _gaussian_sigma_sq_rows(self, numerators, rho_rows=None) -> list[Fraction]:
+    def _gaussian_sigma_sq_rows(self, numerators) -> list[Fraction]:
         """Per-row ``numerator / (2 rho_b)`` variances as exact Fractions.
 
         The scalar counters' calibration (:func:`calibrate_sigma_sq`, never
         below the exact value), so a one-replica bank's noise has the same
-        distribution as the scalar counters'.  ``rho_rows`` defaults to the
-        full per-threshold budget vector; :meth:`extend_rows` passes just
-        the appended rows' budgets.
+        distribution as the scalar counters'.
         """
-        if rho_rows is None:
-            rho_rows = self.rho_per_threshold
         return [
             Fraction(0) if math.isinf(rho_b) else calibrate_sigma_sq(int(numerator), rho_b)
-            for numerator, rho_b in zip(numerators, rho_rows)
+            for numerator, rho_b in zip(numerators, self.rho_per_threshold)
         ]
 
 
@@ -525,39 +440,6 @@ class BinaryTreeBank(CounterBank):
         bits = (local[:, None] >> self._level_idx[None, :]) & 1
         return (alpha_noisy * bits[None, :, :]).sum(axis=2).astype(np.float64)
 
-    _supports_extension = True
-
-    def _extend_rows_extra(
-        self, k: int, old_horizon: int, old_lengths: np.ndarray
-    ) -> np.ndarray:
-        old_levels = self.levels
-        lengths = self.row_horizons()
-        self.levels = np.array([int(n).bit_length() for n in lengths], dtype=np.int64)
-        n_levels = int(self.levels[0])
-        # Appending rows and (zero) level buffers preserves every existing
-        # buffer value in place; deeper local clocks of the widened rows
-        # simply start folding into the fresh columns.
-        grown = self._level_buffers(n_levels)
-        grown[:, :old_horizon, : self._alpha.shape[2]] = self._alpha
-        grown_noisy = self._level_buffers(n_levels)
-        grown_noisy[:, :old_horizon, : self._alpha_noisy.shape[2]] = self._alpha_noisy
-        self._alpha, self._alpha_noisy = grown, grown_noisy
-        self._level_idx = np.arange(n_levels, dtype=np.int64)
-        # sigma^2 = L / (2 rho) stays fixed, so a stream touching L' > L
-        # levels realizes rho' = rho L'/L; the difference is the charge.
-        new_levels = self.levels[:old_horizon]
-        rho_old = self.rho_per_threshold[:old_horizon]
-        extra = np.zeros(old_horizon, dtype=np.float64)
-        finite = np.isfinite(rho_old)
-        extra[finite] = (
-            rho_old[finite] * (new_levels[finite] - old_levels[finite]) / old_levels[finite]
-        )
-        appended = self._gaussian_sigma_sq_rows(
-            self.levels[-k:], self.rho_per_threshold[-k:]
-        )
-        self.sigma_sq_rows = list(self.sigma_sq_rows) + appended
-        return extra
-
     def _state_extra(self, copy: bool = True) -> dict:
         if not copy:
             return {"alpha": self._alpha, "alpha_noisy": self._alpha_noisy}
@@ -602,24 +484,6 @@ class SimpleBank(CounterBank):
     def error_stddev(self, b: int, t: int) -> float:
         self._check_row(b)
         return math.sqrt(float(self.sigma_sq_rows[b - 1]))
-
-    _supports_extension = True
-
-    def _extend_rows_extra(
-        self, k: int, old_horizon: int, old_lengths: np.ndarray
-    ) -> np.ndarray:
-        # Fresh noise per release at fixed sigma^2 = len/(2 rho): each of
-        # the k extra releases costs rho/len more, per existing row.
-        rho_old = self.rho_per_threshold[:old_horizon]
-        extra = np.zeros(old_horizon, dtype=np.float64)
-        finite = np.isfinite(rho_old)
-        extra[finite] = k * rho_old[finite] / old_lengths[finite]
-        appended = self._gaussian_sigma_sq_rows(
-            self.row_horizons()[-k:], self.rho_per_threshold[-k:]
-        )
-        self.sigma_sq_rows = list(self.sigma_sq_rows) + appended
-        return extra
-
 
 class SqrtFactorizationBank(CounterBank):
     """Batched :class:`~repro.streams.sqrt_factorization.SqrtFactorizationCounter` rows.

@@ -8,9 +8,8 @@ The contracts the batched read path stands on:
 * a mixed workload sent to process-executor shard workers as query
   objects comes back as the serial grid, byte for byte;
 * ``AnswerCache`` serves a grid back only at the version it was stored
-  under — every ``observe()``, ``load_state()``, and
-  ``extend_horizon()`` bumps the release version, so churny services
-  can never serve stale answers.
+  under — every ``observe()`` and ``load_state()`` bumps the release
+  version, so churny services can never serve stale answers.
 """
 
 import math
@@ -41,8 +40,8 @@ def _column(t: int) -> np.ndarray:
     return (np.arange(N) + t) % 2
 
 
-def _driven_cumulative(rho=math.inf):
-    synth = CumulativeSynthesizer(HORIZON, rho, seed=0)
+def _driven_cumulative():
+    synth = CumulativeSynthesizer(HORIZON, math.inf, seed=0)
     for t in range(1, HORIZON + 1):
         synth.observe(_column(t))
     return synth
@@ -264,20 +263,3 @@ class TestCacheInvalidation:
         after = self._grid(clone, [1, 2, 3, 4])
         fresh = scalar_answer_grid(clone.release, self.QUERIES, [1, 2, 3, 4])
         assert np.array_equal(after, fresh, equal_nan=True)
-
-    def test_extend_horizon_invalidates_cached_answers(self):
-        synth = _driven_cumulative(rho=0.4)
-        beyond = [HammingAtLeast(HORIZON + 1)]
-        times = list(range(1, HORIZON + 1))
-        before = synth.release.answer_batch(beyond, times)
-        assert np.all(before == 0.0)  # structurally zero past the horizon
-        version = synth.release.version
-        synth.extend_horizon(2, 0.2)
-        assert synth.release.version != version
-        for t in (HORIZON + 1, HORIZON + 2):
-            synth.observe(_column(t))
-        after = synth.release.answer_batch(beyond, times + [HORIZON + 1])
-        reference = scalar_answer_grid(
-            synth.release, beyond, times + [HORIZON + 1]
-        )
-        assert np.array_equal(after, reference, equal_nan=True)

@@ -19,6 +19,7 @@ tolerance contract:
 
 import multiprocessing as mp
 import os
+import time
 import warnings
 
 import numpy as np
@@ -151,7 +152,9 @@ def test_teardown_escalates_to_kill_for_hung_workers(events):
     victim = injector.pick_shard(K)
     injector.hang_worker(service, victim)
     process = service._executor._processes[victim]
-    service.close()  # must not hang on the stopped worker
+    started = time.monotonic()
+    service.close()  # kills the stopped worker instead of waiting on it
+    assert time.monotonic() - started < 3.0
     process.join(timeout=5.0)
     assert not process.is_alive()
 
